@@ -5,7 +5,6 @@ numerical certificates."""
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED, backend
 from .bands import (
     AdmissibleInterval,
     BandSet,

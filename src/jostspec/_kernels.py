@@ -1,39 +1,15 @@
 """Site-level numeric kernels.
 
 These recursions visit every lattice site, so they dominate runtime once
-truncation depths reach 1e4-1e5 sites.  Each kernel is written as a plain
-Python/NumPy function and compiled with numba at import time; setting the
-environment variable JOSTSPEC_NUMBA=0 selects the uncompiled fallback path
-(same code objects, no JIT).  benchmarks/bench_kernels.py compares the two.
+truncation depths reach 1e3-1e5 sites.  The backward Jost recursion and the
+stripping map are sequential in the site but independent across energies, so
+both take 1-D arrays of energies and boundary data: one Python loop runs over
+the sites, and each step is a NumPy operation over all energies at once.
+Working memory is O(energies); no (sites x energies) array is formed unless
+the caller asks for the full solution rows.
 """
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("JOSTSPEC_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
-
-if _want_numba:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-        _want_numba = False
-
-NUMBA_ENABLED = _want_numba
-
-
-def backend():
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def _maybe_jit(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True, nogil=True)(fn)
-    return fn
-
 
 # Magnitude guard for the backward recursion: above this the working pair is
 # rescaled by 2**-RESCALE_SHIFT and the shift is accumulated.
@@ -41,39 +17,59 @@ RESCALE_THRESHOLD = 1e280
 RESCALE_SHIFT = 600
 
 
-def _jost_backward_impl(a, b, zeta, u_top, u_second):
-    """Backward three-term recursion from the top boundary pair.
+def _energy_arrays(zeta, *values):
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    return (zeta,) + tuple(
+        np.array(np.broadcast_to(np.asarray(v, dtype=np.complex128), zeta.shape)) for v in values
+    )
+
+
+def jost_backward(a, b, zeta, u_top, u_second, rows=None):
+    """Backward three-term recursion from the top boundary pair, per energy.
 
     a, b are site arrays indexed 0..m (b[0] is a placeholder); the recursion
-    a[n] u[n+1] + (b[n] - zeta) u[n] + a[n-1] u[n-1] = 0 runs n = m..1 and
-    fills u[0..m+1] with u[m+1] = u_top, u[m] = u_second.  Returns the value
-    array and the accumulated power-of-two rescale exponent (the true
-    solution is u * 2**scale_log2).
+    a[n] u[n+1] + (b[n] - zeta) u[n] + a[n-1] u[n-1] = 0 runs n = m..1 from
+    u[m+1] = u_top, u[m] = u_second.  zeta, u_top and u_second are 1-D arrays
+    of equal length (scalars broadcast).  Returns (u0, u1, scale_log2): the
+    values u[0], u[1] and the power-of-two rescale exponent of each energy
+    (the true solution is u * 2**scale_log2).  Only the working pair is
+    rescaled when the guard fires.
+
+    rows, if given, is an (m + 2, len(zeta)) complex array that receives the
+    whole solution u[0..m+1], every row on the final scale of its energy.
     """
+    zeta, hi, lo = _energy_arrays(zeta, u_top, u_second)
     m = a.shape[0] - 1
-    u = np.empty(m + 2, dtype=np.complex128)
-    u[m + 1] = u_top
-    u[m] = u_second
-    scale_log2 = 0
+    scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
     factor = 2.0 ** (-RESCALE_SHIFT)
+    if rows is not None:
+        rows[m + 1] = hi
+        rows[m] = lo
     for n in range(m, 0, -1):
-        u[n - 1] = -(a[n] * u[n + 1] + (b[n] - zeta) * u[n]) / a[n - 1]
-        if abs(u[n - 1]) > RESCALE_THRESHOLD:
-            for k in range(n - 1, m + 2):
-                u[k] *= factor
-            scale_log2 += RESCALE_SHIFT
-    return u, scale_log2
+        new = -(a[n] * hi + (b[n] - zeta) * lo) / a[n - 1]
+        big = np.abs(new) > RESCALE_THRESHOLD
+        if rows is not None:
+            rows[n - 1] = new
+        if big.any():
+            new[big] *= factor
+            lo[big] *= factor
+            scale_log2[big] += RESCALE_SHIFT
+            if rows is not None:
+                rows[n - 1 :, big] *= factor
+        hi, lo = lo, new
+    return lo, hi, scale_log2
 
 
-def _strip_downward_impl(a, b, zeta, m_start, n_from):
-    """Resolvent stripping m_n = 1/(b_n - zeta - a_n^2 m_{n+1}), n = n_from..1."""
-    m = m_start
+def strip_downward(a, b, zeta, m_start, n_from):
+    """Resolvent stripping m_n = 1/(b_n - zeta - a_n^2 m_{n+1}), n = n_from..1,
+    per energy; zeta and m_start are 1-D arrays of equal length."""
+    zeta, m = _energy_arrays(zeta, m_start)
     for n in range(n_from, 0, -1):
         m = 1.0 / (b[n] - zeta - a[n] * a[n] * m)
     return m
 
 
-def _period_products_impl(a, b, zeta, q, n_blocks):
+def period_products(a, b, zeta, q, n_blocks):
     """Products of q consecutive one-step transfer matrices.
 
     Block nb is T_{(nb+1)q} ... T_{nb*q+1} with
@@ -100,13 +96,8 @@ def _period_products_impl(a, b, zeta, q, n_blocks):
     return out
 
 
-jost_backward = _maybe_jit(_jost_backward_impl)
-strip_downward = _maybe_jit(_strip_downward_impl)
-period_products = _maybe_jit(_period_products_impl)
-
-
 def jost_backward_longdouble(a, b, zeta, u_top, u_second):
-    """Extended-precision variant of the backward recursion (numpy only).
+    """Extended-precision variant of the backward recursion at one energy.
 
     Used when the precision switch requests it; accumulates in clongdouble
     and rounds back to complex128.
@@ -126,12 +117,3 @@ def jost_backward_longdouble(a, b, zeta, u_top, u_second):
             u[n - 1:] *= factor
             scale_log2 += RESCALE_SHIFT
     return u.astype(np.complex128), scale_log2
-
-
-def warm_up():
-    """Trigger JIT compilation of every kernel on a tiny problem."""
-    a = np.ones(5)
-    b = np.zeros(5)
-    jost_backward(a, b, 0.5 + 0.1j, 1.0 + 0j, 0.5 + 0j)
-    strip_downward(a, b, 0.5 + 0.1j, 0.3 + 0.9j, 4)
-    period_products(a, b, 0.5 + 0.1j, 2, 2)

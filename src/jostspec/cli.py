@@ -85,7 +85,10 @@ def _parse_bool(text):
 def _read_config(path, overrides):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file {path} is unreadable")
     for item in overrides or []:
@@ -93,9 +96,12 @@ def _read_config(path, overrides):
             raise ValidationError(f"override must look like section.key=value: {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, value)
+        try:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, value)
+        except (configparser.Error, ValueError) as exc:
+            raise ValidationError(f"bad override {item!r}: {exc}") from exc
     for section in parser.sections():
         if section not in ("block", "perturbation", "experiment"):
             raise ValidationError(f"unknown config section [{section}]")
@@ -187,10 +193,10 @@ def _parse_experiment_params(parser, experiment, seed_cli):
                 params["seed"] = int(sec["seed"])
             if "precision" in sec:
                 params["precision"] = sec["precision"].strip()
+            if "n_grid" in sec:
+                params["n_grid"] = _int_list(sec["n_grid"])
         except ValueError as exc:
             raise ValidationError(f"bad [experiment] value: {exc}") from exc
-        if "n_grid" in sec:
-            params["n_grid"] = _int_list(sec["n_grid"])
     if params["precision"] not in ("double", "extended"):
         raise ValidationError("precision must be double or extended")
     if params["method"] not in ("key_formula", "oracle", "both"):
@@ -241,7 +247,7 @@ def _meta_lines(cfg, model, extra=None):
     return lines
 
 
-def _run_bands(cfg, model, threads):
+def _run_bands(cfg, model):
     bs = band_edges(cfg.block)
     rows = [["lo", "hi"]]
     for lo, hi in bs.bands:
@@ -249,7 +255,7 @@ def _run_bands(cfg, model, threads):
     return rows, _meta_lines(cfg, model), 0
 
 
-def _run_density(cfg, model, threads):
+def _run_density(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     n = p["N"]
@@ -261,16 +267,13 @@ def _run_density(cfg, model, threads):
         p["grid_points"],
         method="key_formula",
         precision=p["precision"],
-        workers=threads,
     )
     if p["method"] == "key_formula":
         rows = [["E", "value"]]
         for e, v in zip(key.grid, key.values):
             rows.append([_fmt(e), _fmt(v)])
         return rows, _meta_lines(cfg, model, extra), 0
-    oracle = density_curve(
-        model, n, interval, p["grid_points"], method="oracle", workers=threads
-    )
+    oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
     if p["method"] == "oracle":
         rows = [["E", "value"]]
         for e, v in zip(oracle.grid, oracle.values):
@@ -283,17 +286,13 @@ def _run_density(cfg, model, threads):
     return rows, _meta_lines(cfg, model, extra), 0
 
 
-def _run_compare(cfg, model, threads):
+def _run_compare(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     n = p["N"]
     grid = np.linspace(interval.lo, interval.hi, p["grid_points"])
-    key = density_curve(
-        model, n, interval, p["grid_points"], method="key_formula", workers=threads
-    )
-    oracle = density_curve(
-        model, n, interval, p["grid_points"], method="oracle", workers=threads
-    )
+    key = density_curve(model, n, interval, p["grid_points"], method="key_formula")
+    oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
     rows = [["E", "density_key", "density_oracle", "rel_err"]]
     worst = 0.0
     for e, v, w in zip(grid, key.values, oracle.values):
@@ -305,7 +304,7 @@ def _run_compare(cfg, model, threads):
     return rows, _meta_lines(cfg, model, extra), code
 
 
-def _run_entropy(cfg, model, threads):
+def _run_entropy(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     rows = [["N", "I_lo", "I_hi", "value", "quad_order"]]
@@ -317,7 +316,7 @@ def _run_entropy(cfg, model, threads):
     return rows, _meta_lines(cfg, model, extra), 0
 
 
-def _run_certify(cfg, model, threads):
+def _run_certify(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     zeta = complex(interval.midpoint(), 0.5 * interval.eps_I)
@@ -359,7 +358,7 @@ _RUNNERS = {
 }
 
 
-def run(config_path, overrides=None, experiment=None, out_dir=".", threads=1, seed=None):
+def run(config_path, overrides=None, experiment=None, out_dir=".", seed=None):
     """Execute one experiment; returns the process exit code.
 
     Output CSVs are assembled fully in memory and written only on success,
@@ -370,7 +369,7 @@ def run(config_path, overrides=None, experiment=None, out_dir=".", threads=1, se
             raise ValidationError(f"unknown experiment {experiment!r}")
         cfg = load_config(config_path, overrides, experiment, seed_cli=seed)
         model = make_model(cfg.block, cfg.pert)
-        rows, meta, code = _RUNNERS[experiment](cfg, model, max(1, int(threads)))
+        rows, meta, code = _RUNNERS[experiment](cfg, model)
     except JostspecError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
@@ -405,7 +404,6 @@ def main(argv=None):
         help="override a config entry (repeatable)",
     )
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     code = run(
@@ -413,7 +411,6 @@ def main(argv=None):
         overrides=args.overrides,
         experiment=args.experiment,
         out_dir=args.out,
-        threads=args.threads,
         seed=args.seed,
     )
     return code

@@ -16,6 +16,7 @@ from .errors import (
     BandEdgeError,
     DiagonalizationError,
     EigenvectorDegeneracyError,
+    JostspecError,
     ValidationError,
     ZeroJostError,
 )
@@ -64,6 +65,15 @@ class JostSolution:
         return math.log(abs(self.u0)) + self.scale_log2 * LN2
 
 
+def _boundary_data(block, zeta):
+    """Floquet data at one energy, whose eigenvector (z - D, C) is the top
+    boundary pair of the backward recursion."""
+    fl = floquet_eigenvalue(block, zeta)
+    if fl.eigvec[1] == 0:
+        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
+    return fl
+
+
 def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     """Backward recursion from the eigenvector boundary condition.
 
@@ -74,19 +84,15 @@ def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     if N < 1:
         raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
-    block = work.block
-    q = block.q
-
-    fl = floquet_eigenvalue(block, zeta)
+    fl = _boundary_data(work.block, zeta)
     x, y = fl.eigvec
-    if y == 0:
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
-
-    a, b = work.coefficient_arrays(N * q)
+    a, b = work.coefficient_arrays(N * work.block.q)
     if precision == "extended":
         u, scale = _kernels.jost_backward_longdouble(a, b, complex(zeta), x, y)
     else:
-        u, scale = _kernels.jost_backward(a, b, complex(zeta), x, y)
+        rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
+        _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows)
+        u, scale = rows.ravel(), scales[0]
     return JostSolution(N=N, zeta=complex(zeta), u=u, z=fl.z, scale_log2=int(scale))
 
 
@@ -111,28 +117,73 @@ def green_11(model, N, zeta, precision="double"):
     return -sol.u1 / (a0 * sol.u0)
 
 
+def _density_value(c_val, z, a0, u0, scale_log2):
+    if scale_log2 == 0:
+        return abs(c_val * z.imag) / (math.pi * abs(a0) * abs(u0) ** 2)
+    log_u0 = math.log(abs(u0)) + scale_log2 * LN2
+    log_val = math.log(abs(c_val * z.imag)) - math.log(math.pi * abs(a0)) - 2.0 * log_u0
+    return math.exp(log_val) if log_val > -745.0 else 0.0
+
+
+def density_prefix(model, N, energies, precision="double"):
+    """Key-formula densities at real energies, in order, up to the first
+    energy that fails a check.
+
+    Returns (values, error): the densities of the energies before the first
+    failing one, and that energy's exception (None if every energy passed).
+    Each energy gets the checks of ac_density in the same order; the
+    recursion runs once for all energies that passed the Floquet checks.
+    """
+    block = model.block
+    setups = []
+    error = None
+    for energy in energies:
+        energy = float(energy)
+        try:
+            delta = discriminant(block, energy)
+            if abs(delta) >= 2.0 - 1e-12:
+                raise BandEdgeError(f"E = {energy} is not in a band interior")
+            setups.append((energy, _boundary_data(block, energy)))
+        except JostspecError as exc:
+            error = exc
+            break
+    if not setups:
+        return [], error
+
+    work = truncate(model, N)
+    a, b = work.coefficient_arrays(N * block.q)
+    if precision == "extended":
+        pairs = []
+        for energy, fl in setups:
+            u, scale = _kernels.jost_backward_longdouble(a, b, complex(energy), *fl.eigvec)
+            pairs.append((u[0], scale))
+    else:
+        u0, _, scales = _kernels.jost_backward(
+            a,
+            b,
+            np.array([e for e, _ in setups], dtype=np.complex128),
+            np.array([fl.eigvec[0] for _, fl in setups], dtype=np.complex128),
+            np.array([fl.eigvec[1] for _, fl in setups], dtype=np.complex128),
+        )
+        pairs = zip(u0, scales)
+
+    a0 = block.a(0)
+    values = []
+    for (energy, fl), (u0_e, scale) in zip(setups, pairs):
+        u0_e = complex(u0_e)
+        if u0_e == 0:
+            return values, ZeroJostError(f"u_0(E) = 0 at E = {energy}")
+        values.append(_density_value(fl.eigvec[1].real, fl.z, a0, u0_e, int(scale)))
+    return values, error
+
+
 def ac_density(model, N, energy, precision="double"):
     """Absolutely-continuous spectral density of the truncated operator at a
     real band-interior energy: |C Im z| / (pi |a°_0| |u_0|^2)."""
-    energy = float(energy)
-    block = model.block
-    delta = discriminant(block, energy)
-    if abs(delta) >= 2.0 - 1e-12:
-        raise BandEdgeError(f"E = {energy} is not in a band interior")
-    fl = floquet_eigenvalue(block, energy)
-    c_val = fl.eigvec[1].real
-    sol = jost_solution(model, N, energy, precision=precision)
-    if sol.u0 == 0:
-        raise ZeroJostError(f"u_0(E) = 0 at E = {energy}")
-    a0 = block.a(0)
-    if sol.scale_log2 == 0:
-        return abs(c_val * fl.z.imag) / (math.pi * abs(a0) * abs(sol.u0) ** 2)
-    log_val = (
-        math.log(abs(c_val * fl.z.imag))
-        - math.log(math.pi * abs(a0))
-        - 2.0 * sol.log_abs_u0()
-    )
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    values, error = density_prefix(model, N, [energy], precision=precision)
+    if error is not None:
+        raise error
+    return values[0]
 
 
 def wronskian_defect(model, N, energy):

@@ -22,7 +22,7 @@ from .errors import (
     OracleConvergenceError,
     ValidationError,
 )
-from .jost import ac_density
+from .jost import density_prefix
 
 __all__ = [
     "DensityCurve",
@@ -144,21 +144,27 @@ def tail_m_function(block, zeta):
     return m
 
 
+def _oracle_values(model, N, zetas):
+    """oracle_green_11 at every zeta: the periodic-tail closures one energy at
+    a time, in order, then one stripping pass over all of them."""
+    work = truncate(model, N)
+    tails = []
+    for zeta in zetas:
+        if zeta.imag <= 0:
+            raise ValidationError("oracle_green_11 requires Im zeta > 0")
+        tails.append(tail_m_function(work.block, zeta))
+    depth = (N - 1) * work.block.q
+    if depth == 0:
+        return np.array(tails, dtype=np.complex128)
+    a, b = work.coefficient_arrays(depth)
+    return _kernels.strip_downward(a, b, np.array(zetas, dtype=np.complex128), tails, depth)
+
+
 def oracle_green_11(model, N, zeta):
     """Boundary Green's value of the truncated operator by coefficient
     stripping: exact periodic tail at depth (N-1)q, then one stripping step
     per perturbed site down to the boundary."""
-    zeta = complex(zeta)
-    if zeta.imag <= 0:
-        raise ValidationError("oracle_green_11 requires Im zeta > 0")
-    work = truncate(model, N)
-    q = work.block.q
-    depth = (N - 1) * q
-    m_tail = tail_m_function(work.block, zeta)
-    if depth == 0:
-        return m_tail
-    a, b = work.coefficient_arrays(depth)
-    return complex(_kernels.strip_downward(a, b, zeta, m_tail, depth))
+    return complex(_oracle_values(model, N, [complex(zeta)])[0])
 
 
 def _extrapolation_weights(offsets):
@@ -172,43 +178,35 @@ def _extrapolation_weights(offsets):
     return weights
 
 
-def density_curve(
-    model, N, interval, grid_points, method="key_formula", precision="double", workers=1
-):
+def density_curve(model, N, interval, grid_points, method="key_formula", precision="double"):
     """Density samples on a uniform grid over an admissible interval.
 
     method 'key_formula' evaluates the boundary-value density directly;
     'oracle' takes (1/pi) Im of the stripping resolvent at the Richardson
-    offsets and extrapolates polynomially to the real axis.  Grid points are
-    independent; workers > 1 evaluates them on a thread pool (the compiled
-    kernels release the GIL), preserving grid order.
+    offsets and extrapolates polynomially to the real axis.  Either way the
+    site recursion runs once for the whole grid.
     """
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     grid = np.linspace(float(lo), float(hi), int(grid_points))
     if method == "key_formula":
-        point = lambda e: ac_density(model, N, e, precision=precision)
+        values, error = density_prefix(model, N, grid, precision=precision)
+        if error is not None:
+            raise error
+        vals = np.array(values)
     elif method == "oracle":
         offsets = RICHARDSON_EPS
         weights = _extrapolation_weights(offsets)
-
-        def point(e):
-            v = 0.0
-            for eps, w in zip(offsets, weights):
-                v += w * oracle_green_11(model, N, complex(e, eps)).imag / math.pi
-            # extrapolation may undershoot zero by its own error budget
-            return v if v > 0 else 0.0
-
+        zetas = [complex(e, eps) for e in grid for eps in offsets]
+        green = _oracle_values(model, N, zetas).reshape(len(grid), len(offsets))
+        vals = np.zeros(len(grid))
+        for column, w in zip(green.T, weights):
+            vals += w * column.imag / math.pi
+        # extrapolation may undershoot zero by its own error budget
+        vals = np.where(vals > 0, vals, 0.0)
     else:
         raise ValidationError(f"unknown density method {method!r}")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            vals = np.array(list(pool.map(point, grid)))
-    else:
-        vals = np.array([point(e) for e in grid])
     meta = {"model": model.fingerprint(), "N": int(N), "method": method}
     return DensityCurve(grid=grid, values=vals, meta=meta)
 
@@ -221,13 +219,15 @@ def entropy_integral(model, N, interval, quad_order=64, precision="double"):
     nodes, weights = leggauss(int(quad_order))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    total = 0.0
-    for x, w in zip(nodes, weights):
-        val = ac_density(model, N, mid + half * x, precision=precision)
+    energies = [mid + half * x for x in nodes]
+    values, error = density_prefix(model, N, energies, precision=precision)
+    for energy, val in zip(energies, values):
         if val <= 0.0:
-            raise DensityDomainError(
-                f"nonpositive density {val} at quadrature node {mid + half * x}"
-            )
+            raise DensityDomainError(f"nonpositive density {val} at quadrature node {energy}")
+    if error is not None:
+        raise error
+    total = 0.0
+    for w, val in zip(weights, values):
         total += w * math.log(val)
     return half * total
 

@@ -103,8 +103,8 @@ def period_block_matrix(model, n, zeta) -> Matrix2C:
         raise ValidationError("block index must be >= 0")
     q = model.block.q
     a, b = model.coefficient_arrays((n + 1) * q)
-    blocks = _kernels.period_products(a, b, complex(zeta), q, n + 1)
-    m = blocks[n]
+    lo, hi = n * q, (n + 1) * q + 1
+    m = _kernels.period_products(a[lo:hi], b[lo:hi], complex(zeta), q, 1)[0]
     return Matrix2C(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
 
 

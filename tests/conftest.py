@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 import jostspec as js
-from jostspec import _kernels
 from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compile (or no-op on the numpy backend) before any timed section
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

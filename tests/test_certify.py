@@ -121,3 +121,18 @@ def test_floquet_bound_on_randomized_suite(acceptance_suite):
     for model, iv, _ in acceptance_suite[:10]:
         rep = js.check_floquet_bound(model.block, iv)
         assert rep.passed, rep.worst_case
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: the doubling-stability test of check_diagonal_products "
+        "depends on the sampling seed; on the baseline model seed 7 draws ranges "
+        "whose fitted B_alpha grows from 0.76 to 0.97 (> 20%) when the sample doubles"
+    ),
+)
+def test_diagonal_products_baseline_seed_7_stable():
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+    iv = max(js.admissible_intervals(block, margin=0.1), key=lambda i: i.width)
+    assert js.check_diagonal_products(model, iv, seed=7).passed

@@ -89,6 +89,9 @@ def test_unknown_key_rejected(tmp_path):
 def test_unknown_section_rejected(tmp_path):
     cfg = _write(tmp_path, FREE_CONFIG + "\n[extra]\nx = 1\n")
     assert run(str(cfg), experiment="bands", out_dir=str(tmp_path / "o")) == 2
+    # configparser reserves DEFAULT and refuses to add it as a section
+    cfg = _write(tmp_path, FREE_CONFIG)
+    assert run(str(cfg), overrides=["DEFAULT.x=1"], experiment="bands", out_dir=str(tmp_path / "o")) == 2
 
 
 def test_density_writes_curve(tmp_path):
@@ -181,10 +184,21 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "out" / "bands.csv").exists()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    cfg = _write(tmp_path, PERTURBED_CONFIG)
-    run(str(cfg), experiment="density", out_dir=str(tmp_path / "t1"), threads=1)
-    run(str(cfg), experiment="density", out_dir=str(tmp_path / "t4"), threads=4)
-    assert (tmp_path / "t1" / "density.csv").read_bytes() == (
-        tmp_path / "t4" / "density.csv"
-    ).read_bytes()
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FREE_CONFIG.encode() + b"n_grid = 16, x\n",
+        FREE_CONFIG.replace("[block]\n", "").encode(),
+        FREE_CONFIG.replace("b = 0.0\n", "b = 0.0\nb = 0.5\n").encode(),
+        FREE_CONFIG.encode() + b"seed = \xff\xfe\n",
+    ],
+    ids=["n_grid-not-a-number", "no-section-header", "duplicate-key", "undecodable-bytes"],
+)
+def test_malformed_config_text_exits_2_without_output(tmp_path, capsys, text):
+    cfg = tmp_path / "config.ini"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    assert run(str(cfg), experiment="certify", out_dir=str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert '"error": "ValidationError"' in capsys.readouterr().err

@@ -1,0 +1,130 @@
+"""Energy-batched kernels against a pure-Python reference recursion."""
+
+import re
+
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+
+import jostspec as js
+from jostspec import _kernels
+from jostspec.errors import BandEdgeError
+
+
+def reference_jost(a, b, zeta, u_top, u_second):
+    """The backward recursion one energy and one site at a time, rescaling
+    every stored value when the guard fires."""
+    m = len(a) - 1
+    u = np.empty(m + 2, dtype=complex)
+    u[m + 1], u[m] = u_top, u_second
+    scale = 0
+    for n in range(m, 0, -1):
+        u[n - 1] = -(a[n] * u[n + 1] + (b[n] - zeta) * u[n]) / a[n - 1]
+        if abs(u[n - 1]) > _kernels.RESCALE_THRESHOLD:
+            u[n - 1 :] *= 2.0 ** -_kernels.RESCALE_SHIFT
+            scale += _kernels.RESCALE_SHIFT
+    return u, scale
+
+
+def reference_strip(a, b, zeta, m_start, n_from):
+    m = m_start
+    for n in range(n_from, 0, -1):
+        m = 1.0 / (b[n] - zeta - a[n] * a[n] * m)
+    return m
+
+
+@pytest.fixture(scope="module")
+def baseline_model():
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    return js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+
+
+def _batch(model, N, energies):
+    work = js.truncate(model, N)
+    a, b = work.coefficient_arrays(N * work.block.q)
+    tops, seconds = zip(*(js.floquet_eigenvalue(work.block, e).eigvec for e in energies))
+    return a, b, np.array(energies, dtype=complex), np.array(tops), np.array(seconds)
+
+
+def _rel(x, y):
+    return abs(x - y) / abs(y)
+
+
+def test_jost_backward_batch_matches_reference(baseline_model):
+    energies = [0.35, 0.8, 1.2, complex(0.35, 1e-3), complex(0.8, 0.05), complex(1.9, 0.3)]
+    a, b, zeta, tops, seconds = _batch(baseline_model, 60, energies)
+    u0, u1, scale = _kernels.jost_backward(a, b, zeta, tops, seconds)
+    assert u0.shape == u1.shape == scale.shape == (len(energies),)
+    for i, energy in enumerate(energies):
+        ref, ref_scale = reference_jost(a, b, complex(energy), tops[i], seconds[i])
+        assert scale[i] == ref_scale
+        assert _rel(u0[i], ref[0]) <= 1e-13
+        assert _rel(u1[i], ref[1]) <= 1e-13
+
+
+def test_rescale_guard_is_per_energy(baseline_model):
+    # 8000 sites: the off-axis energy overflows the guard once, the real
+    # band-interior energies never do
+    energies = [0.8, complex(0.3, 1e-3), 1.5]
+    a, b, zeta, tops, seconds = _batch(baseline_model, 4000, energies)
+    u0, u1, scale = _kernels.jost_backward(a, b, zeta, tops, seconds)
+    assert scale.tolist() == [0, 600, 0]
+    for i, energy in enumerate(energies):
+        ref, ref_scale = reference_jost(a, b, complex(energy), tops[i], seconds[i])
+        assert scale[i] == ref_scale
+        assert _rel(u0[i], ref[0]) <= 1e-13
+        assert _rel(u1[i], ref[1]) <= 1e-13
+
+
+def test_solution_rows_share_the_final_scale(baseline_model):
+    sol = js.jost_solution(baseline_model, 4000, complex(0.3, 1e-3))
+    assert sol.scale_log2 == 600
+    assert js.recursion_residuals(baseline_model, sol).max() < 1e-10
+    a, b, zeta, tops, seconds = _batch(baseline_model, 4000, [complex(0.3, 1e-3)])
+    u0, u1, _ = _kernels.jost_backward(a, b, zeta, tops, seconds)
+    assert (sol.u0, sol.u1) == (u0[0], u1[0])
+    ref, _ = reference_jost(a, b, zeta[0], tops[0], seconds[0])
+    assert np.max(np.abs(sol.u - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_strip_downward_batch_matches_reference(baseline_model):
+    zetas = [complex(e, y) for e in (-0.9, 0.35, 1.2) for y in (1e-5, 1e-3, 0.2)]
+    work = js.truncate(baseline_model, 300)
+    depth = 299 * 2
+    a, b = work.coefficient_arrays(depth)
+    tails = [js.tail_m_function(work.block, z) for z in zetas]
+    got = _kernels.strip_downward(a, b, np.array(zetas), np.array(tails), depth)
+    assert got.shape == (len(zetas),)
+    for g, z, t in zip(got, zetas, tails):
+        assert _rel(g, reference_strip(a, b, z, t, depth)) <= 1e-13
+
+
+def test_batched_density_matches_pointwise(baseline_model):
+    iv = max(js.admissible_intervals(baseline_model.block, margin=0.1), key=lambda i: i.width)
+    curve = js.density_curve(baseline_model, 50, iv, 21)
+    pointwise = [js.ac_density(baseline_model, 50, e) for e in curve.grid]
+    assert curve.values.tolist() == pointwise
+    oracle = js.density_curve(baseline_model, 50, iv, 21, method="oracle")
+    weights = js.measures._extrapolation_weights(js.measures.RICHARDSON_EPS)
+    for e, v in zip(oracle.grid, oracle.values):
+        g = [js.oracle_green_11(baseline_model, 50, complex(e, eps)) for eps in js.measures.RICHARDSON_EPS]
+        expected = sum(w * gi.imag / np.pi for w, gi in zip(weights, g))
+        assert v == pytest.approx(max(expected, 0.0), rel=1e-12, abs=1e-300)
+
+
+def test_density_curve_names_the_band_edge_energy():
+    # closed gap at E = 0: the discriminant E^2 - 2 touches -2 mid-grid
+    model = js.make_model(js.periodic_block(2, [1.0, 1.0], [0.0, 0.0]))
+    with pytest.raises(BandEdgeError, match=r"E = 0\.0 is not"):
+        js.density_curve(model, 5, (-1.0, 1.0), 5)
+
+
+def test_first_failing_energy_in_grid_order_is_reported(free_model):
+    # -2.0 and 2.0 are both band edges; the lower one comes first
+    with pytest.raises(BandEdgeError, match=r"E = -2\.0 is not"):
+        js.density_curve(free_model, 5, (-2.0, 2.0), 9)
+    nodes, _ = leggauss(4)
+    outside = [e for e in 1.75 + 0.75 * nodes if e > 2.0]
+    assert len(outside) == 2
+    with pytest.raises(BandEdgeError, match=re.escape(f"E = {outside[0]} is not")):
+        js.entropy_integral(free_model, 5, (1.0, 2.5), quad_order=4)

@@ -63,6 +63,15 @@ def test_period_block_det_boundary_ratio():
         det = js.period_block_matrix(model, n, 0.5 + 0.3j).det()
         expected = model.a(n * q) / model.a((n + 1) * q)
         assert det == pytest.approx(expected, rel=1e-12)
+    # a block past the first few is the product of its own one-step matrices
+    decaying = js.make_model(block, js.PerturbationSpec.power(c=0.4, s=0.5, gamma=0.3, target="both"))
+    for m in (model, decaying):
+        for n in (3, 5):
+            product = js.one_step(m, n * q + 1, 0.5 + 0.3j)
+            for k in range(n * q + 2, (n + 1) * q + 1):
+                product = js.one_step(m, k, 0.5 + 0.3j) @ product
+            block_n = js.period_block_matrix(m, n, 0.5 + 0.3j)
+            np.testing.assert_allclose(block_n.to_array(), product.to_array(), rtol=1e-14, atol=0)
 
 
 def test_discriminant_free(free_block):
