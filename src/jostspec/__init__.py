@@ -50,6 +50,7 @@ from .jost import (
     ac_density,
     green_11,
     jost_solution,
+    product_forms,
     product_representation,
     reconstruct_boundary_pair,
     recursion_residuals,

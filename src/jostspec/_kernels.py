@@ -7,6 +7,12 @@ both take 1-D arrays of energies and boundary data: one Python loop runs over
 the sites, and each step is a NumPy operation over all energies at once.
 Working memory is O(energies); no (sites x energies) array is formed unless
 the caller asks for the full solution rows.
+
+The period-block products of the renormalized block chain are independent
+across blocks as well as energies: one Python loop runs over the q sites of a
+period, and each step is a NumPy operation over every requested block and
+energy.  The chain's product walk asks for one block at a time, so its
+working memory stays O(energies) too.
 """
 
 import numpy as np
@@ -70,30 +76,28 @@ def strip_downward(a, b, zeta, m_start, n_from):
 
 
 def period_products(a, b, zeta, q, n_blocks):
-    """Products of q consecutive one-step transfer matrices.
+    """Products of q consecutive one-step transfer matrices, per block and energy.
 
     Block nb is T_{(nb+1)q} ... T_{nb*q+1} with
-    T_k = [[(zeta - b[k])/a[k], -a[k-1]/a[k]], [1, 0]].
-    Returns an (n_blocks, 2, 2) complex array.
+    T_k = [[(zeta - b[k])/a[k], -a[k-1]/a[k]], [1, 0]]; a and b must reach
+    site n_blocks * q.  zeta is a 1-D array of energies (a scalar counts as
+    one).  Returns the entries (p11, p12, p21, p22), each an
+    (n_blocks, len(zeta)) complex array.
     """
-    out = np.empty((n_blocks, 2, 2), dtype=np.complex128)
-    for nb in range(n_blocks):
-        p11 = 1.0 + 0.0j
-        p12 = 0.0j
-        p21 = 0.0j
-        p22 = 1.0 + 0.0j
-        for k in range(nb * q + 1, (nb + 1) * q + 1):
-            t11 = (zeta - b[k]) / a[k]
-            t12 = -a[k - 1] / a[k]
-            n11 = t11 * p11 + t12 * p21
-            n12 = t11 * p12 + t12 * p22
-            p21, p22 = p11, p12
-            p11, p12 = n11, n12
-        out[nb, 0, 0] = p11
-        out[nb, 0, 1] = p12
-        out[nb, 1, 0] = p21
-        out[nb, 1, 1] = p22
-    return out
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    shape = (n_blocks, zeta.shape[0])
+    p11 = np.ones(shape, dtype=np.complex128)
+    p12 = np.zeros(shape, dtype=np.complex128)
+    p21 = np.zeros(shape, dtype=np.complex128)
+    p22 = np.ones(shape, dtype=np.complex128)
+    top = n_blocks * q
+    for j in range(1, q + 1):
+        # site k = nb*q + j of every block nb
+        a_k = a[j : top + 1 : q, None]
+        t11 = (zeta - b[j : top + 1 : q, None]) / a_k
+        t12 = -a[j - 1 : top : q, None] / a_k
+        p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+    return p11, p12, p21, p22
 
 
 def jost_backward_longdouble(a, b, zeta, u_top, u_second):

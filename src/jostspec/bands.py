@@ -3,7 +3,6 @@ the strip constants (eps_I, C_I) attached to them."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -12,9 +11,9 @@ import numpy as np
 from .errors import DegenerateBranchError, NoAdmissibleIntervalError, RootCountWarning, ValidationError
 from .transfer import (
     _background_period_matrix,
+    decaying_branch,
     discriminant,
     discriminant_derivative,
-    floquet_eigenvalue,
 )
 
 __all__ = [
@@ -192,15 +191,14 @@ def interval_constants(block, interval, eps_probe=0.1, grid_points=129):
     """
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     grid = np.linspace(lo, hi, grid_points)
-    g_min = math.inf
-    for energy in grid:
-        delta = discriminant(block, float(energy))
-        if abs(delta) >= 2.0:
-            raise DegenerateBranchError(
-                f"interval touches a band edge at E = {energy}"
-            )
-        dd = abs(discriminant_derivative(block, float(energy)))
-        g_min = min(g_min, dd / math.sqrt(4.0 - delta * delta))
+    delta = discriminant(block, grid)
+    edge = np.abs(delta) >= 2.0
+    if edge.any():
+        raise DegenerateBranchError(
+            f"interval touches a band edge at E = {grid[np.argmax(edge)]}"
+        )
+    g = np.abs(discriminant_derivative(block, grid)) / np.sqrt(4.0 - delta * delta)
+    g_min = float(np.min(g))
     if g_min < 1e-10:
         raise DegenerateBranchError(
             "interval contains a discriminant critical point"
@@ -209,18 +207,18 @@ def interval_constants(block, interval, eps_probe=0.1, grid_points=129):
 
     eps = float(eps_probe)
     while eps >= 1e-8:
-        ok = True
-        for k in range(6):
-            y = eps * 0.5**k
-            for energy in grid:
-                z = floquet_eigenvalue(block, complex(float(energy), y)).z
-                if abs(z) > 1.0 - c_i * y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # rows are the 6 heights, so row-major order is the probe order
+        ys = eps * 0.5 ** np.arange(6)
+        zeta = grid[None, :] + 1j * ys[:, None]
+        z, _, coincide = decaying_branch(discriminant(block, zeta))
+        stop = coincide | (np.abs(z) > 1.0 - c_i * ys[:, None])
+        if not stop.any():
             return eps, c_i
+        first = int(np.argmax(stop))
+        if coincide.flat[first]:
+            raise DegenerateBranchError(
+                f"eigenvalue moduli coincide at zeta = {complex(zeta.flat[first])}"
+            )
         eps *= 0.5
     raise DegenerateBranchError(
         "no strip height certifies the eigenvalue bound on this interval"

@@ -3,7 +3,12 @@ connection matrices, diagonal-product growth, and the three harmonic-function
 hypotheses for the boundary factor.
 
 Certificates fit their constants from probe data and test stability under
-refinement; they are deterministic given (model, grid spec, seed).
+refinement; they are deterministic given (model, grid spec, seed).  Each
+certificate evaluates its whole probe grid in one energy-batched call: the
+Floquet grid through decaying_branch, the chain certificates through
+connection_matrices and product_forms.  A grid point that the pointwise
+evaluation would reject raises the same error, for the first such point in
+grid order.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .jost import product_representation
-from .transfer import RenormChain, floquet_eigenvalue
+from .errors import DegenerateBranchError, ValidationError, ZeroJostError
+from .jost import product_forms
+from .transfer import connection_matrices, decaying_branch, discriminant
 
 __all__ = [
     "CertReport",
@@ -43,17 +48,17 @@ def check_floquet_bound(block, interval, grid=32) -> CertReport:
     eps = interval.eps_I
     energies = np.linspace(interval.lo, interval.hi, grid)
     heights = np.linspace(eps / grid, eps, grid)
-    worst = {"margin": math.inf, "E": None, "y": None}
-    slope_floor = math.inf
-    for y in heights:
-        bound_lo = 1.0 - 0.9 * c_i * y
-        bound_hi = 1.0 + 0.9 * c_i * y
-        for e in energies:
-            fl = floquet_eigenvalue(block, complex(float(e), float(y)))
-            margin = min(bound_lo - abs(fl.z), abs(fl.z_inv) - bound_hi)
-            slope_floor = min(slope_floor, (1.0 - abs(fl.z)) / y)
-            if margin < worst["margin"]:
-                worst = {"margin": margin, "E": float(e), "y": float(y)}
+    # rows are heights, so row-major order is the (height, energy) probe order
+    zeta = energies[None, :] + 1j * heights[:, None]
+    z, z_inv, coincide = decaying_branch(discriminant(block, zeta))
+    if coincide.any():
+        i = int(np.argmax(coincide))
+        raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {complex(zeta.flat[i])}")
+    y = heights[:, None]
+    margins = np.minimum((1.0 - 0.9 * c_i * y) - np.abs(z), np.abs(z_inv) - (1.0 + 0.9 * c_i * y))
+    slope_floor = float(np.min((1.0 - np.abs(z)) / y))
+    k, j = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = {"margin": float(margins[k, j]), "E": float(energies[j]), "y": float(heights[k])}
     passed = worst["margin"] >= 0.0
     return CertReport(
         name="floquet_strip_bound",
@@ -76,12 +81,8 @@ def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
     if not n_grid or n_grid[0] < 1:
         raise ValidationError("n_grid must contain positive indices")
     m_max = n_grid[-1]
-    chain = RenormChain(model, m_max + 1, zeta)
-    cumulative = np.zeros(m_max + 1)
-    run = 0.0
-    for n in range(1, m_max + 1):
-        run += chain.w_norm_sq(n)
-        cumulative[n] = run
+    w = connection_matrices(model, m_max + 1, [zeta])
+    cumulative = np.concatenate(([0.0], np.cumsum(sum(np.abs(x[:, 0]) ** 2 for x in w))))
     partials = [float(cumulative[m]) for m in n_grid]
     increments = [b - a for a, b in zip(partials[:-1], partials[1:])]
     decreasing = all(
@@ -108,15 +109,14 @@ def _sample_ranges(rng, count, n_max):
     return list(zip(ks.tolist(), ls.tolist()))
 
 
-def _fit_diagonal_bound(chains, pairs):
-    b_alpha = 0.0
-    b_delta = 0.0
-    for chain, cum_a, cum_d in chains:
-        y = chain.zeta.imag
-        for k, l in pairs:
-            denom = 1.0 + y * math.sqrt(l - k)
-            b_alpha = max(b_alpha, abs(cum_a[l] - cum_a[k - 1]) / denom)
-            b_delta = max(b_delta, abs(cum_d[l] - cum_d[k - 1]) / denom)
+def _fit_diagonal_bound(heights, cum_a, cum_d, pairs):
+    # cum_* are (n_blocks, energies); pairs are (k, l) index ranges
+    k, l = (np.array(x) for x in zip(*pairs))
+    denom = 1.0 + heights[None, :] * np.sqrt(l - k)[:, None]
+    # NaN (from ln 0 when 1 + alpha_n = 0) propagates, so the fit is not finite
+    with np.errstate(invalid="ignore"):
+        b_alpha = float(np.max(np.abs(cum_a[l] - cum_a[k - 1]) / denom, initial=0.0))
+        b_delta = float(np.max(np.abs(cum_d[l] - cum_d[k - 1]) / denom, initial=0.0))
     return b_alpha, b_delta
 
 
@@ -131,22 +131,19 @@ def check_diagonal_products(
     energies = rng.uniform(interval.lo, interval.hi, size=4)
     heights = eps * 0.5 ** rng.uniform(0.0, 6.0, size=4)
 
-    chains = []
-    for e, y in zip(energies, heights):
-        chain = RenormChain(model, n_blocks, complex(float(e), float(y)))
-        ln_a = np.zeros(n_blocks)
-        ln_d = np.zeros(n_blocks)
-        for n in range(1, n_blocks):
-            w11, _, _, w22 = chain.w_entries(n)
-            ln_a[n] = math.log(abs(1.0 + w11))
-            ln_d[n] = math.log(abs(1.0 + w22))
-        # cum[j] = sum_{n<=j} ln|1 + alpha_n| with cum[0] = 0
-        chains.append((chain, np.cumsum(ln_a), np.cumsum(ln_d)))
+    zetas = [complex(float(e), float(y)) for e, y in zip(energies, heights)]
+    w11, _, _, w22 = connection_matrices(model, n_blocks, zetas)
+    with np.errstate(divide="ignore"):
+        ln_a = np.log(np.abs(1.0 + w11))
+        ln_d = np.log(np.abs(1.0 + w22))
+    # cum[j] = sum_{n<=j} ln|1 + alpha_n| with cum[0] = 0, one column per energy
+    cum_a = np.cumsum(np.vstack([np.zeros(len(zetas)), ln_a]), axis=0)
+    cum_d = np.cumsum(np.vstack([np.zeros(len(zetas)), ln_d]), axis=0)
 
     pairs_small = _sample_ranges(rng, int(range_pairs), n_blocks - 1)
     pairs_large = pairs_small + _sample_ranges(rng, int(range_pairs), n_blocks - 1)
-    b_small = _fit_diagonal_bound(chains, pairs_small)
-    b_large = _fit_diagonal_bound(chains, pairs_large)
+    b_small = _fit_diagonal_bound(heights, cum_a, cum_d, pairs_small)
+    b_large = _fit_diagonal_bound(heights, cum_a, cum_d, pairs_large)
 
     def stable(u, v):
         if max(u, v) < 1e-12:
@@ -165,7 +162,7 @@ def check_diagonal_products(
             "B_delta_half_sample": b_small[1],
         },
         grid_spec=(
-            f"{len(chains)} strip energies x {len(pairs_large)} index ranges, "
+            f"{len(zetas)} strip energies x {len(pairs_large)} index ranges, "
             f"{n_blocks} blocks, seed {seed}"
         ),
         worst_case={"B": max(b_large)},
@@ -173,34 +170,39 @@ def check_diagonal_products(
 
 
 def _boundary_factor_values(model, N, points):
-    """-ln |C_0 (lambda_0 phi_N + lambda_0^{-1} nu_N)| at the given energies."""
-    out = np.empty(len(points))
-    for i, zeta in enumerate(points):
-        form = product_representation(model, N, zeta)
-        val = form.c0 * (form.lambda0 * form.phi_N + form.nu_N / form.lambda0)
-        out[i] = -math.log(abs(val))
-    return out
+    """-ln |C_0 (lambda_0 phi_N + lambda_0^{-1} nu_N)| at the given energies;
+    a vanishing factor raises ZeroJostError for the first such point."""
+    form = product_forms(model, N, points)
+    val = form.c0 * (form.lambda0 * form.phi_N + form.nu_N / form.lambda0)
+    zero = np.flatnonzero(val == 0)
+    if zero.size:
+        raise ZeroJostError(f"boundary factor vanishes at zeta = {points[zero[0]]}")
+    return -np.log(np.abs(val))
 
 
 def _harmonic_constants(model, N, interval, n_real=96, n_e=16):
     lo, hi, eps = interval.lo, interval.hi, interval.eps_I
-    # (i) integral of the positive part on the real section
     egrid = np.linspace(lo, hi, n_real)
-    f_real = _boundary_factor_values(model, N, [complex(e, 0.0) for e in egrid])
-    c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
-    # (ii) lower bound -C / Im zeta on the strip
     es = np.linspace(lo, hi, n_e)
     ys = eps * 0.5 ** np.arange(8)
-    worst_lower = 0.0
-    for y in ys:
-        fvals = _boundary_factor_values(model, N, [complex(e, y) for e in es])
-        worst_lower = max(worst_lower, float(np.max(-fvals * y)))
-    # (iii) upper bound on the top quarter of the strip
     tops = np.linspace(0.75 * eps, eps, 4)
-    c_top = -math.inf
-    for y in tops:
-        fvals = _boundary_factor_values(model, N, [complex(e, y) for e in es])
-        c_top = max(c_top, float(np.max(fvals)))
+    # one walk over the real section, the strip rows and the top rows
+    points = np.concatenate(
+        [
+            egrid + 0j,
+            (es[None, :] + 1j * ys[:, None]).ravel(),
+            (es[None, :] + 1j * tops[:, None]).ravel(),
+        ]
+    )
+    f_real, f_strip, f_top = np.split(
+        _boundary_factor_values(model, N, points), [n_real, n_real + ys.size * n_e]
+    )
+    # (i) integral of the positive part on the real section
+    c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
+    # (ii) lower bound -C / Im zeta on the strip
+    worst_lower = max(0.0, float(np.max(-f_strip.reshape(ys.size, n_e) * ys[:, None])))
+    # (iii) upper bound on the top quarter of the strip
+    c_top = float(np.max(f_top))
     return c_plus, worst_lower, c_top
 
 

@@ -1,10 +1,10 @@
 """Jost solutions of truncated operators, the boundary Green's function,
 the absolutely-continuous density formula, and the block product
-representation of the boundary pair (u_1, u_0)."""
+representation of the boundary pair (u_1, u_0), evaluated for a whole grid of
+energies in one walk over the blocks (product_forms)."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -14,13 +14,12 @@ from . import _kernels
 from .coefficients import truncate
 from .errors import (
     BandEdgeError,
-    DiagonalizationError,
     EigenvectorDegeneracyError,
     JostspecError,
     ValidationError,
     ZeroJostError,
 )
-from .transfer import RenormChain, discriminant, floquet_eigenvalue
+from .transfer import ChainWalk, discriminant, floquet_eigenvalue
 
 __all__ = [
     "JostSolution",
@@ -31,6 +30,7 @@ __all__ = [
     "ac_density",
     "wronskian_defect",
     "product_representation",
+    "product_forms",
     "reconstruct_boundary_pair",
 ]
 
@@ -204,6 +204,9 @@ class ProductForm:
     prefactor = prod lambda_j (1 + alpha_j) over the interior connection
     steps; (prefactor, phi_N, nu_N) reconstruct (u_1, u_0) through
     M_0^{-1} U_0^{-1} L_0.  kappa is the observed eigenvalue-modulus floor.
+    product_representation fills the fields with scalars and u_inv0 with a
+    2x2 array; product_forms fills them with arrays over its points
+    (u_inv0 of shape (2, 2, points)).
     """
 
     prefactor: complex
@@ -218,54 +221,67 @@ class ProductForm:
     @property
     def c0(self):
         """Corner entry C_0 of the first block (lower row of U_0^{-1} is a_0 C_0)."""
-        return complex(self.u_inv0[1, 0]) / self.a0
+        return self.u_inv0[1, 0] / self.a0
 
 
-def product_representation(model, N, zeta) -> ProductForm:
-    """Evaluate the connection-matrix recursion
-    Psi <- (I + W_n) Lambda_n Psi across blocks, dividing out
-    lambda_n (1 + alpha_n) at each step so the normalized pair (phi_N, nu_N)
-    and the log-space prefactor come out separately."""
+def product_forms(model, N, points) -> ProductForm:
+    """The product representation at every point of a 1-D sequence, in one walk.
+
+    Evaluates the connection-matrix recursion Psi <- (I + W_n) Lambda_n Psi
+    from block N-1 down to block 1, dividing out lambda_n (1 + alpha_n) at
+    each step so the normalized pair (phi_N, nu_N) and the log-space
+    prefactor come out separately.  Each step is a NumPy operation over all
+    points, and each block's eigen-data are computed inside the walk, so
+    working memory is O(points).  A step with W_n = 0 (identical eigenbases)
+    only rescales nu by lambda_n^{-2}.
+
+    Raises the error product_representation would raise at the first failing
+    point: a block without a usable eigenbasis (lowest block) before a
+    singular U_{n-1} or 1 + alpha_n = 0 (highest n).
+    """
     if N < 1:
         raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
-    chain = RenormChain(work, N, zeta)
-
-    v0 = 1.0 + 0.0j
-    v1 = 0.0j
-    logpref = 0.0j
-    for n in range(N - 1, 0, -1):
-        lam = complex(chain.lam[n])
-        w11, w12, w21, w22 = chain.w_entries(n)
-        if w11 == 0 and w12 == 0 and w21 == 0 and w22 == 0:
-            # diagonal step: dividing out lambda leaves phi untouched
-            v1 = v1 / (lam * lam)
-            logpref += cmath.log(lam)
-            continue
-        one_alpha = 1.0 + w11
-        if one_alpha == 0:
-            raise DiagonalizationError(
-                f"1 + alpha_{n} = 0 at zeta = {zeta}", n=n, zeta=complex(zeta)
-            )
-        t0 = lam * v0
-        t1 = v1 / lam
-        n0 = one_alpha * t0 + w12 * t1
-        n1 = w21 * t0 + (1.0 + w22) * t1
-        denom = lam * one_alpha
-        v0 = n0 / denom
-        v1 = n1 / denom
-        logpref += cmath.log(lam) + cmath.log(one_alpha)
-
-    kappa = float(np.min(np.abs(chain.lam)))
+    walk = ChainWalk(work, N, points)
+    v0 = np.ones(len(points), dtype=np.complex128)
+    v1 = np.zeros(len(points), dtype=np.complex128)
+    logpref = np.zeros(len(points), dtype=np.complex128)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for lam, (w11, w12, w21, w22), diagonal in walk:
+            one_alpha = 1.0 + w11
+            t0 = lam * v0
+            t1 = v1 / lam
+            denom = lam * one_alpha
+            log_lam = np.log(lam)
+            v0 = np.where(diagonal, v0, (one_alpha * t0 + w12 * t1) / denom)
+            v1 = np.where(diagonal, v1 / (lam * lam), (w21 * t0 + (1.0 + w22) * t1) / denom)
+            logpref = logpref + np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
+    u = walk.u0
     return ProductForm(
-        prefactor=cmath.exp(logpref),
+        prefactor=np.exp(logpref),
         phi_N=v0,
         nu_N=v1,
-        kappa=kappa,
+        kappa=walk.kappa,
         log_prefactor=logpref,
-        lambda0=complex(chain.lam[0]),
-        a0=float(chain.a_nq[0]),
-        u_inv0=chain.u_inv(0),
+        lambda0=walk.lam0,
+        a0=float(work.a(0)),
+        u_inv0=np.array([[u[0], u[1]], [u[2], u[3]]]),
+    )
+
+
+def product_representation(model, N, zeta) -> ProductForm:
+    """The product representation at one energy: the single-point view of
+    product_forms, with scalar fields and a 2x2 u_inv0."""
+    form = product_forms(model, N, [zeta])
+    return ProductForm(
+        prefactor=complex(form.prefactor[0]),
+        phi_N=complex(form.phi_N[0]),
+        nu_N=complex(form.nu_N[0]),
+        kappa=float(form.kappa[0]),
+        log_prefactor=complex(form.log_prefactor[0]),
+        lambda0=complex(form.lambda0[0]),
+        a0=form.a0,
+        u_inv0=form.u_inv0[:, :, 0],
     )
 
 

@@ -1,11 +1,17 @@
 """Transfer-matrix algebra: one-step and period-block matrices, the
 discriminant and its Floquet branches, and the renormalized block chain
 (determinant-one blocks, their eigenbases, and the W_n connection matrices)
-used by the product representation and the certificates."""
+used by the product representation and the certificates.
+
+The discriminant, the Floquet root split and the chain work elementwise over
+arrays of energies: chain_blocks and connection_entries hold the one
+implementation of the chain.  connection_matrices (all W_n at once) and
+ChainWalk (a descending walk holding two blocks at a time) serve batched
+callers, and RenormChain and w_matrix are single-energy views.  The batched
+entry points raise the error the pointwise evaluation would raise first."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,6 +49,8 @@ PARABOLIC_TOL = 1e-9
 EDGE_TOL = 1e-12
 # |discriminant derivative| below this blocks real-axis branch selection.
 DERIV_TOL = 1e-9
+# Off the real axis, a larger root of modulus below 1 + this has no branch.
+COINCIDE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -67,12 +75,6 @@ class Matrix2C:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
-
-    def inv(self):
-        d = self.det()
-        if d == 0:
-            raise ValidationError("matrix is singular")
-        return Matrix2C(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
 
     def apply(self, vec):
         x, y = vec
@@ -104,13 +106,17 @@ def period_block_matrix(model, n, zeta) -> Matrix2C:
     q = model.block.q
     a, b = model.coefficient_arrays((n + 1) * q)
     lo, hi = n * q, (n + 1) * q + 1
-    m = _kernels.period_products(a[lo:hi], b[lo:hi], complex(zeta), q, 1)[0]
-    return Matrix2C(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
+    entries = _kernels.period_products(a[lo:hi], b[lo:hi], complex(zeta), q, 1)
+    return Matrix2C(*(complex(p[0, 0]) for p in entries))
 
 
 def _background_period_matrix(block, zeta):
-    """Period matrix of the pure background as four complex scalars."""
-    p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    """Period matrix of the pure background as four entries, elementwise over
+    a scalar or array zeta; real zeta gives real (float64) entries."""
+    if isinstance(zeta, complex) or (isinstance(zeta, np.ndarray) and zeta.dtype.kind == "c"):
+        p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    else:
+        p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     for k in range(1, block.q + 1):
         ak = block.a(k)
         t11 = (zeta - block.b(k)) / ak
@@ -120,16 +126,15 @@ def _background_period_matrix(block, zeta):
 
 
 def discriminant(block, zeta):
-    """Trace of the background period matrix; real on the real axis."""
+    """Trace of the background period matrix, elementwise over a scalar or
+    array zeta; real for real zeta."""
     p11, _, _, p22 = _background_period_matrix(block, zeta)
-    tr = p11 + p22
-    if isinstance(zeta, complex):
-        return tr
-    return tr.real
+    return p11 + p22
 
 
 def discriminant_derivative(block, energy, step=1e-6):
-    """Centered finite difference with one Richardson correction."""
+    """Centered finite difference with one Richardson correction, elementwise
+    over a scalar or array energy."""
     d1 = (discriminant(block, energy + step) - discriminant(block, energy - step)) / (
         2 * step
     )
@@ -151,17 +156,27 @@ class FloquetData:
 
 
 def _split_roots(delta):
-    """Both roots of r^2 - delta*r + 1 = 0, larger modulus first.
+    """Both roots of r^2 - delta*r + 1 = 0, larger modulus first, elementwise
+    over a scalar or array delta.
 
     Computed without subtractive cancellation: the big root directly, the
     small one as its exact reciprocal.
     """
-    s = cmath.sqrt(delta * delta - 4.0)
-    if abs(delta + s) >= abs(delta - s):
-        big = (delta + s) / 2.0
-    else:
-        big = (delta - s) / 2.0
+    s = np.sqrt(delta * delta - 4.0)
+    plus, minus = delta + s, delta - s
+    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
     return big, 1.0 / big
+
+
+def decaying_branch(delta):
+    """Floquet eigenvalues off the real axis from the discriminant delta,
+    elementwise over a scalar or array.
+
+    Returns (z, z_inv, coincide): the root of smaller modulus, its reciprocal,
+    and the mask of points with no branch because the two moduli coincide.
+    """
+    big, small = _split_roots(delta)
+    return small, big, np.abs(big) - 1.0 < COINCIDE_TOL
 
 
 def _small_root_real_interior(delta, deriv_sign):
@@ -180,13 +195,12 @@ def floquet_eigenvalue(block, zeta) -> FloquetData:
     z = complex(zeta)
     if z.imag != 0.0:
         delta = discriminant(block, z)
-        big, small = _split_roots(delta)
-        if abs(big) - 1.0 < 1e-13:
+        small, big, coincide = decaying_branch(delta)
+        if coincide:
             raise DegenerateBranchError(
                 f"eigenvalue moduli coincide at zeta = {zeta}"
             )
-        zval, zinv = small, big
-        dval = delta
+        zval, zinv = complex(small), complex(big)
     else:
         energy = z.real
         delta = float(discriminant(block, energy))
@@ -202,10 +216,9 @@ def floquet_eigenvalue(block, zeta) -> FloquetData:
             zinv = 1.0 / zval
         else:
             big, small = _split_roots(complex(delta))
-            zval, zinv = small, big
-        dval = delta
+            zval, zinv = complex(small), complex(big)
     _, _, p21, p22 = _background_period_matrix(block, complex(zeta))
-    return FloquetData(z=zval, z_inv=zinv, delta=dval, eigvec=(zval - p22, p21))
+    return FloquetData(z=zval, z_inv=zinv, delta=delta, eigvec=(zval - p22, p21))
 
 
 def floquet_eigenvector(block, zeta):
@@ -228,14 +241,206 @@ def renormalized_block(model, n, zeta) -> Matrix2C:
     return Matrix2C(p.m11, a_hi * p.m12, p.m21 / a_lo, (a_hi / a_lo) * p.m22)
 
 
+# Faults of the renormalized block chain, one code per energy (0 = none).
+# The first three arise while the blocks' eigen-data are computed; the last
+# two in the connection steps between adjacent blocks.
+PARABOLIC, FLAT_TRACE, COINCIDENT, SINGULAR_U, DEAD_ALPHA = 1, 2, 3, 4, 5
+
+
+def _fault_error(code, n, zeta):
+    # the DiagonalizationError of chain fault `code` at index n and energy zeta
+    z = complex(zeta)
+    if code == PARABOLIC:
+        message = f"block {n} is parabolic at E = {z.real}"
+    elif code == FLAT_TRACE:
+        message = f"block {n} trace derivative vanishes at E = {z.real}"
+    elif code == COINCIDENT:
+        message = f"block {n} eigenvalue moduli coincide at zeta = {z}"
+    elif code == SINGULAR_U:
+        message = f"U_{n} is singular"
+    else:
+        message = f"1 + alpha_{n} = 0 at zeta = {zeta}"
+    return DiagonalizationError(message, n=n, zeta=z)
+
+
+def _lowest_fault(faults):
+    # (code, index) per energy of the lowest-index nonzero entry of an
+    # (index, energy) fault array; code 0 where the energy has none
+    first = np.argmax(faults != 0, axis=0)
+    return faults[first, np.arange(faults.shape[1])], first
+
+
+def _raise_first_fault(points, chain, walk=None):
+    # Raise the error of the first point, in order, that has a fault.  chain
+    # and walk are (code, index) pairs of per-point arrays; a point's chain
+    # fault comes before its walk fault, as the blocks' eigen-data are
+    # complete before any connection step uses them.
+    code, index = chain
+    if walk is not None:
+        code, index = np.where(code != 0, code, walk[0]), np.where(code != 0, index, walk[1])
+    bad = np.flatnonzero(code)
+    if bad.size:
+        i = int(bad[0])
+        raise _fault_error(int(code[i]), int(index[i]), points[i])
+
+
+def chain_blocks(a, b, zetas, q, first, count):
+    """Eigen-data of renormalized blocks first .. first+count-1 at every point
+    of a 1-D sequence zetas, from the coefficient arrays a, b.
+
+    Per block n and point: the larger-modulus eigenvalue lambda_n of the
+    determinant-one block, and the entries (u11, u12, u21, u22) of U_n^{-1},
+    whose columns are (rho_n lambda_n^{-1} - D_n, a_nq C_n) and
+    (rho_n lambda_n - D_n, a_nq C_n) with rho_n = a_nq / a_(n+1)q.  At real
+    energies the blocks are evaluated a complex step CS_STEP above the axis,
+    so the sign of the trace derivative comes with the trace and fixes the
+    branch.  Returns (lam, u, faults), each entry a (count, points) array;
+    faults holds PARABOLIC, FLAT_TRACE or COINCIDENT where the block has no
+    usable eigenbasis.
+    """
+    zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    real = zeta.imag == 0.0
+    lo, hi = first * q, (first + count) * q + 1
+    zeval = np.where(real, zeta + 1j * CS_STEP, zeta)
+    p11, _, p21, p22 = _kernels.period_products(a[lo:hi], b[lo:hi], zeval, q, count)
+    a_nq = a[lo:hi:q, None]
+    a_lo = a_nq[:-1]
+    rho = a_lo / a_nq[1:]
+    tr = p11 + p22 / rho
+    re = tr.real
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        dsign = tr.imag / CS_STEP
+        interior = np.abs(re) < 2.0
+        root = np.sqrt(np.abs(4.0 - re * re))
+        # real axis: the complex-step derivative sign picks the branch inside
+        # a band, the sign of the trace outside
+        lam_real = np.where(
+            interior,
+            (re + 1j * np.copysign(root, dsign)) / 2.0,
+            (re + np.copysign(root, re)) / 2.0,
+        )
+        _, big, coincide = decaying_branch(tr)
+        lam = np.where(real, lam_real, big)
+        parabolic = real & (np.abs(np.abs(re) - 2.0) < PARABOLIC_TOL)
+        flat = real & interior & (np.abs(dsign) < DERIV_TOL)
+        u12 = rho * lam - p22
+        u11 = rho / lam - p22
+    faults = np.select([parabolic, flat, ~real & coincide], [PARABOLIC, FLAT_TRACE, COINCIDENT], 0)
+    u21 = a_lo * p21
+    return lam, (u11, u12, u21, u21), faults
+
+
+def connection_entries(prev, cur):
+    """Entries of W_n = U_{n-1} U_n^{-1} - I, elementwise.
+
+    prev and cur are the U^{-1} entry tuples of blocks n-1 and n.  Identical
+    eigenbases give W = 0 exactly.  Returns (w, singular): the entries
+    (w11, w12, w21, w22) and the mask where U_{n-1} is singular.
+    """
+    p11, p12, p21, p22 = prev
+    c11, c12, c21, c22 = cur
+    same = (p11 == c11) & (p12 == c12) & (p21 == c21) & (p22 == c22)
+    det = p11 * p22 - p12 * p21
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        w = (
+            (p22 * c11 - p12 * c21) / det - 1.0,
+            (p22 * c12 - p12 * c22) / det,
+            (-p21 * c11 + p11 * c21) / det,
+            (-p21 * c12 + p11 * c22) / det - 1.0,
+        )
+    return tuple(np.where(same, 0j, x) for x in w), ~same & (det == 0)
+
+
+def _pairs(u, lo, hi):
+    # (U_{n-1}^{-1}, U_n^{-1}) entry tuples for lo <= n < hi from (blocks, points) rows
+    return tuple(x[lo - 1 : hi - 1] for x in u), tuple(x[lo:hi] for x in u)
+
+
+def connection_matrices(model, n_blocks, zetas):
+    """Entries (w11, w12, w21, w22) of W_1 .. W_(n_blocks-1) at every point of
+    a 1-D sequence, each an (n_blocks - 1, points) array.
+
+    Raises the error that RenormChain and its w_entries, taken at one point
+    after another with n ascending, would raise first: the first failing
+    point in order; within it, a block without a usable eigenbasis (lowest
+    block) before a singular U_{n-1} (lowest n).
+    """
+    if n_blocks < 1:
+        raise ValidationError("need at least one block")
+    q = model.block.q
+    a, b = model.coefficient_arrays(n_blocks * q)
+    _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)
+    w, singular = connection_entries(*_pairs(u, 1, n_blocks))
+    _raise_first_fault(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
+    return w
+
+
+class ChainWalk:
+    """The renormalized block chain at every point of a 1-D sequence, walked
+    from block n_blocks-1 down to block 0 with two blocks in memory at a time.
+
+    Iterating yields (lam, w, diagonal) for n = n_blocks-1 .. 1: lambda_n,
+    the entries of W_n, and the mask where W_n = 0 exactly (identical
+    eigenbases).  Afterwards lam0 and u0 hold lambda_0 and the entries of
+    U_0^{-1}, and kappa holds min_n |lambda_n|.  Then the walk raises the
+    error a walk at one point after another would raise first: the first
+    failing point in order; within it, a block without a usable eigenbasis
+    (lowest block) before a singular U_{n-1} or 1 + alpha_n = 0 (highest n,
+    and U_{n-1} before alpha_n, which is formed from its inverse).
+    """
+
+    def __init__(self, model, n_blocks, zetas):
+        if n_blocks < 1:
+            raise ValidationError("need at least one block")
+        self.model = model
+        self.n_blocks = n_blocks
+        self.zetas = zetas
+
+    def __iter__(self):
+        q = self.model.block.q
+        a, b = self.model.coefficient_arrays(self.n_blocks * q)
+        zetas = self.zetas
+        shape = (len(zetas),)
+        chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+        def block(n):
+            lam, u, faults = chain_blocks(a, b, zetas, q, n, 1)
+            hit = faults[0] != 0
+            # the walk descends, so the last block recorded is the lowest
+            chain[0][hit] = faults[0, hit]
+            chain[1][hit] = n
+            return lam[0], tuple(x[0] for x in u)
+
+        def record(mask, code, n):
+            fresh = mask & (walk[0] == 0)
+            walk[0][fresh] = code
+            walk[1][fresh] = n
+
+        lam, u = block(self.n_blocks - 1)
+        kappa = np.abs(lam)
+        for n in range(self.n_blocks - 1, 0, -1):
+            lam_prev, u_prev = block(n - 1)
+            kappa = np.minimum(kappa, np.abs(lam_prev))
+            w, singular = connection_entries(u_prev, u)
+            diagonal = (w[0] == 0) & (w[1] == 0) & (w[2] == 0) & (w[3] == 0)
+            record(singular, SINGULAR_U, n - 1)
+            record(~diagonal & (1.0 + w[0] == 0), DEAD_ALPHA, n)
+            yield lam, w, diagonal
+            lam, u = lam_prev, u_prev
+        self.lam0, self.u0, self.kappa = lam, u, kappa
+        _raise_first_fault(zetas, chain, walk)
+
+
 class RenormChain:
     """Eigen-data of the renormalized transfer blocks 0..n_blocks-1 at one energy.
 
-    Per block: the larger-modulus eigenvalue lambda_n of the determinant-one
-    block, and the eigenvector matrix inverse U_n^{-1} whose columns are
-    (rho_n lambda_n^{-1} - D_n, a_nq C_n) and (rho_n lambda_n - D_n, a_nq C_n)
-    with rho_n = a_nq / a_(n+1)q.  At real energies the branch is fixed by the
-    sign of the trace derivative, evaluated by a complex step.
+    A single-energy view of chain_blocks: lam[n] is the larger-modulus
+    eigenvalue lambda_n of the determinant-one block n, u_inv(n) its
+    eigenvector matrix inverse U_n^{-1}.  At real energies the branch is
+    fixed by the sign of the trace derivative, evaluated by a complex step.
+    A block without a usable eigenbasis raises DiagonalizationError here,
+    for the lowest such block.
     """
 
     def __init__(self, model, n_blocks, zeta):
@@ -244,99 +449,32 @@ class RenormChain:
         q = model.block.q
         z = complex(zeta)
         self.is_real = z.imag == 0.0
-        zeval = z + 1j * CS_STEP if self.is_real else z
-        a, b = model.coefficient_arrays(n_blocks * q)
         self.q = q
         self.zeta = z
         self.n_blocks = n_blocks
-        self.a_nq = a[0 :: q][: n_blocks + 1].copy()
-        blocks = _kernels.period_products(a, b, zeval, q, n_blocks)
-        self.blocks = blocks
-
-        lam = np.empty(n_blocks, dtype=np.complex128)
-        uinv = np.empty((n_blocks, 4), dtype=np.complex128)
-        for n in range(n_blocks):
-            a_lo = self.a_nq[n]
-            a_hi = self.a_nq[n + 1]
-            rho = a_lo / a_hi
-            d_n = complex(blocks[n, 1, 1])
-            c_n = complex(blocks[n, 1, 0])
-            tr = complex(blocks[n, 0, 0]) + d_n / rho
-            lam_n = self._lambda_big(tr, n)
-            lam[n] = lam_n
-            uinv[n, 0] = rho / lam_n - d_n
-            uinv[n, 1] = rho * lam_n - d_n
-            uinv[n, 2] = a_lo * c_n
-            uinv[n, 3] = a_lo * c_n
-        self.lam = lam
-        self._uinv = uinv
-
-    def _lambda_big(self, tr, n):
-        if self.is_real:
-            re = tr.real
-            if abs(abs(re) - 2.0) < PARABOLIC_TOL:
-                raise DiagonalizationError(
-                    f"block {n} is parabolic at E = {self.zeta.real}",
-                    n=n,
-                    zeta=self.zeta,
-                )
-            if abs(re) < 2.0:
-                dsign = tr.imag / CS_STEP
-                if abs(dsign) < DERIV_TOL:
-                    raise DiagonalizationError(
-                        f"block {n} trace derivative vanishes at E = {self.zeta.real}",
-                        n=n,
-                        zeta=self.zeta,
-                    )
-                return (
-                    re + 1j * math.copysign(1.0, dsign) * math.sqrt(4.0 - re * re)
-                ) / 2.0
-            return complex(
-                (re + math.copysign(1.0, re) * math.sqrt(re * re - 4.0)) / 2.0
-            )
-        big, _ = _split_roots(tr)
-        if abs(big) - 1.0 < 1e-13:
-            raise DiagonalizationError(
-                f"block {n} eigenvalue moduli coincide at zeta = {self.zeta}",
-                n=n,
-                zeta=self.zeta,
-            )
-        return big
+        a, b = model.coefficient_arrays(n_blocks * q)
+        self.a_nq = a[0::q][: n_blocks + 1].copy()
+        lam, self._u, faults = chain_blocks(a, b, [z], q, 0, n_blocks)
+        _raise_first_fault([z], _lowest_fault(faults))
+        self.lam = lam[:, 0]
 
     def u_inv(self, n):
         """U_n^{-1} as a 2x2 array (columns are the block eigenvectors)."""
-        u = self._uinv[n]
-        return np.array([[u[0], u[1]], [u[2], u[3]]], dtype=np.complex128)
+        u11, u12, u21, u22 = (x[n, 0] for x in self._u)
+        return np.array([[u11, u12], [u21, u22]], dtype=np.complex128)
 
     def w_entries(self, n):
         """Entries of W_n = U_{n-1} U_n^{-1} - I for 1 <= n < n_blocks."""
         if not (1 <= n < self.n_blocks):
             raise ValidationError(f"W_n defined for 1 <= n < {self.n_blocks}")
-        p11, p12, p21, p22 = (complex(x) for x in self._uinv[n - 1])
-        c11, c12, c21, c22 = (complex(x) for x in self._uinv[n])
-        if p11 == c11 and p12 == c12 and p21 == c21 and p22 == c22:
-            # identical eigenbases: U_{n-1} U_n^{-1} = I identically
-            return 0j, 0j, 0j, 0j
-        det = p11 * p22 - p12 * p21
-        if det == 0:
-            raise DiagonalizationError(
-                f"U_{n-1} is singular", n=n - 1, zeta=self.zeta
-            )
-        w11 = (p22 * c11 - p12 * c21) / det - 1.0
-        w12 = (p22 * c12 - p12 * c22) / det
-        w21 = (-p21 * c11 + p11 * c21) / det
-        w22 = (-p21 * c12 + p11 * c22) / det - 1.0
-        return w11, w12, w21, w22
+        w, singular = connection_entries(*_pairs(self._u, n, n + 1))
+        if singular[0, 0]:
+            raise _fault_error(SINGULAR_U, n - 1, self.zeta)
+        return tuple(complex(x[0, 0]) for x in w)
 
     def w_norm_sq(self, n):
-        w11, w12, w21, w22 = self.w_entries(n)
-        return (
-            abs(w11) ** 2 + abs(w12) ** 2 + abs(w21) ** 2 + abs(w22) ** 2
-        )
-
-    def c_entry(self, n):
-        """Corner entry C_n of the raw period block."""
-        return complex(self.blocks[n, 1, 0])
+        """||W_n||_F^2 for 1 <= n < n_blocks."""
+        return sum(abs(x) ** 2 for x in self.w_entries(n))
 
 
 def w_matrix(model, n, zeta) -> Matrix2C:

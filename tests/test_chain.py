@@ -1,0 +1,368 @@
+"""Energy-batched renormalized block chain and product representation against
+a per-energy reference loop, their error order, and pinned certificate
+constants."""
+
+import cmath
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import jostspec as js
+from jostspec import certify, jost, transfer
+from jostspec.errors import DiagonalizationError, ZeroJostError
+
+REL = 1e-12
+
+
+def reference_chain(model, n_blocks, zeta):
+    """lambda_n and U_n^{-1} one block at a time in Python complex arithmetic."""
+    q = model.block.q
+    z = complex(zeta)
+    real = z.imag == 0.0
+    zeval = z + 1j * transfer.CS_STEP if real else z
+    a, b = model.coefficient_arrays(n_blocks * q)
+    lams, uinvs = [], []
+    for n in range(n_blocks):
+        p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+        for k in range(n * q + 1, (n + 1) * q + 1):
+            t11 = (zeval - b[k]) / a[k]
+            t12 = -a[k - 1] / a[k]
+            p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+        a_lo, a_hi = float(a[n * q]), float(a[(n + 1) * q])
+        rho = a_lo / a_hi
+        tr = p11 + p22 / rho
+        if real and abs(tr.real) < 2.0:
+            sign = math.copysign(1.0, tr.imag)
+            lam = complex(tr.real, sign * math.sqrt(4.0 - tr.real**2)) / 2.0
+        elif real:
+            lam = complex(tr.real + math.copysign(math.sqrt(tr.real**2 - 4.0), tr.real)) / 2.0
+        else:
+            s = cmath.sqrt(tr * tr - 4.0)
+            lam = (tr + s if abs(tr + s) >= abs(tr - s) else tr - s) / 2.0
+        lams.append(lam)
+        uinvs.append((rho / lam - p22, rho * lam - p22, a_lo * p21, a_lo * p21))
+    return lams, uinvs
+
+
+def reference_w(prev, cur):
+    if prev == cur:
+        return (0j, 0j, 0j, 0j)
+    p11, p12, p21, p22 = prev
+    c11, c12, c21, c22 = cur
+    det = p11 * p22 - p12 * p21
+    return (
+        (p22 * c11 - p12 * c21) / det - 1.0,
+        (p22 * c12 - p12 * c22) / det,
+        (-p21 * c11 + p11 * c21) / det,
+        (-p21 * c12 + p11 * c22) / det - 1.0,
+    )
+
+
+def reference_product(model, N, zeta):
+    """The product walk at one energy; also returns the diagonal-step count."""
+    lams, uinvs = reference_chain(js.truncate(model, N), N, zeta)
+    v0, v1, logpref, diagonal = 1.0 + 0j, 0j, 0j, 0
+    for n in range(N - 1, 0, -1):
+        lam = lams[n]
+        w11, w12, w21, w22 = reference_w(uinvs[n - 1], uinvs[n])
+        if w11 == w12 == w21 == w22 == 0:
+            v1 = v1 / (lam * lam)
+            logpref += cmath.log(lam)
+            diagonal += 1
+            continue
+        t0, t1 = lam * v0, v1 / lam
+        denom = lam * (1.0 + w11)
+        v0, v1 = ((1.0 + w11) * t0 + w12 * t1) / denom, (w21 * t0 + (1.0 + w22) * t1) / denom
+        logpref += cmath.log(lam) + cmath.log(1.0 + w11)
+    fields = {
+        "phi_N": v0,
+        "nu_N": v1,
+        "log_prefactor": logpref,
+        "prefactor": cmath.exp(logpref),
+        "kappa": min(abs(x) for x in lams),
+        "lambda0": lams[0],
+        "c0": uinvs[0][2] / float(model.a(0)),
+    }
+    return fields, diagonal
+
+
+def assert_close(got, want, scale=None):
+    scale = abs(want) if scale is None else scale
+    assert abs(complex(got) - complex(want)) <= REL * scale, (got, want)
+
+
+@pytest.fixture(scope="module")
+def baseline_model():
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    return js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+
+
+# band interior |tr| < 2, gap and outer |tr| > 2, and strip energies
+REAL_INTERIOR = [-2.0, -1.0, 0.8, 1.5, 2.2]
+REAL_OUTSIDE = [0.3, 2.4, 3.5]
+STRIP = [complex(-1.0, 1e-3), complex(0.8, 0.05), complex(1.9, 0.3), complex(0.3, 0.02)]
+POINTS = REAL_INTERIOR + REAL_OUTSIDE + STRIP
+
+
+def test_chain_blocks_match_reference(baseline_model):
+    n_blocks = 24
+    a, b = baseline_model.coefficient_arrays(n_blocks * 2)
+    lam, u, faults = transfer.chain_blocks(a, b, POINTS, 2, 0, n_blocks)
+    assert lam.shape == faults.shape == (n_blocks, len(POINTS))
+    assert not faults.any()
+    w11, w12, w21, w22 = transfer.connection_matrices(baseline_model, n_blocks, POINTS)
+    traces = []
+    for i, zeta in enumerate(POINTS):
+        ref_lam, ref_u = reference_chain(baseline_model, n_blocks, zeta)
+        chain = js.RenormChain(baseline_model, n_blocks, zeta)
+        for n in range(n_blocks):
+            assert_close(lam[n, i], ref_lam[n])
+            assert chain.lam[n] == lam[n, i]
+            for got, want in zip((x[n, i] for x in u), ref_u[n]):
+                assert_close(got, want)
+            assert chain.u_inv(n).ravel().tolist() == [x[n, i] for x in u]
+            traces.append(ref_lam[n] + 1.0 / ref_lam[n])
+        for n in range(1, n_blocks):
+            # W_n relative to the computed product U_{n-1} U_n^{-1} = I + W_n
+            want = reference_w(ref_u[n - 1], ref_u[n])
+            scale = 1.0 + max(abs(x) for x in want)
+            for got, ref in zip((w11[n - 1, i], w12[n - 1, i], w21[n - 1, i], w22[n - 1, i]), want):
+                assert_close(got, ref, scale)
+            assert chain.w_entries(n) == tuple(x[n - 1, i] for x in (w11, w12, w21, w22))
+        assert chain.w_norm_sq(5) == sum(abs(x[4, i]) ** 2 for x in (w11, w12, w21, w22))
+    # both real branches are exercised
+    real_traces = np.array(traces).real[: n_blocks * len(REAL_INTERIOR + REAL_OUTSIDE)]
+    assert (np.abs(real_traces) < 2).any() and (np.abs(real_traces) > 2).any()
+
+
+def test_product_forms_match_reference(baseline_model):
+    N = 30
+    form = js.product_forms(baseline_model, N, POINTS)
+    assert form.phi_N.shape == (len(POINTS),)
+    for i, zeta in enumerate(POINTS):
+        want, diagonal = reference_product(baseline_model, N, zeta)
+        assert diagonal == 0
+        single = js.product_representation(baseline_model, N, zeta)
+        for name, ref in want.items():
+            assert_close(getattr(form, name)[i], ref)
+            assert_close(getattr(single, name), ref)
+        u1, u0 = js.reconstruct_boundary_pair(single)
+        sol = js.jost_solution(baseline_model, N, zeta)
+        scale = max(abs(sol.u0), abs(sol.u1))
+        assert abs(u0 - sol.u0) <= 1e-8 * scale and abs(u1 - sol.u1) <= 1e-8 * scale
+
+
+def test_finite_support_takes_exact_diagonal_steps():
+    block = js.periodic_block(2, [1.0, 1.3], [0.1, -0.1])
+    model = js.make_model(
+        block, js.PerturbationSpec.finite(alpha=[0.05, -0.02, 0.04], beta=[0.1, 0.2, -0.1, 0.05])
+    )
+    points = [0.5, 1.2, complex(0.5, 0.2), complex(1.1, 0.05)]
+    short, long = js.product_forms(model, 12, points), js.product_forms(model, 20, points)
+    for i, zeta in enumerate(points):
+        want, diagonal = reference_product(model, 20, zeta)
+        # the support ends at site 4, so blocks 2.. (sites 5..) carry the bare
+        # background and W_n = 0 exactly for n >= 3
+        assert diagonal == 17
+        chain = js.RenormChain(model, 20, zeta)
+        assert all(chain.w_entries(n) == (0j, 0j, 0j, 0j) for n in range(3, 20))
+        assert not any(chain.w_entries(n) == (0j, 0j, 0j, 0j) for n in range(1, 3))
+        for name, ref in want.items():
+            assert_close(getattr(long, name)[i], ref)
+        # the diagonal steps leave (phi, nu) = (1, 0) untouched, so the walk
+        # reaches the support with the same pair from any depth
+        assert long.phi_N[i] == short.phi_N[i]
+        assert long.nu_N[i] == short.nu_N[i]
+    # without a perturbation every step is diagonal and (phi, nu) stays (1, 0)
+    # exactly; the general step with W = 0 would round lambda / lambda
+    energies = np.linspace(0.45, 1.25, 17)
+    clean = js.product_forms(js.make_model(block), 20, np.concatenate([energies, energies + 0.05j]))
+    assert (clean.phi_N == 1.0).all() and (clean.nu_N == 0.0).all()
+
+
+def _parabolic_model(beta):
+    # free background: block n has trace E - beta_(n+1), parabolic at |.| = 2
+    return js.make_model(js.periodic_block(1, [1.0], [0.0]), js.PerturbationSpec.finite(beta=beta))
+
+
+@pytest.mark.parametrize(
+    "beta, points, first, message, n",
+    [
+        # E = 3 fails at block 4 and E = 2.5 at block 2: the first point wins
+        ([0, 0, 0.5, 0, 1.0], [0.3, 3.0, 2.5], 3.0, "block 4 is parabolic at E = 3.0", 4),
+        # E = 2.5 fails at blocks 2 and 4: the lowest block wins
+        ([0, 0, 0.5, 0, 0.5], [0.3, 2.5], 2.5, "block 2 is parabolic at E = 2.5", 2),
+        ([0, 0, 0.5], [complex(0.3, 0.1), -1.5, 2.0], -1.5, "block 2 is parabolic at E = -1.5", 2),
+    ],
+)
+def test_first_failing_point_raises_the_pointwise_error(beta, points, first, message, n):
+    # messages and indices as the per-energy implementation reported them
+    model = _parabolic_model(beta)
+    with pytest.raises(DiagonalizationError) as batched:
+        certify._boundary_factor_values(model, 8, [complex(p) for p in points])
+    with pytest.raises(DiagonalizationError) as single:
+        js.product_representation(model, 8, first)
+    for exc in (batched.value, single.value):
+        assert (str(exc), exc.n, exc.zeta) == (message, n, complex(first))
+
+
+@pytest.mark.parametrize(
+    "points, forced, message, n",
+    [
+        # point 0 fails at n = 5 and n = 3: the walk meets n = 5 first
+        (
+            [0.4, 3.0, complex(0.2, 0.1)],
+            {(5, 0): "alpha", (3, 0): "alpha", (6, 1): "alpha", (2, 2): "singular"},
+            "1 + alpha_5 = 0 at zeta = 0.4",
+            5,
+        ),
+        # E = 3 has a parabolic block 4: it is reported before the walk fault
+        ([3.0, complex(0.2, 0.1)], {(6, 0): "alpha", (2, 1): "singular"}, "block 4 is parabolic at E = 3.0", 4),
+        # a singular U_{n-1} is found before alpha_n is formed
+        ([complex(0.2, 0.1)], {(2, 0): "singular", (1, 0): "alpha"}, "U_1 is singular", 1),
+        ([complex(0.2, 0.1)], {(4, 0): "both"}, "U_3 is singular", 3),
+    ],
+)
+def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message, n):
+    # Exact zeros of 1 + alpha_n or det U_{n-1} do not occur on real models,
+    # so the connection step is made to report them at the chosen (n, point).
+    model = _parabolic_model([0, 0, 0, 0, 1.0])
+    N = 8
+    steps = iter(range(N - 1, 0, -1))
+    real_entries = transfer.connection_entries
+
+    def forcing(prev, cur):
+        step = next(steps)
+        (w11, w12, w21, w22), singular = real_entries(prev, cur)
+        w11, singular = w11.copy(), singular.copy()
+        for (at, i), kind in forced.items():
+            if at == step and kind in ("alpha", "both"):
+                w11[i] = -1.0
+            if at == step and kind in ("singular", "both"):
+                singular[i] = True
+        return (w11, w12, w21, w22), singular
+
+    monkeypatch.setattr(transfer, "connection_entries", forcing)
+    with pytest.raises(DiagonalizationError) as exc:
+        js.product_forms(model, N, points)
+    assert (str(exc.value), exc.value.n) == (message, n)
+    assert exc.value.zeta == complex(points[0])
+
+
+@pytest.mark.parametrize(
+    "points, forced, message, n",
+    [
+        # E = 3 has a parabolic block 4: it comes before its own singular U_1
+        ([3.0, 0.4], [(2, 0), (1, 1)], "block 4 is parabolic at E = 3.0", 4),
+        # point 0 has singular U_4 and U_2: the lowest n wins, as w_entries
+        # taken with n ascending would report it
+        ([0.4, 3.0], [(5, 0), (3, 0)], "U_2 is singular", 2),
+    ],
+)
+def test_connection_matrices_follow_pointwise_order(monkeypatch, points, forced, message, n):
+    model = _parabolic_model([0, 0, 0, 0, 1.0])
+    real_entries = transfer.connection_entries
+
+    def forcing(prev, cur):
+        w, singular = real_entries(prev, cur)
+        singular = singular.copy()
+        for at, i in forced:
+            singular[at - 1, i] = True
+        return w, singular
+
+    monkeypatch.setattr(transfer, "connection_entries", forcing)
+    with pytest.raises(DiagonalizationError) as exc:
+        transfer.connection_matrices(model, 8, points)
+    assert (str(exc.value), exc.value.n, exc.value.zeta) == (message, n, complex(points[0]))
+
+
+def test_coinciding_moduli_have_no_branch():
+    # a real discriminant inside (-2, 2) has two roots on the unit circle
+    z, z_inv, coincide = transfer.decaying_branch(np.array([1.0 + 0j, 3.0 + 0j, 2.5j]))
+    assert coincide.tolist() == [True, False, False]
+    assert (np.abs(z[1:]) < 1.0).all() and np.allclose(z * z_inv, 1.0)
+
+
+# Constants of the baseline model recorded from the per-energy implementation.
+PINNED_HARMONIC = {
+    "plus_part_integral_N6": 1.0118715163926428,
+    "plus_part_integral_N12": 1.0191497275797419,
+    "strip_lower_N6": 0.07353771076769626,
+    "strip_lower_N12": 0.07174823008296072,
+    "top_upper_N6": 1.2663030060840985,
+    "top_upper_N12": 1.3015568617285345,
+}
+PINNED_DIAGONAL = {
+    "B_alpha": 1.488413808347384,
+    "B_delta": 3.795702032261894,
+    "B_alpha_half_sample": 1.472430928400914,
+    "B_delta_half_sample": 3.795702032261894,
+}
+
+
+@pytest.fixture(scope="module")
+def baseline_interval():
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    return max(js.admissible_intervals(block, margin=0.1), key=lambda i: i.width)
+
+
+def test_pinned_harmonic_constants(baseline_model, baseline_interval):
+    rep = js.check_harmonic_hypotheses(baseline_model, 6, baseline_interval)
+    assert rep.passed
+    for name, value in PINNED_HARMONIC.items():
+        assert rep.measured[name] == pytest.approx(value, rel=1e-10)
+
+
+def test_pinned_diagonal_constants(baseline_model, baseline_interval):
+    rep = js.check_diagonal_products(baseline_model, baseline_interval, seed=0, n_blocks=32)
+    assert rep.passed
+    for name, value in PINNED_DIAGONAL.items():
+        assert rep.measured[name] == pytest.approx(value, rel=1e-10)
+
+
+def test_pinned_summability_and_strip_constants(baseline_model, baseline_interval):
+    iv = baseline_interval
+    rep = js.check_w_summability(baseline_model, complex(iv.midpoint(), 0.5 * iv.eps_I), (8, 16, 32))
+    assert rep.passed
+    want = [0.5380965695947356, 0.5793789944333612, 0.6031667587666932]
+    assert rep.measured["partial_sums"] == pytest.approx(want, rel=1e-10)
+    rep = js.check_floquet_bound(baseline_model.block, iv)
+    assert rep.passed
+    assert rep.measured["worst_margin"] == pytest.approx(0.0017345927974078412, rel=1e-10)
+    assert rep.measured["slope_floor_observed"] == pytest.approx(0.9606120456048661, rel=1e-10)
+    assert (rep.worst_case["E"], rep.worst_case["y"]) == (0.9359054115282519, 0.003125)
+
+
+def test_vanishing_diagonal_factor_fails_the_fit(monkeypatch, baseline_model, baseline_interval):
+    # 1 + alpha_11 = 0 at the first strip energy: ln 0 enters the cumulative
+    # sums, and the fitted bound must come out non-finite, not silently capped
+    real_entries = transfer.connection_entries
+
+    def forcing(prev, cur):
+        (w11, w12, w21, w22), singular = real_entries(prev, cur)
+        w11 = w11.copy()
+        w11[10, 0] = -1.0
+        return (w11, w12, w21, w22), singular
+
+    monkeypatch.setattr(transfer, "connection_entries", forcing)
+    rep = js.check_diagonal_products(baseline_model, baseline_interval, seed=0, n_blocks=32)
+    assert not rep.passed
+    assert not math.isfinite(rep.measured["B_alpha"])
+
+
+def test_vanishing_boundary_factor_raises(monkeypatch, baseline_model):
+    # a zero factor would make f_N = +inf, which the strip lower bound would
+    # take silently; the first such point raises instead
+    real_forms = jost.product_forms
+
+    def forcing(model, N, points):
+        form = real_forms(model, N, points)
+        phi, nu = form.phi_N.copy(), form.nu_N.copy()
+        phi[1:], nu[1:] = 0.0, 0.0
+        return dataclasses.replace(form, phi_N=phi, nu_N=nu)
+
+    monkeypatch.setattr(certify, "product_forms", forcing)
+    with pytest.raises(ZeroJostError, match=r"at zeta = \(1\.5\+0j\)"):
+        certify._boundary_factor_values(baseline_model, 6, np.array([0.8, 1.5, 0.3 + 0.02j]))
