@@ -11,6 +11,7 @@ from .bands import (
     admissible_intervals,
     band_edges,
     interval_constants,
+    widest_interval,
 )
 from .certify import (
     CertReport,
@@ -39,7 +40,6 @@ from .errors import (
     JostspecError,
     NoAdmissibleIntervalError,
     OracleConvergenceError,
-    RootCountWarning,
     SingularCoefficientError,
     ValidationError,
     ZeroJostError,

@@ -1,28 +1,36 @@
 """Spectral bands of the periodic background, admissible subintervals, and
-the strip constants (eps_I, C_I) attached to them."""
+the strip constants (eps_I, C_I) attached to them.
+
+The band edges come from the periodic and antiperiodic q x q eigenproblems
+(Teschl, Jacobi Operators and Completely Integrable Nonlinear Lattices,
+ch. 7), so all 2q of them are found, narrow and closed gaps included."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBranchError, NoAdmissibleIntervalError, RootCountWarning, ValidationError
-from .transfer import (
-    _background_period_matrix,
-    decaying_branch,
-    discriminant,
-    discriminant_derivative,
-)
+from .errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
+from .transfer import decaying_branch, discriminant, discriminant_derivative
 
 __all__ = [
     "BandSet",
     "AdmissibleInterval",
     "band_edges",
     "admissible_intervals",
+    "widest_interval",
     "interval_constants",
 ]
+
+# A gap this narrow or narrower is closed: its two bands merge into one.
+CLOSED_GAP = 1e-11
+# Widths this close count as equal in widest_interval: the two bands of a
+# q = 2 background are equally wide, up to rounding.
+WIDTH_TIE = 1e-9
+# Largest strip height interval_constants probes, and its energy grid size.
+EPS_PROBE = 0.1
+GRID_POINTS = 129
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,6 @@ class BandSet:
     """Ordered disjoint closed intervals where |discriminant| <= 2."""
 
     bands: tuple
-    warnings: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -57,124 +64,54 @@ class AdmissibleInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-def _bisect(f, lo, hi, tol):
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _edge_pairs(block):
+    """The 2q band edges as consecutive pairs (E0, E1), (E2, E3), ...
+
+    The edges are the sorted eigenvalues of the periodic and antiperiodic
+    q x q Jacobi matrices (corner +a_q and -a_q), where the discriminant is
+    +2 and -2; for q = 1 the corner lands on the diagonal twice, b +- 2a.
+    """
+    a = np.asarray(block.a_bg)
+    edges = []
+    for sign in (1.0, -1.0):
+        m = np.diag(np.asarray(block.b_bg)) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+        m[-1, 0] += sign * a[-1]
+        m[0, -1] += sign * a[-1]
+        edges.extend(np.linalg.eigvalsh(m).tolist())
+    edges.sort()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
-def _scan_roots(f, xs, tol):
-    vals = np.array([f(x) for x in xs])
-    roots = []
-    for i, x in enumerate(xs):
-        if vals[i] == 0.0:
-            roots.append(float(x))
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0 or vals[i + 1] == 0.0:
-            continue
-        if (vals[i] < 0) != (vals[i + 1] < 0):
-            roots.append(_bisect(f, float(xs[i]), float(xs[i + 1]), tol))
-    roots.sort()
-    # collapse near-coincident roots
-    out = []
-    for r in roots:
-        if not out or r - out[-1] > 10 * tol:
-            out.append(r)
-    return out
-
-
-def band_edges(block, tol=1e-12) -> BandSet:
-    """Locate all |discriminant| = 2 crossings by sign scan plus bisection and
-    assemble the bands.  Closed gaps produce tangencies invisible to the sign
-    scan; a RootCountWarning is attached (and issued) when the crossing count
-    differs from 2q."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    q = block.q
-    sum_a = 2.0 * sum(block.a_bg)
-    lo = min(block.b_bg) - sum_a
-    hi = max(block.b_bg) + sum_a
-    step = (hi - lo) / (64 * q)
-    xs = np.linspace(lo - step, hi + step, 64 * q + 3)
-
-    d = lambda x: discriminant(block, x)
-    roots = sorted(
-        _scan_roots(lambda x: d(x) - 2.0, xs, tol)
-        + _scan_roots(lambda x: d(x) + 2.0, xs, tol)
-    )
-
-    notes = []
-    if len(roots) != 2 * q:
-        msg = (
-            f"expected {2 * q} band-edge crossings, found {len(roots)} "
-            "(closed gaps produce double roots)"
-        )
-        notes.append(msg)
-        warnings.warn(msg, RootCountWarning, stacklevel=2)
-
-    segments = []
-    for left, right in zip(roots[:-1], roots[1:]):
-        mid = 0.5 * (left + right)
-        if abs(d(mid)) <= 2.0:
-            segments.append((left, right))
+def band_edges(block) -> BandSet:
+    """The bands [E0, E1], [E2, E3], ... of the periodic background, with the
+    two bands at a closed gap (width CLOSED_GAP or less) merged into one."""
     merged = []
-    for seg in segments:
-        if merged and seg[0] - merged[-1][1] <= 10 * tol:
-            merged[-1] = (merged[-1][0], seg[1])
+    for lo, hi in _edge_pairs(block):
+        if merged and lo - merged[-1][1] <= CLOSED_GAP:
+            merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append(seg)
-    return BandSet(bands=tuple(merged), warnings=tuple(notes))
+            merged.append((lo, hi))
+    return BandSet(bands=tuple(merged))
 
 
-def _corner_entry(block, energy):
-    _, _, p21, _ = _background_period_matrix(block, complex(energy))
-    return p21.real
+def admissible_intervals(block, margin):
+    """Closed band-interior subintervals, each band [E_2j, E_2j+1] trimmed by
+    margin at both ends, each carrying its strip constants.
 
-
-def _interior_exclusions(block, lo, hi, tol):
-    """Real zeros of the discriminant derivative and of C inside (lo, hi)."""
-    pts = max(256, 64 * block.q)
-    inner = np.linspace(lo + tol, hi - tol, pts)
-    zeros = _scan_roots(lambda x: discriminant_derivative(block, x), inner, tol)
-    zeros += _scan_roots(lambda x: _corner_entry(block, x), inner, tol)
-    zeros.sort()
-    out = []
-    for z in zeros:
-        if not out or z - out[-1] > 10 * tol:
-            out.append(z)
-    return out
-
-
-def admissible_intervals(block, margin, count_limit=None):
-    """Closed band-interior subintervals away from band edges and from the
-    real zeros of the discriminant derivative and of C, each carrying its
-    strip constants."""
+    The real zeros of the discriminant derivative and of C (the Dirichlet
+    eigenvalues) lie in the closures of the gaps, so the unmerged bands are
+    free of them: a closed gap is the shared edge of two of them.
+    """
     if margin <= 0:
         raise ValidationError("margin must be positive")
-    bs = band_edges(block)
     result = []
-    for lo, hi in bs.bands:
-        cuts = _interior_exclusions(block, lo, hi, 1e-12)
-        edges = [lo] + cuts + [hi]
-        for left, right in zip(edges[:-1], edges[1:]):
-            a = left + margin
-            b = right - margin
-            if b - a <= margin * 1e-6:
-                continue
-            eps_i, c_i = interval_constants(block, (a, b))
-            result.append(AdmissibleInterval(a, b, eps_i, c_i, margin))
-            if count_limit is not None and len(result) >= count_limit:
-                return result
+    for lo, hi in _edge_pairs(block):
+        a = lo + margin
+        b = hi - margin
+        if b - a <= margin * 1e-6:
+            continue
+        eps_i, c_i = interval_constants(block, (a, b))
+        result.append(AdmissibleInterval(a, b, eps_i, c_i, margin))
     if not result:
         raise NoAdmissibleIntervalError(
             f"margin {margin} leaves no admissible subinterval"
@@ -182,15 +119,22 @@ def admissible_intervals(block, margin, count_limit=None):
     return result
 
 
-def interval_constants(block, interval, eps_probe=0.1, grid_points=129):
+def widest_interval(intervals):
+    """The widest of the intervals; among those whose widths are within
+    WIDTH_TIE of the widest, the highest."""
+    widest = max(iv.width for iv in intervals)
+    return max((iv for iv in intervals if iv.width >= widest - WIDTH_TIE), key=lambda iv: iv.lo)
+
+
+def interval_constants(block, interval):
     """Strip constants for a band-interior interval.
 
     C_I is half the grid minimum of g(E) = |discriminant'| / sqrt(4 - delta^2);
-    eps_I is the largest member of a geometric probe sequence below eps_probe
+    eps_I is the largest member of a geometric probe sequence below EPS_PROBE
     for which |z(E + iy)| <= 1 - C_I y holds at every probe point.
     """
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     delta = discriminant(block, grid)
     edge = np.abs(delta) >= 2.0
     if edge.any():
@@ -205,7 +149,7 @@ def interval_constants(block, interval, eps_probe=0.1, grid_points=129):
         )
     c_i = 0.5 * g_min
 
-    eps = float(eps_probe)
+    eps = EPS_PROBE
     while eps >= 1e-8:
         # rows are the 6 heights, so row-major order is the probe order
         ys = eps * 0.5 ** np.arange(6)

@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import admissible_intervals, band_edges
+from .bands import (
+    AdmissibleInterval,
+    admissible_intervals,
+    band_edges,
+    interval_constants,
+    widest_interval,
+)
 from .certify import (
     check_diagonal_products,
     check_floquet_bound,
@@ -226,12 +232,10 @@ def _resolve_interval(cfg, model):
     spec = cfg.params["interval"]
     if spec == "auto":
         intervals = admissible_intervals(cfg.block, margin=cfg.params["margin"])
-        return max(intervals, key=lambda i: i.width)
+        return widest_interval(intervals)
     lo, hi = spec
     if not lo < hi:
         raise ValidationError("interval bounds must satisfy lo < hi")
-    from .bands import AdmissibleInterval, interval_constants
-
     eps_i, c_i = interval_constants(cfg.block, (lo, hi))
     return AdmissibleInterval(lo, hi, eps_i, c_i, cfg.params["margin"])
 

@@ -48,13 +48,8 @@ class OracleConvergenceError(JostspecError):
 
 
 class NoAdmissibleIntervalError(JostspecError):
-    """Margin exclusions left no admissible subinterval."""
+    """The band-edge margin left no admissible subinterval."""
 
 
 class DensityDomainError(JostspecError):
     """Log-density integrand hit a nonpositive value at a quadrature node."""
-
-
-class RootCountWarning(UserWarning):
-    """Band-edge scan found an unexpected number of |discriminant| = 2 roots
-    (closed gaps produce double roots invisible to a sign scan)."""

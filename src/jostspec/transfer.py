@@ -41,7 +41,8 @@ __all__ = [
     "RenormChain",
 ]
 
-# Complex-step offset for derivative signs of block traces at real energy.
+# Complex-step offset for derivatives at real energy: of the discriminant,
+# and the signs of block-trace derivatives.
 CS_STEP = 1e-100
 # |trace| within this of 2 counts as parabolic (no eigenbasis).
 PARABOLIC_TOL = 1e-9
@@ -132,16 +133,10 @@ def discriminant(block, zeta):
     return p11 + p22
 
 
-def discriminant_derivative(block, energy, step=1e-6):
-    """Centered finite difference with one Richardson correction, elementwise
-    over a scalar or array energy."""
-    d1 = (discriminant(block, energy + step) - discriminant(block, energy - step)) / (
-        2 * step
-    )
-    d2 = (
-        discriminant(block, energy + 2 * step) - discriminant(block, energy - 2 * step)
-    ) / (4 * step)
-    return (4 * d1 - d2) / 3
+def discriminant_derivative(block, energy):
+    """Derivative of the discriminant at real energy by a complex step of
+    CS_STEP, elementwise over a scalar or array energy."""
+    return discriminant(block, energy + 1j * CS_STEP).imag / CS_STEP
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def random_suite(seed=20250808, count=20, margin=0.2, min_width=0.5, max_support
             intervals = js.admissible_intervals(block, margin=margin)
         except (NoAdmissibleIntervalError, DegenerateBranchError):
             continue
-        interval = max(intervals, key=lambda i: i.width)
+        interval = js.widest_interval(intervals)
         if interval.width < min_width:
             continue
         support = int(rng.integers(5, max_support + 1))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jostspec as js
 from conftest import random_block
-from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError, RootCountWarning
+from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError
+from jostspec.transfer import _background_period_matrix
 
 
 def test_free_band(free_block):
@@ -33,23 +36,21 @@ def test_shifted_free_band():
     assert hi == pytest.approx(3.0, abs=1e-10)
 
 
-def test_closed_gap_emits_root_count_warning():
+def test_closed_gap_merges_bands():
     # free operator written as a 2-periodic block: double root at E = 0
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    with pytest.warns(RootCountWarning):
-        bs = js.band_edges(block)
+    bs = js.band_edges(block)
     assert len(bs.bands) == 1
     lo, hi = bs.bands[0]
     assert lo == pytest.approx(-2.0, abs=1e-10)
     assert hi == pytest.approx(2.0, abs=1e-10)
-    assert bs.warnings
 
 
 def test_band_edges_satisfy_tolerance():
     rng = np.random.default_rng(23)
     for q in (1, 2, 3):
         block = random_block(rng, q)
-        bs = js.band_edges(block, tol=1e-12)
+        bs = js.band_edges(block)
         assert 1 <= len(bs.bands) <= q
         for lo, hi in bs.bands:
             assert abs(abs(js.discriminant(block, lo)) - 2.0) < 1e-10
@@ -57,6 +58,66 @@ def test_band_edges_satisfy_tolerance():
         # disjoint and ordered
         for (a, b), (c, d) in zip(bs.bands[:-1], bs.bands[1:]):
             assert b < c
+
+
+@pytest.mark.parametrize(
+    "a, b, gap",
+    [
+        # open gaps that a 64q-point sign scan merged into their neighbours
+        (
+            (1.141573393913634, 1.238197423795592, 1.3566207617149524, 1.1722665479229668, 1.2067343983207346),
+            (-0.009859344469839937, 0.13824839869260663, -0.30224734193657016, 0.06313611493383608, 0.20686418209353452),
+            0.0473,
+        ),
+        (
+            (1.376281219009515, 1.0169066865848004, 1.4199231263900312),
+            (-0.48715492647564856, 0.4150374764509278, 0.40620722001914633),
+            0.0383,
+        ),
+    ],
+)
+def test_narrow_open_gap_found(a, b, gap):
+    block = js.periodic_block(len(a), a, b)
+    bands = js.band_edges(block).bands
+    assert len(bands) == block.q
+    assert min(lo - hi for (_, hi), (lo, _) in zip(bands[:-1], bands[1:])) == pytest.approx(gap, abs=1e-4)
+
+
+@st.composite
+def blocks(draw):
+    q = draw(st.integers(1, 6))
+    a = draw(st.lists(st.floats(0.7, 1.6), min_size=q, max_size=q))
+    b = draw(st.lists(st.floats(-0.6, 0.6), min_size=q, max_size=q))
+    return js.periodic_block(q, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(blocks())
+def test_band_structure_properties(block):
+    bands = js.band_edges(block).bands
+    for lo, hi in bands:
+        assert abs(abs(js.discriminant(block, lo)) - 2.0) < 1e-10
+        assert abs(abs(js.discriminant(block, hi)) - 2.0) < 1e-10
+        assert np.all(np.abs(js.discriminant(block, np.linspace(lo, hi, 401))) <= 2.0 + 1e-9)
+    for (_, hi), (lo, _) in zip(bands[:-1], bands[1:]):
+        assert abs(js.discriminant(block, 0.5 * (lo + hi))) > 2.0
+    for iv in js.admissible_intervals(block, margin=0.05):
+        grid = np.linspace(iv.lo, iv.hi, 401)
+        for values in (js.discriminant_derivative(block, grid), _background_period_matrix(block, grid)[2]):
+            assert np.all(values > 0) or np.all(values < 0)
+
+
+def test_widest_interval_ties_go_to_the_highest():
+    # the two bands of a q = 2 background have equal widths
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    lower, upper = js.admissible_intervals(block, margin=0.1)
+    assert upper.width == pytest.approx(lower.width, abs=1e-9)
+    assert js.widest_interval([lower, upper]) is upper
+    assert js.widest_interval([upper, lower]) is upper
+    nearly = js.AdmissibleInterval(lower.lo - 1e-12, lower.hi, lower.eps_I, lower.C_I, lower.margin)
+    assert js.widest_interval([nearly, upper]) is upper
+    wider = js.AdmissibleInterval(lower.lo - 1e-6, lower.hi, lower.eps_I, lower.C_I, lower.margin)
+    assert js.widest_interval([wider, upper]) is wider
 
 
 def test_admissible_free(free_block):
@@ -71,8 +132,7 @@ def test_admissible_free(free_block):
 def test_admissible_excludes_corner_zero():
     # C(E) = E and discriminant derivative both vanish at 0 for this block
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    with pytest.warns(RootCountWarning):
-        intervals = js.admissible_intervals(block, margin=0.1)
+    intervals = js.admissible_intervals(block, margin=0.1)
     assert len(intervals) == 2
     (a1, b1), (a2, b2) = [(iv.lo, iv.hi) for iv in intervals]
     assert b1 == pytest.approx(-0.1, abs=1e-6)

@@ -28,7 +28,7 @@ def test_boundary_modulus_without_perturbation():
     for q in (1, 2, 3):
         block = random_block(rng, q)
         model = js.make_model(block)
-        iv = max(js.admissible_intervals(block, margin=0.2), key=lambda i: i.width)
+        iv = js.widest_interval(js.admissible_intervals(block, margin=0.2))
         for energy in np.linspace(iv.lo, iv.hi, 7):
             sol = js.jost_solution(model, 6, energy)
             c_val = js.floquet_eigenvalue(block, energy).eigvec[1]
@@ -83,7 +83,7 @@ def test_wronskian_identity_randomized():
             intervals = js.admissible_intervals(block, margin=0.15)
         except js.JostspecError:
             continue
-        iv = max(intervals, key=lambda i: i.width)
+        iv = js.widest_interval(intervals)
         support = int(rng.integers(3, 12))
         pert = js.PerturbationSpec.finite(
             alpha=rng.uniform(-0.05, 0.05, support), beta=rng.uniform(-0.1, 0.1, support)

@@ -100,7 +100,7 @@ def test_strip_downward_batch_matches_reference(baseline_model):
 
 
 def test_batched_density_matches_pointwise(baseline_model):
-    iv = max(js.admissible_intervals(baseline_model.block, margin=0.1), key=lambda i: i.width)
+    iv = js.widest_interval(js.admissible_intervals(baseline_model.block, margin=0.1))
     curve = js.density_curve(baseline_model, 50, iv, 21)
     pointwise = [js.ac_density(baseline_model, 50, e) for e in curve.grid]
     assert curve.values.tolist() == pointwise

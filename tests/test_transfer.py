@@ -87,6 +87,15 @@ def test_discriminant_two_periodic():
         )
 
 
+def test_discriminant_derivative_two_periodic():
+    # the discriminant (E^2 - 5) / 2 has derivative E
+    block = js.periodic_block(2, [1.0, 2.0], [0.0, 0.0])
+    energies = np.linspace(-3.5, 3.5, 14)
+    np.testing.assert_allclose(js.discriminant_derivative(block, energies), energies, rtol=1e-14, atol=0)
+    for energy in energies:
+        assert js.discriminant_derivative(block, float(energy)) == pytest.approx(energy, rel=1e-14, abs=0)
+
+
 def test_discriminant_translation_covariance():
     rng = np.random.default_rng(5)
     block = random_block(rng, 3)
