@@ -70,6 +70,11 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _fmt_rows(*columns):
+    """CSV rows of _fmt values, one column per 1-D array."""
+    return list(zip(*([format(x, ".17g") for x in np.asarray(c, dtype=float).tolist()] for c in columns)))
+
+
 def _float_list(text):
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     return [float(p) for p in parts]
@@ -264,29 +269,18 @@ def _run_density(cfg, model):
     interval = _resolve_interval(cfg, model)
     n = p["N"]
     extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] method={p['method']}"
-    key = density_curve(
-        model,
-        n,
-        interval,
-        p["grid_points"],
-        method="key_formula",
-        precision=p["precision"],
-    )
-    if p["method"] == "key_formula":
-        rows = [["E", "value"]]
-        for e, v in zip(key.grid, key.values):
-            rows.append([_fmt(e), _fmt(v)])
+    # the oracle has no precision switch; only the key formula reads it
+    methods = ("key_formula", "oracle") if p["method"] == "both" else (p["method"],)
+    curves = [
+        density_curve(model, n, interval, p["grid_points"], method=m, precision=p["precision"])
+        for m in methods
+    ]
+    if len(curves) == 1:
+        rows = [["E", "value"], *_fmt_rows(curves[0].grid, curves[0].values)]
         return rows, _meta_lines(cfg, model, extra), 0
-    oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
-    if p["method"] == "oracle":
-        rows = [["E", "value"]]
-        for e, v in zip(oracle.grid, oracle.values):
-            rows.append([_fmt(e), _fmt(v)])
-        return rows, _meta_lines(cfg, model, extra), 0
-    rows = [["E", "value", "value_oracle", "rel_err"]]
-    for e, v, w in zip(key.grid, key.values, oracle.values):
-        rel = abs(v - w) / max(abs(v), 1e-300)
-        rows.append([_fmt(e), _fmt(v), _fmt(w), _fmt(rel)])
+    key, oracle = curves
+    rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
+    rows = [["E", "value", "value_oracle", "rel_err"], *_fmt_rows(key.grid, key.values, oracle.values, rel)]
     return rows, _meta_lines(cfg, model, extra), 0
 
 
@@ -294,15 +288,12 @@ def _run_compare(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     n = p["N"]
-    grid = np.linspace(interval.lo, interval.hi, p["grid_points"])
     key = density_curve(model, n, interval, p["grid_points"], method="key_formula")
     oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
+    rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
+    worst = float(np.max(rel, initial=0.0))
     rows = [["E", "density_key", "density_oracle", "rel_err"]]
-    worst = 0.0
-    for e, v, w in zip(grid, key.values, oracle.values):
-        rel = abs(v - w) / max(abs(v), 1e-300)
-        worst = max(worst, rel)
-        rows.append([_fmt(e), _fmt(v), _fmt(w), _fmt(rel)])
+    rows += _fmt_rows(key.grid, key.values, oracle.values, rel)
     extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"
     code = 0 if worst < p["tol"] else 3
     return rows, _meta_lines(cfg, model, extra), code

@@ -15,11 +15,10 @@ from .coefficients import truncate
 from .errors import (
     BandEdgeError,
     EigenvectorDegeneracyError,
-    JostspecError,
     ValidationError,
     ZeroJostError,
 )
-from .transfer import ChainWalk, discriminant, floquet_eigenvalue
+from .transfer import ChainWalk, floquet_eigenvalue, floquet_error, real_floquet
 
 __all__ = [
     "JostSolution",
@@ -65,15 +64,6 @@ class JostSolution:
         return math.log(abs(self.u0)) + self.scale_log2 * LN2
 
 
-def _boundary_data(block, zeta):
-    """Floquet data at one energy, whose eigenvector (z - D, C) is the top
-    boundary pair of the backward recursion."""
-    fl = floquet_eigenvalue(block, zeta)
-    if fl.eigvec[1] == 0:
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
-    return fl
-
-
 def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     """Backward recursion from the eigenvector boundary condition.
 
@@ -84,8 +74,10 @@ def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     if N < 1:
         raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
-    fl = _boundary_data(work.block, zeta)
+    fl = floquet_eigenvalue(work.block, zeta)
     x, y = fl.eigvec
+    if y == 0:
+        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
     a, b = work.coefficient_arrays(N * work.block.q)
     if precision == "extended":
         u, scale = _kernels.jost_backward_longdouble(a, b, complex(zeta), x, y)
@@ -117,12 +109,19 @@ def green_11(model, N, zeta, precision="double"):
     return -sol.u1 / (a0 * sol.u0)
 
 
-def _density_value(c_val, z, a0, u0, scale_log2):
-    if scale_log2 == 0:
-        return abs(c_val * z.imag) / (math.pi * abs(a0) * abs(u0) ** 2)
-    log_u0 = math.log(abs(u0)) + scale_log2 * LN2
-    log_val = math.log(abs(c_val * z.imag)) - math.log(math.pi * abs(a0)) - 2.0 * log_u0
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+def _density_values(c_val, z_imag, a0, u0, scale_log2):
+    """|C Im z| / (pi |a°_0| |u_0|^2) at each energy, in log space where the
+    recursion rescaled u_0.  np.hypot and np.float_power call the C library's
+    hypot and pow, as Python's abs(complex) and float ** do, so the values
+    equal the scalar formula's bit for bit."""
+    num = np.abs(c_val * z_imag)
+    abs_u0 = np.hypot(u0.real, u0.imag)
+    values = num / (math.pi * abs(a0) * np.float_power(abs_u0, 2.0))
+    for i in np.flatnonzero(scale_log2):
+        log_u0 = math.log(abs_u0[i]) + int(scale_log2[i]) * LN2
+        log_val = math.log(num[i]) - math.log(math.pi * abs(a0)) - 2.0 * log_u0
+        values[i] = math.exp(log_val) if log_val > -745.0 else 0.0
+    return values.tolist()
 
 
 def density_prefix(model, N, energies, precision="double"):
@@ -131,49 +130,44 @@ def density_prefix(model, N, energies, precision="double"):
 
     Returns (values, error): the densities of the energies before the first
     failing one, and that energy's exception (None if every energy passed).
-    Each energy gets the checks of ac_density in the same order; the
-    recursion runs once for all energies that passed the Floquet checks.
+    The Floquet setup (delta, z, C, D and a fault code) is one real_floquet
+    call over all energies, checked per energy in the order of ac_density;
+    the recursion runs once for the energies before the first failing one.
     """
     block = model.block
-    setups = []
+    energies = np.asarray(energies, dtype=np.float64)
+    delta, z, c_val, d_val, fault = real_floquet(block, energies)
+    outside = np.abs(delta) >= 2.0 - 1e-12
+    bad = np.flatnonzero(outside | (fault != 0) | (c_val == 0))
+    stop = int(bad[0]) if bad.size else len(energies)
     error = None
-    for energy in energies:
-        energy = float(energy)
-        try:
-            delta = discriminant(block, energy)
-            if abs(delta) >= 2.0 - 1e-12:
-                raise BandEdgeError(f"E = {energy} is not in a band interior")
-            setups.append((energy, _boundary_data(block, energy)))
-        except JostspecError as exc:
-            error = exc
-            break
-    if not setups:
+    if bad.size:
+        energy = float(energies[stop])
+        if outside[stop]:
+            error = BandEdgeError(f"E = {energy} is not in a band interior")
+        elif fault[stop]:
+            error = floquet_error(int(fault[stop]), energy)
+        else:
+            error = EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {energy}")
+    if stop == 0:
         return [], error
 
     work = truncate(model, N)
     a, b = work.coefficient_arrays(N * block.q)
+    zeta = energies[:stop].astype(np.complex128)
+    top, second = z[:stop] - d_val[:stop], c_val[:stop]
     if precision == "extended":
-        pairs = []
-        for energy, fl in setups:
-            u, scale = _kernels.jost_backward_longdouble(a, b, complex(energy), *fl.eigvec)
-            pairs.append((u[0], scale))
+        runs = [_kernels.jost_backward_longdouble(a, b, *args) for args in zip(zeta, top, second)]
+        u0, scales = [u[0] for u, _ in runs], [scale for _, scale in runs]
     else:
-        u0, _, scales = _kernels.jost_backward(
-            a,
-            b,
-            np.array([e for e, _ in setups], dtype=np.complex128),
-            np.array([fl.eigvec[0] for _, fl in setups], dtype=np.complex128),
-            np.array([fl.eigvec[1] for _, fl in setups], dtype=np.complex128),
-        )
-        pairs = zip(u0, scales)
+        u0, _, scales = _kernels.jost_backward(a, b, zeta, top, second)
 
-    a0 = block.a(0)
-    values = []
-    for (energy, fl), (u0_e, scale) in zip(setups, pairs):
-        u0_e = complex(u0_e)
-        if u0_e == 0:
-            return values, ZeroJostError(f"u_0(E) = 0 at E = {energy}")
-        values.append(_density_value(fl.eigvec[1].real, fl.z, a0, u0_e, int(scale)))
+    u0 = np.asarray(u0)
+    zero = np.flatnonzero(u0 == 0)
+    end = int(zero[0]) if zero.size else stop
+    values = _density_values(c_val[:end], z[:end].imag, block.a(0), u0[:end], np.asarray(scales[:end]))
+    if zero.size:
+        return values, ZeroJostError(f"u_0(E) = 0 at E = {float(energies[end])}")
     return values, error
 
 

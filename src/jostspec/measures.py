@@ -57,107 +57,100 @@ class DensityCurve:
             raise ValidationError("density values must be nonnegative")
 
 
-def _mobius_step_matrix(g, a_k, b_k, zeta):
-    """Right-multiply the Mobius accumulator by one stripping step."""
-    g11, g12, g21, g22 = g
-    f21 = -a_k * a_k
-    f22 = b_k - zeta
-    return (
-        g12 * f21,
-        g11 + g12 * f22,
-        g22 * f21,
-        g21 + g22 * f22,
-    )
+def _tail_closure(block, zetas):
+    """tail_m_function at every point of a 1-D complex array, batched.
 
+    Each point stops polishing at its own 1e-14 residual, so its value does
+    not depend on the batch.  Raises the error of the first failing point, in
+    order: Im zeta <= 0 (as oracle_green_11), no attracting root, a residual
+    >= 1e-13, Im m <= 0.
+    """
+    z = np.asarray(zetas, dtype=np.complex128)
+    lower = z.imag <= 0
+    det_g = math.prod(ak * ak for ak in block.a_bg)
+    with np.errstate(all="ignore"):
+        # Mobius matrix of the q stripping steps [[0, 1], [-a_k^2, b_k - zeta]]
+        g11, g12, g21, g22 = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z)
+        for k in range(1, block.q + 1):
+            f21 = -block.a(k) * block.a(k)
+            f22 = block.b(k) - z
+            g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
+        # g21 m^2 + (g22 - g11) m - g12 = 0, solved cancellation-free
+        bb = g22 - g11
+        s = np.sqrt(bb * bb + 4.0 * g21 * g12)
+        top = -np.where(np.abs(bb + s) >= np.abs(bb - s), bb + s, bb - s)
+        tiny = np.abs(g21) < 1e-300
+        single = tiny | (top == 0)
+        r1 = np.where(tiny, g12 / bb, np.where(top == 0, 0j, top / (2.0 * g21)))
+        r2 = -2.0 * g12 / top
 
-def _strip_period_once(block, zeta, m):
-    for k in range(block.q, 0, -1):
-        ak = block.a(k)
-        m = 1.0 / (block.b(k) - zeta - ak * ak * m)
+        def ratio(m):
+            denom = g21 * m + g22
+            return np.where(denom != 0, det_g / np.abs(denom) ** 2, np.inf)
+
+        # the attracting root: ratio below 1, the smaller one, r1 on a tie
+        ratio1, ratio2 = ratio(r1), ratio(r2)
+        ok1 = ratio1 < 1.0
+        take2 = ~single & (ratio2 < 1.0) & (~ok1 | (ratio2 < ratio1))
+        no_root = ~ok1 & ~take2
+        m = np.where(take2, r2, r1)
+
+        residual = np.full(z.shape, np.inf)
+        live = np.flatnonzero(~lower & ~no_root)
+        for _ in range(100):
+            if not live.size:
+                break
+            zl, m_prev = z[live], m[live]
+            m_next = m_prev
+            for k in range(block.q, 0, -1):
+                ak = block.a(k)
+                m_next = 1.0 / (block.b(k) - zl - ak * ak * m_next)
+            res = np.abs(m_next - m_prev)
+            m[live] = m_next
+            residual[live] = res
+            live = live[~(res < 1e-14)]
+    bad = lower | no_root | (residual >= 1e-13) | (m.imag <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        zeta = complex(z[i])
+        if lower[i]:
+            raise ValidationError("oracle_green_11 requires Im zeta > 0")
+        if no_root[i]:
+            raise OracleConvergenceError(f"no attracting fixed point at zeta = {zeta}; increase Im zeta")
+        if residual[i] >= 1e-13:
+            raise OracleConvergenceError(
+                f"fixed-point residual {residual[i]:.3e} at zeta = {zeta}; increase Im zeta"
+            )
+        raise OracleConvergenceError(f"attracting fixed point is not Herglotz at zeta = {zeta}")
     return m
 
 
 def tail_m_function(block, zeta):
     """Boundary Green's value G(1,1) of the pure periodic background.
 
-    The period-q stripping map is a Mobius transformation; its attracting
-    fixed point (contraction ratio |z|^2 < 1 for Im zeta > 0) is solved from
-    the fixed-point quadratic, selected by attraction, and polished with
-    stripping iterations to a 1e-14 residual.
+    The single-energy view of _tail_closure.  The period-q stripping map is a
+    Mobius transformation; its attracting fixed point (contraction ratio
+    |z|^2 < 1 for Im zeta > 0) is solved from the fixed-point quadratic,
+    selected by attraction, and polished with stripping iterations to a
+    1e-14 residual.
     """
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise ValidationError("tail_m_function requires Im zeta > 0")
-
-    g = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    for k in range(1, block.q + 1):
-        g = _mobius_step_matrix(g, block.a(k), block.b(k), zeta)
-    g11, g12, g21, g22 = g
-    det_g = 1.0
-    for ak in block.a_bg:
-        det_g *= ak * ak
-
-    if abs(g21) < 1e-300:
-        candidates = [g12 / (g22 - g11)]
-    else:
-        # g21 m^2 + (g22 - g11) m - g12 = 0, solved cancellation-free
-        bb = g22 - g11
-        disc = bb * bb + 4.0 * g21 * g12
-        s = np.sqrt(complex(disc))
-        top = -(bb + s) if abs(bb + s) >= abs(bb - s) else -(bb - s)
-        if top == 0:
-            candidates = [0j]
-        else:
-            r1 = top / (2.0 * g21)
-            r2 = -2.0 * g12 / top
-            candidates = [r1, r2]
-
-    best = None
-    for m in candidates:
-        denom = g21 * m + g22
-        if denom == 0:
-            continue
-        ratio = abs(det_g) / abs(denom) ** 2
-        if ratio < 1.0 and (best is None or ratio < best[1]):
-            best = (m, ratio)
-    if best is None:
-        raise OracleConvergenceError(
-            f"no attracting fixed point at zeta = {zeta}; increase Im zeta"
-        )
-
-    m = best[0]
-    residual = math.inf
-    for _ in range(100):
-        m_next = _strip_period_once(block, zeta, m)
-        residual = abs(m_next - m)
-        m = m_next
-        if residual < 1e-14:
-            break
-    if residual >= 1e-13:
-        raise OracleConvergenceError(
-            f"fixed-point residual {residual:.3e} at zeta = {zeta}; increase Im zeta"
-        )
-    if m.imag <= 0:
-        raise OracleConvergenceError(
-            f"attracting fixed point is not Herglotz at zeta = {zeta}"
-        )
-    return m
+    return complex(_tail_closure(block, [zeta])[0])
 
 
 def _oracle_values(model, N, zetas):
-    """oracle_green_11 at every zeta: the periodic-tail closures one energy at
-    a time, in order, then one stripping pass over all of them."""
+    """oracle_green_11 at every zeta: one batched periodic-tail closure, then
+    one stripping pass over all of them."""
     work = truncate(model, N)
-    tails = []
-    for zeta in zetas:
-        if zeta.imag <= 0:
-            raise ValidationError("oracle_green_11 requires Im zeta > 0")
-        tails.append(tail_m_function(work.block, zeta))
+    zetas = np.asarray(zetas, dtype=np.complex128)
+    tails = _tail_closure(work.block, zetas)
     depth = (N - 1) * work.block.q
     if depth == 0:
-        return np.array(tails, dtype=np.complex128)
+        return tails
     a, b = work.coefficient_arrays(depth)
-    return _kernels.strip_downward(a, b, np.array(zetas, dtype=np.complex128), tails, depth)
+    return _kernels.strip_downward(a, b, zetas, tails, depth)
 
 
 def oracle_green_11(model, N, zeta):
@@ -198,8 +191,10 @@ def density_curve(model, N, interval, grid_points, method="key_formula", precisi
     elif method == "oracle":
         offsets = RICHARDSON_EPS
         weights = _extrapolation_weights(offsets)
-        zetas = [complex(e, eps) for e in grid for eps in offsets]
-        green = _oracle_values(model, N, zetas).reshape(len(grid), len(offsets))
+        zetas = np.empty((len(grid), len(offsets)), dtype=np.complex128)
+        zetas.real = grid[:, None]
+        zetas.imag = offsets
+        green = _oracle_values(model, N, zetas.ravel()).reshape(zetas.shape)
         vals = np.zeros(len(grid))
         for column, w in zip(green.T, weights):
             vals += w * column.imag / math.pi

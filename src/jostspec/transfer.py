@@ -3,16 +3,16 @@ discriminant and its Floquet branches, and the renormalized block chain
 (determinant-one blocks, their eigenbases, and the W_n connection matrices)
 used by the product representation and the certificates.
 
-The discriminant, the Floquet root split and the chain work elementwise over
-arrays of energies: chain_blocks and connection_entries hold the one
-implementation of the chain.  connection_matrices (all W_n at once) and
-ChainWalk (a descending walk holding two blocks at a time) serve batched
-callers, and RenormChain and w_matrix are single-energy views.  The batched
+The discriminant, the Floquet data at real energies (real_floquet), the
+Floquet root split and the chain work elementwise over arrays of energies:
+chain_blocks and connection_entries hold the one implementation of the chain.
+connection_matrices (all W_n at once) and ChainWalk (a descending walk
+holding two blocks at a time) serve batched callers, and RenormChain,
+w_matrix and the real-axis floquet_eigenvalue are single-energy views.  The batched
 entry points raise the error the pointwise evaluation would raise first."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,46 +174,66 @@ def decaying_branch(delta):
     return small, big, np.abs(big) - 1.0 < COINCIDE_TOL
 
 
-def _small_root_real_interior(delta, deriv_sign):
-    # Boundary value of the |z|<1 branch on a band interior.
-    return (delta - 1j * math.copysign(1.0, deriv_sign) * math.sqrt(4.0 - delta * delta)) / 2.0
+# Faults of the Floquet data at real energies, one code per energy (0 = none),
+# in the order floquet_eigenvalue checks them.
+BAND_EDGE, FLAT_DELTA = 1, 2
+
+
+def floquet_error(code, energy):
+    """The error of real-axis Floquet fault `code` at energy."""
+    if code == BAND_EDGE:
+        return BandEdgeError(f"|discriminant| = 2 at E = {energy}")
+    return DegenerateBranchError(f"discriminant derivative vanishes at E = {energy}")
+
+
+def real_floquet(block, energies):
+    """Floquet data at real energies, elementwise over a 1-D array, in float64.
+
+    Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch,
+    inside a band (delta - i sign(delta') sqrt(4 - delta^2)) / 2 with delta'
+    by the complex step, outside the smaller real root; the lower row (C, D)
+    of the period matrix, so (z - D, C) is the eigenvector; the fault code.
+    """
+    energy = np.asarray(energies, dtype=np.float64)
+    p11, _, c, d = _background_period_matrix(block, energy)
+    # for q = 1 the lower row is constant
+    c, d = np.broadcast_to(c, energy.shape), np.broadcast_to(d, energy.shape)
+    delta = p11 + d
+    dd = discriminant_derivative(block, energy)
+    interior = np.abs(delta) < 2.0
+    with np.errstate(invalid="ignore"):
+        z = (delta / 2.0).astype(np.complex128)
+        z.imag = np.copysign(np.sqrt(4.0 - delta * delta), -dd) / 2.0
+    z = np.where(interior, z, _split_roots(delta.astype(np.complex128))[1])
+    edge = np.abs(np.abs(delta) - 2.0) < EDGE_TOL
+    fault = np.select([edge, interior & (np.abs(dd) < DERIV_TOL)], [BAND_EDGE, FLAT_DELTA], 0)
+    return delta, z, c, d, fault
 
 
 def floquet_eigenvalue(block, zeta) -> FloquetData:
     """Floquet eigenvalue with the |z| <= 1 branch fixed.
 
     Off the real axis the root of smaller modulus is taken; at real energies
-    the analytic boundary value of that branch is used: inside a band
-    z = (delta - i sign(delta') sqrt(4 - delta^2)) / 2, outside the smaller
-    real root.
+    this is the single-energy view of real_floquet (the branch's boundary
+    value inside a band, the smaller real root outside).
     """
     z = complex(zeta)
-    if z.imag != 0.0:
-        delta = discriminant(block, z)
-        small, big, coincide = decaying_branch(delta)
-        if coincide:
-            raise DegenerateBranchError(
-                f"eigenvalue moduli coincide at zeta = {zeta}"
-            )
-        zval, zinv = complex(small), complex(big)
-    else:
+    if z.imag == 0.0:
         energy = z.real
-        delta = float(discriminant(block, energy))
-        if abs(abs(delta) - 2.0) < EDGE_TOL:
-            raise BandEdgeError(f"|discriminant| = 2 at E = {energy}")
-        if abs(delta) < 2.0:
-            dd = discriminant_derivative(block, energy)
-            if abs(dd) < DERIV_TOL:
-                raise DegenerateBranchError(
-                    f"discriminant derivative vanishes at E = {energy}"
-                )
-            zval = _small_root_real_interior(delta, dd)
-            zinv = 1.0 / zval
-        else:
-            big, small = _split_roots(complex(delta))
-            zval, zinv = complex(small), complex(big)
-    _, _, p21, p22 = _background_period_matrix(block, complex(zeta))
-    return FloquetData(z=zval, z_inv=zinv, delta=delta, eigvec=(zval - p22, p21))
+        delta, zr, c, d, fault = real_floquet(block, [energy])
+        if fault[0]:
+            raise floquet_error(int(fault[0]), energy)
+        zval = complex(zr[0])
+        return FloquetData(
+            z=zval, z_inv=1.0 / zval, delta=float(delta[0]), eigvec=(zval - float(d[0]), complex(c[0]))
+        )
+    delta = discriminant(block, z)
+    small, big, coincide = decaying_branch(delta)
+    if coincide:
+        raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {zeta}")
+    zval = complex(small)
+    _, _, p21, p22 = _background_period_matrix(block, z)
+    return FloquetData(z=zval, z_inv=complex(big), delta=delta, eigvec=(zval - p22, p21))
 
 
 def floquet_eigenvector(block, zeta):

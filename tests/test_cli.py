@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from jostspec import measures
 from jostspec.cli import run
 
 FREE_CONFIG = """\
@@ -102,6 +103,21 @@ def test_density_writes_curve(tmp_path):
     assert header == ["E", "value"]
     assert len(rows) == 40
     assert all(float(r[1]) > 0 for r in rows)
+
+
+def test_density_oracle_computes_only_the_oracle_curve(tmp_path, monkeypatch):
+    cfg = str(_write(tmp_path, PERTURBED_CONFIG))
+    assert run(cfg, overrides=["experiment.method=both"], experiment="density", out_dir=str(tmp_path / "b")) == 0
+    _, both = _rows(tmp_path / "b" / "density.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the key formula ran for method = oracle")
+
+    monkeypatch.setattr(measures, "density_prefix", refuse)
+    assert run(cfg, overrides=["experiment.method=oracle"], experiment="density", out_dir=str(tmp_path / "o")) == 0
+    header, rows = _rows(tmp_path / "o" / "density.csv")
+    assert header == ["E", "value"]
+    assert rows == [[r[0], r[2]] for r in both]
 
 
 def test_compare_perturbed_passes_tolerance(tmp_path):

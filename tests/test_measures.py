@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec.errors import ValidationError
+from jostspec import measures
+from jostspec.errors import (
+    BandEdgeError,
+    DegenerateBranchError,
+    OracleConvergenceError,
+    ValidationError,
+)
 
 
 def test_tail_m_free_closed_form(free_block):
@@ -147,3 +155,122 @@ def test_moment_truncation_invisible_beyond_radius(acceptance_suite):
         for k in range(0, 9):
             n_trunc = (k + 1) // q + 3  # (N-1)q > k+1
             assert js.moment(model, n_trunc, k, k + 2) == js.moment(model, None, k, k + 2)
+
+
+def reference_tail(block, zeta):
+    """The periodic-tail closure one energy at a time in Python complex
+    arithmetic: Mobius product, cancellation-free roots, attracting root,
+    stripping passes to a 1e-14 residual."""
+    g11, g12, g21, g22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for k in range(1, block.q + 1):
+        f21, f22 = -block.a(k) ** 2, block.b(k) - zeta
+        g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
+    det_g = float(np.prod(np.square(block.a_bg)))
+    if abs(g21) < 1e-300:
+        candidates = [g12 / (g22 - g11)]
+    else:
+        bb = g22 - g11
+        s = complex(np.sqrt(complex(bb * bb + 4.0 * g21 * g12)))
+        top = -(bb + s) if abs(bb + s) >= abs(bb - s) else -(bb - s)
+        candidates = [0j] if top == 0 else [top / (2.0 * g21), -2.0 * g12 / top]
+    # the smallest ratio below 1; the first candidate on a tie
+    ratios = [det_g / abs(g21 * m + g22) ** 2 for m in candidates]
+    _, best = min((r, i) for i, r in enumerate(ratios) if r < 1.0)
+    m = candidates[best]
+    for _ in range(100):
+        m_next = m
+        for k in range(block.q, 0, -1):
+            m_next = 1.0 / (block.b(k) - zeta - block.a(k) ** 2 * m_next)
+        residual, m = abs(m_next - m), m_next
+        if residual < 1e-14:
+            break
+    return m
+
+
+def test_batched_tail_matches_reference_loop():
+    rng = np.random.default_rng(41)
+    for q in range(1, 7):
+        block = random_block(rng, q)
+        bands = js.band_edges(block).bands
+        energies = np.linspace(bands[0][0] - 0.5, bands[-1][1] + 0.5, 23)
+        zetas = [complex(e, y) for e in energies for y in (1e-5, 1e-3, 1.0)]
+        got = measures._tail_closure(block, zetas)
+        for g, zeta in zip(got, zetas):
+            ref = reference_tail(block, zeta)
+            assert abs(g - ref) <= 1e-13 * abs(ref)
+
+
+def test_tail_of_a_point_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(43)
+    block = random_block(rng, 3)
+    # 200 energies over the bands, as close as 0.004 to an edge, where the
+    # polishing takes from 1 to 99 passes
+    intervals = js.admissible_intervals(block, margin=0.004)
+    energies = np.concatenate([np.linspace(iv.lo, iv.hi, 67) for iv in intervals])[:200]
+    zetas = [complex(e, y) for e in energies for y in measures.RICHARDSON_EPS]
+    batch = measures._tail_closure(block, zetas)
+    assert batch.shape == (600,)
+    assert batch.tolist() == [js.tail_m_function(block, z) for z in zetas]
+
+
+# Error order: a batched evaluation raises what a loop over its points would
+# raise first, with the same class and message.  The messages below are
+# those of the per-point loop.  In the q = 2 block with a = 1e5 the
+# discriminant is E^2 / 1e10 - 2, so 0.1 < |E| < 5 is band interior with a
+# derivative below DERIV_TOL, and |E| < 0.1 is within 1e-12 of the edge at 0.
+FLAT_BLOCK = js.periodic_block(2, [1e5, 1e5], [0.0, 0.0])
+
+
+def test_key_formula_raises_the_first_failing_energy(free_model):
+    # passing energies, then a flat-derivative one, then the band edge
+    with pytest.raises(DegenerateBranchError, match=r"^discriminant derivative vanishes at E = -4\.0$"):
+        js.density_curve(js.make_model(FLAT_BLOCK), 3, (-12.0, 0.0), 4)
+    with pytest.raises(BandEdgeError, match=r"^E = 2\.0 is not in a band interior$"):
+        js.density_curve(free_model, 3, (0.0, 3.0), 7)
+
+
+def test_entropy_raises_the_first_failing_node():
+    model = js.make_model(FLAT_BLOCK)
+    # every node below the top one is flat; the top one is at the band edge
+    nodes, _ = leggauss(8)
+    first = -1.975 + 2.025 * nodes[0]
+    with pytest.raises(DegenerateBranchError, match=re.escape(f"vanishes at E = {first}")):
+        js.entropy_integral(model, 3, (-4.0, 0.05), quad_order=8)
+    # three passing nodes, then one above the band
+    nodes, _ = leggauss(4)
+    last = 145000.0 + 155000.0 * nodes[3]
+    with pytest.raises(BandEdgeError, match=re.escape(f"E = {last} is not in a band interior")):
+        js.entropy_integral(model, 3, (-10000.0, 300000.0), quad_order=4)
+
+
+def test_oracle_raises_the_first_failing_point(free_block):
+    # beyond |zeta| ~ 1e154 the period product overflows: the q = 2 closure
+    # finds no attracting root, the q = 1 closure underflows to Im m = 0
+    model = js.make_model(js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]))
+    no_root = r"^no attracting fixed point at zeta = \(5e\+199\+0\.001j\); increase Im zeta$"
+    with pytest.raises(OracleConvergenceError, match=no_root):
+        js.density_curve(model, 3, (0.0, 1e200), 3, method="oracle")
+    with pytest.raises(OracleConvergenceError, match=no_root):
+        measures._oracle_values(model, 3, [0.3 + 1e-3j, 5e199 + 1e-3j, 0.5 + 0j])
+    with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
+        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 5e199 + 1e-3j])
+    with pytest.raises(OracleConvergenceError, match=no_root):
+        js.oracle_green_11(model, 3, 5e199 + 1e-3j)
+    with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
+        js.oracle_green_11(model, 3, 0.5)
+    not_herglotz = r"^attracting fixed point is not Herglotz at zeta = \(5e\+199\+0\.001j\)$"
+    with pytest.raises(OracleConvergenceError, match=not_herglotz):
+        js.oracle_green_11(js.make_model(free_block), 3, 5e199 + 1e-3j)
+
+
+def test_extended_precision_through_the_batched_setup():
+    model = js.make_model(
+        js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
+    )
+    iv = js.widest_interval(js.admissible_intervals(model.block, margin=0.1))
+    double = js.density_curve(model, 40, iv, 41)
+    extended = js.density_curve(model, 40, iv, 41, precision="extended")
+    assert np.max(np.abs(extended.values - double.values) / double.values) <= 1e-12
+    value = js.entropy_integral(model, 40, iv, quad_order=32)
+    extended = js.entropy_integral(model, 40, iv, quad_order=32, precision="extended")
+    assert extended == pytest.approx(value, rel=1e-12)
