@@ -40,7 +40,6 @@ from .errors import (
     JostspecError,
     NoAdmissibleIntervalError,
     OracleConvergenceError,
-    SingularCoefficientError,
     ValidationError,
     ZeroJostError,
 )
@@ -66,14 +65,8 @@ from .measures import (
 )
 from .transfer import (
     FloquetData,
-    Matrix2C,
-    RenormChain,
     discriminant,
     discriminant_derivative,
     floquet_eigenvalue,
     floquet_eigenvector,
-    one_step,
-    period_block_matrix,
-    renormalized_block,
-    w_matrix,
 )

@@ -6,7 +6,8 @@ stripping map are sequential in the site but independent across energies, so
 both take 1-D arrays of energies and boundary data: one Python loop runs over
 the sites, and each step is a NumPy operation over all energies at once.
 Working memory is O(energies); no (sites x energies) array is formed unless
-the caller asks for the full solution rows.
+the caller asks for the full solution rows.  The backward recursion runs in
+complex128, or in clongdouble for precision = "extended", batched either way.
 
 The period-block products of the renormalized block chain are independent
 across blocks as well as energies: one Python loop runs over the q sites of a
@@ -23,14 +24,14 @@ RESCALE_THRESHOLD = 1e280
 RESCALE_SHIFT = 600
 
 
-def _energy_arrays(zeta, *values):
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+def _energy_arrays(zeta, *values, dtype=np.complex128):
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=dtype))
     return (zeta,) + tuple(
-        np.array(np.broadcast_to(np.asarray(v, dtype=np.complex128), zeta.shape)) for v in values
+        np.array(np.broadcast_to(np.asarray(v, dtype=dtype), zeta.shape)) for v in values
     )
 
 
-def jost_backward(a, b, zeta, u_top, u_second, rows=None):
+def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
     """Backward three-term recursion from the top boundary pair, per energy.
 
     a, b are site arrays indexed 0..m (b[0] is a placeholder); the recursion
@@ -43,8 +44,16 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
     whole solution u[0..m+1], every row on the final scale of its energy.
+
+    dtype is the working precision, np.complex128 or np.clongdouble; all
+    inputs are cast to it, and u0, u1 and rows come back in complex128.
     """
-    zeta, hi, lo = _energy_arrays(zeta, u_top, u_second)
+    zeta, hi, lo = _energy_arrays(zeta, u_top, u_second, dtype=dtype)
+    real = np.finfo(dtype).dtype
+    a, b = np.asarray(a, dtype=real), np.asarray(b, dtype=real)
+    out = rows
+    if rows is not None and rows.dtype != dtype:
+        rows = np.empty(rows.shape, dtype=dtype)
     m = a.shape[0] - 1
     scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
     factor = 2.0 ** (-RESCALE_SHIFT)
@@ -63,7 +72,9 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
             if rows is not None:
                 rows[n - 1 :, big] *= factor
         hi, lo = lo, new
-    return lo, hi, scale_log2
+    if out is not rows:
+        out[...] = rows
+    return np.asarray(lo, dtype=np.complex128), np.asarray(hi, dtype=np.complex128), scale_log2
 
 
 def strip_downward(a, b, zeta, m_start, n_from):
@@ -98,26 +109,3 @@ def period_products(a, b, zeta, q, n_blocks):
         t12 = -a[j - 1 : top : q, None] / a_k
         p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
     return p11, p12, p21, p22
-
-
-def jost_backward_longdouble(a, b, zeta, u_top, u_second):
-    """Extended-precision variant of the backward recursion at one energy.
-
-    Used when the precision switch requests it; accumulates in clongdouble
-    and rounds back to complex128.
-    """
-    m = a.shape[0] - 1
-    al = a.astype(np.longdouble)
-    bl = b.astype(np.longdouble)
-    z = np.clongdouble(zeta)
-    u = np.empty(m + 2, dtype=np.clongdouble)
-    u[m + 1] = u_top
-    u[m] = u_second
-    scale_log2 = 0
-    factor = np.longdouble(2.0) ** (-RESCALE_SHIFT)
-    for n in range(m, 0, -1):
-        u[n - 1] = -(al[n] * u[n + 1] + (bl[n] - z) * u[n]) / al[n - 1]
-        if abs(u[n - 1]) > RESCALE_THRESHOLD:
-            u[n - 1:] *= factor
-            scale_log2 += RESCALE_SHIFT
-    return u.astype(np.complex128), scale_log2

@@ -13,10 +13,6 @@ class CoefficientError(JostspecError):
     """A coefficient evaluation produced an inadmissible value (a_n <= 0)."""
 
 
-class SingularCoefficientError(JostspecError):
-    """Division by a vanishing off-diagonal coefficient."""
-
-
 class BandEdgeError(JostspecError):
     """Real energy sits on a band edge (|discriminant| = 2)."""
 

@@ -79,13 +79,10 @@ def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     if y == 0:
         raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
     a, b = work.coefficient_arrays(N * work.block.q)
-    if precision == "extended":
-        u, scale = _kernels.jost_backward_longdouble(a, b, complex(zeta), x, y)
-    else:
-        rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
-        _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows)
-        u, scale = rows.ravel(), scales[0]
-    return JostSolution(N=N, zeta=complex(zeta), u=u, z=fl.z, scale_log2=int(scale))
+    rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
+    dtype = np.clongdouble if precision == "extended" else np.complex128
+    _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows, dtype=dtype)
+    return JostSolution(N=N, zeta=complex(zeta), u=rows.ravel(), z=fl.z, scale_log2=int(scales[0]))
 
 
 def recursion_residuals(model, sol) -> np.ndarray:
@@ -156,16 +153,12 @@ def density_prefix(model, N, energies, precision="double"):
     a, b = work.coefficient_arrays(N * block.q)
     zeta = energies[:stop].astype(np.complex128)
     top, second = z[:stop] - d_val[:stop], c_val[:stop]
-    if precision == "extended":
-        runs = [_kernels.jost_backward_longdouble(a, b, *args) for args in zip(zeta, top, second)]
-        u0, scales = [u[0] for u, _ in runs], [scale for _, scale in runs]
-    else:
-        u0, _, scales = _kernels.jost_backward(a, b, zeta, top, second)
+    dtype = np.clongdouble if precision == "extended" else np.complex128
+    u0, _, scales = _kernels.jost_backward(a, b, zeta, top, second, dtype=dtype)
 
-    u0 = np.asarray(u0)
     zero = np.flatnonzero(u0 == 0)
     end = int(zero[0]) if zero.size else stop
-    values = _density_values(c_val[:end], z[:end].imag, block.a(0), u0[:end], np.asarray(scales[:end]))
+    values = _density_values(c_val[:end], z[:end].imag, block.a(0), u0[:end], scales[:end])
     if zero.size:
         return values, ZeroJostError(f"u_0(E) = 0 at E = {float(energies[end])}")
     return values, error
@@ -180,15 +173,32 @@ def ac_density(model, N, energy, precision="double"):
     return values[0]
 
 
+def _wronskian_terms(model, N, energies):
+    """Defect |Im(u_0 conj(u_1)) + C Im z| of the boundary identity and its
+    scale |u_0||u_1| + |C| at each real energy of a 1-D array, from one
+    real_floquet call and one recursion over all energies.  Raises the error
+    of the first failing energy, as jost_solution would."""
+    work = truncate(model, N)
+    _, z, c_val, d_val, fault = real_floquet(work.block, energies)
+    bad = np.flatnonzero((fault != 0) | (c_val == 0))
+    if bad.size:
+        i = int(bad[0])
+        if fault[i]:
+            raise floquet_error(int(fault[i]), float(energies[i]))
+        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {float(energies[i])}")
+    a, b = work.coefficient_arrays(N * work.block.q)
+    u0, u1, scale_log2 = _kernels.jost_backward(a, b, energies, z - d_val, c_val)
+    # Im(u_0 conj(u_1)) term by term, as Python's complex product forms it
+    cross = np.ldexp(u0.imag * u1.real - u0.real * u1.imag, 2 * scale_log2)
+    scale = np.ldexp(np.abs(u0) * np.abs(u1), 2 * scale_log2) + np.abs(c_val)
+    return np.abs(cross + c_val * z.imag), scale
+
+
 def wronskian_defect(model, N, energy):
-    """Residual of the boundary identity Im(u_0 conj(u_1)) = -C Im z."""
-    block = model.block
-    fl = floquet_eigenvalue(block, float(energy))
-    c_val = fl.eigvec[1].real
-    sol = jost_solution(model, N, float(energy))
-    cross = (sol.u0 * sol.u1.conjugate()).imag
-    cross = math.ldexp(cross, 2 * sol.scale_log2)
-    return abs(cross + c_val * fl.z.imag)
+    """Residual of the boundary identity Im(u_0 conj(u_1)) = -C Im z,
+    elementwise over a scalar or 1-D array of real energies."""
+    defect, _ = _wronskian_terms(model, N, np.atleast_1d(np.asarray(energy, dtype=np.float64)))
+    return float(defect[0]) if np.ndim(energy) == 0 else defect
 
 
 @dataclass(frozen=True, eq=False)

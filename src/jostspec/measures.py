@@ -63,7 +63,7 @@ def _tail_closure(block, zetas):
     Each point stops polishing at its own 1e-14 residual, so its value does
     not depend on the batch.  Raises the error of the first failing point, in
     order: Im zeta <= 0 (as oracle_green_11), no attracting root, a residual
-    >= 1e-13, Im m <= 0.
+    not below 1e-13, Im m not above 0 (a NaN fails the last two).
     """
     z = np.asarray(zetas, dtype=np.complex128)
     lower = z.imag <= 0
@@ -109,7 +109,8 @@ def _tail_closure(block, zetas):
             m[live] = m_next
             residual[live] = res
             live = live[~(res < 1e-14)]
-    bad = lower | no_root | (residual >= 1e-13) | (m.imag <= 0)
+    # written so that a NaN residual or Im m counts as a failure
+    bad = lower | no_root | ~(residual < 1e-13) | ~(m.imag > 0)
     if bad.any():
         i = int(np.argmax(bad))
         zeta = complex(z[i])
@@ -117,7 +118,7 @@ def _tail_closure(block, zetas):
             raise ValidationError("oracle_green_11 requires Im zeta > 0")
         if no_root[i]:
             raise OracleConvergenceError(f"no attracting fixed point at zeta = {zeta}; increase Im zeta")
-        if residual[i] >= 1e-13:
+        if not residual[i] < 1e-13:
             raise OracleConvergenceError(
                 f"fixed-point residual {residual[i]:.3e} at zeta = {zeta}; increase Im zeta"
             )

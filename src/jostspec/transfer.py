@@ -1,15 +1,16 @@
-"""Transfer-matrix algebra: one-step and period-block matrices, the
-discriminant and its Floquet branches, and the renormalized block chain
-(determinant-one blocks, their eigenbases, and the W_n connection matrices)
-used by the product representation and the certificates.
+"""Transfer-matrix algebra: the discriminant and its Floquet branches, and the
+renormalized block chain (determinant-one blocks, their eigenbases, and the
+W_n connection matrices) used by the product representation and the
+certificates.
 
-The discriminant, the Floquet data at real energies (real_floquet), the
-Floquet root split and the chain work elementwise over arrays of energies:
-chain_blocks and connection_entries hold the one implementation of the chain.
-connection_matrices (all W_n at once) and ChainWalk (a descending walk
-holding two blocks at a time) serve batched callers, and RenormChain,
-w_matrix and the real-axis floquet_eigenvalue are single-energy views.  The batched
-entry points raise the error the pointwise evaluation would raise first."""
+Everything here works elementwise over arrays of energies.  The chain takes
+its period products from _kernels.period_products; chain_blocks and
+connection_entries hold its one implementation, and two entry points serve
+callers: connection_matrices (every W_n at once) and ChainWalk (a descending
+walk holding two blocks at a time).  floquet_eigenvalue is the single-energy
+view of real_floquet on the real axis and of decaying_branch off it.  Each
+batched entry point raises the error of the first failing point in order,
+and its docstring states which fault of a point comes first."""
 
 from __future__ import annotations
 
@@ -23,22 +24,15 @@ from .errors import (
     DegenerateBranchError,
     DiagonalizationError,
     EigenvectorDegeneracyError,
-    SingularCoefficientError,
     ValidationError,
 )
 
 __all__ = [
-    "Matrix2C",
     "FloquetData",
-    "one_step",
-    "period_block_matrix",
     "discriminant",
     "discriminant_derivative",
     "floquet_eigenvalue",
     "floquet_eigenvector",
-    "renormalized_block",
-    "w_matrix",
-    "RenormChain",
 ]
 
 # Complex-step offset for derivatives at real energy: of the discriminant,
@@ -52,63 +46,6 @@ EDGE_TOL = 1e-12
 DERIV_TOL = 1e-9
 # Off the real axis, a larger root of modulus below 1 + this has no branch.
 COINCIDE_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Matrix2C:
-    """2x2 complex matrix with closed-form determinant bookkeeping."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self):
-        return self.m11 + self.m22
-
-    def __matmul__(self, other):
-        return Matrix2C(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def apply(self, vec):
-        x, y = vec
-        return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
-
-    def to_array(self):
-        return np.array(
-            [[self.m11, self.m12], [self.m21, self.m22]], dtype=np.complex128
-        )
-
-
-def one_step(model, n, zeta) -> Matrix2C:
-    """One-step transfer matrix mapping (psi_n, psi_{n-1}) to (psi_{n+1}, psi_n)."""
-    if n < 1:
-        raise ValidationError("one-step index must be >= 1")
-    a_n = model.a(n)
-    if a_n == 0.0:
-        raise SingularCoefficientError(f"a({n}) = 0")
-    a_prev = model.a(n - 1)
-    b_n = model.b(n)
-    return Matrix2C((zeta - b_n) / a_n, -a_prev / a_n, 1.0, 0.0)
-
-
-def period_block_matrix(model, n, zeta) -> Matrix2C:
-    """Product of q consecutive one-step matrices covering block n
-    (sites nq+1 .. (n+1)q, later factors multiplied from the left)."""
-    if n < 0:
-        raise ValidationError("block index must be >= 0")
-    q = model.block.q
-    a, b = model.coefficient_arrays((n + 1) * q)
-    lo, hi = n * q, (n + 1) * q + 1
-    entries = _kernels.period_products(a[lo:hi], b[lo:hi], complex(zeta), q, 1)
-    return Matrix2C(*(complex(p[0, 0]) for p in entries))
 
 
 def _background_period_matrix(block, zeta):
@@ -245,17 +182,6 @@ def floquet_eigenvector(block, zeta):
     return (x, y)
 
 
-def renormalized_block(model, n, zeta) -> Matrix2C:
-    """Determinant-one conjugation of block n by the boundary weights
-    diag(1, a_nq): entries [[A, a_(n+1)q B], [C/a_nq, (a_(n+1)q/a_nq) D]]."""
-    p = period_block_matrix(model, n, zeta)
-    q = model.block.q
-    a, _ = model.coefficient_arrays((n + 1) * q)
-    a_lo = a[n * q]
-    a_hi = a[(n + 1) * q]
-    return Matrix2C(p.m11, a_hi * p.m12, p.m21 / a_lo, (a_hi / a_lo) * p.m22)
-
-
 # Faults of the renormalized block chain, one code per energy (0 = none).
 # The first three arise while the blocks' eigen-data are computed; the last
 # two in the connection steps between adjacent blocks.
@@ -366,26 +292,20 @@ def connection_entries(prev, cur):
     return tuple(np.where(same, 0j, x) for x in w), ~same & (det == 0)
 
 
-def _pairs(u, lo, hi):
-    # (U_{n-1}^{-1}, U_n^{-1}) entry tuples for lo <= n < hi from (blocks, points) rows
-    return tuple(x[lo - 1 : hi - 1] for x in u), tuple(x[lo:hi] for x in u)
-
-
 def connection_matrices(model, n_blocks, zetas):
     """Entries (w11, w12, w21, w22) of W_1 .. W_(n_blocks-1) at every point of
     a 1-D sequence, each an (n_blocks - 1, points) array.
 
-    Raises the error that RenormChain and its w_entries, taken at one point
-    after another with n ascending, would raise first: the first failing
-    point in order; within it, a block without a usable eigenbasis (lowest
-    block) before a singular U_{n-1} (lowest n).
+    Raises the error of the first failing point in order; within it, a block
+    without a usable eigenbasis (lowest block) comes before a singular
+    U_{n-1} (lowest n).
     """
     if n_blocks < 1:
         raise ValidationError("need at least one block")
     q = model.block.q
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)
-    w, singular = connection_entries(*_pairs(u, 1, n_blocks))
+    w, singular = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
     _raise_first_fault(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
     return w
 
@@ -398,10 +318,10 @@ class ChainWalk:
     the entries of W_n, and the mask where W_n = 0 exactly (identical
     eigenbases).  Afterwards lam0 and u0 hold lambda_0 and the entries of
     U_0^{-1}, and kappa holds min_n |lambda_n|.  Then the walk raises the
-    error a walk at one point after another would raise first: the first
-    failing point in order; within it, a block without a usable eigenbasis
-    (lowest block) before a singular U_{n-1} or 1 + alpha_n = 0 (highest n,
-    and U_{n-1} before alpha_n, which is formed from its inverse).
+    error of the first failing point in order; within it, a block without a
+    usable eigenbasis (lowest block) comes before a singular U_{n-1} or
+    1 + alpha_n = 0 (highest n, and U_{n-1} before alpha_n, which is formed
+    from its inverse).
     """
 
     def __init__(self, model, n_blocks, zetas):
@@ -448,55 +368,5 @@ class ChainWalk:
 
 
 class RenormChain:
-    """Eigen-data of the renormalized transfer blocks 0..n_blocks-1 at one energy.
-
-    A single-energy view of chain_blocks: lam[n] is the larger-modulus
-    eigenvalue lambda_n of the determinant-one block n, u_inv(n) its
-    eigenvector matrix inverse U_n^{-1}.  At real energies the branch is
-    fixed by the sign of the trace derivative, evaluated by a complex step.
-    A block without a usable eigenbasis raises DiagonalizationError here,
-    for the lowest such block.
-    """
-
-    def __init__(self, model, n_blocks, zeta):
-        if n_blocks < 1:
-            raise ValidationError("need at least one block")
-        q = model.block.q
-        z = complex(zeta)
-        self.is_real = z.imag == 0.0
-        self.q = q
-        self.zeta = z
-        self.n_blocks = n_blocks
-        a, b = model.coefficient_arrays(n_blocks * q)
-        self.a_nq = a[0::q][: n_blocks + 1].copy()
-        lam, self._u, faults = chain_blocks(a, b, [z], q, 0, n_blocks)
-        _raise_first_fault([z], _lowest_fault(faults))
-        self.lam = lam[:, 0]
-
-    def u_inv(self, n):
-        """U_n^{-1} as a 2x2 array (columns are the block eigenvectors)."""
-        u11, u12, u21, u22 = (x[n, 0] for x in self._u)
-        return np.array([[u11, u12], [u21, u22]], dtype=np.complex128)
-
-    def w_entries(self, n):
-        """Entries of W_n = U_{n-1} U_n^{-1} - I for 1 <= n < n_blocks."""
-        if not (1 <= n < self.n_blocks):
-            raise ValidationError(f"W_n defined for 1 <= n < {self.n_blocks}")
-        w, singular = connection_entries(*_pairs(self._u, n, n + 1))
-        if singular[0, 0]:
-            raise _fault_error(SINGULAR_U, n - 1, self.zeta)
-        return tuple(complex(x[0, 0]) for x in w)
-
-    def w_norm_sq(self, n):
-        """||W_n||_F^2 for 1 <= n < n_blocks."""
-        return sum(abs(x) ** 2 for x in self.w_entries(n))
-
-
-def w_matrix(model, n, zeta) -> Matrix2C:
-    """Connection matrix W_n = U_{n-1} U_n^{-1} - I between adjacent block
-    eigenbases; vanishes identically for q-periodic coefficients."""
-    if n < 1:
-        raise ValidationError("W_n is defined for n >= 1")
-    chain = RenormChain(model, n + 1, zeta)
-    w11, w12, w21, w22 = chain.w_entries(n)
-    return Matrix2C(w11, w12, w21, w22)
+    """Empty: perfbench/tracer.py still traces RenormChain.__init__ and fails
+    if the class is gone.  Delete it together with that trace target."""

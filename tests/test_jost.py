@@ -3,6 +3,7 @@ import pytest
 
 import jostspec as js
 from conftest import random_block
+from jostspec import jost
 from jostspec.errors import BandEdgeError
 
 
@@ -72,6 +73,9 @@ def test_density_outside_band_interior(free_model):
 
 def test_wronskian_identity_free(free_model):
     assert js.wronskian_defect(free_model, 5, 0.0) < 1e-14
+    energies = np.array([-1.5, 0.0, 0.7])
+    batch = js.wronskian_defect(free_model, 5, energies)
+    assert batch.tolist() == [js.wronskian_defect(free_model, 5, e) for e in energies]
 
 
 def test_wronskian_identity_randomized():
@@ -91,10 +95,8 @@ def test_wronskian_identity_randomized():
         model = js.make_model(block, pert)
         energy = rng.uniform(iv.lo, iv.hi)
         n_trunc = support // 3 + 3
-        sol = js.jost_solution(model, n_trunc, energy)
-        c_val = js.floquet_eigenvalue(block, energy).eigvec[1].real
-        scale = abs(sol.u0) * abs(sol.u1) + abs(c_val)
-        worst = max(worst, js.wronskian_defect(model, n_trunc, energy) / scale)
+        defect, scale = jost._wronskian_terms(model, n_trunc, np.array([energy]))
+        worst = max(worst, float(defect[0] / scale[0]))
     assert worst < 1e-9
 
 
@@ -154,6 +156,34 @@ def test_extended_precision_matches_double(acceptance_suite):
         assert abs(g_double - g_extended) < 1e-12 * abs(g_double)
     d = js.ac_density(model, n_trunc, iv.midpoint(), precision="extended")
     assert d == pytest.approx(js.ac_density(model, n_trunc, iv.midpoint()), rel=1e-12)
+
+
+def test_extended_precision_against_50_digit_recursion():
+    # The same backward recursion in 50-digit arithmetic from the same float64
+    # boundary pair, so the working precision is the only difference.
+    mpmath = pytest.importorskip("mpmath")
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+    iv = js.widest_interval(js.admissible_intervals(block, margin=0.1))
+    N = 1000
+    a, b = js.truncate(model, N).coefficient_arrays(N * block.q)
+    worst_extended = worst_double = 0.0
+    with mpmath.workdps(50):
+        am = [mpmath.mpf(float(x)) for x in a]
+        bm = [mpmath.mpf(float(x)) for x in b]
+        for energy in (iv.lo + 0.2 * iv.width, iv.midpoint(), iv.lo + 0.8 * iv.width):
+            fl = js.floquet_eigenvalue(block, energy)
+            hi, lo = (mpmath.mpc(v) for v in fl.eigvec)
+            for n in range(len(am) - 1, 0, -1):
+                hi, lo = lo, -(am[n] * hi + (bm[n] - energy) * lo) / am[n - 1]
+            c_val = fl.eigvec[1].real
+            ref = abs(mpmath.mpf(c_val) * fl.z.imag) / (mpmath.pi * abs(block.a(0)) * abs(lo) ** 2)
+            extended = js.ac_density(model, N, energy, precision="extended")
+            double = js.ac_density(model, N, energy)
+            worst_extended = max(worst_extended, float(abs(extended - ref) / ref))
+            worst_double = max(worst_double, float(abs(double - ref) / ref))
+    assert worst_extended <= 1e-15
+    assert worst_extended < worst_double
 
 
 def test_kappa_exceeds_one_on_strip(free_model):

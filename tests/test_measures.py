@@ -274,3 +274,14 @@ def test_extended_precision_through_the_batched_setup():
     value = js.entropy_integral(model, 40, iv, quad_order=32)
     extended = js.entropy_integral(model, 40, iv, quad_order=32, precision="extended")
     assert extended == pytest.approx(value, rel=1e-12)
+
+
+def test_overflowing_tail_closure_raises():
+    # Far out on the axis the period product overflows and the fixed point
+    # comes out NaN; the NaN residual must fail the closure on both entry
+    # points instead of passing through as nan+nanj.
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    with pytest.raises(OracleConvergenceError, match="residual nan"):
+        js.tail_m_function(block, 1e100 + 0.001j)
+    with pytest.raises(OracleConvergenceError, match="residual nan"):
+        js.oracle_green_11(js.make_model(block), 3, 1e100 + 0.001j)

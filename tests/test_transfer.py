@@ -1,57 +1,73 @@
+"""Transfer algebra: the period products of _kernels.period_products, the
+discriminant and its Floquet branches, and the renormalized block chain at
+single points."""
+
 import numpy as np
 import pytest
 
 import jostspec as js
 from conftest import random_block
-from jostspec.errors import BandEdgeError, ValidationError
+from jostspec import _kernels, transfer
+from jostspec.errors import BandEdgeError
+
+
+def period_matrices(model, zeta, q, n_blocks):
+    """Blocks 0 .. n_blocks-1 of q one-step matrices each at one energy, as an
+    (n_blocks, 2, 2) array; q = 1 gives the one-step matrices T_1, T_2, ..."""
+    a, b = model.coefficient_arrays(n_blocks * q)
+    entries = [p[:, 0] for p in _kernels.period_products(a, b, zeta, q, n_blocks)]
+    return np.stack(entries, axis=-1).reshape(n_blocks, 2, 2)
+
+
+def unit_det_blocks(model, zeta, n_blocks):
+    """The blocks conjugated by the boundary weights: diag(1, 1/a_nq) P_n
+    diag(1, a_(n+1)q), of determinant one."""
+    q = model.block.q
+    a_nq = model.coefficient_arrays(n_blocks * q)[0][::q]
+    p = period_matrices(model, zeta, q, n_blocks)
+    p[:, 1, :] /= a_nq[:-1, None]
+    p[:, :, 1] *= a_nq[1:, None]
+    return p
+
+
+def det2(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def test_one_step_free(free_model):
-    m = js.one_step(free_model, 3, 0.0)
-    assert (m.m11, m.m12, m.m21, m.m22) == (0.0, -1.0, 1.0, 0.0)
-    mi = js.one_step(free_model, 3, 1j)
-    assert (mi.m11, mi.m12, mi.m21, mi.m22) == (1j, -1.0, 1.0, 0.0)
+    assert period_matrices(free_model, 0.0, 1, 3)[2].tolist() == [[0.0, -1.0], [1.0, 0.0]]
+    assert period_matrices(free_model, 1j, 1, 3)[2].tolist() == [[1j, -1.0], [1.0, 0.0]]
 
 
 def test_one_step_determinant_closed_form():
     block = js.periodic_block(2, [1.0, 2.0], [0.0, 0.0])
     model = js.make_model(block)
     # n = 2: a(1) = 1, a(2) = 2
-    m = js.one_step(model, 2, 0.37)
-    assert m.det() == 0.5
+    assert det2(period_matrices(model, 0.37, 1, 2)[1]) == 0.5
+    steps = period_matrices(model, 0.41, 1, 8)
     for n in range(1, 9):
-        step = js.one_step(model, n, 0.41)
-        assert step.det() == pytest.approx(model.a(n - 1) / model.a(n), rel=1e-15)
-
-
-def test_one_step_rejects_bad_index(free_model):
-    with pytest.raises(ValidationError):
-        js.one_step(free_model, 0, 0.0)
+        assert det2(steps[n - 1]) == pytest.approx(model.a(n - 1) / model.a(n), rel=1e-15)
 
 
 def test_period_block_free(free_model):
     for energy in (-1.3, 0.0, 0.9):
-        m = js.period_block_matrix(free_model, 0, energy)
-        assert (m.m11, m.m12, m.m21, m.m22) == (energy, -1.0, 1.0, 0.0)
+        assert period_matrices(free_model, energy, 1, 1)[0].tolist() == [[energy, -1.0], [1.0, 0.0]]
 
 
 def test_period_block_two_step_product():
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
     model = js.make_model(block)
     for energy in np.linspace(-1.8, 1.8, 7):
-        m = js.period_block_matrix(model, 0, energy)
-        assert m.m11 == pytest.approx(energy**2 - 1, abs=1e-13)
-        assert m.m12 == pytest.approx(-energy, abs=1e-13)
-        assert m.m21 == pytest.approx(energy, abs=1e-13)
-        assert m.m22 == pytest.approx(-1.0, abs=1e-13)
+        m = period_matrices(model, energy, 2, 1)[0]
+        want = [[energy**2 - 1, -energy], [energy, -1.0]]
+        np.testing.assert_allclose(m, want, rtol=0, atol=1e-13)
 
 
 def test_period_block_unperturbed_det_is_one():
     block = js.periodic_block(2, [1.0, 2.0], [0.0, 0.0])
-    model = js.make_model(block)
+    blocks = period_matrices(js.make_model(block), 0.7 + 0.2j, 2, 6)
     for n in (0, 1, 5):
-        det = js.period_block_matrix(model, n, 0.7 + 0.2j).det()
-        assert det == pytest.approx(1.0, abs=1e-12)
+        assert det2(blocks[n]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_period_block_det_boundary_ratio():
@@ -59,19 +75,20 @@ def test_period_block_det_boundary_ratio():
     pert = js.PerturbationSpec.finite(alpha=[0.1, -0.05, 0.07, 0.02], beta=[0.2])
     model = js.make_model(block, pert)
     q = block.q
+    zeta = 0.5 + 0.3j
+    blocks = period_matrices(model, zeta, q, 3)
     for n in (0, 1, 2):
-        det = js.period_block_matrix(model, n, 0.5 + 0.3j).det()
         expected = model.a(n * q) / model.a((n + 1) * q)
-        assert det == pytest.approx(expected, rel=1e-12)
+        assert det2(blocks[n]) == pytest.approx(expected, rel=1e-12)
     # a block past the first few is the product of its own one-step matrices
     decaying = js.make_model(block, js.PerturbationSpec.power(c=0.4, s=0.5, gamma=0.3, target="both"))
     for m in (model, decaying):
+        blocks, steps = period_matrices(m, zeta, q, 6), period_matrices(m, zeta, 1, 6 * q)
         for n in (3, 5):
-            product = js.one_step(m, n * q + 1, 0.5 + 0.3j)
+            product = steps[n * q]
             for k in range(n * q + 2, (n + 1) * q + 1):
-                product = js.one_step(m, k, 0.5 + 0.3j) @ product
-            block_n = js.period_block_matrix(m, n, 0.5 + 0.3j)
-            np.testing.assert_allclose(block_n.to_array(), product.to_array(), rtol=1e-14, atol=0)
+                product = steps[k - 1] @ product
+            np.testing.assert_allclose(blocks[n], product, rtol=1e-14, atol=0)
 
 
 def test_discriminant_free(free_block):
@@ -148,8 +165,7 @@ def test_floquet_eigenvector_residual():
         for zeta in (0.3 + 0.2j, -0.5 + 0.05j, 1.1 + 0.4j):
             data = js.floquet_eigenvalue(block, zeta)
             x, y = data.eigvec
-            p = js.period_block_matrix(js.make_model(block), 0, zeta)
-            rx, ry = p.apply((x, y))
+            rx, ry = period_matrices(js.make_model(block), zeta, q, 1)[0] @ [x, y]
             norm = np.hypot(abs(x), abs(y))
             assert abs(rx - data.z * x) < 1e-10 * norm
             assert abs(ry - data.z * y) < 1e-10 * norm
@@ -167,15 +183,24 @@ def test_floquet_eigenvector_two_periodic_real():
 def test_renormalized_block_det_and_trace():
     block = js.periodic_block(2, [1.0, 2.0], [0.1, -0.3])
     model = js.make_model(block, js.PerturbationSpec.finite(alpha=[0.1, -0.05], beta=[0.2]))
-    for n in (0, 1, 3):
-        for zeta in (0.4 + 0.1j, 1.5 + 0.01j):
-            p = js.renormalized_block(model, n, zeta)
-            assert p.det() == pytest.approx(1.0, abs=1e-12)
+    a, b = model.coefficient_arrays(8)
+    for zeta in (0.4 + 0.1j, 1.5 + 0.01j):
+        blocks = unit_det_blocks(model, zeta, 4)
+        lam, _, faults = transfer.chain_blocks(a, b, [zeta], 2, 0, 4)
+        assert not faults.any()
+        for n in (0, 1, 3):
+            assert det2(blocks[n]) == pytest.approx(1.0, abs=1e-12)
+            # with det 1, lambda_n and 1/lambda_n are the block's eigenvalues
+            lam_n = lam[n, 0]
+            assert lam_n + 1.0 / lam_n == pytest.approx(np.trace(blocks[n]), abs=1e-12)
     # zero perturbation: similarity preserves the discriminant
     clean = js.make_model(block)
+    a, b = clean.coefficient_arrays(6)
     for zeta in (0.4 + 0.1j, -1.2 + 0.3j):
-        tr = js.renormalized_block(clean, 2, zeta).trace()
-        assert tr == pytest.approx(js.discriminant(block, zeta), abs=1e-12)
+        lam, _, _ = transfer.chain_blocks(a, b, [zeta], 2, 2, 1)
+        delta = js.discriminant(block, zeta)
+        assert lam[0, 0] + 1.0 / lam[0, 0] == pytest.approx(delta, abs=1e-12)
+        assert np.trace(unit_det_blocks(clean, zeta, 3)[2]) == pytest.approx(delta, abs=1e-12)
 
 
 def test_renormalized_block_tail_bitexact_beyond_support():
@@ -184,27 +209,27 @@ def test_renormalized_block_tail_bitexact_beyond_support():
     perturbed = js.make_model(block, pert)
     clean = js.make_model(block)
     for zeta in (0.5 + 0.2j, 1.1 + 0.05j):
-        p = js.renormalized_block(perturbed, 10, zeta)
-        c = js.renormalized_block(clean, 10, zeta)
-        assert (p.m11, p.m12, p.m21, p.m22) == (c.m11, c.m12, c.m21, c.m22)
+        p = unit_det_blocks(perturbed, zeta, 11)[10]
+        c = unit_det_blocks(clean, zeta, 11)[10]
+        assert p.tolist() == c.tolist()
+        lam_p, u_p, _ = transfer.chain_blocks(*perturbed.coefficient_arrays(22), [zeta], 2, 10, 1)
+        lam_c, u_c, _ = transfer.chain_blocks(*clean.coefficient_arrays(22), [zeta], 2, 10, 1)
+        assert lam_p.tolist() == lam_c.tolist()
+        assert [x.tolist() for x in u_p] == [x.tolist() for x in u_c]
 
 
-def test_w_matrix_vanishes_without_perturbation():
+def test_connection_matrices_vanish_without_perturbation():
     block = js.periodic_block(2, [1.0, 1.7], [0.2, -0.4])
-    model = js.make_model(block)
-    for n in (1, 2, 6):
-        w = js.w_matrix(model, n, 0.8 + 0.05j)
-        assert max(abs(w.m11), abs(w.m12), abs(w.m21), abs(w.m22)) < 1e-12
+    w = transfer.connection_matrices(js.make_model(block), 7, [0.8 + 0.05j])
+    assert np.max(np.abs(w)) < 1e-12
 
 
-def test_w_matrix_scales_linearly_with_perturbation(free_block):
+def test_connection_matrix_scales_linearly_with_perturbation(free_block):
     def w_norm(delta):
         pert = js.PerturbationSpec.finite(beta=[0.0, 0.0, delta])
-        model = js.make_model(free_block, pert)
-        w = js.w_matrix(model, 3, 0.4 + 0.05j)
-        return np.sqrt(
-            abs(w.m11) ** 2 + abs(w.m12) ** 2 + abs(w.m21) ** 2 + abs(w.m22) ** 2
-        )
+        w = transfer.connection_matrices(js.make_model(free_block, pert), 4, [0.4 + 0.05j])
+        # W_3
+        return np.sqrt(sum(abs(x[2, 0]) ** 2 for x in w))
 
     ratio = w_norm(1e-4) / w_norm(5e-5)
     assert 1.6 < ratio < 2.4
@@ -214,15 +239,11 @@ def test_w_norms_square_summable_for_l2_family(free_block):
     model = js.make_model(
         free_block, js.PerturbationSpec.power(c=0.6, s=0.5, gamma=0.2)
     )
-    chain = js.RenormChain(model, 513, 0.4 + 0.05j)
-    sums = {}
-    running, next_mark = 0.0, 32
-    for n in range(1, 513):
-        running += chain.w_norm_sq(n)
-        if n == next_mark:
-            sums[n] = running
-            next_mark *= 2
+    w = transfer.connection_matrices(model, 513, [0.4 + 0.05j])
+    # partial sums of ||W_n||_F^2 up to n = 32, 64, ..., 512
+    running = np.cumsum(sum(np.abs(x[:, 0]) ** 2 for x in w))
+    sums = running[[31, 63, 127, 255, 511]]
     # Cauchy along doubling ranges: increments shrink overall and stay small
-    increments = np.diff(list(sums.values()))
+    increments = np.diff(sums)
     assert increments[-1] < increments[0]
     assert all(inc < 0.05 for inc in increments)
