@@ -4,7 +4,10 @@ spectral moments.
 
 The stripping oracle and the key-formula density are deliberately disjoint
 algorithms (different recursion direction, different tail treatment); their
-agreement is the package's central cross-check.
+agreement is the package's central cross-check.  On the real axis the oracle
+takes the tail's boundary value from the Mobius fixed-point quadratic and
+strips down at real energy, where Im m_{n-1} = a_n^2 Im m_n / |w|^2 keeps
+relative accuracy at any density scale.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .coefficients import truncate
 from .errors import (
+    BandEdgeError,
     DensityDomainError,
     OracleConvergenceError,
     ValidationError,
@@ -32,13 +36,6 @@ __all__ = [
     "entropy_integral",
     "moment",
 ]
-
-# Richardson extrapolation offsets for boundary values of the oracle.
-# Three points with polynomial extrapolation to 0: the exact periodic-tail
-# closure makes small offsets free, and the quadratic term of Im G in the
-# offset otherwise dominates the density error for strong perturbations.
-RICHARDSON_EPS = (1e-3, 1e-4, 1e-5)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityCurve:
@@ -58,15 +55,21 @@ class DensityCurve:
 
 
 def _tail_closure(block, zetas):
-    """tail_m_function at every point of a 1-D complex array, batched.
+    """tail_m_function at every point of a 1-D complex array, batched, and
+    its boundary value at real band-interior energies.
 
-    Each point stops polishing at its own 1e-14 residual, so its value does
-    not depend on the batch.  Raises the error of the first failing point, in
-    order: Im zeta <= 0 (as oracle_green_11), no attracting root, a residual
-    not below 1e-13, Im m not above 0 (a NaN fails the last two).
+    At Im zeta = 0 inside a band the fixed-point quadratic has real
+    coefficients and a conjugate pair of roots; the tail is the one with
+    Im m > 0, taken as it is.  Off the axis each point stops polishing at its
+    own 1e-14 residual, so its value does not depend on the batch.  Raises the
+    error of the first failing point, in order: Im zeta < 0, Im zeta = 0
+    outside a band interior (the quadratic's discriminant not below 0), no
+    attracting root, a residual not below 1e-13, Im m not above 0 (a NaN
+    fails the last three).
     """
     z = np.asarray(zetas, dtype=np.complex128)
-    lower = z.imag <= 0
+    lower = z.imag < 0
+    real = z.imag == 0
     det_g = math.prod(ak * ak for ak in block.a_bg)
     with np.errstate(all="ignore"):
         # Mobius matrix of the q stripping steps [[0, 1], [-a_k^2, b_k - zeta]]
@@ -77,7 +80,8 @@ def _tail_closure(block, zetas):
             g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
         # g21 m^2 + (g22 - g11) m - g12 = 0, solved cancellation-free
         bb = g22 - g11
-        s = np.sqrt(bb * bb + 4.0 * g21 * g12)
+        disc = bb * bb + 4.0 * g21 * g12
+        s = np.sqrt(disc)
         top = -np.where(np.abs(bb + s) >= np.abs(bb - s), bb + s, bb - s)
         tiny = np.abs(g21) < 1e-300
         single = tiny | (top == 0)
@@ -92,11 +96,13 @@ def _tail_closure(block, zetas):
         ratio1, ratio2 = ratio(r1), ratio(r2)
         ok1 = ratio1 < 1.0
         take2 = ~single & (ratio2 < 1.0) & (~ok1 | (ratio2 < ratio1))
-        no_root = ~ok1 & ~take2
-        m = np.where(take2, r2, r1)
+        no_root = ~real & ~ok1 & ~take2
+        # on the axis inside a band the roots are a conjugate pair: Im m > 0
+        outside = real & ~(disc.real < 0)
+        m = np.where(real, np.where(r1.imag > 0, r1, r2), np.where(take2, r2, r1))
 
-        residual = np.full(z.shape, np.inf)
-        live = np.flatnonzero(~lower & ~no_root)
+        residual = np.where(real, 0.0, np.inf)
+        live = np.flatnonzero(~lower & ~real & ~no_root)
         for _ in range(100):
             if not live.size:
                 break
@@ -110,12 +116,14 @@ def _tail_closure(block, zetas):
             residual[live] = res
             live = live[~(res < 1e-14)]
     # written so that a NaN residual or Im m counts as a failure
-    bad = lower | no_root | ~(residual < 1e-13) | ~(m.imag > 0)
+    bad = lower | outside | no_root | ~(residual < 1e-13) | ~(m.imag > 0)
     if bad.any():
         i = int(np.argmax(bad))
         zeta = complex(z[i])
         if lower[i]:
-            raise ValidationError("oracle_green_11 requires Im zeta > 0")
+            raise ValidationError(f"Im zeta < 0 at zeta = {zeta}")
+        if outside[i]:
+            raise BandEdgeError(f"E = {zeta.real} is not in a band interior")
         if no_root[i]:
             raise OracleConvergenceError(f"no attracting fixed point at zeta = {zeta}; increase Im zeta")
         if not residual[i] < 1e-13:
@@ -142,8 +150,9 @@ def tail_m_function(block, zeta):
 
 
 def _oracle_values(model, N, zetas):
-    """oracle_green_11 at every zeta: one batched periodic-tail closure, then
-    one stripping pass over all of them."""
+    """oracle_green_11 at every zeta, and its boundary value at real
+    band-interior energies: one batched periodic-tail closure, then one
+    stripping pass over all of them."""
     work = truncate(model, N)
     zetas = np.asarray(zetas, dtype=np.complex128)
     tails = _tail_closure(work.block, zetas)
@@ -158,27 +167,20 @@ def oracle_green_11(model, N, zeta):
     """Boundary Green's value of the truncated operator by coefficient
     stripping: exact periodic tail at depth (N-1)q, then one stripping step
     per perturbed site down to the boundary."""
-    return complex(_oracle_values(model, N, [complex(zeta)])[0])
-
-
-def _extrapolation_weights(offsets):
-    weights = []
-    for i, xi in enumerate(offsets):
-        w = 1.0
-        for j, xj in enumerate(offsets):
-            if j != i:
-                w *= xj / (xj - xi)
-        weights.append(w)
-    return weights
+    zeta = complex(zeta)
+    if zeta.imag <= 0:
+        raise ValidationError("oracle_green_11 requires Im zeta > 0")
+    return complex(_oracle_values(model, N, [zeta])[0])
 
 
 def density_curve(model, N, interval, grid_points, method="key_formula", precision="double"):
     """Density samples on a uniform grid over an admissible interval.
 
     method 'key_formula' evaluates the boundary-value density directly;
-    'oracle' takes (1/pi) Im of the stripping resolvent at the Richardson
-    offsets and extrapolates polynomially to the real axis.  Either way the
-    site recursion runs once for the whole grid.
+    'oracle' takes (1/pi) Im of the stripping resolvent on the real axis,
+    from the periodic tail's boundary value in the band.  Either way the site
+    recursion runs once for the whole grid, and the first energy outside a
+    band interior raises BandEdgeError.
     """
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
@@ -190,17 +192,7 @@ def density_curve(model, N, interval, grid_points, method="key_formula", precisi
             raise error
         vals = np.array(values)
     elif method == "oracle":
-        offsets = RICHARDSON_EPS
-        weights = _extrapolation_weights(offsets)
-        zetas = np.empty((len(grid), len(offsets)), dtype=np.complex128)
-        zetas.real = grid[:, None]
-        zetas.imag = offsets
-        green = _oracle_values(model, N, zetas.ravel()).reshape(zetas.shape)
-        vals = np.zeros(len(grid))
-        for column, w in zip(green.T, weights):
-            vals += w * column.imag / math.pi
-        # extrapolation may undershoot zero by its own error budget
-        vals = np.where(vals > 0, vals, 0.0)
+        vals = _oracle_values(model, N, grid).imag / math.pi
     else:
         raise ValidationError(f"unknown density method {method!r}")
     meta = {"model": model.fingerprint(), "N": int(N), "method": method}

@@ -129,6 +129,71 @@ def test_compare_perturbed_passes_tolerance(tmp_path):
     assert max(float(r[3]) for r in rows) < 1e-5
 
 
+# A q = 2 random model whose upper band has a sharp density peak near its
+# edge, at E ~ 2.4553: boundary values extrapolated from Im zeta >= 1e-5 are
+# off there by 3.2e-5 relative.
+PEAKED_CONFIG = """\
+[block]
+q = 2
+a = 0.767690000632964, 1.566578120598905
+b = 0.04801344611576297, 0.3286731570597735
+
+[perturbation]
+kind = finite_list
+alpha = 0.003589449153319699, 0.013705382924763131, -0.057252201359362036, -0.03847125767921969, \
+0.021457168334703427, 0.008667477799490916, -0.041939821787978074, 0.05552293593512369, \
+-0.04245588160775438, 0.001265552287746069, -0.04372726929628791, 0.0266998560883334, \
+-0.027475561976140483, -0.04493947021925412, -0.0557665762493481, -0.039940080978750514, \
+-0.0378564869365705, 0.004541295326379434, -0.006013913200972054, 0.05616965009381103
+beta = 0.10899632084799418, 0.07117106651242328, 0.04118103215536881, 0.08280554197640314, \
+0.10530043883517229, -0.11457174506711934, -0.0916547454837939, -0.033536667675925655, \
+-0.09753915526977606, 0.02388587353278651, -0.05751258663645393, -0.05655846500824188, \
+-0.05080128272451226, -0.09654824217974639, 0.05782666877715814, 0.036161383103916034, \
+0.025561941753902973, -0.11182906025333389, -0.016928605286669396, 0.04444886157596223
+
+[experiment]
+N = 13
+grid_points = 200
+margin = 0.05
+"""
+
+BASELINE_CONFIG = """\
+[block]
+q = 2
+a = 1.0, 1.4
+b = 0.1, -0.2
+
+[perturbation]
+kind = power_decay_oscillatory
+c = 0.8
+s = 0.5
+gamma = 0.2
+target = b
+
+[experiment]
+grid_points = 200
+margin = 0.1
+"""
+
+
+@pytest.mark.parametrize(
+    "config, n",
+    [
+        pytest.param(PEAKED_CONFIG, 13, id="peaked-N13"),
+        # densities down to 1.6e-11 (N = 40) and 1.95e-143 (N = 1000)
+        pytest.param(BASELINE_CONFIG, 40, id="baseline-N40"),
+        pytest.param(BASELINE_CONFIG, 1000, id="baseline-N1000"),
+    ],
+)
+def test_compare_agrees_at_any_density_scale(tmp_path, config, n):
+    cfg = _write(tmp_path, config)
+    code = run(str(cfg), overrides=[f"experiment.N={n}"], experiment="compare", out_dir=str(tmp_path / "out"))
+    assert code == 0
+    _, rows = _rows(tmp_path / "out" / "compare.csv")
+    assert len(rows) == 200
+    assert max(float(r[3]) for r in rows) <= 1e-11
+
+
 def test_compare_exit_3_when_tolerance_unreachable(tmp_path):
     cfg = _write(tmp_path, PERTURBED_CONFIG)
     code = run(

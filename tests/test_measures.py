@@ -204,13 +204,16 @@ def test_tail_of_a_point_does_not_depend_on_its_batch():
     rng = np.random.default_rng(43)
     block = random_block(rng, 3)
     # 200 energies over the bands, as close as 0.004 to an edge, where the
-    # polishing takes from 1 to 99 passes
+    # polishing takes from 1 to 99 passes; the real-axis points take none
     intervals = js.admissible_intervals(block, margin=0.004)
     energies = np.concatenate([np.linspace(iv.lo, iv.hi, 67) for iv in intervals])[:200]
-    zetas = [complex(e, y) for e in energies for y in measures.RICHARDSON_EPS]
+    zetas = [complex(e, y) for e in energies for y in (1e-3, 0.0, 1e-4, 1e-5)]
     batch = measures._tail_closure(block, zetas)
-    assert batch.shape == (600,)
-    assert batch.tolist() == [js.tail_m_function(block, z) for z in zetas]
+    assert batch.shape == (800,)
+    alone = [
+        js.tail_m_function(block, z) if z.imag else complex(measures._tail_closure(block, [z])[0]) for z in zetas
+    ]
+    assert batch.tolist() == alone
 
 
 # Error order: a batched evaluation raises what a loop over its points would
@@ -221,12 +224,25 @@ def test_tail_of_a_point_does_not_depend_on_its_batch():
 FLAT_BLOCK = js.periodic_block(2, [1e5, 1e5], [0.0, 0.0])
 
 
-def test_key_formula_raises_the_first_failing_energy(free_model):
-    # passing energies, then a flat-derivative one, then the band edge
-    with pytest.raises(DegenerateBranchError, match=r"^discriminant derivative vanishes at E = -4\.0$"):
-        js.density_curve(js.make_model(FLAT_BLOCK), 3, (-12.0, 0.0), 4)
+@pytest.mark.parametrize(
+    "method, flat_error, flat_message",
+    [
+        # passing energies, then a flat-derivative one, then the band edge
+        pytest.param(
+            "key_formula",
+            DegenerateBranchError,
+            r"^discriminant derivative vanishes at E = -4\.0$",
+            id="key_formula",
+        ),
+        # the oracle needs no derivative: passing energies, then the band edge
+        pytest.param("oracle", BandEdgeError, r"^E = 0\.0 is not in a band interior$", id="oracle"),
+    ],
+)
+def test_key_formula_raises_the_first_failing_energy(free_model, method, flat_error, flat_message):
+    with pytest.raises(flat_error, match=flat_message):
+        js.density_curve(js.make_model(FLAT_BLOCK), 3, (-12.0, 0.0), 4, method=method)
     with pytest.raises(BandEdgeError, match=r"^E = 2\.0 is not in a band interior$"):
-        js.density_curve(free_model, 3, (0.0, 3.0), 7)
+        js.density_curve(free_model, 3, (0.0, 3.0), 7, method=method)
 
 
 def test_entropy_raises_the_first_failing_node():
@@ -245,15 +261,19 @@ def test_entropy_raises_the_first_failing_node():
 
 def test_oracle_raises_the_first_failing_point(free_block):
     # beyond |zeta| ~ 1e154 the period product overflows: the q = 2 closure
-    # finds no attracting root, the q = 1 closure underflows to Im m = 0
+    # finds no attracting root, the q = 1 closure underflows to Im m = 0;
+    # E = 0 lies in the gap of the q = 2 block, E = 0.5 in its upper band
     model = js.make_model(js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]))
     no_root = r"^no attracting fixed point at zeta = \(5e\+199\+0\.001j\); increase Im zeta$"
-    with pytest.raises(OracleConvergenceError, match=no_root):
+    gap = r"^E = 0\.0 is not in a band interior$"
+    with pytest.raises(BandEdgeError, match=gap):
         js.density_curve(model, 3, (0.0, 1e200), 3, method="oracle")
     with pytest.raises(OracleConvergenceError, match=no_root):
-        measures._oracle_values(model, 3, [0.3 + 1e-3j, 5e199 + 1e-3j, 0.5 + 0j])
-    with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
-        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 5e199 + 1e-3j])
+        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 5e199 + 1e-3j, 0j])
+    with pytest.raises(BandEdgeError, match=gap):
+        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 0j, 5e199 + 1e-3j])
+    with pytest.raises(ValidationError, match=r"^Im zeta < 0 at zeta = \(0\.5-0\.001j\)$"):
+        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 - 1e-3j, 0j, 5e199 + 1e-3j])
     with pytest.raises(OracleConvergenceError, match=no_root):
         js.oracle_green_11(model, 3, 5e199 + 1e-3j)
     with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
@@ -285,3 +305,75 @@ def test_overflowing_tail_closure_raises():
         js.tail_m_function(block, 1e100 + 0.001j)
     with pytest.raises(OracleConvergenceError, match="residual nan"):
         js.oracle_green_11(js.make_model(block), 3, 1e100 + 0.001j)
+
+
+BASELINE_BLOCK = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+POWER = js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
+
+
+def reference_real_axis_green(mpmath, model, N, energy):
+    """G(1,1) at a real band-interior energy in 50-digit arithmetic: the
+    Im m > 0 root of the periodic tail's fixed-point quadratic, then
+    coefficient stripping down to the boundary."""
+    work = js.truncate(model, N)
+    block = work.block
+    depth = (N - 1) * block.q
+    a, b = work.coefficient_arrays(depth)
+    with mpmath.workdps(50):
+        e = mpmath.mpf(float(energy))
+        g11, g12, g21, g22 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for k in range(1, block.q + 1):
+            f21 = -mpmath.mpf(float(block.a(k))) ** 2
+            f22 = mpmath.mpf(float(block.b(k))) - e
+            g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
+        bb = g22 - g11
+        disc = bb * bb + 4 * g21 * g12
+        assert disc < 0
+        m = mpmath.mpc(-bb, mpmath.sqrt(-disc)) / (2 * g21)
+        if m.imag < 0:
+            m = mpmath.conj(m)
+        for n in range(depth, 0, -1):
+            m = 1 / (mpmath.mpf(float(b[n])) - e - mpmath.mpf(float(a[n])) ** 2 * m)
+        return m
+
+
+def test_real_axis_oracle_and_key_formula_against_50_digit_stripping():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    worst_key = worst_oracle = 0.0
+    for q in (1, 2, 3):
+        block = random_block(rng, q)
+        model = js.make_model(block, POWER)
+        iv = js.widest_interval(js.admissible_intervals(block, margin=0.1))
+        energies = [iv.lo + 0.2 * iv.width, iv.midpoint(), iv.lo + 0.8 * iv.width]
+        for N in (20, 1000):
+            oracle = measures._oracle_values(model, N, energies).imag / np.pi
+            for energy, orc in zip(energies, oracle):
+                ref = reference_real_axis_green(mpmath, model, N, energy).imag / mpmath.pi
+                key = js.ac_density(model, N, energy)
+                worst_key = max(worst_key, float(abs(key - ref) / ref))
+                worst_oracle = max(worst_oracle, float(abs(orc - ref) / ref))
+    assert worst_key <= 1e-11
+    assert worst_oracle <= 1e-11
+
+
+def test_off_axis_oracle_approaches_the_real_axis_value_linearly():
+    # G(E + i eps) - G(E) = O(eps) inside a band: 10x closer per decade
+    model = js.make_model(BASELINE_BLOCK, POWER)
+    iv = js.widest_interval(js.admissible_intervals(BASELINE_BLOCK, margin=0.1))
+    energy = iv.midpoint()
+    on_axis = complex(measures._oracle_values(model, 20, [energy])[0])
+    slopes = [abs(js.oracle_green_11(model, 20, complex(energy, eps)) - on_axis) / eps for eps in (1e-3, 1e-4, 1e-5)]
+    assert max(slopes) <= 1.1 * min(slopes)
+    assert max(slopes) <= 10.0
+
+
+def test_oracle_agrees_with_key_formula_close_to_band_edges():
+    # At Im zeta = 1e-5 the tail of this block cannot be polished below 1e-13
+    # within 3.3e-3 of its edge 1.5531209; on the axis no polishing is needed.
+    block = random_block(np.random.default_rng(43), 3)
+    model = js.make_model(block, POWER)
+    for iv in js.admissible_intervals(block, margin=1e-3):
+        key = js.density_curve(model, 20, iv, 101)
+        oracle = js.density_curve(model, 20, iv, 101, method="oracle")
+        assert np.max(np.abs(oracle.values - key.values) / key.values) <= 1e-11
