@@ -59,6 +59,7 @@ from .measures import (
     DensityCurve,
     density_curve,
     entropy_integral,
+    entropy_integrals,
     moment,
     oracle_green_11,
     tail_m_function,

@@ -8,6 +8,7 @@ the sites, and each step is a NumPy operation over all energies at once.
 Working memory is O(energies); no (sites x energies) array is formed unless
 the caller asks for the full solution rows.  The backward recursion runs in
 complex128, or in clongdouble for precision = "extended", batched either way.
+Its overflow guard checks magnitudes only where a growth bound allows one.
 
 The period-block products of the renormalized block chain are independent
 across blocks as well as energies: one Python loop runs over the q sites of a
@@ -31,6 +32,10 @@ def _energy_arrays(zeta, *values, dtype=np.complex128):
     )
 
 
+def _peak(*arrays):
+    return float(max(np.abs(x).max(initial=0.0) for x in arrays))
+
+
 def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
     """Backward three-term recursion from the top boundary pair, per energy.
 
@@ -41,6 +46,10 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
     values u[0], u[1] and the power-of-two rescale exponent of each energy
     (the true solution is u * 2**scale_log2).  Only the working pair is
     rescaled when the guard fires.
+
+    A step grows max(|u[n+1]|, |u[n]|) at most by (max|a| + max|b| +
+    max|zeta|) / min|a|; the guard checks magnitudes only where this bound
+    allows an overflow, so it rescales at the steps a check per step would.
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
     whole solution u[0..m+1], every row on the final scale of its energy.
@@ -60,18 +69,31 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
     if rows is not None:
         rows[m + 1] = hi
         rows[m] = lo
+    growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
+    bound = _peak(hi, lo)
+    # -(x / a) is x * (-1 / a) bit for bit; list(a) keeps long doubles.  A
+    # complex product over its own one-element input can round differently.
+    neg_inv, a, b = [-1.0 / x for x in a], list(a), list(b)
+    new, diff, tmp = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
     for n in range(m, 0, -1):
-        new = -(a[n] * hi + (b[n] - zeta) * lo) / a[n - 1]
-        big = np.abs(new) > RESCALE_THRESHOLD
+        np.subtract(b[n], zeta, out=diff)
+        np.multiply(diff, lo, out=tmp)
+        np.multiply(hi, a[n], out=new)
+        np.add(new, tmp, out=new)
+        np.multiply(new, neg_inv[n - 1], out=new)
         if rows is not None:
             rows[n - 1] = new
-        if big.any():
-            new[big] *= factor
-            lo[big] *= factor
-            scale_log2[big] += RESCALE_SHIFT
-            if rows is not None:
-                rows[n - 1 :, big] *= factor
-        hi, lo = lo, new
+        bound *= growth
+        if not bound <= RESCALE_THRESHOLD:
+            big = np.abs(new) > RESCALE_THRESHOLD
+            if big.any():
+                new[big] *= factor
+                lo[big] *= factor
+                scale_log2[big] += RESCALE_SHIFT
+                if rows is not None:
+                    rows[n - 1 :, big] *= factor
+            bound = _peak(new, lo)
+        hi, lo, new = lo, new, hi
     if out is not rows:
         out[...] = rows
     return np.asarray(lo, dtype=np.complex128), np.asarray(hi, dtype=np.complex128), scale_log2

@@ -34,7 +34,7 @@ from .certify import (
 )
 from .coefficients import PerturbationSpec, make_model, periodic_block
 from .errors import JostspecError, ValidationError
-from .measures import density_curve, entropy_integral
+from .measures import density_curve, entropy_integrals
 
 EXPERIMENTS = ("bands", "density", "entropy", "certify", "compare")
 
@@ -303,9 +303,10 @@ def _run_entropy(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg, model)
     rows = [["N", "I_lo", "I_hi", "value", "quad_order"]]
+    orders = (p["quad_order"], 2 * p["quad_order"])
     for n in p["N_list"]:
-        for order in (p["quad_order"], 2 * p["quad_order"]):
-            val = entropy_integral(model, n, interval, quad_order=order, precision=p["precision"])
+        values = entropy_integrals(model, n, interval, orders, precision=p["precision"])
+        for order, val in zip(orders, values):
             rows.append([str(n), _fmt(interval.lo), _fmt(interval.hi), _fmt(val), str(order)])
     extra = f"interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}]"
     return rows, _meta_lines(cfg, model, extra), 0

@@ -108,13 +108,16 @@ def green_11(model, N, zeta, precision="double"):
 
 def _density_values(c_val, z_imag, a0, u0, scale_log2):
     """|C Im z| / (pi |a°_0| |u_0|^2) at each energy, in log space where the
-    recursion rescaled u_0.  np.hypot and np.float_power call the C library's
-    hypot and pow, as Python's abs(complex) and float ** do, so the values
-    equal the scalar formula's bit for bit."""
+    recursion rescaled u_0 or the denominator overflows.  np.hypot and
+    np.float_power call the C library's hypot and pow, as Python's
+    abs(complex) and float ** do, so the values equal the scalar formula's bit
+    for bit."""
     num = np.abs(c_val * z_imag)
     abs_u0 = np.hypot(u0.real, u0.imag)
-    values = num / (math.pi * abs(a0) * np.float_power(abs_u0, 2.0))
-    for i in np.flatnonzero(scale_log2):
+    with np.errstate(over="ignore"):
+        denom = math.pi * abs(a0) * np.float_power(abs_u0, 2.0)
+    values = num / denom
+    for i in np.flatnonzero((scale_log2 != 0) | np.isinf(denom)):
         log_u0 = math.log(abs_u0[i]) + int(scale_log2[i]) * LN2
         log_val = math.log(num[i]) - math.log(math.pi * abs(a0)) - 2.0 * log_u0
         values[i] = math.exp(log_val) if log_val > -745.0 else 0.0

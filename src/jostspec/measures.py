@@ -12,6 +12,7 @@ relative accuracy at any density scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
     "oracle_green_11",
     "density_curve",
     "entropy_integral",
+    "entropy_integrals",
     "moment",
 ]
 
@@ -199,25 +201,43 @@ def density_curve(model, N, interval, grid_points, method="key_formula", precisi
     return DensityCurve(grid=grid, values=vals, meta=meta)
 
 
-def entropy_integral(model, N, interval, quad_order=64, precision="double"):
-    """Gauss-Legendre quadrature of ln(density) over an admissible interval."""
-    if quad_order < 4:
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def entropy_integrals(model, N, interval, quad_orders, precision="double"):
+    """entropy_integral at each of quad_orders, from one density_prefix call
+    over the nodes of every order.  All orders are validated first; then the
+    first failing order raises the error entropy_integral would raise."""
+    orders = [int(order) for order in quad_orders]
+    if any(order < 4 for order in orders):
         raise ValidationError("quad_order must be >= 4")
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
-    nodes, weights = leggauss(int(quad_order))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    energies = [mid + half * x for x in nodes]
+    energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]
     values, error = density_prefix(model, N, energies, precision=precision)
     for energy, val in zip(energies, values):
         if val <= 0.0:
             raise DensityDomainError(f"nonpositive density {val} at quadrature node {energy}")
     if error is not None:
         raise error
-    total = 0.0
-    for w, val in zip(weights, values):
-        total += w * math.log(val)
-    return half * total
+    results, start = [], 0
+    for order in orders:
+        total = 0.0
+        for w, val in zip(_gauss_legendre(order)[1], values[start : start + order]):
+            total += w * math.log(val)
+        results.append(half * total)
+        start += order
+    return results
+
+
+def entropy_integral(model, N, interval, quad_order=64, precision="double"):
+    """Gauss-Legendre quadrature of ln(density) over an admissible interval."""
+    return entropy_integrals(model, N, interval, (quad_order,), precision=precision)[0]
 
 
 def moment(model, N_or_full, k, depth):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from jostspec import measures
+from jostspec import _kernels, measures
 from jostspec.cli import run
 
 FREE_CONFIG = """\
@@ -215,6 +215,21 @@ def test_entropy_rows_and_convergence_orders(tmp_path):
     assert len(rows) == 4  # two N values x two quadrature orders
     orders = {r[4] for r in rows}
     assert orders == {"32", "64"}
+
+
+def test_entropy_runs_one_recursion_per_truncation(tmp_path, monkeypatch):
+    calls = []
+    jost_backward = _kernels.jost_backward
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return jost_backward(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "jost_backward", counting)
+    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 4, 8, 16\nquad_order = 8\n")
+    assert run(str(cfg), experiment="entropy", out_dir=str(tmp_path / "out")) == 0
+    # each call covers the nodes of both orders, 8 + 16
+    assert calls == [24, 24, 24]
 
 
 def test_certify_free_passes(tmp_path):

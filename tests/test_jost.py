@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,15 @@ def test_boundary_factor_envelope_shape(free_block):
         grow = max(np.log(abs(form.phi_N) + abs(form.nu_N)), 0.0)
         products.append(grow * y)
     assert max(products) < 10 * (min(products) + 1.0)
+
+
+def test_density_of_a_large_unscaled_u0_does_not_overflow():
+    # |u_0|^2 overflows between 1.3e154 and the rescale threshold 1e280; the
+    # log branch takes over there
+    one = np.ones(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = jost._density_values(one, one, 1.0, np.array([1e200 + 0j]), np.zeros(1, dtype=np.int64))
+        value = jost._density_values(1e120 * one, one, 1.0, np.array([1e200j]), np.zeros(1, dtype=np.int64))
+    assert small == [0.0]
+    assert value[0] == pytest.approx(1e120 / np.pi / 1e200 / 1e200, rel=1e-12)

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
@@ -24,6 +26,38 @@ def reference_jost(a, b, zeta, u_top, u_second):
             u[n - 1 :] *= 2.0 ** -_kernels.RESCALE_SHIFT
             scale += _kernels.RESCALE_SHIFT
     return u, scale
+
+
+def reference_batched_jost(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
+    """The batched recursion with a magnitude check at every step, as it was
+    before the growth bound gated the guard."""
+    zeta, hi, lo = _kernels._energy_arrays(zeta, u_top, u_second, dtype=dtype)
+    real = np.finfo(dtype).dtype
+    a, b = np.asarray(a, dtype=real), np.asarray(b, dtype=real)
+    out = rows
+    if rows is not None and rows.dtype != dtype:
+        rows = np.empty(rows.shape, dtype=dtype)
+    m = a.shape[0] - 1
+    scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
+    factor = 2.0 ** (-_kernels.RESCALE_SHIFT)
+    if rows is not None:
+        rows[m + 1] = hi
+        rows[m] = lo
+    for n in range(m, 0, -1):
+        new = -(a[n] * hi + (b[n] - zeta) * lo) / a[n - 1]
+        big = np.abs(new) > _kernels.RESCALE_THRESHOLD
+        if rows is not None:
+            rows[n - 1] = new
+        if big.any():
+            new[big] *= factor
+            lo[big] *= factor
+            scale_log2[big] += _kernels.RESCALE_SHIFT
+            if rows is not None:
+                rows[n - 1 :, big] *= factor
+        hi, lo = lo, new
+    if out is not rows:
+        out[...] = rows
+    return np.asarray(lo, dtype=np.complex128), np.asarray(hi, dtype=np.complex128), scale_log2
 
 
 def reference_strip(a, b, zeta, m_start, n_from):
@@ -50,8 +84,59 @@ def _rel(x, y):
     return abs(x - y) / abs(y)
 
 
+SIX_ENERGIES = [0.35, 0.8, 1.2, complex(0.35, 1e-3), complex(0.8, 0.05), complex(1.9, 0.3)]
+
+
+def _assert_bit_identical(a, b, zeta, tops, seconds, dtype):
+    rows, ref_rows = (np.empty((len(a) + 1, len(zeta)), dtype=complex) for _ in range(2))
+    got = _kernels.jost_backward(a, b, zeta, tops, seconds, rows=rows, dtype=dtype)
+    ref = reference_batched_jost(a, b, zeta, tops, seconds, rows=ref_rows, dtype=dtype)
+    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    assert np.array_equal(rows, ref_rows)
+    got = _kernels.jost_backward(a, b, zeta, tops, seconds, dtype=dtype)
+    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble], ids=["double", "extended"])
+@pytest.mark.parametrize(
+    "N, energies, scales",
+    [(60, SIX_ENERGIES, [0] * 6), (4000, [0.8, complex(0.3, 1e-3), 1.5], [0, 600, 0])],
+    ids=["six-energies", "rescale"],
+)
+def test_jost_backward_matches_the_per_step_guard_bit_for_bit(baseline_model, N, energies, scales, dtype):
+    got = _assert_bit_identical(*_batch(baseline_model, N, energies), dtype)
+    assert got[2].tolist() == scales
+
+
+@st.composite
+def guarded_chains(draw):
+    q = draw(st.integers(1, 4))
+    a = draw(st.lists(st.floats(0.05, 5.0), min_size=q, max_size=q))
+    b = draw(st.lists(st.floats(-5.0, 5.0), min_size=q, max_size=q))
+    # the first energy is off the axis, so its solution grows and the guard
+    # fires at least every few hundred sites
+    heights = [draw(st.floats(0.5, 3.0))] + draw(st.lists(st.floats(0.0, 3.0), max_size=3))
+    zeta = np.array([complex(draw(st.floats(-12.0, 12.0)), y) for y in heights])
+    top = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    second = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)))
+    dtype = draw(st.sampled_from([np.complex128, np.clongdouble]))
+    return np.resize(a, 601), np.resize(b, 601), zeta, top, second, dtype
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(guarded_chains())
+def test_gated_guard_matches_the_per_step_guard(chain):
+    # a low threshold and a small shift make the guard fire many times on 600
+    # sites, so the bound is reset from the actual pair again and again
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
+        mp.setattr(_kernels, "RESCALE_SHIFT", 10)
+        _assert_bit_identical(*chain)
+
+
 def test_jost_backward_batch_matches_reference(baseline_model):
-    energies = [0.35, 0.8, 1.2, complex(0.35, 1e-3), complex(0.8, 0.05), complex(1.9, 0.3)]
+    energies = SIX_ENERGIES
     a, b, zeta, tops, seconds = _batch(baseline_model, 60, energies)
     u0, u1, scale = _kernels.jost_backward(a, b, zeta, tops, seconds)
     assert u0.shape == u1.shape == scale.shape == (len(energies),)

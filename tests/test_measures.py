@@ -10,6 +10,7 @@ from jostspec import measures
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
+    DensityDomainError,
     OracleConvergenceError,
     ValidationError,
 )
@@ -257,6 +258,55 @@ def test_entropy_raises_the_first_failing_node():
     last = 145000.0 + 155000.0 * nodes[3]
     with pytest.raises(BandEdgeError, match=re.escape(f"E = {last} is not in a band interior")):
         js.entropy_integral(model, 3, (-10000.0, 300000.0), quad_order=4)
+
+
+def test_entropy_integrals_is_entropy_integral_per_order():
+    model = js.make_model(
+        js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
+    )
+    iv = js.widest_interval(js.admissible_intervals(model.block, margin=0.1))
+    orders = (8, 16, 64)
+    for precision in ("double", "extended"):
+        got = js.entropy_integrals(model, 60, iv, orders, precision=precision)
+        assert got == [js.entropy_integral(model, 60, iv, order, precision=precision) for order in orders]
+
+
+def _first_error(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("interval, failing", [((1.0, 2.5), 4), ((1.0, 2.05), 8)])
+def test_entropy_integrals_raise_the_first_failing_order(free_model, interval, failing):
+    # on (1.0, 2.05) the 4-point rule stays inside the band and the 8-point
+    # rule does not
+    got = _first_error(lambda: js.entropy_integrals(free_model, 5, interval, (4, 8)))
+    assert got == _first_error(lambda: js.entropy_integral(free_model, 5, interval, quad_order=failing))
+    assert got[0] is BandEdgeError
+    if failing == 8:
+        assert np.isfinite(js.entropy_integral(free_model, 5, interval, quad_order=4))
+
+
+@pytest.mark.parametrize(
+    "zero_above, fail_above, error",
+    [(1.6, 1.9, DensityDomainError), (1.98, 3.0, DensityDomainError), (1.6, 1.65, BandEdgeError)],
+)
+def test_nonpositive_density_comes_before_the_failing_node(free_model, monkeypatch, zero_above, fail_above, error):
+    # a stand-in density; on (1.0, 2.05) the 4-point nodes reach 1.70 and
+    # 1.98, the 8-point nodes 1.94 and 2.03
+    def prefix(model, N, energies, precision):
+        values = []
+        for energy in energies:
+            if energy > fail_above:
+                return values, BandEdgeError(f"E = {energy} is not in a band interior")
+            values.append(0.0 if energy > zero_above else 1.0)
+        return values, None
+
+    monkeypatch.setattr(measures, "density_prefix", prefix)
+    got = _first_error(lambda: js.entropy_integrals(free_model, 5, (1.0, 2.05), (4, 8)))
+    assert got == _first_error(lambda: [js.entropy_integral(free_model, 5, (1.0, 2.05), o) for o in (4, 8)])
+    assert got[0] is error
 
 
 def test_oracle_raises_the_first_failing_point(free_block):
