@@ -13,8 +13,8 @@ Its overflow guard checks magnitudes only where a growth bound allows one.
 The period-block products of the renormalized block chain are independent
 across blocks as well as energies: one Python loop runs over the q sites of a
 period, and each step is a NumPy operation over every requested block and
-energy.  The chain's product walk asks for one block at a time, so its
-working memory stays O(energies) too.
+energy.  The chain's product walk asks for a fixed chunk of blocks at a
+time, so its working memory is O(chunk x energies).
 """
 
 import numpy as np
@@ -103,8 +103,10 @@ def strip_downward(a, b, zeta, m_start, n_from):
     """Resolvent stripping m_n = 1/(b_n - zeta - a_n^2 m_{n+1}), n = n_from..1,
     per energy; zeta and m_start are 1-D arrays of equal length."""
     zeta, m = _energy_arrays(zeta, m_start)
+    # Python floats: no NumPy scalar per site, a_n^2 formed once
+    a2, b = [x * x for x in a[: n_from + 1].tolist()], b[: n_from + 1].tolist()
     for n in range(n_from, 0, -1):
-        m = 1.0 / (b[n] - zeta - a[n] * a[n] * m)
+        m = 1.0 / (b[n] - zeta - a2[n] * m)
     return m
 
 

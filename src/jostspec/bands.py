@@ -102,7 +102,7 @@ def admissible_intervals(block, margin):
     eigenvalues) lie in the closures of the gaps, so the unmerged bands are
     free of them: a closed gap is the shared edge of two of them.
     """
-    if margin <= 0:
+    if not margin > 0:
         raise ValidationError("margin must be positive")
     result = []
     for lo, hi in _edge_pairs(block):

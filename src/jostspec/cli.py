@@ -206,7 +206,7 @@ def _parse_experiment_params(parser, experiment, seed_cli):
                 params["precision"] = sec["precision"].strip()
             if "n_grid" in sec:
                 params["n_grid"] = _int_list(sec["n_grid"])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"bad [experiment] value: {exc}") from exc
     if params["precision"] not in ("double", "extended"):
         raise ValidationError("precision must be double or extended")
@@ -216,6 +216,8 @@ def _parse_experiment_params(parser, experiment, seed_cli):
         raise ValidationError("interval must be 'auto' or two numbers")
     if seed_cli is not None:
         params["seed"] = int(seed_cli)
+    if params["seed"] < 0:
+        raise ValidationError("seed must be >= 0")
     return params
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, transfer
 from .coefficients import truncate
 from .errors import (
     BandEdgeError,
@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
     ZeroJostError,
 )
-from .transfer import ChainWalk, floquet_eigenvalue, floquet_error, real_floquet
+from .transfer import DEAD_ALPHA, SINGULAR_U, floquet_eigenvalue, floquet_error, real_floquet
 
 __all__ = [
     "JostSolution",
@@ -231,48 +231,91 @@ class ProductForm:
         return self.u_inv0[1, 0] / self.a0
 
 
+# Blocks per chunk of product_forms' walk; working memory is O(CHUNK x points).
+CHUNK = 8
+
+
 def product_forms(model, N, points) -> ProductForm:
     """The product representation at every point of a 1-D sequence, in one walk.
 
     Evaluates the connection-matrix recursion Psi <- (I + W_n) Lambda_n Psi
     from block N-1 down to block 1, dividing out lambda_n (1 + alpha_n) at
     each step so the normalized pair (phi_N, nu_N) and the log-space
-    prefactor come out separately.  Each step is a NumPy operation over all
-    points, and each block's eigen-data are computed inside the walk, so
-    working memory is O(points).  A step with W_n = 0 (identical eigenbases)
-    only rescales nu by lambda_n^{-2}.
+    prefactor come out separately.  The walk takes CHUNK blocks at a time,
+    top chunk first: one chain_blocks and one connection_entries call and
+    the logarithms and masks as arrays per chunk, then one NumPy step over
+    all points per block, in descending n.  A step with W_n = 0 (identical
+    eigenbases) only rescales nu by lambda_n^{-2}.
 
     Raises the error product_representation would raise at the first failing
     point: a block without a usable eigenbasis (lowest block) before a
-    singular U_{n-1} or 1 + alpha_n = 0 (highest n).
+    singular U_{n-1} or 1 + alpha_n = 0 (highest n, and U_{n-1} before
+    alpha_n, which is formed from its inverse).
     """
     if N < 1:
         raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
-    walk = ChainWalk(work, N, points)
-    v0 = np.ones(len(points), dtype=np.complex128)
-    v1 = np.zeros(len(points), dtype=np.complex128)
-    logpref = np.zeros(len(points), dtype=np.complex128)
+    q = work.block.q
+    a, b = work.coefficient_arrays(N * q)
+    shape = (len(points),)
+    # (code, index) per point: lowest faulty block, highest faulty step
+    chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+    walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+    def blocks(lo, count):
+        lam, u, faults = transfer.chain_blocks(a, b, points, q, lo, count)
+        code, first = transfer._lowest_fault(faults)
+        # the walk descends, so the last block recorded is the lowest
+        hit = code != 0
+        chain[0][hit], chain[1][hit] = code[hit], lo + first[hit]
+        return lam, u
+
+    def chunk(lo, hi, lam, u):
+        # Steps n = hi .. lo+1 (row n - lo - 1) from blocks lo .. hi-1 and the
+        # kept block hi = (lam, u); returns block lo.  A function, so that a
+        # chunk's arrays are freed before the next chunk's exist.
+        nonlocal kappa, v0, v1, logpref
+        lam_c, u_c = blocks(lo, hi - lo)
+        kappa = np.minimum(kappa, np.abs(lam_c).min(axis=0))
+        lam = np.concatenate([lam_c[1:], lam])
+        (w11, w12, w21, w22), singular = transfer.connection_entries(
+            u_c, tuple(np.concatenate([x[1:], y]) for x, y in zip(u_c, u))
+        )
+        one_alpha = 1.0 + w11
+        diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
+        dead = ~diagonal & (one_alpha == 0)
+        code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
+        fresh = (code != 0) & (walk[0] == 0)
+        walk[0][fresh], walk[1][fresh] = code[fresh], (hi - top - (code == SINGULAR_U))[fresh]
+        log_lam = np.log(lam)
+        inc = np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
+        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam, diagonal, inc)
+        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag, inc_n in reversed(list(rows)):
+            t0 = lam_n * v0
+            t1 = v1 / lam_n
+            v0 = np.where(diag, v0, (oa * t0 + w12_n * t1) / denom)
+            v1 = np.where(diag, v1 / lam2, (w21_n * t0 + ow22 * t1) / denom)
+            logpref = logpref + inc_n
+        return lam_c[:1].copy(), tuple(x[:1].copy() for x in u_c)
+
+    lam, u = blocks(N - 1, 1)
+    kappa = np.abs(lam[0])
+    v0 = np.ones(shape, dtype=np.complex128)
+    v1 = np.zeros(shape, dtype=np.complex128)
+    logpref = np.zeros(shape, dtype=np.complex128)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for lam, (w11, w12, w21, w22), diagonal in walk:
-            one_alpha = 1.0 + w11
-            t0 = lam * v0
-            t1 = v1 / lam
-            denom = lam * one_alpha
-            log_lam = np.log(lam)
-            v0 = np.where(diagonal, v0, (one_alpha * t0 + w12 * t1) / denom)
-            v1 = np.where(diagonal, v1 / (lam * lam), (w21 * t0 + (1.0 + w22) * t1) / denom)
-            logpref = logpref + np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
-    u = walk.u0
+        for hi in range(N - 1, 0, -CHUNK):
+            lam, u = chunk(max(hi - CHUNK, 0), hi, lam, u)
+    transfer._raise_first_fault(points, chain, walk)
     return ProductForm(
         prefactor=np.exp(logpref),
         phi_N=v0,
         nu_N=v1,
-        kappa=walk.kappa,
+        kappa=kappa,
         log_prefactor=logpref,
-        lambda0=walk.lam0,
+        lambda0=lam[0],
         a0=float(work.a(0)),
-        u_inv0=np.array([[u[0], u[1]], [u[2], u[3]]]),
+        u_inv0=np.array(u).reshape(2, 2, -1),
     )
 
 

@@ -5,10 +5,10 @@ certificates.
 
 Everything here works elementwise over arrays of energies.  The chain takes
 its period products from _kernels.period_products; chain_blocks and
-connection_entries hold its one implementation, and two entry points serve
-callers: connection_matrices (every W_n at once) and ChainWalk (a descending
-walk holding two blocks at a time).  floquet_eigenvalue is the single-energy
-view of real_floquet on the real axis and of decaying_branch off it.  Each
+connection_entries hold its one implementation, for connection_matrices
+(every W_n at once) and jost.product_forms (a downward walk, a chunk of
+blocks at a time).  floquet_eigenvalue is the single-energy view of
+real_floquet on the real axis and of decaying_branch off it.  Each
 batched entry point raises the error of the first failing point in order,
 and its docstring states which fault of a point comes first."""
 
@@ -308,63 +308,6 @@ def connection_matrices(model, n_blocks, zetas):
     w, singular = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
     _raise_first_fault(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
     return w
-
-
-class ChainWalk:
-    """The renormalized block chain at every point of a 1-D sequence, walked
-    from block n_blocks-1 down to block 0 with two blocks in memory at a time.
-
-    Iterating yields (lam, w, diagonal) for n = n_blocks-1 .. 1: lambda_n,
-    the entries of W_n, and the mask where W_n = 0 exactly (identical
-    eigenbases).  Afterwards lam0 and u0 hold lambda_0 and the entries of
-    U_0^{-1}, and kappa holds min_n |lambda_n|.  Then the walk raises the
-    error of the first failing point in order; within it, a block without a
-    usable eigenbasis (lowest block) comes before a singular U_{n-1} or
-    1 + alpha_n = 0 (highest n, and U_{n-1} before alpha_n, which is formed
-    from its inverse).
-    """
-
-    def __init__(self, model, n_blocks, zetas):
-        if n_blocks < 1:
-            raise ValidationError("need at least one block")
-        self.model = model
-        self.n_blocks = n_blocks
-        self.zetas = zetas
-
-    def __iter__(self):
-        q = self.model.block.q
-        a, b = self.model.coefficient_arrays(self.n_blocks * q)
-        zetas = self.zetas
-        shape = (len(zetas),)
-        chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-        walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-
-        def block(n):
-            lam, u, faults = chain_blocks(a, b, zetas, q, n, 1)
-            hit = faults[0] != 0
-            # the walk descends, so the last block recorded is the lowest
-            chain[0][hit] = faults[0, hit]
-            chain[1][hit] = n
-            return lam[0], tuple(x[0] for x in u)
-
-        def record(mask, code, n):
-            fresh = mask & (walk[0] == 0)
-            walk[0][fresh] = code
-            walk[1][fresh] = n
-
-        lam, u = block(self.n_blocks - 1)
-        kappa = np.abs(lam)
-        for n in range(self.n_blocks - 1, 0, -1):
-            lam_prev, u_prev = block(n - 1)
-            kappa = np.minimum(kappa, np.abs(lam_prev))
-            w, singular = connection_entries(u_prev, u)
-            diagonal = (w[0] == 0) & (w[1] == 0) & (w[2] == 0) & (w[3] == 0)
-            record(singular, SINGULAR_U, n - 1)
-            record(~diagonal & (1.0 + w[0] == 0), DEAD_ALPHA, n)
-            yield lam, w, diagonal
-            lam, u = lam_prev, u_prev
-        self.lam0, self.u0, self.kappa = lam, u, kappa
-        _raise_first_fault(zetas, chain, walk)
 
 
 class RenormChain:

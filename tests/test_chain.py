@@ -5,6 +5,7 @@ constants."""
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,63 @@ def reference_product(model, N, zeta):
     return fields, diagonal
 
 
+def reference_forms(model, N, points):
+    """product_forms as a two-block walk: one chain_blocks and one
+    connection_entries call per block, each step a NumPy operation over all
+    points.  The chunked walk must match it bit for bit."""
+    work = js.truncate(model, N)
+    q = work.block.q
+    a, b = work.coefficient_arrays(N * q)
+    shape = (len(points),)
+    chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+    walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+    def block(n):
+        lam, u, faults = transfer.chain_blocks(a, b, points, q, n, 1)
+        hit = faults[0] != 0
+        chain[0][hit] = faults[0, hit]
+        chain[1][hit] = n
+        return lam[0], tuple(x[0] for x in u)
+
+    def record(mask, code, n):
+        fresh = mask & (walk[0] == 0)
+        walk[0][fresh] = code
+        walk[1][fresh] = n
+
+    lam, u = block(N - 1)
+    kappa = np.abs(lam)
+    v0 = np.ones(shape, dtype=np.complex128)
+    v1 = np.zeros(shape, dtype=np.complex128)
+    logpref = np.zeros(shape, dtype=np.complex128)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for n in range(N - 1, 0, -1):
+            lam_prev, u_prev = block(n - 1)
+            kappa = np.minimum(kappa, np.abs(lam_prev))
+            (w11, w12, w21, w22), singular = transfer.connection_entries(u_prev, u)
+            diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
+            record(singular, transfer.SINGULAR_U, n - 1)
+            record(~diagonal & (1.0 + w11 == 0), transfer.DEAD_ALPHA, n)
+            one_alpha = 1.0 + w11
+            t0 = lam * v0
+            t1 = v1 / lam
+            denom = lam * one_alpha
+            log_lam = np.log(lam)
+            v0 = np.where(diagonal, v0, (one_alpha * t0 + w12 * t1) / denom)
+            v1 = np.where(diagonal, v1 / (lam * lam), (w21 * t0 + (1.0 + w22) * t1) / denom)
+            logpref = logpref + np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
+            lam, u = lam_prev, u_prev
+    transfer._raise_first_fault(points, chain, walk)
+    return {
+        "prefactor": np.exp(logpref),
+        "phi_N": v0,
+        "nu_N": v1,
+        "kappa": kappa,
+        "log_prefactor": logpref,
+        "lambda0": lam,
+        "u_inv0": np.array([[u[0], u[1]], [u[2], u[3]]]),
+    }
+
+
 def assert_close(got, want, scale=None):
     scale = abs(want) if scale is None else scale
     assert abs(complex(got) - complex(want)) <= REL * scale, (got, want)
@@ -147,6 +205,57 @@ def test_product_forms_match_reference(baseline_model):
         sol = js.jost_solution(baseline_model, N, zeta)
         scale = max(abs(sol.u0), abs(sol.u1))
         assert abs(u0 - sol.u0) <= 1e-8 * scale and abs(u1 - sol.u1) <= 1e-8 * scale
+
+
+C = jost.CHUNK
+FORM_FIELDS = ("prefactor", "phi_N", "nu_N", "kappa", "log_prefactor", "lambda0", "u_inv0")
+
+
+def _support_model_and_points(q):
+    """A random q-periodic background with a finite perturbation reaching
+    past two chunks of blocks, and band-interior, gap, outer and strip points."""
+    rng = np.random.default_rng(40 + q)
+    block = js.periodic_block(q, rng.uniform(0.8, 1.5, q), rng.uniform(-0.4, 0.4, q))
+    support = 2 * C + 3
+    pert = js.PerturbationSpec.finite(
+        alpha=rng.uniform(-0.05, 0.05, support), beta=rng.uniform(-0.08, 0.08, support)
+    )
+    bands = js.band_edges(block).bands
+    interior = [lo + t * (hi - lo) for lo, hi in bands for t in (0.3, 0.55)]
+    gaps = [(x[1] + y[0]) / 2 for x, y in zip(bands, bands[1:]) if y[0] - x[1] > 0.05]
+    outer = [bands[0][0] - 0.4, bands[-1][1] + 0.7]
+    strip = [complex(e, y) for e, y in zip(interior, (1e-3, 0.05, 0.3, 0.02, 0.1, 1e-2, 0.2, 0.04))]
+    return js.make_model(block, pert), interior + gaps + outer + strip
+
+
+@pytest.mark.parametrize("N", [1, 2, C - 1, C, C + 1, 3 * C + 5, 160])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_chunked_walk_matches_two_block_walk_bit_for_bit(q, N):
+    model, points = _support_model_and_points(q)
+    form = js.product_forms(model, N, points)
+    want = reference_forms(model, N, points)
+    for name in FORM_FIELDS:
+        assert np.array_equal(getattr(form, name), want[name], equal_nan=True), name
+    if N == 160:
+        # both branches of the step: W_n = 0 past the support, nonzero inside it
+        zero = (np.array(transfer.connection_matrices(model, N, points)) == 0).all(axis=(0, 2))
+        assert zero.any() and not zero.all()
+
+
+def test_walk_memory_does_not_grow_with_depth(baseline_model, baseline_interval):
+    iv = baseline_interval
+    egrid = np.linspace(iv.lo, iv.hi, 96) + 0j
+    es, ys = np.linspace(iv.lo, iv.hi, 16), iv.eps_I * 0.5 ** np.arange(12)
+    points = np.concatenate([egrid, (es[None, :] + 1j * ys[:, None]).ravel()])
+    assert points.size == 288
+    peaks = {}
+    for N in (100, 1000):
+        js.product_forms(baseline_model, N, points)  # fills the coefficient cache
+        tracemalloc.start()
+        js.product_forms(baseline_model, N, points)
+        peaks[N] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[1000] <= 1.5 * peaks[100], peaks
 
 
 def test_finite_support_takes_exact_diagonal_steps():
@@ -218,30 +327,38 @@ def test_first_failing_point_raises_the_pointwise_error(beta, points, first, mes
         # a singular U_{n-1} is found before alpha_n is formed
         ([complex(0.2, 0.1)], {(2, 0): "singular", (1, 0): "alpha"}, "U_1 is singular", 1),
         ([complex(0.2, 0.1)], {(4, 0): "both"}, "U_3 is singular", 3),
+        # faults on both sides of a chunk boundary: the bottom step of the
+        # upper chunk comes before the top step of the lower one
+        ([0.4], {(C + 3, 0): "singular", (C + 2, 0): "alpha"}, f"U_{C + 2} is singular", C + 2),
     ],
 )
 def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message, n):
     # Exact zeros of 1 + alpha_n or det U_{n-1} do not occur on real models,
     # so the connection step is made to report them at the chosen (n, point).
+    # With N = 2C + 3 the walk makes three chunks, of steps 1..2, 3..C+2 and
+    # C+3..2C+2; a chunk's call carries step n on row n - lo - 1.
     model = _parabolic_model([0, 0, 0, 0, 1.0])
-    N = 8
-    steps = iter(range(N - 1, 0, -1))
+    N = 2 * C + 3
+    tops = iter(range(N - 1, 0, -C))
     real_entries = transfer.connection_entries
 
     def forcing(prev, cur):
-        step = next(steps)
+        hi = next(tops)
+        lo = max(hi - C, 0)
         (w11, w12, w21, w22), singular = real_entries(prev, cur)
+        assert w11.shape == (hi - lo, len(points))
         w11, singular = w11.copy(), singular.copy()
         for (at, i), kind in forced.items():
-            if at == step and kind in ("alpha", "both"):
-                w11[i] = -1.0
-            if at == step and kind in ("singular", "both"):
-                singular[i] = True
+            if lo < at <= hi and kind in ("alpha", "both"):
+                w11[at - lo - 1, i] = -1.0
+            if lo < at <= hi and kind in ("singular", "both"):
+                singular[at - lo - 1, i] = True
         return (w11, w12, w21, w22), singular
 
     monkeypatch.setattr(transfer, "connection_entries", forcing)
     with pytest.raises(DiagonalizationError) as exc:
         js.product_forms(model, N, points)
+    assert next(tops, None) is None
     assert (str(exc.value), exc.value.n) == (message, n)
     assert exc.value.zeta == complex(points[0])
 

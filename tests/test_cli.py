@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from jostspec import _kernels, measures
-from jostspec.cli import run
+from jostspec.cli import main, run
 
 FREE_CONFIG = """\
 [block]
@@ -298,3 +298,35 @@ def test_malformed_config_text_exits_2_without_output(tmp_path, capsys, text):
     assert run(str(cfg), experiment="certify", out_dir=str(out)) == 2
     assert not out.exists() or not any(out.iterdir())
     assert '"error": "ValidationError"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["N_list", "n_grid"])
+@pytest.mark.parametrize("experiment", ["bands", "density", "entropy", "certify", "compare"])
+def test_infinite_integer_list_exits_2_without_output(tmp_path, capsys, experiment, key):
+    # the lists are parsed for every experiment; int(round(inf)) overflows
+    cfg = _write(tmp_path, FREE_CONFIG + f"{key} = 10, inf\n")
+    out = tmp_path / "out"
+    assert run(str(cfg), experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    assert '"error": "ValidationError"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_2_without_output(tmp_path, capsys, where):
+    text = FREE_CONFIG + "seed = -1\n" if where == "config" else FREE_CONFIG
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    argv = ["certify", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+    assert not out.exists()
+    assert '"message": "seed must be >= 0"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["density", "entropy", "certify", "compare"])
+def test_nan_margin_exits_2_without_output(tmp_path, capsys, experiment):
+    # NaN passed a `margin <= 0` test and left no interval to choose from
+    cfg = _write(tmp_path, FREE_CONFIG.replace("margin = 0.1", "margin = nan"))
+    out = tmp_path / "out"
+    assert run(str(cfg), experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    assert '"message": "margin must be positive"' in capsys.readouterr().err

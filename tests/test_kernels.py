@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
+from conftest import random_block
 from jostspec import _kernels
 from jostspec.errors import BandEdgeError
 
@@ -182,6 +183,30 @@ def test_strip_downward_batch_matches_reference(baseline_model):
     assert got.shape == (len(zetas),)
     for g, z, t in zip(got, zetas, tails):
         assert _rel(g, reference_strip(a, b, z, t, depth)) <= 1e-13
+
+
+def indexed_strip(a, b, zeta, m_start, n_from):
+    """The batched stripping loop over NumPy scalars a[n], b[n], with a[n]^2
+    formed at every site, as it was before the site lists."""
+    zeta, m = _kernels._energy_arrays(zeta, m_start)
+    for n in range(n_from, 0, -1):
+        m = 1.0 / (b[n] - zeta - a[n] * a[n] * m)
+    return m
+
+
+@pytest.mark.parametrize("points", [1, 2, 200])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_strip_downward_matches_indexed_loop_bit_for_bit(q, points):
+    rng = np.random.default_rng(10 * q + points)
+    model = js.make_model(random_block(rng, q), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+    depth = 60 * q
+    a, b = model.coefficient_arrays(depth)
+    # real and strip energies
+    heights = np.where(rng.random(points) < 0.5, 0.0, rng.uniform(0.0, 0.2, points))
+    zetas = rng.uniform(-2.5, 2.5, points) + 1j * heights
+    tails = rng.normal(size=points) + 1j * rng.uniform(0.01, 1.0, points)
+    got = _kernels.strip_downward(a, b, zetas, tails, depth)
+    assert np.array_equal(got, indexed_strip(a, b, zetas, tails, depth), equal_nan=True)
 
 
 def test_batched_density_matches_pointwise(baseline_model):
