@@ -38,22 +38,6 @@ from .measures import density_curve, entropy_integrals
 
 EXPERIMENTS = ("bands", "density", "entropy", "certify", "compare")
 
-_BLOCK_KEYS = ("q", "a", "b")
-_PERT_KEYS = ("kind", "alpha", "beta", "c", "s", "gamma", "target", "l2_admissible")
-_EXPERIMENT_KEYS = (
-    "N",
-    "N_list",
-    "interval",
-    "grid_points",
-    "method",
-    "quad_order",
-    "margin",
-    "tol",
-    "seed",
-    "precision",
-    "n_grid",
-)
-
 
 @dataclass
 class RunConfig:
@@ -81,7 +65,7 @@ def _float_list(text):
 
 
 def _int_list(text):
-    return [int(round(x)) for x in _float_list(text)]
+    return tuple(int(round(x)) for x in _float_list(text))
 
 
 def _parse_bool(text):
@@ -91,6 +75,42 @@ def _parse_bool(text):
     if t in ("0", "false", "no", "off"):
         return False
     raise ValidationError(f"expected a boolean, got {text!r}")
+
+
+def _parse_interval(text):
+    text = text.strip()
+    return text if text == "auto" else tuple(_float_list(text))
+
+
+# Every config section as {key: (default, parser)}: a given key's text goes
+# through the parser, whatever the perturbation kind or experiment reads;
+# an absent key takes the default.
+_SECTIONS = {
+    "block": {"q": (1, int), "a": ((1.0,), _float_list), "b": ((0.0,), _float_list)},
+    "perturbation": {
+        "kind": ("zero", str),
+        "alpha": ((), _float_list),
+        "beta": ((), _float_list),
+        "c": (1.0, float),
+        "s": (0.5, float),
+        "gamma": (None, float),
+        "target": ("b", str),
+        "l2_admissible": (False, _parse_bool),
+    },
+    "experiment": {
+        "N": (20, int),
+        "N_list": ((10, 20, 40, 80), _int_list),
+        "interval": ("auto", _parse_interval),
+        "grid_points": (200, int),
+        "method": ("key_formula", str.strip),
+        "quad_order": (64, int),
+        "margin": (0.1, float),
+        "tol": (1e-5, float),
+        "seed": (0, int),
+        "precision": ("double", str.strip),
+        "n_grid": ((16, 32, 64, 128), _int_list),
+    },
+}
 
 
 def _read_config(path, overrides):
@@ -114,106 +134,57 @@ def _read_config(path, overrides):
         except (configparser.Error, ValueError) as exc:
             raise ValidationError(f"bad override {item!r}: {exc}") from exc
     for section in parser.sections():
-        if section not in ("block", "perturbation", "experiment"):
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
     return parser
+
+
+def _section(parser, name):
+    """Values of config section `name` by its table in _SECTIONS, an absent
+    section giving every default.  Raises ValidationError on an unknown key
+    or on a value its parser rejects."""
+    table = _SECTIONS[name]
+    given = parser[name] if parser.has_section(name) else {}
+    for key in given:
+        if key not in table:
+            raise ValidationError(f"unknown key {key!r} in [{name}]")
+    try:
+        return {key: parse(given[key]) if key in given else default for key, (default, parse) in table.items()}
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad [{name}] value: {exc}") from exc
 
 
 def _parse_block(parser):
     if not parser.has_section("block"):
         raise ValidationError("config must contain a [block] section")
-    sec = parser["block"]
-    for key in sec:
-        if key not in _BLOCK_KEYS:
-            raise ValidationError(f"unknown key {key!r} in [block]")
-    try:
-        q = int(sec.get("q", "1"))
-        a = _float_list(sec.get("a", "1.0"))
-        b = _float_list(sec.get("b", "0.0"))
-    except ValueError as exc:
-        raise ValidationError(f"bad [block] value: {exc}") from exc
-    return periodic_block(q, a, b)
+    sec = _section(parser, "block")
+    return periodic_block(sec["q"], sec["a"], sec["b"])
 
 
 def _parse_pert(parser):
-    if not parser.has_section("perturbation"):
+    sec = _section(parser, "perturbation")
+    kind = sec["kind"]
+    if kind == "zero":
         return PerturbationSpec.zero()
-    sec = parser["perturbation"]
-    for key in sec:
-        if key not in _PERT_KEYS:
-            raise ValidationError(f"unknown key {key!r} in [perturbation]")
-    kind = sec.get("kind", "zero")
-    try:
-        if kind == "zero":
-            return PerturbationSpec.zero()
-        if kind == "finite_list":
-            alpha = _float_list(sec.get("alpha", "")) if sec.get("alpha") else []
-            beta = _float_list(sec.get("beta", "")) if sec.get("beta") else []
-            return PerturbationSpec.finite(alpha=alpha, beta=beta)
-        if kind == "power_decay_oscillatory":
-            return PerturbationSpec.power(
-                c=float(sec.get("c", "1.0")),
-                s=float(sec.get("s", "0.5")),
-                gamma=float(sec.get("gamma")),
-                target=sec.get("target", "b"),
-                l2_admissible=_parse_bool(sec.get("l2_admissible", "false")),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad [perturbation] value: {exc}") from exc
+    if kind == "finite_list":
+        return PerturbationSpec.finite(alpha=sec["alpha"], beta=sec["beta"])
+    if kind == "power_decay_oscillatory":
+        if sec["gamma"] is None:
+            raise ValidationError("bad [perturbation] value: power_decay_oscillatory needs gamma")
+        return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"], sec["l2_admissible"])
     raise ValidationError(f"unknown perturbation kind {kind!r}")
 
 
-def _parse_experiment_params(parser, experiment, seed_cli):
-    params = {
-        "N": 20,
-        "N_list": [10, 20, 40, 80],
-        "interval": "auto",
-        "grid_points": 200,
-        "method": "key_formula",
-        "quad_order": 64,
-        "margin": 0.1,
-        "tol": 1e-5,
-        "seed": 0,
-        "precision": "double",
-        "n_grid": [16, 32, 64, 128],
-    }
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        for key in sec:
-            if key not in _EXPERIMENT_KEYS:
-                raise ValidationError(f"unknown key {key!r} in [experiment]")
-        try:
-            if "N" in sec:
-                params["N"] = int(sec["N"])
-            if "N_list" in sec:
-                params["N_list"] = _int_list(sec["N_list"])
-            if "interval" in sec:
-                text = sec["interval"].strip()
-                params["interval"] = text if text == "auto" else tuple(_float_list(text))
-            if "grid_points" in sec:
-                params["grid_points"] = int(sec["grid_points"])
-            if "method" in sec:
-                params["method"] = sec["method"].strip()
-            if "quad_order" in sec:
-                params["quad_order"] = int(sec["quad_order"])
-            if "margin" in sec:
-                params["margin"] = float(sec["margin"])
-            if "tol" in sec:
-                params["tol"] = float(sec["tol"])
-            if "seed" in sec:
-                params["seed"] = int(sec["seed"])
-            if "precision" in sec:
-                params["precision"] = sec["precision"].strip()
-            if "n_grid" in sec:
-                params["n_grid"] = _int_list(sec["n_grid"])
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad [experiment] value: {exc}") from exc
+def _parse_experiment_params(parser, seed_cli):
+    params = _section(parser, "experiment")
     if params["precision"] not in ("double", "extended"):
         raise ValidationError("precision must be double or extended")
     if params["method"] not in ("key_formula", "oracle", "both"):
         raise ValidationError(f"unknown density method {params['method']!r}")
     if isinstance(params["interval"], tuple) and len(params["interval"]) != 2:
         raise ValidationError("interval must be 'auto' or two numbers")
+    if not 0.0 < params["tol"] < np.inf:
+        raise ValidationError("tol must be positive and finite")
     if seed_cli is not None:
         params["seed"] = int(seed_cli)
     if params["seed"] < 0:
@@ -225,7 +196,7 @@ def load_config(config_path, overrides, experiment, seed_cli=None) -> RunConfig:
     parser = _read_config(config_path, overrides)
     block = _parse_block(parser)
     pert = _parse_pert(parser)
-    params = _parse_experiment_params(parser, experiment, seed_cli)
+    params = _parse_experiment_params(parser, seed_cli)
     return RunConfig(
         experiment=experiment,
         block=block,
@@ -243,6 +214,8 @@ def _resolve_interval(cfg, model):
     lo, hi = spec
     if not lo < hi:
         raise ValidationError("interval bounds must satisfy lo < hi")
+    if not np.isfinite(spec).all():
+        raise ValidationError("interval bounds must be finite")
     eps_i, c_i = interval_constants(cfg.block, (lo, hi))
     return AdmissibleInterval(lo, hi, eps_i, c_i, cfg.params["margin"])
 

@@ -98,16 +98,17 @@ class PerturbationSpec:
 
     @staticmethod
     def finite(alpha=(), beta=()) -> "PerturbationSpec":
-        return PerturbationSpec(
-            kind="finite_list",
-            alpha=tuple(float(x) for x in alpha),
-            beta=tuple(float(x) for x in beta),
-        )
+        alpha, beta = tuple(float(x) for x in alpha), tuple(float(x) for x in beta)
+        if not np.isfinite(alpha + beta).all():
+            raise ValidationError("perturbation values alpha and beta must be finite")
+        return PerturbationSpec(kind="finite_list", alpha=alpha, beta=beta)
 
     @staticmethod
     def power(c, s, gamma, target="b", l2_admissible=False) -> "PerturbationSpec":
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValidationError("decay exponent gamma must be positive")
+        if not np.isfinite([c, s, gamma]).all():
+            raise ValidationError("c, s and gamma must be finite")
         if target not in ("a", "b", "both"):
             raise ValidationError(f"target must be 'a', 'b' or 'both', got {target!r}")
         return PerturbationSpec(

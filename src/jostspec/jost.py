@@ -59,10 +59,6 @@ class JostSolution:
     def u1(self):
         return complex(self.u[1])
 
-    def log_abs_u0(self):
-        """ln |u_0| in true (unscaled) units."""
-        return math.log(abs(self.u0)) + self.scale_log2 * LN2
-
 
 def jost_solution(model, N, zeta, precision="double") -> JostSolution:
     """Backward recursion from the eigenvector boundary condition.

@@ -221,7 +221,7 @@ def entropy_integrals(model, N, interval, quad_orders, precision="double"):
     energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]
     values, error = density_prefix(model, N, energies, precision=precision)
     for energy, val in zip(energies, values):
-        if val <= 0.0:
+        if not val > 0.0:
             raise DensityDomainError(f"nonpositive density {val} at quadrature node {energy}")
     if error is not None:
         raise error

@@ -87,28 +87,32 @@ class FloquetData:
     eigvec: tuple
 
 
-def _split_roots(delta):
-    """Both roots of r^2 - delta*r + 1 = 0, larger modulus first, elementwise
-    over a scalar or array delta.
-
-    Computed without subtractive cancellation: the big root directly, the
-    small one as its exact reciprocal.
-    """
-    s = np.sqrt(delta * delta - 4.0)
-    plus, minus = delta + s, delta - s
-    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
-    return big, 1.0 / big
-
-
 def decaying_branch(delta):
     """Floquet eigenvalues off the real axis from the discriminant delta,
     elementwise over a scalar or array.
 
     Returns (z, z_inv, coincide): the root of smaller modulus, its reciprocal,
     and the mask of points with no branch because the two moduli coincide.
+    The root of larger modulus is computed directly, without subtractive
+    cancellation, and the smaller one as its exact reciprocal.
     """
-    big, small = _split_roots(delta)
-    return small, big, np.abs(big) - 1.0 < COINCIDE_TOL
+    s = np.sqrt(delta * delta - 4.0)
+    plus, minus = delta + s, delta - s
+    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+    return 1.0 / big, big, np.abs(big) - 1.0 < COINCIDE_TOL
+
+
+def _real_branch(trace, slope):
+    """The root of r^2 - trace r + 1 = 0 of larger modulus at real trace,
+    elementwise: outside [-2, 2] the real one, inside its boundary value from
+    Im E > 0, the root on the unit circle whose imaginary part has the sign
+    of `slope`, the trace's derivative in E."""
+    root = np.sqrt(np.abs(4.0 - trace * trace))
+    return np.where(
+        np.abs(trace) < 2.0,
+        (trace + 1j * np.copysign(root, slope)) / 2.0,
+        (trace + np.copysign(root, trace)) / 2.0,
+    )
 
 
 # Faults of the Floquet data at real energies, one code per energy (0 = none),
@@ -138,10 +142,9 @@ def real_floquet(block, energies):
     delta = p11 + d
     dd = discriminant_derivative(block, energy)
     interior = np.abs(delta) < 2.0
-    with np.errstate(invalid="ignore"):
-        z = (delta / 2.0).astype(np.complex128)
-        z.imag = np.copysign(np.sqrt(4.0 - delta * delta), -dd) / 2.0
-    z = np.where(interior, z, _split_roots(delta.astype(np.complex128))[1])
+    lam = _real_branch(delta, dd)
+    # on the unit circle conj(lam) is 1/lam without rounding
+    z = np.where(interior, np.conj(lam), 1.0 / lam)
     edge = np.abs(np.abs(delta) - 2.0) < EDGE_TOL
     fault = np.select([edge, interior & (np.abs(dd) < DERIV_TOL)], [BAND_EDGE, FLAT_DELTA], 0)
     return delta, z, c, d, fault
@@ -164,12 +167,12 @@ def floquet_eigenvalue(block, zeta) -> FloquetData:
         return FloquetData(
             z=zval, z_inv=1.0 / zval, delta=float(delta[0]), eigvec=(zval - float(d[0]), complex(c[0]))
         )
-    delta = discriminant(block, z)
+    p11, _, p21, p22 = _background_period_matrix(block, z)
+    delta = p11 + p22
     small, big, coincide = decaying_branch(delta)
     if coincide:
         raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {zeta}")
     zval = complex(small)
-    _, _, p21, p22 = _background_period_matrix(block, z)
     return FloquetData(z=zval, z_inv=complex(big), delta=delta, eigvec=(zval - p22, p21))
 
 
@@ -251,19 +254,10 @@ def chain_blocks(a, b, zetas, q, first, count):
     re = tr.real
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         dsign = tr.imag / CS_STEP
-        interior = np.abs(re) < 2.0
-        root = np.sqrt(np.abs(4.0 - re * re))
-        # real axis: the complex-step derivative sign picks the branch inside
-        # a band, the sign of the trace outside
-        lam_real = np.where(
-            interior,
-            (re + 1j * np.copysign(root, dsign)) / 2.0,
-            (re + np.copysign(root, re)) / 2.0,
-        )
         _, big, coincide = decaying_branch(tr)
-        lam = np.where(real, lam_real, big)
+        lam = np.where(real, _real_branch(re, dsign), big)
         parabolic = real & (np.abs(np.abs(re) - 2.0) < PARABOLIC_TOL)
-        flat = real & interior & (np.abs(dsign) < DERIV_TOL)
+        flat = real & (np.abs(re) < 2.0) & (np.abs(dsign) < DERIV_TOL)
         u12 = rho * lam - p22
         u11 = rho / lam - p22
     faults = np.select([parabolic, flat, ~real & coincide], [PARABOLIC, FLAT_TRACE, COINCIDENT], 0)

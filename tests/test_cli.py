@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from jostspec import _kernels, measures
-from jostspec.cli import main, run
+from jostspec.cli import EXPERIMENTS, load_config, main, run
 
 FREE_CONFIG = """\
 [block]
@@ -330,3 +330,53 @@ def test_nan_margin_exits_2_without_output(tmp_path, capsys, experiment):
     assert run(str(cfg), experiment=experiment, out_dir=str(out)) == 2
     assert not out.exists()
     assert '"message": "margin must be positive"' in capsys.readouterr().err
+
+
+# (config, override, experiments it reaches); each value is rejected before
+# anything is computed or written.
+REJECTED_VALUES = [
+    (BASELINE_CONFIG, "perturbation.gamma=nan", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.gamma=inf", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.c=nan", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.s=inf", EXPERIMENTS),
+    (PERTURBED_CONFIG, "perturbation.alpha=0.05, nan", EXPERIMENTS),
+    (PERTURBED_CONFIG, "perturbation.beta=inf", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.interval=0.5, inf", ("density", "entropy", "certify", "compare")),
+    (PERTURBED_CONFIG, "experiment.tol=nan", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.tol=0", EXPERIMENTS),
+    # keys the perturbation kind does not read are still parsed
+    (PERTURBED_CONFIG, "perturbation.c=abc", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.alpha=0.1, y", EXPERIMENTS),
+    (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
+]
+
+
+@pytest.mark.parametrize(
+    "config, override, experiment",
+    [
+        pytest.param(config, override, experiment, id=f"{override or 'no-gamma'}-{experiment}")
+        for config, override, experiments in REJECTED_VALUES
+        for experiment in experiments
+    ],
+)
+def test_rejected_value_exits_2_without_output(tmp_path, capsys, config, override, experiment):
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "out"
+    overrides = [override] if override else []
+    assert run(str(cfg), overrides=overrides, experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    assert '"error": "ValidationError"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, parsed, expected",
+    [
+        ("perturbation.l2_admissible=yes", lambda cfg: cfg.pert.l2_admissible, True),
+        ("experiment.interval=-1.5, 0.5", lambda cfg: cfg.params["interval"], (-1.5, 0.5)),
+        ("experiment.precision= extended", lambda cfg: cfg.params["precision"], "extended"),
+        ("experiment.seed=7", lambda cfg: cfg.seed, 7),
+    ],
+)
+def test_config_value_parsed(tmp_path, override, parsed, expected):
+    cfg = load_config(str(_write(tmp_path, BASELINE_CONFIG)), [override], "bands")
+    assert parsed(cfg) == expected

@@ -309,6 +309,16 @@ def test_nonpositive_density_comes_before_the_failing_node(free_model, monkeypat
     assert got[0] is error
 
 
+def test_nan_density_is_not_positive(free_model, monkeypatch):
+    # a NaN passed a `<= 0` test and made the integral NaN
+    def prefix(model, N, energies, precision):
+        return [np.nan] * len(energies), None
+
+    monkeypatch.setattr(measures, "density_prefix", prefix)
+    with pytest.raises(DensityDomainError, match="nan"):
+        js.entropy_integral(free_model, 5, (1.0, 1.5), quad_order=4)
+
+
 def test_oracle_raises_the_first_failing_point(free_block):
     # beyond |zeta| ~ 1e154 the period product overflows: the q = 2 closure
     # finds no attracting root, the q = 1 closure underflows to Im m = 0;
