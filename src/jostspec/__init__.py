@@ -11,6 +11,7 @@ from .bands import (
     admissible_intervals,
     band_edges,
     interval_constants,
+    widest_admissible_interval,
     widest_interval,
 )
 from .certify import (

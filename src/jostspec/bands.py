@@ -20,12 +20,13 @@ __all__ = [
     "band_edges",
     "admissible_intervals",
     "widest_interval",
+    "widest_admissible_interval",
     "interval_constants",
 ]
 
 # A gap this narrow or narrower is closed: its two bands merge into one.
 CLOSED_GAP = 1e-11
-# Widths this close count as equal in widest_interval: the two bands of a
+# Widths this close count as equal when picking the widest: the two bands of a
 # q = 2 background are equally wide, up to rounding.
 WIDTH_TIE = 1e-9
 # Largest strip height interval_constants probes, and its energy grid size.
@@ -94,9 +95,9 @@ def band_edges(block) -> BandSet:
     return BandSet(bands=tuple(merged))
 
 
-def admissible_intervals(block, margin):
-    """Closed band-interior subintervals, each band [E_2j, E_2j+1] trimmed by
-    margin at both ends, each carrying its strip constants.
+def _trimmed_bands(block, margin):
+    """The unmerged bands [E_2j, E_2j+1] as (lo, hi) pairs trimmed by margin
+    at both ends, dropping those the trimming leaves (nearly) empty.
 
     The real zeros of the discriminant derivative and of C (the Dirichlet
     eigenvalues) lie in the closures of the gaps, so the unmerged bands are
@@ -104,26 +105,44 @@ def admissible_intervals(block, margin):
     """
     if not margin > 0:
         raise ValidationError("margin must be positive")
-    result = []
-    for lo, hi in _edge_pairs(block):
-        a = lo + margin
-        b = hi - margin
-        if b - a <= margin * 1e-6:
-            continue
-        eps_i, c_i = interval_constants(block, (a, b))
-        result.append(AdmissibleInterval(a, b, eps_i, c_i, margin))
-    if not result:
+    pairs = [(lo + margin, hi - margin) for lo, hi in _edge_pairs(block)]
+    pairs = [(a, b) for a, b in pairs if b - a > margin * 1e-6]
+    if not pairs:
         raise NoAdmissibleIntervalError(
             f"margin {margin} leaves no admissible subinterval"
         )
-    return result
+    return pairs
+
+
+def _widest_index(pairs):
+    """Index of the widest (lo, hi) pair; among those whose widths are within
+    WIDTH_TIE of the widest, the highest."""
+    widest = max(hi - lo for lo, hi in pairs)
+    return max((i for i, (lo, hi) in enumerate(pairs) if hi - lo >= widest - WIDTH_TIE), key=lambda i: pairs[i][0])
+
+
+def admissible_intervals(block, margin):
+    """Closed band-interior subintervals, each band trimmed by margin at both
+    ends, each carrying its strip constants."""
+    return [
+        AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)), margin)
+        for lo, hi in _trimmed_bands(block, margin)
+    ]
 
 
 def widest_interval(intervals):
     """The widest of the intervals; among those whose widths are within
     WIDTH_TIE of the widest, the highest."""
-    widest = max(iv.width for iv in intervals)
-    return max((iv for iv in intervals if iv.width >= widest - WIDTH_TIE), key=lambda iv: iv.lo)
+    return intervals[_widest_index([(iv.lo, iv.hi) for iv in intervals])]
+
+
+def widest_admissible_interval(block, margin):
+    """widest_interval(admissible_intervals(block, margin)), with the strip
+    constants computed for the chosen interval alone, so that a band it does
+    not choose cannot make it fail."""
+    pairs = _trimmed_bands(block, margin)
+    lo, hi = pairs[_widest_index(pairs)]
+    return AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)), margin)
 
 
 def interval_constants(block, interval):

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import (
-    AdmissibleInterval,
-    admissible_intervals,
-    band_edges,
-    interval_constants,
-    widest_interval,
-)
+from .bands import AdmissibleInterval, band_edges, interval_constants, widest_admissible_interval
 from .certify import (
     check_diagonal_products,
     check_floquet_bound,
@@ -55,8 +49,9 @@ def _fmt(x):
 
 
 def _fmt_rows(*columns):
-    """CSV rows of _fmt values, one column per 1-D array."""
-    return list(zip(*([format(x, ".17g") for x in np.asarray(c, dtype=float).tolist()] for c in columns)))
+    """CSV lines of _fmt values, one column per 1-D array."""
+    line = ",".join(["%.17g"] * len(columns))
+    return [line % row for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
 
 
 def _float_list(text):
@@ -77,9 +72,26 @@ def _parse_bool(text):
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
+def _positive_finite(name):
+    def parse(text):
+        x = float(text)
+        if not x > 0.0:
+            raise ValidationError(f"{name} must be positive")
+        if x == np.inf:
+            raise ValidationError(f"{name} must be finite")
+        return x
+
+    return parse
+
+
 def _parse_interval(text):
     text = text.strip()
-    return text if text == "auto" else tuple(_float_list(text))
+    if text == "auto":
+        return text
+    bounds = tuple(_float_list(text))
+    if len(bounds) != 2 or not -np.inf < bounds[0] < bounds[1] < np.inf:
+        raise ValidationError("interval must be 'auto' or two finite numbers lo < hi")
+    return bounds
 
 
 # Every config section as {key: (default, parser)}: a given key's text goes
@@ -104,8 +116,8 @@ _SECTIONS = {
         "grid_points": (200, int),
         "method": ("key_formula", str.strip),
         "quad_order": (64, int),
-        "margin": (0.1, float),
-        "tol": (1e-5, float),
+        "margin": (0.1, _positive_finite("margin")),
+        "tol": (1e-5, _positive_finite("tol")),
         "seed": (0, int),
         "precision": ("double", str.strip),
         "n_grid": ((16, 32, 64, 128), _int_list),
@@ -181,10 +193,6 @@ def _parse_experiment_params(parser, seed_cli):
         raise ValidationError("precision must be double or extended")
     if params["method"] not in ("key_formula", "oracle", "both"):
         raise ValidationError(f"unknown density method {params['method']!r}")
-    if isinstance(params["interval"], tuple) and len(params["interval"]) != 2:
-        raise ValidationError("interval must be 'auto' or two numbers")
-    if not 0.0 < params["tol"] < np.inf:
-        raise ValidationError("tol must be positive and finite")
     if seed_cli is not None:
         params["seed"] = int(seed_cli)
     if params["seed"] < 0:
@@ -206,18 +214,11 @@ def load_config(config_path, overrides, experiment, seed_cli=None) -> RunConfig:
     )
 
 
-def _resolve_interval(cfg, model):
-    spec = cfg.params["interval"]
+def _resolve_interval(cfg):
+    spec, margin = cfg.params["interval"], cfg.params["margin"]
     if spec == "auto":
-        intervals = admissible_intervals(cfg.block, margin=cfg.params["margin"])
-        return widest_interval(intervals)
-    lo, hi = spec
-    if not lo < hi:
-        raise ValidationError("interval bounds must satisfy lo < hi")
-    if not np.isfinite(spec).all():
-        raise ValidationError("interval bounds must be finite")
-    eps_i, c_i = interval_constants(cfg.block, (lo, hi))
-    return AdmissibleInterval(lo, hi, eps_i, c_i, cfg.params["margin"])
+        return widest_admissible_interval(cfg.block, margin)
+    return AdmissibleInterval(*spec, *interval_constants(cfg.block, spec), margin)
 
 
 def _meta_lines(cfg, model, extra=None):
@@ -232,16 +233,13 @@ def _meta_lines(cfg, model, extra=None):
 
 
 def _run_bands(cfg, model):
-    bs = band_edges(cfg.block)
-    rows = [["lo", "hi"]]
-    for lo, hi in bs.bands:
-        rows.append([_fmt(lo), _fmt(hi)])
-    return rows, _meta_lines(cfg, model), 0
+    lo, hi = zip(*band_edges(cfg.block).bands)
+    return ["lo,hi", *_fmt_rows(lo, hi)], _meta_lines(cfg, model), 0
 
 
 def _run_density(cfg, model):
     p = cfg.params
-    interval = _resolve_interval(cfg, model)
+    interval = _resolve_interval(cfg)
     n = p["N"]
     extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] method={p['method']}"
     # the oracle has no precision switch; only the key formula reads it
@@ -251,24 +249,23 @@ def _run_density(cfg, model):
         for m in methods
     ]
     if len(curves) == 1:
-        rows = [["E", "value"], *_fmt_rows(curves[0].grid, curves[0].values)]
+        rows = ["E,value", *_fmt_rows(curves[0].grid, curves[0].values)]
         return rows, _meta_lines(cfg, model, extra), 0
     key, oracle = curves
     rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
-    rows = [["E", "value", "value_oracle", "rel_err"], *_fmt_rows(key.grid, key.values, oracle.values, rel)]
+    rows = ["E,value,value_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
     return rows, _meta_lines(cfg, model, extra), 0
 
 
 def _run_compare(cfg, model):
     p = cfg.params
-    interval = _resolve_interval(cfg, model)
+    interval = _resolve_interval(cfg)
     n = p["N"]
     key = density_curve(model, n, interval, p["grid_points"], method="key_formula")
     oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
     rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
     worst = float(np.max(rel, initial=0.0))
-    rows = [["E", "density_key", "density_oracle", "rel_err"]]
-    rows += _fmt_rows(key.grid, key.values, oracle.values, rel)
+    rows = ["E,density_key,density_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
     extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"
     code = 0 if worst < p["tol"] else 3
     return rows, _meta_lines(cfg, model, extra), code
@@ -276,20 +273,20 @@ def _run_compare(cfg, model):
 
 def _run_entropy(cfg, model):
     p = cfg.params
-    interval = _resolve_interval(cfg, model)
-    rows = [["N", "I_lo", "I_hi", "value", "quad_order"]]
+    interval = _resolve_interval(cfg)
+    rows = ["N,I_lo,I_hi,value,quad_order"]
     orders = (p["quad_order"], 2 * p["quad_order"])
+    bounds = f"{_fmt(interval.lo)},{_fmt(interval.hi)}"
     for n in p["N_list"]:
         values = entropy_integrals(model, n, interval, orders, precision=p["precision"])
-        for order, val in zip(orders, values):
-            rows.append([str(n), _fmt(interval.lo), _fmt(interval.hi), _fmt(val), str(order)])
+        rows += [f"{n},{bounds},{_fmt(val)},{order}" for order, val in zip(orders, values)]
     extra = f"interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}]"
     return rows, _meta_lines(cfg, model, extra), 0
 
 
 def _run_certify(cfg, model):
     p = cfg.params
-    interval = _resolve_interval(cfg, model)
+    interval = _resolve_interval(cfg)
     zeta = complex(interval.midpoint(), 0.5 * interval.eps_I)
     reports = [
         check_floquet_bound(cfg.block, interval),
@@ -297,27 +294,16 @@ def _run_certify(cfg, model):
         check_diagonal_products(model, interval, seed=cfg.seed),
         check_harmonic_hypotheses(model, p["N"], interval),
     ]
-    rows = [["name", "passed", "constant_name", "constant_value", "worst_E", "worst_y"]]
-    any_failed = False
+    rows = ["name,passed,constant_name,constant_value,worst_E,worst_y"]
     for rep in reports:
-        any_failed = any_failed or not rep.passed
-        worst_e = rep.worst_case.get("E", "")
-        worst_y = rep.worst_case.get("y", "")
-        for cname, cval in rep.measured.items():
-            if isinstance(cval, (list, tuple)):
-                continue
-            rows.append(
-                [
-                    rep.name,
-                    str(rep.passed).lower(),
-                    cname,
-                    _fmt(cval),
-                    _fmt(worst_e) if worst_e != "" else "",
-                    _fmt(worst_y) if worst_y != "" else "",
-                ]
-            )
+        worst = ",".join(_fmt(rep.worst_case[k]) if k in rep.worst_case else "" for k in ("E", "y"))
+        rows += [
+            f"{rep.name},{str(rep.passed).lower()},{cname},{_fmt(cval)},{worst}"
+            for cname, cval in rep.measured.items()
+            if not isinstance(cval, (list, tuple))
+        ]
     extra = f"N={p['N']} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] eps_I={_fmt(interval.eps_I)}"
-    return rows, _meta_lines(cfg, model, extra), 3 if any_failed else 0
+    return rows, _meta_lines(cfg, model, extra), 0 if all(rep.passed for rep in reports) else 3
 
 
 _RUNNERS = {
@@ -350,12 +336,7 @@ def run(config_path, overrides=None, experiment=None, out_dir=".", seed=None):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{experiment}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+    (out / f"{experiment}.csv").write_text("\n".join([*meta, *rows, ""]), encoding="utf-8", newline="")
     return code
 
 

@@ -120,6 +120,30 @@ def test_widest_interval_ties_go_to_the_highest():
     assert js.widest_interval([wider, upper]) is wider
 
 
+@pytest.mark.parametrize("margin", [0.05, 0.1])
+@pytest.mark.parametrize("q", range(1, 7))
+def test_widest_admissible_interval_matches_widest_of_all(q, margin):
+    rng = np.random.default_rng(7000 + q)
+    checked = 0
+    for _ in range(6):
+        block = random_block(rng, q)
+        try:
+            expected = js.widest_interval(js.admissible_intervals(block, margin))
+        except (NoAdmissibleIntervalError, DegenerateBranchError):
+            continue
+        # dataclass equality: lo, hi, eps_I, C_I and margin all match exactly
+        assert js.widest_admissible_interval(block, margin) == expected
+        checked += 1
+    assert checked > 0
+
+
+def test_widest_admissible_interval_tie_and_empty(free_block):
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    assert js.widest_admissible_interval(block, 0.1) == js.admissible_intervals(block, 0.1)[1]
+    with pytest.raises(NoAdmissibleIntervalError):
+        js.widest_admissible_interval(free_block, margin=2.5)
+
+
 def test_admissible_free(free_block):
     intervals = js.admissible_intervals(free_block, margin=0.1)
     assert len(intervals) == 1

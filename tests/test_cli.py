@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from jostspec import _kernels, measures
+from jostspec import _kernels, bands, cli, measures
 from jostspec.cli import EXPERIMENTS, load_config, main, run
 
 FREE_CONFIG = """\
@@ -232,6 +232,65 @@ def test_entropy_runs_one_recursion_per_truncation(tmp_path, monkeypatch):
     assert calls == [24, 24, 24]
 
 
+THREE_BAND_CONFIG = """\
+[block]
+q = 3
+a = 1.0, 1.3, 0.8
+b = 0.2, -0.3, 0.1
+
+[perturbation]
+kind = finite_list
+alpha = 0.05, -0.03
+beta = 0.1, -0.08, 0.05
+
+[experiment]
+N = 4
+N_list = 4
+grid_points = 20
+quad_order = 8
+margin = 0.1
+n_grid = 8, 16
+"""
+
+
+@pytest.mark.parametrize("experiment", ["density", "compare", "entropy", "certify"])
+def test_auto_interval_computes_strip_constants_once(tmp_path, monkeypatch, experiment):
+    cfg = _write(tmp_path, THREE_BAND_CONFIG)
+    intervals = bands.admissible_intervals(load_config(str(cfg), [], experiment).block, 0.1)
+    assert len(intervals) == 3
+    widest = bands.widest_interval(intervals)
+    calls = []
+    interval_constants = bands.interval_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return interval_constants(*args, **kwargs)
+
+    monkeypatch.setattr(bands, "interval_constants", counting)
+    assert run(str(cfg), experiment=experiment, out_dir=str(tmp_path / "out")) == 0
+    assert calls == [(widest.lo, widest.hi)]
+
+
+# Floats whose shortest repr and 17-digit form differ, or that have special spellings.
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    1.0, -3.0, 1e22, 2.0**53, 0.1, -1.0 / 3.0,
+]
+
+
+def test_csv_values_match_format_17g(tmp_path, monkeypatch):
+    hi = SPECIAL_FLOATS[::-1]
+    expected = [",".join(format(x, ".17g") for x in row) for row in zip(SPECIAL_FLOATS, hi)]
+    assert cli._fmt_rows(SPECIAL_FLOATS, hi) == expected
+    monkeypatch.setattr(cli, "band_edges", lambda block: bands.BandSet(tuple(zip(SPECIAL_FLOATS, hi))))
+    assert run(str(_write(tmp_path, FREE_CONFIG)), experiment="bands", out_dir=str(tmp_path / "out")) == 0
+    data = (tmp_path / "out" / "bands.csv").read_bytes()
+    assert b"\r" not in data
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    body = [line for line in data.decode().split("\n")[:-1] if not line.startswith("#")]
+    assert body == ["lo,hi", *expected]
+
+
 def test_certify_free_passes(tmp_path):
     cfg = _write(tmp_path, FREE_CONFIG + "n_grid = 8, 16, 32\n")
     code = run(str(cfg), experiment="certify", out_dir=str(tmp_path / "out"))
@@ -341,7 +400,12 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "perturbation.s=inf", EXPERIMENTS),
     (PERTURBED_CONFIG, "perturbation.alpha=0.05, nan", EXPERIMENTS),
     (PERTURBED_CONFIG, "perturbation.beta=inf", EXPERIMENTS),
-    (PERTURBED_CONFIG, "experiment.interval=0.5, inf", ("density", "entropy", "certify", "compare")),
+    # margin and interval are checked when parsed, also in bands, which reads neither
+    (PERTURBED_CONFIG, "experiment.interval=0.5, inf", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.interval=1, 0.5", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.margin=-1", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.margin=nan", EXPERIMENTS),
+    (PERTURBED_CONFIG, "experiment.margin=inf", EXPERIMENTS),
     (PERTURBED_CONFIG, "experiment.tol=nan", EXPERIMENTS),
     (PERTURBED_CONFIG, "experiment.tol=0", EXPERIMENTS),
     # keys the perturbation kind does not read are still parsed
