@@ -72,6 +72,32 @@ def _parse_bool(text):
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
+def _at_least(name, low, parse=int):
+    """Parser of an int, or with parse=_int_list of a list of ints, whose
+    every value is >= low."""
+
+    def check(text):
+        value = parse(text)
+        if not (np.asarray(value) >= low).all():
+            raise ValidationError(f"{name} must be >= {low}")
+        return value
+
+    return check
+
+
+def _finite(name, parse=float):
+    """Parser of a float, or with parse=_float_list of a list of floats, whose
+    every value is finite."""
+
+    def check(text):
+        value = parse(text)
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{name} must be finite")
+        return value
+
+    return check
+
+
 def _positive_finite(name):
     def parse(text):
         x = float(text)
@@ -101,26 +127,26 @@ _SECTIONS = {
     "block": {"q": (1, int), "a": ((1.0,), _float_list), "b": ((0.0,), _float_list)},
     "perturbation": {
         "kind": ("zero", str),
-        "alpha": ((), _float_list),
-        "beta": ((), _float_list),
-        "c": (1.0, float),
-        "s": (0.5, float),
-        "gamma": (None, float),
+        "alpha": ((), _finite("alpha", _float_list)),
+        "beta": ((), _finite("beta", _float_list)),
+        "c": (1.0, _finite("c")),
+        "s": (0.5, _finite("s")),
+        "gamma": (None, _finite("gamma")),
         "target": ("b", str),
         "l2_admissible": (False, _parse_bool),
     },
     "experiment": {
-        "N": (20, int),
-        "N_list": ((10, 20, 40, 80), _int_list),
+        "N": (20, _at_least("N", 1)),
+        "N_list": ((10, 20, 40, 80), _at_least("N_list entries", 1, _int_list)),
         "interval": ("auto", _parse_interval),
-        "grid_points": (200, int),
+        "grid_points": (200, _at_least("grid_points", 2)),
         "method": ("key_formula", str.strip),
-        "quad_order": (64, int),
+        "quad_order": (64, _at_least("quad_order", 4)),
         "margin": (0.1, _positive_finite("margin")),
         "tol": (1e-5, _positive_finite("tol")),
         "seed": (0, int),
         "precision": ("double", str.strip),
-        "n_grid": ((16, 32, 64, 128), _int_list),
+        "n_grid": ((16, 32, 64, 128), _at_least("n_grid entries", 1, _int_list)),
     },
 }
 

@@ -205,8 +205,12 @@ class ProductForm:
     """Boundary pair factored through the block eigenbases.
 
     prefactor = prod lambda_j (1 + alpha_j) over the interior connection
-    steps; (prefactor, phi_N, nu_N) reconstruct (u_1, u_0) through
+    steps, formed as exp(log_prefactor); log_prefactor is the sum of
+    ln|lambda_j| + ln|1 + alpha_j| + i (arg lambda_j + arg(1 + alpha_j)),
+    so its imaginary part is the unwrapped sum of the arguments.
+    (prefactor, phi_N, nu_N) reconstruct (u_1, u_0) through
     M_0^{-1} U_0^{-1} L_0.  kappa is the observed eigenvalue-modulus floor.
+    The certificates read only phi_N, nu_N, lambda0 and c0.
     product_representation fills the fields with scalars and u_inv0 with a
     2x2 array; product_forms fills them with arrays over its points
     (u_inv0 of shape (2, 2, points)).
@@ -240,8 +244,11 @@ def product_forms(model, N, points) -> ProductForm:
     prefactor come out separately.  The walk takes CHUNK blocks at a time,
     top chunk first: one chain_blocks and one connection_entries call and
     the logarithms and masks as arrays per chunk, then one NumPy step over
-    all points per block, in descending n.  A step with W_n = 0 (identical
-    eigenbases) only rescales nu by lambda_n^{-2}.
+    all points per block, in descending n.  Each step adds
+    ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to
+    log_prefactor, with no complex logarithm.  A step with W_n = 0
+    (identical eigenbases) has 1 + alpha_n = 1 exactly and only rescales nu
+    by lambda_n^{-2}.
 
     Raises the error product_representation would raise at the first failing
     point: a block without a usable eigenbasis (lowest block) before a
@@ -260,10 +267,11 @@ def product_forms(model, N, points) -> ProductForm:
 
     def blocks(lo, count):
         lam, u, faults = transfer.chain_blocks(a, b, points, q, lo, count)
-        code, first = transfer._lowest_fault(faults)
-        # the walk descends, so the last block recorded is the lowest
-        hit = code != 0
-        chain[0][hit], chain[1][hit] = code[hit], lo + first[hit]
+        if faults.any():
+            code, first = transfer._lowest_fault(faults)
+            # the walk descends, so the last block recorded is the lowest
+            hit = code != 0
+            chain[0][hit], chain[1][hit] = code[hit], lo + first[hit]
         return lam, u
 
     def chunk(lo, hi, lam, u):
@@ -279,12 +287,12 @@ def product_forms(model, N, points) -> ProductForm:
         )
         one_alpha = 1.0 + w11
         diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
-        dead = ~diagonal & (one_alpha == 0)
-        code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
-        fresh = (code != 0) & (walk[0] == 0)
-        walk[0][fresh], walk[1][fresh] = code[fresh], (hi - top - (code == SINGULAR_U))[fresh]
-        log_lam = np.log(lam)
-        inc = np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
+        dead = one_alpha == 0
+        if singular.any() or dead.any():
+            code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
+            fresh = (code != 0) & (walk[0] == 0)
+            walk[0][fresh], walk[1][fresh] = code[fresh], (hi - top - (code == SINGULAR_U))[fresh]
+        inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
         rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam, diagonal, inc)
         for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag, inc_n in reversed(list(rows)):
             t0 = lam_n * v0

@@ -238,12 +238,15 @@ def chain_blocks(a, b, zetas, q, first, count):
     (rho_n lambda_n - D_n, a_nq C_n) with rho_n = a_nq / a_(n+1)q.  At real
     energies the blocks are evaluated a complex step CS_STEP above the axis,
     so the sign of the trace derivative comes with the trace and fixes the
-    branch.  Returns (lam, u, faults), each entry a (count, points) array;
-    faults holds PARABOLIC, FLAT_TRACE or COINCIDENT where the block has no
-    usable eigenbasis.
+    branch.  Each point computes its own branch only: _real_branch and the
+    PARABOLIC / FLAT_TRACE tests on the real columns, decaying_branch and
+    the COINCIDENT test on the others.  Returns (lam, u, faults), each entry
+    a (count, points) array; faults holds PARABOLIC, FLAT_TRACE or
+    COINCIDENT where the block has no usable eigenbasis.
     """
     zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     real = zeta.imag == 0.0
+    off = ~real
     lo, hi = first * q, (first + count) * q + 1
     zeval = np.where(real, zeta + 1j * CS_STEP, zeta)
     p11, _, p21, p22 = _kernels.period_products(a[lo:hi], b[lo:hi], zeval, q, count)
@@ -251,16 +254,22 @@ def chain_blocks(a, b, zetas, q, first, count):
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]
     tr = p11 + p22 / rho
-    re = tr.real
+    lam = np.empty_like(tr)
+    faults = np.zeros(tr.shape, dtype=np.int64)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        dsign = tr.imag / CS_STEP
-        _, big, coincide = decaying_branch(tr)
-        lam = np.where(real, _real_branch(re, dsign), big)
-        parabolic = real & (np.abs(np.abs(re) - 2.0) < PARABOLIC_TOL)
-        flat = real & (np.abs(re) < 2.0) & (np.abs(dsign) < DERIV_TOL)
+        if real.any():
+            re, dsign = tr.real[:, real], tr.imag[:, real] / CS_STEP
+            lam[:, real] = _real_branch(re, dsign)
+            parabolic = np.abs(np.abs(re) - 2.0) < PARABOLIC_TOL
+            flat = (np.abs(re) < 2.0) & (np.abs(dsign) < DERIV_TOL)
+            if parabolic.any() or flat.any():
+                faults[:, real] = np.select([parabolic, flat], [PARABOLIC, FLAT_TRACE], 0)
+        if off.any():
+            _, lam[:, off], coincide = decaying_branch(tr[:, off])
+            if coincide.any():
+                faults[:, off] = np.where(coincide, COINCIDENT, 0)
         u12 = rho * lam - p22
         u11 = rho / lam - p22
-    faults = np.select([parabolic, flat, ~real & coincide], [PARABOLIC, FLAT_TRACE, COINCIDENT], 0)
     u21 = a_lo * p21
     return lam, (u11, u12, u21, u21), faults
 
@@ -283,7 +292,9 @@ def connection_entries(prev, cur):
             (-p21 * c11 + p11 * c21) / det,
             (-p21 * c12 + p11 * c22) / det - 1.0,
         )
-    return tuple(np.where(same, 0j, x) for x in w), ~same & (det == 0)
+    if same.any():
+        w = tuple(np.where(same, 0j, x) for x in w)
+    return w, ~same & (det == 0)
 
 
 def connection_matrices(model, n_blocks, zetas):

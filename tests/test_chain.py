@@ -129,10 +129,12 @@ def reference_forms(model, N, points):
             t0 = lam * v0
             t1 = v1 / lam
             denom = lam * one_alpha
-            log_lam = np.log(lam)
             v0 = np.where(diagonal, v0, (one_alpha * t0 + w12 * t1) / denom)
             v1 = np.where(diagonal, v1 / (lam * lam), (w21 * t0 + (1.0 + w22) * t1) / denom)
-            logpref = logpref + np.where(diagonal, log_lam, log_lam + np.log(one_alpha))
+            # ln|lambda| + ln|1 + alpha| + i (arg lambda + arg(1 + alpha)),
+            # with 1 + alpha = 1 exactly on a diagonal step
+            ln_abs = np.log(np.abs(lam)) + np.log(np.abs(one_alpha))
+            logpref = logpref + (ln_abs + 1j * (np.angle(lam) + np.angle(one_alpha)))
             lam, u = lam_prev, u_prev
     transfer._raise_first_fault(points, chain, walk)
     return {
@@ -256,6 +258,67 @@ def test_walk_memory_does_not_grow_with_depth(baseline_model, baseline_interval)
         peaks[N] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[1000] <= 1.5 * peaks[100], peaks
+
+
+@pytest.fixture(scope="module")
+def certify_points(baseline_interval):
+    """The 288 probe points of check_harmonic_hypotheses on the baseline
+    interval: 96 real energies, then 16 x 8 strip and 16 x 4 top points."""
+    iv = baseline_interval
+    es = np.linspace(iv.lo, iv.hi, 16)
+    ys = np.concatenate([iv.eps_I * 0.5 ** np.arange(8), np.linspace(0.75 * iv.eps_I, iv.eps_I, 4)])
+    return np.concatenate([np.linspace(iv.lo, iv.hi, 96) + 0j, (es[None, :] + 1j * ys[:, None]).ravel()])
+
+
+def per_block_log_sums(model, N, points):
+    """Per point, the math.fsum of ln|f| and of cmath.phase(f) over the
+    factors f = lambda_n and 1 + alpha_n of the steps n = N-1 .. 1, taken in
+    Python scalar arithmetic from the batched chain."""
+    work = js.truncate(model, N)
+    q = work.block.q
+    a, b = work.coefficient_arrays(N * q)
+    lam, _, _ = transfer.chain_blocks(a, b, points, q, 0, N)
+    w11 = transfer.connection_matrices(work, N, points)[0]
+    factors = np.concatenate([lam[1:], 1.0 + w11]).T.tolist()
+    re = [math.fsum(math.log(abs(f)) for f in col) for col in factors]
+    im = [math.fsum(cmath.phase(f) for f in col) for col in factors]
+    return np.array(re), np.array(im)
+
+
+def test_log_prefactor_sums_per_block_logs_at_depth(baseline_model, certify_points):
+    N = 1000
+    form = js.product_forms(baseline_model, N, certify_points)
+    re, im = per_block_log_sums(baseline_model, N, certify_points)
+    assert np.all(np.abs(form.log_prefactor.real - re) <= 1e-12 * np.abs(re))
+    # the unwrapped sum of the arguments, far outside (-pi, pi] on the axis
+    assert np.all(np.abs(form.log_prefactor.imag - im) <= 1e-12 * np.abs(im))
+    assert np.abs(im).max() > 100 * math.pi
+    assert np.array_equal(np.exp(form.log_prefactor), form.prefactor)
+    # an outer real energy of a q = 6 block: |lambda_n| ~ 3e9 per block, and
+    # ln|.| stays finite where a product of the factors would overflow
+    block = js.periodic_block(6, [1.0, 0.9, 1.2, 1.1, 0.8, 1.3], [0.1, -0.2, 0.0, 0.3, -0.1, 0.2])
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+    with np.errstate(over="ignore"):  # prefactor = exp(2e4) overflows to inf
+        outer = js.product_forms(model, N, [40.0])
+    re, _ = per_block_log_sums(model, N, [40.0])
+    assert abs(outer.lambda0[0]) > 1e9 and re[0] > 2e4
+    assert np.isfinite([outer.log_prefactor[0], outer.phi_N[0], outer.nu_N[0]]).all()
+    assert abs(outer.log_prefactor[0].real - re[0]) <= 1e-12 * re[0]
+
+
+def test_walk_computes_each_points_branch_only(monkeypatch, baseline_model, certify_points):
+    # one product_forms call: the real-axis branch sees the 96 real columns
+    # only, the complex square root of decaying_branch the 192 strip columns
+    widths = {"_real_branch": set(), "decaying_branch": set()}
+    for name in widths:
+
+        def recording(*args, _name=name, _branch=getattr(transfer, name)):
+            widths[_name].add(args[0].shape[-1])
+            return _branch(*args)
+
+        monkeypatch.setattr(transfer, name, recording)
+    js.product_forms(baseline_model, 20, certify_points)
+    assert widths == {"_real_branch": {96}, "decaying_branch": {192}}
 
 
 def test_finite_support_takes_exact_diagonal_steps():

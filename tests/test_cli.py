@@ -411,6 +411,19 @@ REJECTED_VALUES = [
     # keys the perturbation kind does not read are still parsed
     (PERTURBED_CONFIG, "perturbation.c=abc", EXPERIMENTS),
     (BASELINE_CONFIG, "perturbation.alpha=0.1, y", EXPERIMENTS),
+    # and must be finite, as the kind that reads them requires
+    (FREE_CONFIG, "perturbation.c=inf", EXPERIMENTS),
+    (FREE_CONFIG, "perturbation.s=nan", EXPERIMENTS),
+    (PERTURBED_CONFIG, "perturbation.gamma=-inf", EXPERIMENTS),
+    (FREE_CONFIG, "perturbation.alpha=0.1, nan", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.beta=-inf", EXPERIMENTS),
+    # ranges are checked when parsed, also in experiments that do not read the key
+    (BASELINE_CONFIG, "experiment.N=0", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.quad_order=2", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.grid_points=1", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.N_list=0", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.N_list=10, 0", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.n_grid=8, 0", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
 ]
 
