@@ -110,6 +110,16 @@ def _positive_finite(name):
     return parse
 
 
+def _one_of(name, choices):
+    def parse(text):
+        value = text.strip()
+        if value not in choices:
+            raise ValidationError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+        return value
+
+    return parse
+
+
 def _parse_interval(text):
     text = text.strip()
     if text == "auto":
@@ -126,13 +136,13 @@ def _parse_interval(text):
 _SECTIONS = {
     "block": {"q": (1, int), "a": ((1.0,), _float_list), "b": ((0.0,), _float_list)},
     "perturbation": {
-        "kind": ("zero", str),
+        "kind": ("zero", _one_of("kind", ("zero", "finite_list", "power_decay_oscillatory"))),
         "alpha": ((), _finite("alpha", _float_list)),
         "beta": ((), _finite("beta", _float_list)),
         "c": (1.0, _finite("c")),
         "s": (0.5, _finite("s")),
         "gamma": (None, _finite("gamma")),
-        "target": ("b", str),
+        "target": ("b", _one_of("target", ("a", "b", "both"))),
         "l2_admissible": (False, _parse_bool),
     },
     "experiment": {
@@ -140,12 +150,12 @@ _SECTIONS = {
         "N_list": ((10, 20, 40, 80), _at_least("N_list entries", 1, _int_list)),
         "interval": ("auto", _parse_interval),
         "grid_points": (200, _at_least("grid_points", 2)),
-        "method": ("key_formula", str.strip),
+        "method": ("key_formula", _one_of("method", ("key_formula", "oracle", "both"))),
         "quad_order": (64, _at_least("quad_order", 4)),
         "margin": (0.1, _positive_finite("margin")),
         "tol": (1e-5, _positive_finite("tol")),
-        "seed": (0, int),
-        "precision": ("double", str.strip),
+        "seed": (0, _at_least("seed", 0)),
+        "precision": ("double", _one_of("precision", ("double", "extended"))),
         "n_grid": ((16, 32, 64, 128), _at_least("n_grid entries", 1, _int_list)),
     },
 }
@@ -201,28 +211,21 @@ def _parse_block(parser):
 
 def _parse_pert(parser):
     sec = _section(parser, "perturbation")
-    kind = sec["kind"]
-    if kind == "zero":
+    if sec["kind"] == "zero":
         return PerturbationSpec.zero()
-    if kind == "finite_list":
+    if sec["kind"] == "finite_list":
         return PerturbationSpec.finite(alpha=sec["alpha"], beta=sec["beta"])
-    if kind == "power_decay_oscillatory":
-        if sec["gamma"] is None:
-            raise ValidationError("bad [perturbation] value: power_decay_oscillatory needs gamma")
-        return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"], sec["l2_admissible"])
-    raise ValidationError(f"unknown perturbation kind {kind!r}")
+    if sec["gamma"] is None:
+        raise ValidationError("bad [perturbation] value: power_decay_oscillatory needs gamma")
+    return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"], sec["l2_admissible"])
 
 
 def _parse_experiment_params(parser, seed_cli):
     params = _section(parser, "experiment")
-    if params["precision"] not in ("double", "extended"):
-        raise ValidationError("precision must be double or extended")
-    if params["method"] not in ("key_formula", "oracle", "both"):
-        raise ValidationError(f"unknown density method {params['method']!r}")
     if seed_cli is not None:
         params["seed"] = int(seed_cli)
-    if params["seed"] < 0:
-        raise ValidationError("seed must be >= 0")
+        if params["seed"] < 0:
+            raise ValidationError("seed must be >= 0")
     return params
 
 

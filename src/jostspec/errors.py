@@ -40,7 +40,8 @@ class ZeroJostError(JostspecError):
 
 
 class OracleConvergenceError(JostspecError):
-    """Periodic-tail resolvent fixed point could not be certified."""
+    """The periodic tail's fixed-point quadratic gave no finite root with
+    Im m > 0, as when the period product overflows far from the bands."""
 
 
 class NoAdmissibleIntervalError(JostspecError):

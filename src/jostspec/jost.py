@@ -204,11 +204,11 @@ def wronskian_defect(model, N, energy):
 class ProductForm:
     """Boundary pair factored through the block eigenbases.
 
-    prefactor = prod lambda_j (1 + alpha_j) over the interior connection
-    steps, formed as exp(log_prefactor); log_prefactor is the sum of
+    log_prefactor is the logarithm of prod lambda_j (1 + alpha_j) over the
+    interior connection steps, the sum of
     ln|lambda_j| + ln|1 + alpha_j| + i (arg lambda_j + arg(1 + alpha_j)),
     so its imaginary part is the unwrapped sum of the arguments.
-    (prefactor, phi_N, nu_N) reconstruct (u_1, u_0) through
+    (exp(log_prefactor), phi_N, nu_N) reconstruct (u_1, u_0) through
     M_0^{-1} U_0^{-1} L_0.  kappa is the observed eigenvalue-modulus floor.
     The certificates read only phi_N, nu_N, lambda0 and c0.
     product_representation fills the fields with scalars and u_inv0 with a
@@ -216,7 +216,6 @@ class ProductForm:
     (u_inv0 of shape (2, 2, points)).
     """
 
-    prefactor: complex
     phi_N: complex
     nu_N: complex
     kappa: float
@@ -312,7 +311,6 @@ def product_forms(model, N, points) -> ProductForm:
             lam, u = chunk(max(hi - CHUNK, 0), hi, lam, u)
     transfer._raise_first_fault(points, chain, walk)
     return ProductForm(
-        prefactor=np.exp(logpref),
         phi_N=v0,
         nu_N=v1,
         kappa=kappa,
@@ -328,7 +326,6 @@ def product_representation(model, N, zeta) -> ProductForm:
     product_forms, with scalar fields and a 2x2 u_inv0."""
     form = product_forms(model, N, [zeta])
     return ProductForm(
-        prefactor=complex(form.prefactor[0]),
         phi_N=complex(form.phi_N[0]),
         nu_N=complex(form.nu_N[0]),
         kappa=float(form.kappa[0]),
@@ -340,10 +337,12 @@ def product_representation(model, N, zeta) -> ProductForm:
 
 
 def reconstruct_boundary_pair(form):
-    """(u_1, u_0) from a ProductForm: prefactor * M_0^{-1} U_0^{-1} L_0 (phi, nu)."""
+    """(u_1, u_0) from a ProductForm of product_representation:
+    exp(log_prefactor) * M_0^{-1} U_0^{-1} L_0 (phi, nu)."""
     w0 = form.lambda0 * form.phi_N
     w1 = form.nu_N / form.lambda0
     u = form.u_inv0
     u1 = complex(u[0, 0]) * w0 + complex(u[0, 1]) * w1
     u0 = (complex(u[1, 0]) * w0 + complex(u[1, 1]) * w1) / form.a0
-    return form.prefactor * u1, form.prefactor * u0
+    prefactor = complex(np.exp(form.log_prefactor))
+    return prefactor * u1, prefactor * u0

@@ -60,19 +60,19 @@ def _tail_closure(block, zetas):
     """tail_m_function at every point of a 1-D complex array, batched, and
     its boundary value at real band-interior energies.
 
-    At Im zeta = 0 inside a band the fixed-point quadratic has real
-    coefficients and a conjugate pair of roots; the tail is the one with
-    Im m > 0, taken as it is.  Off the axis each point stops polishing at its
-    own 1e-14 residual, so its value does not depend on the batch.  Raises the
-    error of the first failing point, in order: Im zeta < 0, Im zeta = 0
-    outside a band interior (the quadratic's discriminant not below 0), no
-    attracting root, a residual not below 1e-13, Im m not above 0 (a NaN
-    fails the last three).
+    The tail is a root of the fixed-point quadratic of the period's Mobius
+    map.  For Im zeta > 0 the other root is the reflected left half-line
+    m-function, with Im < 0, so the tail is the root with Im m > 0; at
+    Im zeta = 0 inside a band the roots are a conjugate pair and the same
+    rule picks the boundary value.  Each point's value is a closed form in
+    its own zeta, so it does not depend on the batch.  Raises the error of
+    the first failing point, in order: Im zeta < 0, Im zeta = 0 outside a
+    band interior (the quadratic's discriminant not below 0), a root that is
+    not finite or has Im m not above 0 (a NaN fails).
     """
     z = np.asarray(zetas, dtype=np.complex128)
     lower = z.imag < 0
     real = z.imag == 0
-    det_g = math.prod(ak * ak for ak in block.a_bg)
     with np.errstate(all="ignore"):
         # Mobius matrix of the q stripping steps [[0, 1], [-a_k^2, b_k - zeta]]
         g11, g12, g21, g22 = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z)
@@ -86,39 +86,11 @@ def _tail_closure(block, zetas):
         s = np.sqrt(disc)
         top = -np.where(np.abs(bb + s) >= np.abs(bb - s), bb + s, bb - s)
         tiny = np.abs(g21) < 1e-300
-        single = tiny | (top == 0)
-        r1 = np.where(tiny, g12 / bb, np.where(top == 0, 0j, top / (2.0 * g21)))
+        r1 = np.where(tiny, g12 / bb, top / (2.0 * g21))
         r2 = -2.0 * g12 / top
-
-        def ratio(m):
-            denom = g21 * m + g22
-            return np.where(denom != 0, det_g / np.abs(denom) ** 2, np.inf)
-
-        # the attracting root: ratio below 1, the smaller one, r1 on a tie
-        ratio1, ratio2 = ratio(r1), ratio(r2)
-        ok1 = ratio1 < 1.0
-        take2 = ~single & (ratio2 < 1.0) & (~ok1 | (ratio2 < ratio1))
-        no_root = ~real & ~ok1 & ~take2
-        # on the axis inside a band the roots are a conjugate pair: Im m > 0
-        outside = real & ~(disc.real < 0)
-        m = np.where(real, np.where(r1.imag > 0, r1, r2), np.where(take2, r2, r1))
-
-        residual = np.where(real, 0.0, np.inf)
-        live = np.flatnonzero(~lower & ~real & ~no_root)
-        for _ in range(100):
-            if not live.size:
-                break
-            zl, m_prev = z[live], m[live]
-            m_next = m_prev
-            for k in range(block.q, 0, -1):
-                ak = block.a(k)
-                m_next = 1.0 / (block.b(k) - zl - ak * ak * m_next)
-            res = np.abs(m_next - m_prev)
-            m[live] = m_next
-            residual[live] = res
-            live = live[~(res < 1e-14)]
-    # written so that a NaN residual or Im m counts as a failure
-    bad = lower | outside | no_root | ~(residual < 1e-13) | ~(m.imag > 0)
+        m = np.where(tiny | (r1.imag > 0), r1, r2)
+    outside = real & ~(disc.real < 0)
+    bad = lower | outside | ~np.isfinite(m) | ~(m.imag > 0)
     if bad.any():
         i = int(np.argmax(bad))
         zeta = complex(z[i])
@@ -126,24 +98,16 @@ def _tail_closure(block, zetas):
             raise ValidationError(f"Im zeta < 0 at zeta = {zeta}")
         if outside[i]:
             raise BandEdgeError(f"E = {zeta.real} is not in a band interior")
-        if no_root[i]:
-            raise OracleConvergenceError(f"no attracting fixed point at zeta = {zeta}; increase Im zeta")
-        if not residual[i] < 1e-13:
-            raise OracleConvergenceError(
-                f"fixed-point residual {residual[i]:.3e} at zeta = {zeta}; increase Im zeta"
-            )
-        raise OracleConvergenceError(f"attracting fixed point is not Herglotz at zeta = {zeta}")
+        raise OracleConvergenceError(f"no fixed point with Im m > 0 at zeta = {zeta}")
     return m
 
 
 def tail_m_function(block, zeta):
     """Boundary Green's value G(1,1) of the pure periodic background.
 
-    The single-energy view of _tail_closure.  The period-q stripping map is a
-    Mobius transformation; its attracting fixed point (contraction ratio
-    |z|^2 < 1 for Im zeta > 0) is solved from the fixed-point quadratic,
-    selected by attraction, and polished with stripping iterations to a
-    1e-14 residual.
+    The single-energy view of _tail_closure: the root with Im m > 0 of the
+    fixed-point quadratic of the period-q stripping map, a Mobius
+    transformation.
     """
     zeta = complex(zeta)
     if zeta.imag <= 0:

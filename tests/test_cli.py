@@ -425,6 +425,13 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "experiment.N_list=10, 0", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=8, 0", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
+    # enumerations and seed are checked when parsed, also where unread
+    (FREE_CONFIG, "perturbation.target=xyz", EXPERIMENTS),
+    (BASELINE_CONFIG, "perturbation.target=ab", EXPERIMENTS),
+    (FREE_CONFIG, "perturbation.kind=sine", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.method=fast", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.precision=quad", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.seed=-1", EXPERIMENTS),
 ]
 
 
@@ -443,6 +450,14 @@ def test_rejected_value_exits_2_without_output(tmp_path, capsys, config, overrid
     assert run(str(cfg), overrides=overrides, experiment=experiment, out_dir=str(out)) == 2
     assert not out.exists()
     assert '"error": "ValidationError"' in capsys.readouterr().err
+
+
+def test_bad_enumeration_names_its_choices(tmp_path, capsys):
+    cfg = _write(tmp_path, FREE_CONFIG)
+    out = tmp_path / "out"
+    assert run(str(cfg), overrides=["perturbation.target=xyz"], experiment="bands", out_dir=str(out)) == 2
+    assert not out.exists()
+    assert '"message": "target must be one of a, b, both; got \'xyz\'"' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -159,9 +159,10 @@ def test_moment_truncation_invisible_beyond_radius(acceptance_suite):
 
 
 def reference_tail(block, zeta):
-    """The periodic-tail closure one energy at a time in Python complex
-    arithmetic: Mobius product, cancellation-free roots, attracting root,
-    stripping passes to a 1e-14 residual."""
+    """An independent periodic-tail closure one energy at a time in Python
+    complex arithmetic: Mobius product, cancellation-free roots, the root
+    with the smaller contraction ratio, stripping passes to a 1e-14
+    residual.  The Im m > 0 root must agree with it to rounding."""
     g11, g12, g21, g22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     for k in range(1, block.q + 1):
         f21, f22 = -block.a(k) ** 2, block.b(k) - zeta
@@ -204,8 +205,8 @@ def test_batched_tail_matches_reference_loop():
 def test_tail_of_a_point_does_not_depend_on_its_batch():
     rng = np.random.default_rng(43)
     block = random_block(rng, 3)
-    # 200 energies over the bands, as close as 0.004 to an edge, where the
-    # polishing takes from 1 to 99 passes; the real-axis points take none
+    # 200 energies over the bands, as close as 0.004 to an edge, on and off
+    # the axis: every point's root is a closed form in its own zeta
     intervals = js.admissible_intervals(block, margin=0.004)
     energies = np.concatenate([np.linspace(iv.lo, iv.hi, 67) for iv in intervals])[:200]
     zetas = [complex(e, y) for e in energies for y in (1e-3, 0.0, 1e-4, 1e-5)]
@@ -321,10 +322,10 @@ def test_nan_density_is_not_positive(free_model, monkeypatch):
 
 def test_oracle_raises_the_first_failing_point(free_block):
     # beyond |zeta| ~ 1e154 the period product overflows: the q = 2 closure
-    # finds no attracting root, the q = 1 closure underflows to Im m = 0;
+    # has no finite root, the q = 1 closure underflows to Im m = 0;
     # E = 0 lies in the gap of the q = 2 block, E = 0.5 in its upper band
     model = js.make_model(js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]))
-    no_root = r"^no attracting fixed point at zeta = \(5e\+199\+0\.001j\); increase Im zeta$"
+    no_root = r"^no fixed point with Im m > 0 at zeta = \(5e\+199\+0\.001j\)$"
     gap = r"^E = 0\.0 is not in a band interior$"
     with pytest.raises(BandEdgeError, match=gap):
         js.density_curve(model, 3, (0.0, 1e200), 3, method="oracle")
@@ -338,8 +339,7 @@ def test_oracle_raises_the_first_failing_point(free_block):
         js.oracle_green_11(model, 3, 5e199 + 1e-3j)
     with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
         js.oracle_green_11(model, 3, 0.5)
-    not_herglotz = r"^attracting fixed point is not Herglotz at zeta = \(5e\+199\+0\.001j\)$"
-    with pytest.raises(OracleConvergenceError, match=not_herglotz):
+    with pytest.raises(OracleConvergenceError, match=no_root):
         js.oracle_green_11(js.make_model(free_block), 3, 5e199 + 1e-3j)
 
 
@@ -357,18 +357,58 @@ def test_extended_precision_through_the_batched_setup():
 
 
 def test_overflowing_tail_closure_raises():
-    # Far out on the axis the period product overflows and the fixed point
-    # comes out NaN; the NaN residual must fail the closure on both entry
-    # points instead of passing through as nan+nanj.
+    # Far out near the axis the discriminant overflows and the root comes
+    # out -inf+infj, which has Im m > 0; the finiteness test must fail the
+    # closure on both entry points instead of passing it through.
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
-    with pytest.raises(OracleConvergenceError, match="residual nan"):
+    message = r"^no fixed point with Im m > 0 at zeta = \(1e\+100\+0\.001j\)$"
+    with pytest.raises(OracleConvergenceError, match=message):
         js.tail_m_function(block, 1e100 + 0.001j)
-    with pytest.raises(OracleConvergenceError, match="residual nan"):
+    with pytest.raises(OracleConvergenceError, match=message):
         js.oracle_green_11(js.make_model(block), 3, 1e100 + 0.001j)
 
 
 BASELINE_BLOCK = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
 POWER = js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
+
+
+def test_tail_just_off_the_axis_is_the_boundary_value():
+    # Im zeta = 1e-30 is below every rounding of the period product at
+    # E = -0.9, so the root with Im m > 0 is the real-axis root bit for bit
+    off = measures._tail_closure(BASELINE_BLOCK, [-0.9 + 1e-30j])
+    on = measures._tail_closure(BASELINE_BLOCK, [-0.9])
+    assert off.tolist() == on.tolist()
+
+
+def test_tail_at_a_large_band_scale_matches_closed_form():
+    # q = 1, a = 1e13: m = (-E + i sqrt(4 a^2 - E^2)) / (2 a^2); Im zeta is
+    # 18 orders below the band scale, where a contraction ratio is 1 within
+    # rounding
+    a, zeta = 1e13, -1.75e13 + 1e-5j
+    m = js.tail_m_function(js.periodic_block(1, [a], [0.0]), zeta)
+    exact = (-zeta + 1j * np.sqrt(4 * a * a - zeta * zeta)) / (2 * a * a)
+    assert abs(m - exact) <= 1e-12 * abs(exact)
+
+
+def test_tail_near_a_band_edge_against_50_digit_root():
+    # 3.3e-3 inside the edge 1.5531209 of this block, at Im zeta = 1e-5
+    mpmath = pytest.importorskip("mpmath")
+    block = random_block(np.random.default_rng(43), 3)
+    zeta = 1.5564118 + 1e-5j
+    m = js.tail_m_function(block, zeta)
+    with mpmath.workdps(50):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        g11, g12, g21, g22 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+        for k in range(1, block.q + 1):
+            f21 = -mpmath.mpf(float(block.a(k))) ** 2
+            f22 = mpmath.mpf(float(block.b(k))) - z
+            g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
+        bb = g22 - g11
+        s = mpmath.sqrt(bb * bb + 4 * g21 * g12)
+        roots = [(-bb + s) / (2 * g21), (-bb - s) / (2 * g21)]
+        assert sorted(r.imag > 0 for r in roots) == [False, True]
+        ref = next(r for r in roots if r.imag > 0)
+        assert float(abs(m - ref) / abs(ref)) <= 1e-13
 
 
 def reference_real_axis_green(mpmath, model, N, energy):
@@ -429,8 +469,8 @@ def test_off_axis_oracle_approaches_the_real_axis_value_linearly():
 
 
 def test_oracle_agrees_with_key_formula_close_to_band_edges():
-    # At Im zeta = 1e-5 the tail of this block cannot be polished below 1e-13
-    # within 3.3e-3 of its edge 1.5531209; on the axis no polishing is needed.
+    # margin 1e-3 puts grid points within 1e-3 of the edge 1.5531209 of this
+    # block, where the oracle's tail is the real-axis root with Im m > 0
     block = random_block(np.random.default_rng(43), 3)
     model = js.make_model(block, POWER)
     for iv in js.admissible_intervals(block, margin=1e-3):
