@@ -35,7 +35,6 @@ from .errors import (
     BandEdgeError,
     CoefficientError,
     DegenerateBranchError,
-    DensityDomainError,
     DiagonalizationError,
     EigenvectorDegeneracyError,
     JostspecError,

@@ -55,12 +55,11 @@ def _fmt_rows(*columns):
 
 
 def _float_list(text):
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return [float(p) for p in parts]
+    return [float(p) for p in text.replace(",", " ").split()]
 
 
 def _int_list(text):
-    return tuple(int(round(x)) for x in _float_list(text))
+    return tuple(int(p) for p in text.replace(",", " ").split())
 
 
 def _parse_bool(text):
@@ -261,6 +260,11 @@ def _meta_lines(cfg, model, extra=None):
     return lines
 
 
+def _rel_err(key, oracle):
+    """|key - oracle| / |key| per grid point of two density curves."""
+    return np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
+
+
 def _run_bands(cfg, model):
     lo, hi = zip(*band_edges(cfg.block).bands)
     return ["lo,hi", *_fmt_rows(lo, hi)], _meta_lines(cfg, model), 0
@@ -281,8 +285,7 @@ def _run_density(cfg, model):
         rows = ["E,value", *_fmt_rows(curves[0].grid, curves[0].values)]
         return rows, _meta_lines(cfg, model, extra), 0
     key, oracle = curves
-    rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
-    rows = ["E,value,value_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
+    rows = ["E,value,value_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, _rel_err(key, oracle))]
     return rows, _meta_lines(cfg, model, extra), 0
 
 
@@ -292,7 +295,7 @@ def _run_compare(cfg, model):
     n = p["N"]
     key = density_curve(model, n, interval, p["grid_points"], method="key_formula")
     oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
-    rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
+    rel = _rel_err(key, oracle)
     worst = float(np.max(rel, initial=0.0))
     rows = ["E,density_key,density_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
     extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"

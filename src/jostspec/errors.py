@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class JostspecError(Exception):
@@ -46,7 +46,3 @@ class OracleConvergenceError(JostspecError):
 
 class NoAdmissibleIntervalError(JostspecError):
     """The band-edge margin left no admissible subinterval."""
-
-
-class DensityDomainError(JostspecError):
-    """Log-density integrand hit a nonpositive value at a quadrature node."""

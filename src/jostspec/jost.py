@@ -1,7 +1,8 @@
 """Jost solutions of truncated operators, the boundary Green's function,
-the absolutely-continuous density formula, and the block product
-representation of the boundary pair (u_1, u_0), evaluated for a whole grid of
-energies in one walk over the blocks (product_forms)."""
+the absolutely-continuous density formula (its terms, its value, and its
+logarithm formed in log space, finite where the density underflows), and the
+block product representation of the boundary pair (u_1, u_0), evaluated for a
+whole grid of energies in one walk over the blocks (product_forms)."""
 
 from __future__ import annotations
 
@@ -102,33 +103,17 @@ def green_11(model, N, zeta, precision="double"):
     return -sol.u1 / (a0 * sol.u0)
 
 
-def _density_values(c_val, z_imag, a0, u0, scale_log2):
-    """|C Im z| / (pi |a°_0| |u_0|^2) at each energy, in log space where the
-    recursion rescaled u_0 or the denominator overflows.  np.hypot and
-    np.float_power call the C library's hypot and pow, as Python's
-    abs(complex) and float ** do, so the values equal the scalar formula's bit
-    for bit."""
-    num = np.abs(c_val * z_imag)
-    abs_u0 = np.hypot(u0.real, u0.imag)
-    with np.errstate(over="ignore"):
-        denom = math.pi * abs(a0) * np.float_power(abs_u0, 2.0)
-    values = num / denom
-    for i in np.flatnonzero((scale_log2 != 0) | np.isinf(denom)):
-        log_u0 = math.log(abs_u0[i]) + int(scale_log2[i]) * LN2
-        log_val = math.log(num[i]) - math.log(math.pi * abs(a0)) - 2.0 * log_u0
-        values[i] = math.exp(log_val) if log_val > -745.0 else 0.0
-    return values.tolist()
+def density_terms(model, N, energies, precision="double"):
+    """The terms of the key formula at real energies: |C Im z|, |u_0| and
+    the recursion's rescale exponent scale_log2 (the true |u_0| is
+    |u_0| * 2**scale_log2), as arrays over the energies.
 
-
-def density_prefix(model, N, energies, precision="double"):
-    """Key-formula densities at real energies, in order, up to the first
-    energy that fails a check.
-
-    Returns (values, error): the densities of the energies before the first
-    failing one, and that energy's exception (None if every energy passed).
     The Floquet setup (delta, z, C, D and a fault code) is one real_floquet
-    call over all energies, checked per energy in the order of ac_density;
-    the recursion runs once for the energies before the first failing one.
+    call over all energies, and the recursion runs once for the energies
+    before the first one that fails a Floquet check.  Raises the error of
+    the first failing energy in grid order: outside a band interior, a
+    Floquet fault, C = 0, or u_0 = 0 (checked on the energies the recursion
+    ran for).
     """
     block = model.block
     energies = np.asarray(energies, dtype=np.float64)
@@ -136,40 +121,48 @@ def density_prefix(model, N, energies, precision="double"):
     outside = np.abs(delta) >= 2.0 - 1e-12
     bad = np.flatnonzero(outside | (fault != 0) | (c_val == 0))
     stop = int(bad[0]) if bad.size else len(energies)
-    error = None
+    if stop or not bad.size:  # the recursion runs unless the first energy fails
+        work = truncate(model, N)
+        a, b = work.coefficient_arrays(N * block.q)
+        zeta = energies[:stop].astype(np.complex128)
+        dtype = np.clongdouble if precision == "extended" else np.complex128
+        u0, _, scales = _kernels.jost_backward(a, b, zeta, z[:stop] - d_val[:stop], c_val[:stop], dtype=dtype)
+        zero = np.flatnonzero(u0 == 0)
+        if zero.size:
+            raise ZeroJostError(f"u_0(E) = 0 at E = {float(energies[zero[0]])}")
     if bad.size:
         energy = float(energies[stop])
         if outside[stop]:
-            error = BandEdgeError(f"E = {energy} is not in a band interior")
-        elif fault[stop]:
-            error = floquet_error(int(fault[stop]), energy)
-        else:
-            error = EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {energy}")
-    if stop == 0:
-        return [], error
+            raise BandEdgeError(f"E = {energy} is not in a band interior")
+        if fault[stop]:
+            raise floquet_error(int(fault[stop]), energy)
+        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {energy}")
+    return np.abs(c_val * z.imag), np.hypot(u0.real, u0.imag), scales
 
-    work = truncate(model, N)
-    a, b = work.coefficient_arrays(N * block.q)
-    zeta = energies[:stop].astype(np.complex128)
-    top, second = z[:stop] - d_val[:stop], c_val[:stop]
-    dtype = np.clongdouble if precision == "extended" else np.complex128
-    u0, _, scales = _kernels.jost_backward(a, b, zeta, top, second, dtype=dtype)
 
-    zero = np.flatnonzero(u0 == 0)
-    end = int(zero[0]) if zero.size else stop
-    values = _density_values(c_val[:end], z[:end].imag, block.a(0), u0[:end], scales[:end])
-    if zero.size:
-        return values, ZeroJostError(f"u_0(E) = 0 at E = {float(energies[end])}")
-    return values, error
+def log_density(a0, num, abs_u0, scale_log2):
+    """ln of the density |C Im z| / (pi |a°_0| |u_0|^2) from density_terms,
+    formed in log space, so it stays finite where the density underflows."""
+    return np.log(num) - math.log(math.pi * abs(a0)) - 2.0 * (np.log(abs_u0) + scale_log2 * LN2)
+
+
+def density_values(a0, num, abs_u0, scale_log2):
+    """The density from density_terms: the direct quotient where the
+    recursion did not rescale and |u_0|^2 is finite, exp(log_density)
+    elsewhere.  np.hypot and np.float_power call the C library's hypot and
+    pow, as Python's abs(complex) and float ** do, so the quotient equals the
+    scalar formula's bit for bit."""
+    with np.errstate(over="ignore"):
+        denom = math.pi * abs(a0) * np.float_power(abs_u0, 2.0)
+        direct = (scale_log2 == 0) & np.isfinite(denom)
+        return np.where(direct, num / denom, np.exp(log_density(a0, num, abs_u0, scale_log2)))
 
 
 def ac_density(model, N, energy, precision="double"):
     """Absolutely-continuous spectral density of the truncated operator at a
     real band-interior energy: |C Im z| / (pi |a°_0| |u_0|^2)."""
-    values, error = density_prefix(model, N, [energy], precision=precision)
-    if error is not None:
-        raise error
-    return values[0]
+    terms = density_terms(model, N, [energy], precision=precision)
+    return float(density_values(model.block.a(0), *terms)[0])
 
 
 def _wronskian_terms(model, N, energies):

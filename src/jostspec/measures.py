@@ -1,6 +1,6 @@
 """Independent resolvent oracle (coefficient stripping with an exact
-periodic-tail closure), gridded density curves, entropy integrals, and
-spectral moments.
+periodic-tail closure), gridded density curves, entropy integrals of the
+log-space key-formula density, and spectral moments.
 
 The stripping oracle and the key-formula density are deliberately disjoint
 algorithms (different recursion direction, different tail treatment); their
@@ -21,13 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .coefficients import truncate
-from .errors import (
-    BandEdgeError,
-    DensityDomainError,
-    OracleConvergenceError,
-    ValidationError,
-)
-from .jost import density_prefix
+from .errors import BandEdgeError, OracleConvergenceError, ValidationError
+from .jost import density_terms, density_values, log_density
 
 __all__ = [
     "DensityCurve",
@@ -153,10 +148,7 @@ def density_curve(model, N, interval, grid_points, method="key_formula", precisi
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     grid = np.linspace(float(lo), float(hi), int(grid_points))
     if method == "key_formula":
-        values, error = density_prefix(model, N, grid, precision=precision)
-        if error is not None:
-            raise error
-        vals = np.array(values)
+        vals = density_values(model.block.a(0), *density_terms(model, N, grid, precision=precision))
     elif method == "oracle":
         vals = _oracle_values(model, N, grid).imag / math.pi
     else:
@@ -173,9 +165,11 @@ def _gauss_legendre(order):
 
 
 def entropy_integrals(model, N, interval, quad_orders, precision="double"):
-    """entropy_integral at each of quad_orders, from one density_prefix call
+    """entropy_integral at each of quad_orders, from one density_terms call
     over the nodes of every order.  All orders are validated first; then the
-    first failing order raises the error entropy_integral would raise."""
+    first failing order raises the error entropy_integral would raise.  The
+    integrand is log_density, formed in log space, so it stays finite at
+    depths where the density itself underflows."""
     orders = [int(order) for order in quad_orders]
     if any(order < 4 for order in orders):
         raise ValidationError("quad_order must be >= 4")
@@ -183,20 +177,9 @@ def entropy_integrals(model, N, interval, quad_orders, precision="double"):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]
-    values, error = density_prefix(model, N, energies, precision=precision)
-    for energy, val in zip(energies, values):
-        if not val > 0.0:
-            raise DensityDomainError(f"nonpositive density {val} at quadrature node {energy}")
-    if error is not None:
-        raise error
-    results, start = [], 0
-    for order in orders:
-        total = 0.0
-        for w, val in zip(_gauss_legendre(order)[1], values[start : start + order]):
-            total += w * math.log(val)
-        results.append(half * total)
-        start += order
-    return results
+    terms = density_terms(model, N, energies, precision=precision)
+    parts = np.split(log_density(model.block.a(0), *terms), np.cumsum(orders)[:-1])
+    return [half * float(_gauss_legendre(order)[1] @ part) for order, part in zip(orders, parts)]
 
 
 def entropy_integral(model, N, interval, quad_order=64, precision="double"):

@@ -113,7 +113,7 @@ def test_density_oracle_computes_only_the_oracle_curve(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the key formula ran for method = oracle")
 
-    monkeypatch.setattr(measures, "density_prefix", refuse)
+    monkeypatch.setattr(measures, "density_terms", refuse)
     assert run(cfg, overrides=["experiment.method=oracle"], experiment="density", out_dir=str(tmp_path / "o")) == 0
     header, rows = _rows(tmp_path / "o" / "density.csv")
     assert header == ["E", "value"]
@@ -362,7 +362,7 @@ def test_malformed_config_text_exits_2_without_output(tmp_path, capsys, text):
 @pytest.mark.parametrize("key", ["N_list", "n_grid"])
 @pytest.mark.parametrize("experiment", ["bands", "density", "entropy", "certify", "compare"])
 def test_infinite_integer_list_exits_2_without_output(tmp_path, capsys, experiment, key):
-    # the lists are parsed for every experiment; int(round(inf)) overflows
+    # the lists are parsed for every experiment; int() rejects inf
     cfg = _write(tmp_path, FREE_CONFIG + f"{key} = 10, inf\n")
     out = tmp_path / "out"
     assert run(str(cfg), experiment=experiment, out_dir=str(out)) == 2
@@ -424,6 +424,10 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "experiment.N_list=0", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.N_list=10, 0", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=8, 0", EXPERIMENTS),
+    # integer lists take integers only, as N does
+    (BASELINE_CONFIG, "experiment.N_list=10.6, 20.4", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.N_list=1e30", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.n_grid=8.5, 16", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
     # enumerations and seed are checked when parsed, also where unread
     (FREE_CONFIG, "perturbation.target=xyz", EXPERIMENTS),

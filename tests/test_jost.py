@@ -210,11 +210,18 @@ def test_boundary_factor_envelope_shape(free_block):
 
 def test_density_of_a_large_unscaled_u0_does_not_overflow():
     # |u_0|^2 overflows between 1.3e154 and the rescale threshold 1e280; the
-    # log branch takes over there
-    one = np.ones(1)
+    # log form takes over there, and wherever the recursion rescaled u_0;
+    # elsewhere the density is the direct quotient, bit for bit
+    num = np.array([1.0, 1e120, 1e300, 0.3])
+    abs_u0 = np.array([1e200, 1e200, 1.0, 0.7])
+    scale_log2 = np.array([0, 0, 600, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        small = jost._density_values(one, one, 1.0, np.array([1e200 + 0j]), np.zeros(1, dtype=np.int64))
-        value = jost._density_values(1e120 * one, one, 1.0, np.array([1e200j]), np.zeros(1, dtype=np.int64))
-    assert small == [0.0]
-    assert value[0] == pytest.approx(1e120 / np.pi / 1e200 / 1e200, rel=1e-12)
+        values = jost.density_values(1.0, num, abs_u0, scale_log2)
+        logs = jost.log_density(1.0, num, abs_u0, scale_log2)
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(1e120 / np.pi / 1e200 / 1e200, rel=1e-12)
+    assert values[2] == pytest.approx(1e300 / np.pi / 2.0**600 / 2.0**600, rel=1e-12)
+    assert values[3] == 0.3 / (np.pi * 0.7**2.0)
+    assert logs[0] == pytest.approx(-np.log(np.pi) - 2.0 * np.log(1e200), rel=1e-14)
+    assert logs[2] == pytest.approx(np.log(1e300) - np.log(np.pi) - 1200 * np.log(2.0), rel=1e-14)

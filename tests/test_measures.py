@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,11 +7,10 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec import measures
+from jostspec import jost, measures
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
-    DensityDomainError,
     OracleConvergenceError,
     ValidationError,
 )
@@ -289,35 +289,50 @@ def test_entropy_integrals_raise_the_first_failing_order(free_model, interval, f
         assert np.isfinite(js.entropy_integral(free_model, 5, interval, quad_order=4))
 
 
-@pytest.mark.parametrize(
-    "zero_above, fail_above, error",
-    [(1.6, 1.9, DensityDomainError), (1.98, 3.0, DensityDomainError), (1.6, 1.65, BandEdgeError)],
+BASELINE = js.make_model(
+    js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
 )
-def test_nonpositive_density_comes_before_the_failing_node(free_model, monkeypatch, zero_above, fail_above, error):
-    # a stand-in density; on (1.0, 2.05) the 4-point nodes reach 1.70 and
-    # 1.98, the 8-point nodes 1.94 and 2.03
-    def prefix(model, N, energies, precision):
-        values = []
-        for energy in energies:
-            if energy > fail_above:
-                return values, BandEdgeError(f"E = {energy} is not in a band interior")
-            values.append(0.0 if energy > zero_above else 1.0)
-        return values, None
-
-    monkeypatch.setattr(measures, "density_prefix", prefix)
-    got = _first_error(lambda: js.entropy_integrals(free_model, 5, (1.0, 2.05), (4, 8)))
-    assert got == _first_error(lambda: [js.entropy_integral(free_model, 5, (1.0, 2.05), o) for o in (4, 8)])
-    assert got[0] is error
 
 
-def test_nan_density_is_not_positive(free_model, monkeypatch):
-    # a NaN passed a `<= 0` test and made the integral NaN
-    def prefix(model, N, energies, precision):
-        return [np.nan] * len(energies), None
+@pytest.mark.parametrize("N, expected", [(5000, -53.099270), (10000, -57.658446), (20000, -58.205379)])
+def test_entropy_is_finite_where_the_density_underflows(N, expected):
+    # from N = 5000 on some 64-point nodes have ln(density) below -745, where
+    # the density as a double is 0.0; the integrand is ln(density) itself
+    iv = js.widest_admissible_interval(BASELINE.block, 0.1)
+    nodes = 0.5 * (iv.hi + iv.lo) + 0.5 * (iv.hi - iv.lo) * leggauss(64)[0]
+    ln_rho = jost.log_density(BASELINE.block.a(0), *jost.density_terms(BASELINE, N, nodes))
+    assert ln_rho.min() < -745.0
+    values = js.entropy_integrals(BASELINE, N, iv, (64, 128))
+    assert np.isfinite(values).all()
+    assert values[0] == pytest.approx(expected, abs=1e-6)
 
-    monkeypatch.setattr(measures, "density_prefix", prefix)
-    with pytest.raises(DensityDomainError, match="nan"):
-        js.entropy_integral(free_model, 5, (1.0, 1.5), quad_order=4)
+
+def _quotient_then_log_entropy(model, N, iv, order):
+    # reference route: the density as a double (the direct quotient, or exp
+    # of the log form where the recursion rescaled), then math.log per node
+    nodes, weights = leggauss(order)
+    half = 0.5 * (iv.hi - iv.lo)
+    num, abs_u0, scale_log2 = jost.density_terms(model, N, 0.5 * (iv.hi + iv.lo) + half * nodes)
+    scale = math.pi * abs(model.block.a(0))
+    total = 0.0
+    for w, n, u, shift in zip(weights, num, abs_u0, scale_log2):
+        with np.errstate(over="ignore"):
+            denom = scale * np.float_power(u, 2.0)
+        if shift == 0 and np.isfinite(denom):
+            value = n / denom
+        else:
+            log_value = math.log(n) - math.log(scale) - 2.0 * (math.log(u) + int(shift) * math.log(2.0))
+            value = math.exp(log_value) if log_value > -745.0 else 0.0
+        total += w * math.log(value)
+    return half * total
+
+
+@pytest.mark.parametrize("N", [20, 500, 1000, 3000])
+def test_log_space_entropy_matches_the_quotient_then_log_route(N):
+    iv = js.widest_admissible_interval(BASELINE.block, 0.1)
+    got = js.entropy_integrals(BASELINE, N, iv, (64, 128))
+    expected = [_quotient_then_log_entropy(BASELINE, N, iv, order) for order in (64, 128)]
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_oracle_raises_the_first_failing_point(free_block):
