@@ -3,7 +3,7 @@ connection matrices, diagonal-product growth, and the three harmonic-function
 hypotheses for the boundary factor.
 
 Certificates fit their constants from probe data and test stability under
-refinement; they are deterministic given (model, grid spec, seed).  Each
+refinement; they are deterministic given (model, grid spec).  Each
 certificate evaluates its whole probe grid in one energy-batched call: the
 Floquet grid through decaying_branch, the chain certificates through
 connection_matrices and product_forms.  A grid point that the pointwise
@@ -103,69 +103,68 @@ def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
     )
 
 
-def _sample_ranges(rng, count, n_max):
-    ks = rng.integers(1, n_max - 1, size=count)
-    ls = np.array([rng.integers(k + 1, n_max) for k in ks])
-    return list(zip(ks.tolist(), ls.tolist()))
-
-
-def _fit_diagonal_bound(heights, cum_a, cum_d, pairs):
-    # cum_* are (n_blocks, energies); pairs are (k, l) index ranges
-    k, l = (np.array(x) for x in zip(*pairs))
-    denom = 1.0 + heights[None, :] * np.sqrt(l - k)[:, None]
-    # NaN (from ln 0 when 1 + alpha_n = 0) propagates, so the fit is not finite
+def _fit_diagonal_bound(heights, cum, half):
+    """Per column of cum, where cum[j] is the sum of the first j logarithms
+    and rows run j = 0 .. n - 1, the sup of |cum[l] - cum[k-1]| / (1 + y sqrt(l - k))
+    over 1 <= k < l <= half - 1 and over 1 <= k < l <= n - 1, one step per lag
+    l - k.  NaN and inf from ln 0 propagate, so such a column's sup is not finite."""
+    n = cum.shape[0]
+    sup_half = np.zeros(cum.shape[1])
+    sup_full = np.zeros(cum.shape[1])
     with np.errstate(invalid="ignore"):
-        b_alpha = float(np.max(np.abs(cum_a[l] - cum_a[k - 1]) / denom, initial=0.0))
-        b_delta = float(np.max(np.abs(cum_d[l] - cum_d[k - 1]) / denom, initial=0.0))
-    return b_alpha, b_delta
+        for lag in range(1, n - 1):
+            # the denominator is one per column, so it divides the column max
+            dev = np.abs(cum[lag + 1 :] - cum[: n - 1 - lag])
+            denom = 1.0 + heights * math.sqrt(lag)
+            sup_full = np.maximum(sup_full, dev.max(axis=0) / denom)
+            if lag < half - 1:
+                sup_half = np.maximum(sup_half, dev[: half - 1 - lag].max(axis=0) / denom)
+    return sup_half, sup_full
 
 
-def check_diagonal_products(
-    model, interval, eps_I=None, range_pairs=32, seed=0, n_blocks=128
-) -> CertReport:
-    """Fit the smallest B with |ln prod |1 + alpha_n|| <= B + B Im(zeta) sqrt(l-k)
-    over sampled strip energies and index ranges (delta analog included);
-    pass requires the fit to be finite and stable under doubling the sample."""
-    eps = interval.eps_I if eps_I is None else float(eps_I)
-    rng = np.random.default_rng(seed)
-    energies = rng.uniform(interval.lo, interval.hi, size=4)
-    heights = eps * 0.5 ** rng.uniform(0.0, 6.0, size=4)
-
-    zetas = [complex(float(e), float(y)) for e, y in zip(energies, heights)]
+def check_diagonal_products(model, interval, n_blocks=128) -> CertReport:
+    """Fit the smallest B with |ln prod_{n=k}^{l} |1 + alpha_n|| <= B + B Im(zeta) sqrt(l-k)
+    over every index range 1 <= k < l and a 4 x 4 strip grid (energies
+    spanning I, ends included; heights eps_I 2^{0,-2,-4,-6}), and the same for
+    delta; pass requires the fit to be finite and stable when the blocks
+    double from n_blocks // 2 to n_blocks."""
+    if n_blocks < 6:
+        raise ValidationError("n_blocks must be >= 6, so that n_blocks // 2 blocks hold a range k < l")
+    energies = np.linspace(interval.lo, interval.hi, 4)
+    heights = interval.eps_I * 0.25 ** np.arange(4)
+    zetas = (energies[None, :] + 1j * heights[:, None]).ravel()
     w11, _, _, w22 = connection_matrices(model, n_blocks, zetas)
     with np.errstate(divide="ignore"):
-        ln_a = np.log(np.abs(1.0 + w11))
-        ln_d = np.log(np.abs(1.0 + w22))
-    # cum[j] = sum_{n<=j} ln|1 + alpha_n| with cum[0] = 0, one column per energy
-    cum_a = np.cumsum(np.vstack([np.zeros(len(zetas)), ln_a]), axis=0)
-    cum_d = np.cumsum(np.vstack([np.zeros(len(zetas)), ln_d]), axis=0)
-
-    pairs_small = _sample_ranges(rng, int(range_pairs), n_blocks - 1)
-    pairs_large = pairs_small + _sample_ranges(rng, int(range_pairs), n_blocks - 1)
-    b_small = _fit_diagonal_bound(heights, cum_a, cum_d, pairs_small)
-    b_large = _fit_diagonal_bound(heights, cum_a, cum_d, pairs_large)
+        ln = np.log(np.abs(1.0 + np.concatenate([w11, w22], axis=1)))
+    # columns are the alpha logarithms at every point, then the delta ones
+    cum = np.cumsum(np.vstack([np.zeros(ln.shape[1]), ln]), axis=0)
+    sup_half, sup_full = _fit_diagonal_bound(np.tile(zetas.imag, 2), cum, n_blocks // 2)
+    # (alpha, delta) of each fit; np.max keeps a NaN column's NaN
+    b_half, b_full = (sup.reshape(2, -1).max(axis=1).tolist() for sup in (sup_half, sup_full))
+    j = int(np.argmax(sup_full))
+    worst = zetas[j % zetas.size]
 
     def stable(u, v):
         if max(u, v) < 1e-12:
             return True
         return abs(v - u) <= 0.2 * max(u, abs(v), 1e-12)
 
-    finite = all(math.isfinite(x) for x in (*b_small, *b_large))
-    passed = finite and stable(b_small[0], b_large[0]) and stable(b_small[1], b_large[1])
+    finite = all(math.isfinite(x) for x in (*b_half, *b_full))
+    passed = finite and stable(b_half[0], b_full[0]) and stable(b_half[1], b_full[1])
     return CertReport(
         name="diagonal_product_bound",
         passed=passed,
         measured={
-            "B_alpha": b_large[0],
-            "B_delta": b_large[1],
-            "B_alpha_half_sample": b_small[0],
-            "B_delta_half_sample": b_small[1],
+            "B_alpha": b_full[0],
+            "B_delta": b_full[1],
+            "B_alpha_half_blocks": b_half[0],
+            "B_delta_half_blocks": b_half[1],
         },
         grid_spec=(
-            f"{len(zetas)} strip energies x {len(pairs_large)} index ranges, "
-            f"{n_blocks} blocks, seed {seed}"
+            f"4x4 strip points over [{interval.lo}, {interval.hi}] x eps_I 2^(0,-2,-4,-6), "
+            f"every range k < l in {n_blocks // 2} and {n_blocks} blocks"
         ),
-        worst_case={"B": max(b_large)},
+        worst_case={"B": float(sup_full[j]), "E": float(worst.real), "y": float(worst.imag)},
     )
 
 

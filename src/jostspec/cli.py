@@ -3,7 +3,7 @@
 Experiments map 1:1 to subcommands (bands, density, entropy, certify,
 compare).  Configs are INI-style text with [block], [perturbation] and
 [experiment] sections; see the README for the exact grammar.  Outputs are
-deterministic for a fixed config and seed: floats are written with 17
+deterministic for a fixed config: floats are written with 17
 significant digits and metadata headers carry no timestamps.
 """
 
@@ -41,7 +41,6 @@ class RunConfig:
     block: object
     pert: PerturbationSpec
     params: dict
-    seed: int
 
 
 def _fmt(x):
@@ -153,7 +152,6 @@ _SECTIONS = {
         "quad_order": (64, _at_least("quad_order", 4)),
         "margin": (0.1, _positive_finite("margin")),
         "tol": (1e-5, _positive_finite("tol")),
-        "seed": (0, _at_least("seed", 0)),
         "precision": ("double", _one_of("precision", ("double", "extended"))),
         "n_grid": ((16, 32, 64, 128), _at_least("n_grid entries", 1, _int_list)),
     },
@@ -219,26 +217,16 @@ def _parse_pert(parser):
     return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"], sec["l2_admissible"])
 
 
-def _parse_experiment_params(parser, seed_cli):
-    params = _section(parser, "experiment")
-    if seed_cli is not None:
-        params["seed"] = int(seed_cli)
-        if params["seed"] < 0:
-            raise ValidationError("seed must be >= 0")
-    return params
-
-
-def load_config(config_path, overrides, experiment, seed_cli=None) -> RunConfig:
+def load_config(config_path, overrides, experiment) -> RunConfig:
     parser = _read_config(config_path, overrides)
     block = _parse_block(parser)
     pert = _parse_pert(parser)
-    params = _parse_experiment_params(parser, seed_cli)
+    params = _section(parser, "experiment")
     return RunConfig(
         experiment=experiment,
         block=block,
         pert=pert,
         params=params,
-        seed=params["seed"],
     )
 
 
@@ -251,7 +239,7 @@ def _resolve_interval(cfg):
 
 def _meta_lines(cfg, model, extra=None):
     lines = [
-        f"# jostspec={__version__} experiment={cfg.experiment} model={model.fingerprint()} seed={cfg.seed}",
+        f"# jostspec={__version__} experiment={cfg.experiment} model={model.fingerprint()}",
         f"# q={cfg.block.q} a={','.join(_fmt(x) for x in cfg.block.a_bg)} "
         f"b={','.join(_fmt(x) for x in cfg.block.b_bg)} pert={cfg.pert.kind}",
     ]
@@ -323,7 +311,7 @@ def _run_certify(cfg, model):
     reports = [
         check_floquet_bound(cfg.block, interval),
         check_w_summability(model, zeta, p["n_grid"]),
-        check_diagonal_products(model, interval, seed=cfg.seed),
+        check_diagonal_products(model, interval),
         check_harmonic_hypotheses(model, p["N"], interval),
     ]
     rows = ["name,passed,constant_name,constant_value,worst_E,worst_y"]
@@ -347,7 +335,7 @@ _RUNNERS = {
 }
 
 
-def run(config_path, overrides=None, experiment=None, out_dir=".", seed=None):
+def run(config_path, overrides=None, experiment=None, out_dir="."):
     """Execute one experiment; returns the process exit code.
 
     Output CSVs are assembled fully in memory and written only on success,
@@ -356,7 +344,7 @@ def run(config_path, overrides=None, experiment=None, out_dir=".", seed=None):
     try:
         if experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
-        cfg = load_config(config_path, overrides, experiment, seed_cli=seed)
+        cfg = load_config(config_path, overrides, experiment)
         model = make_model(cfg.block, cfg.pert)
         rows, meta, code = _RUNNERS[experiment](cfg, model)
     except JostspecError as exc:
@@ -388,16 +376,13 @@ def main(argv=None):
         help="override a config entry (repeatable)",
     )
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
-    code = run(
+    return run(
         args.config,
         overrides=args.overrides,
         experiment=args.experiment,
         out_dir=args.out,
-        seed=args.seed,
     )
-    return code
 
 
 if __name__ == "__main__":

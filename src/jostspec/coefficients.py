@@ -1,8 +1,7 @@
 """Coefficient sequences: periodic backgrounds, perturbation families,
 truncations, and variation norms.
 
-All objects are frozen value types; evaluations are pure and cached, so
-models can be shared freely between workers.
+All objects are frozen value types; evaluations are pure and cached.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ class PerturbationSpec:
       power_decay_oscillatory      c * cos(n**s) / n**gamma applied to the
                                    target coefficient(s)
 
-    l2_admissible is a declared flag for analytic families; it is
-    sanity-checked empirically by check_l2_cauchy, not proven.
+    l2_admissible is a declared flag for analytic families; it is carried
+    in the model fingerprint and read by nothing else, so no code checks it.
     """
 
     kind: str
@@ -164,6 +163,8 @@ class CoefficientModel:
     trunc: int | None = None
 
     def a(self, n):
+        if n < 0:
+            raise ValidationError("a(n) is defined for n >= 0")
         if n == 0:
             return self.block.a_bg[self.block.q - 1]
         arr_a, _ = self.coefficient_arrays(_round_up(n))

@@ -305,6 +305,8 @@ def test_certify_free_passes(tmp_path):
         "harmonic_hypotheses",
     }
     assert all(r[1] == "true" for r in rows)
+    # the two strip certificates say where their constant is attained
+    assert all(r[4] and r[5] for r in rows if r[0] in ("floquet_strip_bound", "diagonal_product_bound"))
 
 
 def test_set_override_changes_grid(tmp_path):
@@ -321,8 +323,8 @@ def test_set_override_changes_grid(tmp_path):
 
 def test_deterministic_output_bytes(tmp_path):
     cfg = _write(tmp_path, PERTURBED_CONFIG)
-    run(str(cfg), experiment="compare", out_dir=str(tmp_path / "a"), seed=5)
-    run(str(cfg), experiment="compare", out_dir=str(tmp_path / "b"), seed=5)
+    run(str(cfg), experiment="compare", out_dir=str(tmp_path / "a"))
+    run(str(cfg), experiment="compare", out_dir=str(tmp_path / "b"))
     assert (tmp_path / "a" / "compare.csv").read_bytes() == (
         tmp_path / "b" / "compare.csv"
     ).read_bytes()
@@ -346,7 +348,7 @@ def test_console_entry_point(tmp_path):
         FREE_CONFIG.encode() + b"n_grid = 16, x\n",
         FREE_CONFIG.replace("[block]\n", "").encode(),
         FREE_CONFIG.replace("b = 0.0\n", "b = 0.0\nb = 0.5\n").encode(),
-        FREE_CONFIG.encode() + b"seed = \xff\xfe\n",
+        FREE_CONFIG.encode() + b"tol = \xff\xfe\n",
     ],
     ids=["n_grid-not-a-number", "no-section-header", "duplicate-key", "undecodable-bytes"],
 )
@@ -370,15 +372,22 @@ def test_infinite_integer_list_exits_2_without_output(tmp_path, capsys, experime
     assert '"error": "ValidationError"' in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["config", "flag"])
-def test_negative_seed_exits_2_without_output(tmp_path, capsys, where):
-    text = FREE_CONFIG + "seed = -1\n" if where == "config" else FREE_CONFIG
-    cfg = _write(tmp_path, text)
+def test_seed_key_exits_2_without_output(tmp_path, capsys):
+    # the certificates are deterministic and take no seed
+    cfg = _write(tmp_path, FREE_CONFIG + "seed = 0\n")
     out = tmp_path / "out"
-    argv = ["certify", "--config", str(cfg), "--out", str(out)]
-    assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
-    assert '"message": "seed must be >= 0"' in capsys.readouterr().err
+    assert '"message": "unknown key \'seed\' in [experiment]"' in capsys.readouterr().err
+
+
+def test_seed_flag_is_an_argparse_error(tmp_path):
+    cfg = _write(tmp_path, FREE_CONFIG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", str(cfg), "--out", str(out), "--seed", "0"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["density", "entropy", "certify", "compare"])
@@ -429,13 +438,15 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "experiment.N_list=1e30", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=8.5, 16", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
-    # enumerations and seed are checked when parsed, also where unread
+    # enumerations are checked when parsed, also where unread
     (FREE_CONFIG, "perturbation.target=xyz", EXPERIMENTS),
     (BASELINE_CONFIG, "perturbation.target=ab", EXPERIMENTS),
     (FREE_CONFIG, "perturbation.kind=sine", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.method=fast", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.precision=quad", EXPERIMENTS),
+    # the certificates take no seed, so the key is unknown
     (BASELINE_CONFIG, "experiment.seed=-1", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.seed=0", EXPERIMENTS),
 ]
 
 
@@ -470,7 +481,6 @@ def test_bad_enumeration_names_its_choices(tmp_path, capsys):
         ("perturbation.l2_admissible=yes", lambda cfg: cfg.pert.l2_admissible, True),
         ("experiment.interval=-1.5, 0.5", lambda cfg: cfg.params["interval"], (-1.5, 0.5)),
         ("experiment.precision= extended", lambda cfg: cfg.params["precision"], "extended"),
-        ("experiment.seed=7", lambda cfg: cfg.seed, 7),
     ],
 )
 def test_config_value_parsed(tmp_path, override, parsed, expected):

@@ -49,6 +49,17 @@ def test_make_model_power_decay(free_block):
     assert model.b(4) == pytest.approx(np.cos(2.0) / 4**0.2, abs=1e-15)
 
 
+def test_model_rejects_indices_below_its_range(free_block):
+    # target both perturbs a(64), the last entry of the cached array, which a
+    # negative index would otherwise read
+    model = js.make_model(free_block, js.PerturbationSpec.power(c=0.5, s=0.5, gamma=0.2, target="both"))
+    assert model.a(64) != free_block.a(64)
+    with pytest.raises(ValidationError, match=r"a\(n\) is defined for n >= 0"):
+        model.a(-1)
+    with pytest.raises(ValidationError, match=r"b\(n\) is defined for n >= 1"):
+        model.b(0)
+
+
 def test_coefficient_error_on_nonpositive_a(free_block):
     model = js.make_model(free_block, js.PerturbationSpec.finite(alpha=[-2.0]))
     with pytest.raises(CoefficientError):
