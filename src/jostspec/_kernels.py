@@ -6,9 +6,8 @@ stripping map are sequential in the site but independent across energies, so
 both take 1-D arrays of energies and boundary data: one Python loop runs over
 the sites, and each step is a NumPy operation over all energies at once.
 Working memory is O(energies); no (sites x energies) array is formed unless
-the caller asks for the full solution rows.  The backward recursion runs in
-complex128, or in clongdouble for precision = "extended", batched either way.
-Its overflow guard checks magnitudes only where a growth bound allows one.
+the caller asks for the full solution rows.  The backward recursion's
+overflow guard checks magnitudes only where a growth bound allows one.
 
 The period-block products of the renormalized block chain are independent
 across blocks as well as energies: one Python loop runs over the q sites of a
@@ -25,18 +24,16 @@ RESCALE_THRESHOLD = 1e280
 RESCALE_SHIFT = 600
 
 
-def _energy_arrays(zeta, *values, dtype=np.complex128):
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=dtype))
-    return (zeta,) + tuple(
-        np.array(np.broadcast_to(np.asarray(v, dtype=dtype), zeta.shape)) for v in values
-    )
+def _energy_arrays(zeta, *values):
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    return (zeta, *(np.array(np.broadcast_to(v, zeta.shape), dtype=np.complex128) for v in values))
 
 
 def _peak(*arrays):
     return float(max(np.abs(x).max(initial=0.0) for x in arrays))
 
 
-def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
+def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     """Backward three-term recursion from the top boundary pair, per energy.
 
     a, b are site arrays indexed 0..m (b[0] is a placeholder); the recursion
@@ -53,26 +50,18 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
     whole solution u[0..m+1], every row on the final scale of its energy.
-
-    dtype is the working precision, np.complex128 or np.clongdouble; all
-    inputs are cast to it, and u0, u1 and rows come back in complex128.
     """
-    zeta, hi, lo = _energy_arrays(zeta, u_top, u_second, dtype=dtype)
-    real = np.finfo(dtype).dtype
-    a, b = np.asarray(a, dtype=real), np.asarray(b, dtype=real)
-    out = rows
-    if rows is not None and rows.dtype != dtype:
-        rows = np.empty(rows.shape, dtype=dtype)
+    zeta, hi, lo = _energy_arrays(zeta, u_top, u_second)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     m = a.shape[0] - 1
     scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
     factor = 2.0 ** (-RESCALE_SHIFT)
     if rows is not None:
-        rows[m + 1] = hi
-        rows[m] = lo
+        rows[m:] = lo, hi
     growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
     bound = _peak(hi, lo)
-    # -(x / a) is x * (-1 / a) bit for bit; list(a) keeps long doubles.  A
-    # complex product over its own one-element input can round differently.
+    # -(x / a) is x * (-1 / a) bit for bit.  A complex product over its own
+    # one-element input can round differently.
     neg_inv, a, b = [-1.0 / x for x in a], list(a), list(b)
     new, diff, tmp = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
     for n in range(m, 0, -1):
@@ -94,9 +83,7 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None, dtype=np.complex128):
                     rows[n - 1 :, big] *= factor
             bound = _peak(new, lo)
         hi, lo, new = lo, new, hi
-    if out is not rows:
-        out[...] = rows
-    return np.asarray(lo, dtype=np.complex128), np.asarray(hi, dtype=np.complex128), scale_log2
+    return lo, hi, scale_log2
 
 
 def strip_downward(a, b, zeta, m_start, n_from):

@@ -21,6 +21,8 @@ __all__ = [
     "admissible_intervals",
     "widest_interval",
     "widest_admissible_interval",
+    "widest_trimmed_band",
+    "band_interior",
     "interval_constants",
 ]
 
@@ -136,13 +138,28 @@ def widest_interval(intervals):
     return intervals[_widest_index([(iv.lo, iv.hi) for iv in intervals])]
 
 
+def widest_trimmed_band(block, margin):
+    """(lo, hi) of widest_admissible_interval(block, margin), without eps_I and C_I."""
+    pairs = _trimmed_bands(block, margin)
+    return pairs[_widest_index(pairs)]
+
+
 def widest_admissible_interval(block, margin):
     """widest_interval(admissible_intervals(block, margin)), with the strip
     constants computed for the chosen interval alone, so that a band it does
     not choose cannot make it fail."""
-    pairs = _trimmed_bands(block, margin)
-    lo, hi = pairs[_widest_index(pairs)]
+    lo, hi = widest_trimmed_band(block, margin)
     return AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)), margin)
+
+
+def band_interior(block, interval):
+    """(lo, hi) of an interval strictly inside one band [E_2j, E_2j+1] of
+    _edge_pairs; DegenerateBranchError if it reaches an edge or crosses a gap,
+    however narrow, or a closed one, where C vanishes."""
+    lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
+    if not any(e_lo < lo and hi < e_hi for e_lo, e_hi in _edge_pairs(block)):
+        raise DegenerateBranchError(f"interval [{lo}, {hi}] is not inside one band interior")
+    return lo, hi
 
 
 def interval_constants(block, interval):
@@ -152,7 +169,7 @@ def interval_constants(block, interval):
     eps_I is the largest member of a geometric probe sequence below EPS_PROBE
     for which |z(E + iy)| <= 1 - C_I y holds at every probe point.
     """
-    lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
+    lo, hi = band_interior(block, interval)
     grid = np.linspace(lo, hi, GRID_POINTS)
     delta = discriminant(block, grid)
     edge = np.abs(delta) >= 2.0

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import AdmissibleInterval, band_edges, interval_constants, widest_admissible_interval
+from .bands import AdmissibleInterval, band_edges, band_interior, interval_constants, widest_trimmed_band
 from .certify import (
     check_diagonal_products,
     check_floquet_bound,
@@ -152,7 +152,6 @@ _SECTIONS = {
         "quad_order": (64, _at_least("quad_order", 4)),
         "margin": (0.1, _positive_finite("margin")),
         "tol": (1e-5, _positive_finite("tol")),
-        "precision": ("double", _one_of("precision", ("double", "extended"))),
         "n_grid": ((16, 32, 64, 128), _at_least("n_grid entries", 1, _int_list)),
     },
 }
@@ -231,10 +230,11 @@ def load_config(config_path, overrides, experiment) -> RunConfig:
 
 
 def _resolve_interval(cfg):
-    spec, margin = cfg.params["interval"], cfg.params["margin"]
+    """(lo, hi): the widest trimmed band for auto, else the given interval if inside one band."""
+    spec = cfg.params["interval"]
     if spec == "auto":
-        return widest_admissible_interval(cfg.block, margin)
-    return AdmissibleInterval(*spec, *interval_constants(cfg.block, spec), margin)
+        return widest_trimmed_band(cfg.block, cfg.params["margin"])
+    return band_interior(cfg.block, spec)
 
 
 def _meta_lines(cfg, model, extra=None):
@@ -262,13 +262,9 @@ def _run_density(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg)
     n = p["N"]
-    extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] method={p['method']}"
-    # the oracle has no precision switch; only the key formula reads it
+    extra = f"N={n} interval=[{_fmt(interval[0])},{_fmt(interval[1])}] method={p['method']}"
     methods = ("key_formula", "oracle") if p["method"] == "both" else (p["method"],)
-    curves = [
-        density_curve(model, n, interval, p["grid_points"], method=m, precision=p["precision"])
-        for m in methods
-    ]
+    curves = [density_curve(model, n, interval, p["grid_points"], method=m) for m in methods]
     if len(curves) == 1:
         rows = ["E,value", *_fmt_rows(curves[0].grid, curves[0].values)]
         return rows, _meta_lines(cfg, model, extra), 0
@@ -286,7 +282,7 @@ def _run_compare(cfg, model):
     rel = _rel_err(key, oracle)
     worst = float(np.max(rel, initial=0.0))
     rows = ["E,density_key,density_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
-    extra = f"N={n} interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"
+    extra = f"N={n} interval=[{_fmt(interval[0])},{_fmt(interval[1])}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"
     code = 0 if worst < p["tol"] else 3
     return rows, _meta_lines(cfg, model, extra), code
 
@@ -296,17 +292,18 @@ def _run_entropy(cfg, model):
     interval = _resolve_interval(cfg)
     rows = ["N,I_lo,I_hi,value,quad_order"]
     orders = (p["quad_order"], 2 * p["quad_order"])
-    bounds = f"{_fmt(interval.lo)},{_fmt(interval.hi)}"
+    bounds = f"{_fmt(interval[0])},{_fmt(interval[1])}"
     for n in p["N_list"]:
-        values = entropy_integrals(model, n, interval, orders, precision=p["precision"])
+        values = entropy_integrals(model, n, interval, orders)
         rows += [f"{n},{bounds},{_fmt(val)},{order}" for order, val in zip(orders, values)]
-    extra = f"interval=[{_fmt(interval.lo)},{_fmt(interval.hi)}]"
+    extra = f"interval=[{bounds}]"
     return rows, _meta_lines(cfg, model, extra), 0
 
 
 def _run_certify(cfg, model):
     p = cfg.params
-    interval = _resolve_interval(cfg)
+    lo, hi = _resolve_interval(cfg)
+    interval = AdmissibleInterval(lo, hi, *interval_constants(cfg.block, (lo, hi)), p["margin"])
     zeta = complex(interval.midpoint(), 0.5 * interval.eps_I)
     reports = [
         check_floquet_bound(cfg.block, interval),

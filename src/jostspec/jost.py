@@ -61,7 +61,7 @@ class JostSolution:
         return complex(self.u[1])
 
 
-def jost_solution(model, N, zeta, precision="double") -> JostSolution:
+def jost_solution(model, N, zeta) -> JostSolution:
     """Backward recursion from the eigenvector boundary condition.
 
     The model is truncated at N internally; the boundary pair at sites
@@ -77,8 +77,7 @@ def jost_solution(model, N, zeta, precision="double") -> JostSolution:
         raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
     a, b = work.coefficient_arrays(N * work.block.q)
     rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
-    dtype = np.clongdouble if precision == "extended" else np.complex128
-    _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows, dtype=dtype)
+    _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows)
     return JostSolution(N=N, zeta=complex(zeta), u=rows.ravel(), z=fl.z, scale_log2=int(scales[0]))
 
 
@@ -94,16 +93,16 @@ def recursion_residuals(model, sol) -> np.ndarray:
     return np.abs(res) / np.where(scale > 0, scale, 1.0)
 
 
-def green_11(model, N, zeta, precision="double"):
+def green_11(model, N, zeta):
     """Boundary Green's value -u_1 / (a°_0 u_0) of the truncated operator."""
-    sol = jost_solution(model, N, zeta, precision=precision)
+    sol = jost_solution(model, N, zeta)
     if sol.u0 == 0:
         raise ZeroJostError(f"u_0(zeta) = 0 at zeta = {zeta}")
     a0 = model.block.a(0)
     return -sol.u1 / (a0 * sol.u0)
 
 
-def density_terms(model, N, energies, precision="double"):
+def density_terms(model, N, energies):
     """The terms of the key formula at real energies: |C Im z|, |u_0| and
     the recursion's rescale exponent scale_log2 (the true |u_0| is
     |u_0| * 2**scale_log2), as arrays over the energies.
@@ -125,8 +124,7 @@ def density_terms(model, N, energies, precision="double"):
         work = truncate(model, N)
         a, b = work.coefficient_arrays(N * block.q)
         zeta = energies[:stop].astype(np.complex128)
-        dtype = np.clongdouble if precision == "extended" else np.complex128
-        u0, _, scales = _kernels.jost_backward(a, b, zeta, z[:stop] - d_val[:stop], c_val[:stop], dtype=dtype)
+        u0, _, scales = _kernels.jost_backward(a, b, zeta, z[:stop] - d_val[:stop], c_val[:stop])
         zero = np.flatnonzero(u0 == 0)
         if zero.size:
             raise ZeroJostError(f"u_0(E) = 0 at E = {float(energies[zero[0]])}")
@@ -158,10 +156,10 @@ def density_values(a0, num, abs_u0, scale_log2):
         return np.where(direct, num / denom, np.exp(log_density(a0, num, abs_u0, scale_log2)))
 
 
-def ac_density(model, N, energy, precision="double"):
+def ac_density(model, N, energy):
     """Absolutely-continuous spectral density of the truncated operator at a
     real band-interior energy: |C Im z| / (pi |a°_0| |u_0|^2)."""
-    terms = density_terms(model, N, [energy], precision=precision)
+    terms = density_terms(model, N, [energy])
     return float(density_values(model.block.a(0), *terms)[0])
 
 

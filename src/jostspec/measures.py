@@ -134,7 +134,7 @@ def oracle_green_11(model, N, zeta):
     return complex(_oracle_values(model, N, [zeta])[0])
 
 
-def density_curve(model, N, interval, grid_points, method="key_formula", precision="double"):
+def density_curve(model, N, interval, grid_points, method="key_formula"):
     """Density samples on a uniform grid over an admissible interval.
 
     method 'key_formula' evaluates the boundary-value density directly;
@@ -148,7 +148,7 @@ def density_curve(model, N, interval, grid_points, method="key_formula", precisi
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     grid = np.linspace(float(lo), float(hi), int(grid_points))
     if method == "key_formula":
-        vals = density_values(model.block.a(0), *density_terms(model, N, grid, precision=precision))
+        vals = density_values(model.block.a(0), *density_terms(model, N, grid))
     elif method == "oracle":
         vals = _oracle_values(model, N, grid).imag / math.pi
     else:
@@ -164,7 +164,7 @@ def _gauss_legendre(order):
     return nodes, weights
 
 
-def entropy_integrals(model, N, interval, quad_orders, precision="double"):
+def entropy_integrals(model, N, interval, quad_orders):
     """entropy_integral at each of quad_orders, from one density_terms call
     over the nodes of every order.  All orders are validated first; then the
     first failing order raises the error entropy_integral would raise.  The
@@ -177,14 +177,14 @@ def entropy_integrals(model, N, interval, quad_orders, precision="double"):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]
-    terms = density_terms(model, N, energies, precision=precision)
+    terms = density_terms(model, N, energies)
     parts = np.split(log_density(model.block.a(0), *terms), np.cumsum(orders)[:-1])
     return [half * float(_gauss_legendre(order)[1] @ part) for order, part in zip(orders, parts)]
 
 
-def entropy_integral(model, N, interval, quad_order=64, precision="double"):
+def entropy_integral(model, N, interval, quad_order=64):
     """Gauss-Legendre quadrature of ln(density) over an admissible interval."""
-    return entropy_integrals(model, N, interval, (quad_order,), precision=precision)[0]
+    return entropy_integrals(model, N, interval, (quad_order,))[0]
 
 
 def moment(model, N_or_full, k, depth):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import jostspec as js
 from conftest import random_block
+from jostspec import bands
 from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError
 from jostspec.transfer import _background_period_matrix
 
@@ -133,6 +134,7 @@ def test_widest_admissible_interval_matches_widest_of_all(q, margin):
             continue
         # dataclass equality: lo, hi, eps_I, C_I and margin all match exactly
         assert js.widest_admissible_interval(block, margin) == expected
+        assert bands.widest_trimmed_band(block, margin) == (expected.lo, expected.hi)
         checked += 1
     assert checked > 0
 
@@ -186,6 +188,20 @@ def test_interval_constants_monotone_under_shrinking(free_block):
 def test_interval_constants_reject_band_edge(free_block):
     with pytest.raises(DegenerateBranchError):
         js.interval_constants(free_block, (1.5, 2.5))
+
+
+@pytest.mark.parametrize(
+    "b, interval",
+    # bands (-1.99985, 0) and (3e-4, 2.00015); (-2, 0) and (0, 2) with a closed gap; the free band [-2, 2]
+    [([0.0, 3e-4], (-1.5, 1.6)), ([0.0, 0.0], (-1.0, 1.0)), ([0.0, 0.0], (1.0, 2.0))],
+    ids=["narrow-gap", "closed-gap", "band-edge"],
+)
+def test_interval_outside_one_band_interior_is_rejected(b, interval):
+    # the 129-point grid of interval_constants misses the narrow gap; the edges do not
+    block = js.periodic_block(2, [1.0, 1.0], b)
+    for check in (bands.band_interior, js.interval_constants):
+        with pytest.raises(DegenerateBranchError, match="is not inside one band interior"):
+            check(block, interval)
 
 
 def test_strip_bound_holds_on_finer_grid(free_block):

@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +257,7 @@ n_grid = 8, 16
 
 @pytest.mark.parametrize("experiment", ["density", "compare", "entropy", "certify"])
 def test_auto_interval_computes_strip_constants_once(tmp_path, monkeypatch, experiment):
+    # only certify reads eps_I and C_I, and it computes them for the widest band alone
     cfg = _write(tmp_path, THREE_BAND_CONFIG)
     intervals = bands.admissible_intervals(load_config(str(cfg), [], experiment).block, 0.1)
     assert len(intervals) == 3
@@ -267,8 +270,37 @@ def test_auto_interval_computes_strip_constants_once(tmp_path, monkeypatch, expe
         return interval_constants(*args, **kwargs)
 
     monkeypatch.setattr(bands, "interval_constants", counting)
+    monkeypatch.setattr(cli, "interval_constants", counting)
     assert run(str(cfg), experiment=experiment, out_dir=str(tmp_path / "out")) == 0
-    assert calls == [(widest.lo, widest.hi)]
+    assert calls == ([(widest.lo, widest.hi)] if experiment == "certify" else [])
+
+
+# Bands (-1.99985, 0) and (3e-4, 2.00015): no point of a 129-point grid on
+# [-1.5, 1.6] falls in the gap.  Bands (-2, 0) and (0, 2) meet at a closed gap.
+NARROW_GAP_CONFIG = """\
+[block]
+q = 2
+a = 1, 1
+b = 0, 3e-4
+
+[experiment]
+N = 4
+N_list = 4
+grid_points = 20
+quad_order = 8
+interval = -1.5, 1.6
+n_grid = 8, 16
+"""
+CLOSED_GAP_CONFIG = NARROW_GAP_CONFIG.replace("b = 0, 3e-4", "b = 0, 0").replace("-1.5, 1.6", "-1, 1")
+
+
+@pytest.mark.parametrize("config", [NARROW_GAP_CONFIG, CLOSED_GAP_CONFIG], ids=["narrow-gap", "closed-gap"])
+@pytest.mark.parametrize("experiment", ["density", "compare", "entropy", "certify"])
+def test_interval_across_a_gap_exits_2_without_output(tmp_path, capsys, config, experiment):
+    out = tmp_path / "out"
+    assert run(str(_write(tmp_path, config)), experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    assert "is not inside one band interior" in capsys.readouterr().err
 
 
 # Floats whose shortest repr and 17-digit form differ, or that have special spellings.
@@ -381,6 +413,16 @@ def test_seed_key_exits_2_without_output(tmp_path, capsys):
     assert '"message": "unknown key \'seed\' in [experiment]"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["double", "extended"])
+def test_precision_key_exits_2_without_output(tmp_path, capsys, value):
+    # the site recursion runs in double precision only
+    cfg = _write(tmp_path, FREE_CONFIG + f"precision = {value}\n")
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert '"message": "unknown key \'precision\' in [experiment]"' in capsys.readouterr().err
+
+
 def test_seed_flag_is_an_argparse_error(tmp_path):
     cfg = _write(tmp_path, FREE_CONFIG)
     out = tmp_path / "out"
@@ -443,7 +485,10 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "perturbation.target=ab", EXPERIMENTS),
     (FREE_CONFIG, "perturbation.kind=sine", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.method=fast", EXPERIMENTS),
+    # the site recursion runs in double precision only, so the key is unknown
     (BASELINE_CONFIG, "experiment.precision=quad", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.precision=double", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.precision=extended", EXPERIMENTS),
     # the certificates take no seed, so the key is unknown
     (BASELINE_CONFIG, "experiment.seed=-1", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.seed=0", EXPERIMENTS),
@@ -480,9 +525,20 @@ def test_bad_enumeration_names_its_choices(tmp_path, capsys):
     [
         ("perturbation.l2_admissible=yes", lambda cfg: cfg.pert.l2_admissible, True),
         ("experiment.interval=-1.5, 0.5", lambda cfg: cfg.params["interval"], (-1.5, 0.5)),
-        ("experiment.precision= extended", lambda cfg: cfg.params["precision"], "extended"),
     ],
 )
 def test_config_value_parsed(tmp_path, override, parsed, expected):
     cfg = load_config(str(_write(tmp_path, BASELINE_CONFIG)), [override], "bands")
     assert parsed(cfg) == expected
+
+
+def test_readme_grammar_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (grammar,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    listed = {}
+    for line in grammar.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = listed.setdefault(header[1], set())
+        elif key := re.match(r"#?\s*(\w+)\s*=", line):  # commented keys count too
+            section.add(key[1])
+    assert listed == {name: set(table) for name, table in cli._SECTIONS.items()}

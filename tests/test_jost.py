@@ -150,17 +150,7 @@ def test_nu_scales_with_perturbation(free_block):
     assert sizes[2] < 0.75 * sizes[1]
 
 
-def test_extended_precision_matches_double(acceptance_suite):
-    model, iv, n_trunc = acceptance_suite[1]
-    for zeta in (iv.midpoint(), complex(iv.midpoint(), 1e-3)):
-        g_double = js.green_11(model, n_trunc, zeta)
-        g_extended = js.green_11(model, n_trunc, zeta, precision="extended")
-        assert abs(g_double - g_extended) < 1e-12 * abs(g_double)
-    d = js.ac_density(model, n_trunc, iv.midpoint(), precision="extended")
-    assert d == pytest.approx(js.ac_density(model, n_trunc, iv.midpoint()), rel=1e-12)
-
-
-def test_extended_precision_against_50_digit_recursion():
+def test_density_against_50_digit_recursion():
     # The same backward recursion in 50-digit arithmetic from the same float64
     # boundary pair, so the working precision is the only difference.
     mpmath = pytest.importorskip("mpmath")
@@ -169,7 +159,7 @@ def test_extended_precision_against_50_digit_recursion():
     iv = js.widest_interval(js.admissible_intervals(block, margin=0.1))
     N = 1000
     a, b = js.truncate(model, N).coefficient_arrays(N * block.q)
-    worst_extended = worst_double = 0.0
+    worst = 0.0
     with mpmath.workdps(50):
         am = [mpmath.mpf(float(x)) for x in a]
         bm = [mpmath.mpf(float(x)) for x in b]
@@ -180,12 +170,8 @@ def test_extended_precision_against_50_digit_recursion():
                 hi, lo = lo, -(am[n] * hi + (bm[n] - energy) * lo) / am[n - 1]
             c_val = fl.eigvec[1].real
             ref = abs(mpmath.mpf(c_val) * fl.z.imag) / (mpmath.pi * abs(block.a(0)) * abs(lo) ** 2)
-            extended = js.ac_density(model, N, energy, precision="extended")
-            double = js.ac_density(model, N, energy)
-            worst_extended = max(worst_extended, float(abs(extended - ref) / ref))
-            worst_double = max(worst_double, float(abs(double - ref) / ref))
-    assert worst_extended <= 1e-15
-    assert worst_extended < worst_double
+            worst = max(worst, float(abs(js.ac_density(model, N, energy) - ref) / ref))
+    assert worst <= 1e-12
 
 
 def test_kappa_exceeds_one_on_strip(free_model):

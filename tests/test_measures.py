@@ -267,9 +267,8 @@ def test_entropy_integrals_is_entropy_integral_per_order():
     )
     iv = js.widest_interval(js.admissible_intervals(model.block, margin=0.1))
     orders = (8, 16, 64)
-    for precision in ("double", "extended"):
-        got = js.entropy_integrals(model, 60, iv, orders, precision=precision)
-        assert got == [js.entropy_integral(model, 60, iv, order, precision=precision) for order in orders]
+    got = js.entropy_integrals(model, 60, iv, orders)
+    assert got == [js.entropy_integral(model, 60, iv, order) for order in orders]
 
 
 def _first_error(call):
@@ -356,19 +355,6 @@ def test_oracle_raises_the_first_failing_point(free_block):
         js.oracle_green_11(model, 3, 0.5)
     with pytest.raises(OracleConvergenceError, match=no_root):
         js.oracle_green_11(js.make_model(free_block), 3, 5e199 + 1e-3j)
-
-
-def test_extended_precision_through_the_batched_setup():
-    model = js.make_model(
-        js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
-    )
-    iv = js.widest_interval(js.admissible_intervals(model.block, margin=0.1))
-    double = js.density_curve(model, 40, iv, 41)
-    extended = js.density_curve(model, 40, iv, 41, precision="extended")
-    assert np.max(np.abs(extended.values - double.values) / double.values) <= 1e-12
-    value = js.entropy_integral(model, 40, iv, quad_order=32)
-    extended = js.entropy_integral(model, 40, iv, quad_order=32, precision="extended")
-    assert extended == pytest.approx(value, rel=1e-12)
 
 
 def test_overflowing_tail_closure_raises():
