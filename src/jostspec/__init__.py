@@ -25,7 +25,6 @@ from .coefficients import (
     CoefficientModel,
     PeriodicBlock,
     PerturbationSpec,
-    check_l2_cauchy,
     make_model,
     periodic_block,
     q_variation_norm,
@@ -69,5 +68,4 @@ from .transfer import (
     discriminant,
     discriminant_derivative,
     floquet_eigenvalue,
-    floquet_eigenvector,
 )

@@ -57,7 +57,6 @@ class AdmissibleInterval:
     hi: float
     eps_I: float
     C_I: float
-    margin: float
 
     @property
     def width(self):
@@ -127,7 +126,7 @@ def admissible_intervals(block, margin):
     """Closed band-interior subintervals, each band trimmed by margin at both
     ends, each carrying its strip constants."""
     return [
-        AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)), margin)
+        AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)))
         for lo, hi in _trimmed_bands(block, margin)
     ]
 
@@ -149,7 +148,7 @@ def widest_admissible_interval(block, margin):
     constants computed for the chosen interval alone, so that a band it does
     not choose cannot make it fail."""
     lo, hi = widest_trimmed_band(block, margin)
-    return AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)), margin)
+    return AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)))
 
 
 def band_interior(block, interval):

@@ -76,10 +76,11 @@ def check_floquet_bound(block, interval, grid=32) -> CertReport:
 
 def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
     """Partial sums of ||W_n||_F^2 along a doubling grid: increments must be
-    nonincreasing and the final increment below tol."""
+    nonincreasing and the final increment below tol.  The grid needs at
+    least 2 distinct indices, so that there is an increment to test."""
     n_grid = sorted(int(m) for m in n_grid)
-    if not n_grid or n_grid[0] < 1:
-        raise ValidationError("n_grid must contain positive indices")
+    if len(set(n_grid)) < 2 or n_grid[0] < 1:
+        raise ValidationError("n_grid must contain at least 2 distinct positive indices")
     m_max = n_grid[-1]
     w = connection_matrices(model, m_max + 1, [zeta])
     cumulative = np.concatenate(([0.0], np.cumsum(sum(np.abs(x[:, 0]) ** 2 for x in w))))
@@ -88,18 +89,16 @@ def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
     decreasing = all(
         increments[i + 1] <= increments[i] + 1e-12 for i in range(len(increments) - 1)
     )
-    final_ok = (not increments) or increments[-1] < tol
-    worst_inc = max(increments) if increments else 0.0
     return CertReport(
         name="w_square_summability",
-        passed=decreasing and final_ok,
+        passed=decreasing and increments[-1] < tol,
         measured={
             "l2_norm_estimate": math.sqrt(partials[-1]),
             "partial_sums": partials,
             "increments": increments,
         },
         grid_spec=f"partial sums at m in {n_grid}, zeta = {zeta}",
-        worst_case={"largest_increment": worst_inc},
+        worst_case={"largest_increment": max(increments)},
     )
 
 
@@ -179,8 +178,15 @@ def _boundary_factor_values(model, N, points):
     return -np.log(np.abs(val))
 
 
-def _harmonic_constants(model, N, interval, n_real=96, n_e=16):
+# Energies of the harmonic-hypothesis grid: on the real section, and per row
+# of the strip and top grids.
+HARMONIC_REAL_POINTS = 96
+HARMONIC_ROW_POINTS = 16
+
+
+def _harmonic_constants(model, N, interval):
     lo, hi, eps = interval.lo, interval.hi, interval.eps_I
+    n_real, n_e = HARMONIC_REAL_POINTS, HARMONIC_ROW_POINTS
     egrid = np.linspace(lo, hi, n_real)
     es = np.linspace(lo, hi, n_e)
     ys = eps * 0.5 ** np.arange(8)
@@ -234,7 +240,8 @@ def check_harmonic_hypotheses(model, N, interval) -> CertReport:
         passed=passed,
         measured=measured,
         grid_spec=(
-            f"real 96 pts, strip 16x8 geometric, top 16x4 over "
+            f"real {HARMONIC_REAL_POINTS} pts, strip {HARMONIC_ROW_POINTS}x8 geometric, "
+            f"top {HARMONIC_ROW_POINTS}x4 over "
             f"[{interval.lo}, {interval.hi}] x (0, {interval.eps_I}]; N in ({N}, {2 * N})"
         ),
         worst_case={"constant": names[worst_idx], "ratio": ratios[worst_idx]},

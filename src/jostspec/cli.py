@@ -61,15 +61,6 @@ def _int_list(text):
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
 def _at_least(name, low, parse=int):
     """Parser of an int, or with parse=_int_list of a list of ints, whose
     every value is >= low."""
@@ -94,6 +85,14 @@ def _finite(name, parse=float):
         return value
 
     return check
+
+
+def _n_grid(text):
+    """Parser of certify's n_grid: positive ints, at least 2 of them distinct."""
+    value = _at_least("n_grid entries", 1, _int_list)(text)
+    if len(set(value)) < 2:
+        raise ValidationError("n_grid must have at least 2 distinct entries")
+    return value
 
 
 def _positive_finite(name):
@@ -141,24 +140,25 @@ _SECTIONS = {
         "s": (0.5, _finite("s")),
         "gamma": (None, _finite("gamma")),
         "target": ("b", _one_of("target", ("a", "b", "both"))),
-        "l2_admissible": (False, _parse_bool),
     },
     "experiment": {
         "N": (20, _at_least("N", 1)),
         "N_list": ((10, 20, 40, 80), _at_least("N_list entries", 1, _int_list)),
         "interval": ("auto", _parse_interval),
         "grid_points": (200, _at_least("grid_points", 2)),
-        "method": ("key_formula", _one_of("method", ("key_formula", "oracle", "both"))),
+        "method": ("key_formula", _one_of("method", ("key_formula", "oracle"))),
         "quad_order": (64, _at_least("quad_order", 4)),
         "margin": (0.1, _positive_finite("margin")),
         "tol": (1e-5, _positive_finite("tol")),
-        "n_grid": ((16, 32, 64, 128), _at_least("n_grid entries", 1, _int_list)),
+        "n_grid": ((16, 32, 64, 128), _n_grid),
     },
 }
 
 
 def _read_config(path, overrides):
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header can name "\n", so a [DEFAULT] in the file is a section
+    # like any other, rejected below, and not defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str
     try:
         read = parser.read(path)
@@ -213,7 +213,7 @@ def _parse_pert(parser):
         return PerturbationSpec.finite(alpha=sec["alpha"], beta=sec["beta"])
     if sec["gamma"] is None:
         raise ValidationError("bad [perturbation] value: power_decay_oscillatory needs gamma")
-    return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"], sec["l2_admissible"])
+    return PerturbationSpec.power(sec["c"], sec["s"], sec["gamma"], sec["target"])
 
 
 def load_config(config_path, overrides, experiment) -> RunConfig:
@@ -248,11 +248,6 @@ def _meta_lines(cfg, model, extra=None):
     return lines
 
 
-def _rel_err(key, oracle):
-    """|key - oracle| / |key| per grid point of two density curves."""
-    return np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
-
-
 def _run_bands(cfg, model):
     lo, hi = zip(*band_edges(cfg.block).bands)
     return ["lo,hi", *_fmt_rows(lo, hi)], _meta_lines(cfg, model), 0
@@ -262,15 +257,9 @@ def _run_density(cfg, model):
     p = cfg.params
     interval = _resolve_interval(cfg)
     n = p["N"]
+    curve = density_curve(model, n, interval, p["grid_points"], method=p["method"])
     extra = f"N={n} interval=[{_fmt(interval[0])},{_fmt(interval[1])}] method={p['method']}"
-    methods = ("key_formula", "oracle") if p["method"] == "both" else (p["method"],)
-    curves = [density_curve(model, n, interval, p["grid_points"], method=m) for m in methods]
-    if len(curves) == 1:
-        rows = ["E,value", *_fmt_rows(curves[0].grid, curves[0].values)]
-        return rows, _meta_lines(cfg, model, extra), 0
-    key, oracle = curves
-    rows = ["E,value,value_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, _rel_err(key, oracle))]
-    return rows, _meta_lines(cfg, model, extra), 0
+    return ["E,value", *_fmt_rows(curve.grid, curve.values)], _meta_lines(cfg, model, extra), 0
 
 
 def _run_compare(cfg, model):
@@ -279,7 +268,7 @@ def _run_compare(cfg, model):
     n = p["N"]
     key = density_curve(model, n, interval, p["grid_points"], method="key_formula")
     oracle = density_curve(model, n, interval, p["grid_points"], method="oracle")
-    rel = _rel_err(key, oracle)
+    rel = np.abs(key.values - oracle.values) / np.maximum(np.abs(key.values), 1e-300)
     worst = float(np.max(rel, initial=0.0))
     rows = ["E,density_key,density_oracle,rel_err", *_fmt_rows(key.grid, key.values, oracle.values, rel)]
     extra = f"N={n} interval=[{_fmt(interval[0])},{_fmt(interval[1])}] max_rel_err={_fmt(worst)} tol={_fmt(p['tol'])}"
@@ -303,7 +292,7 @@ def _run_entropy(cfg, model):
 def _run_certify(cfg, model):
     p = cfg.params
     lo, hi = _resolve_interval(cfg)
-    interval = AdmissibleInterval(lo, hi, *interval_constants(cfg.block, (lo, hi)), p["margin"])
+    interval = AdmissibleInterval(lo, hi, *interval_constants(cfg.block, (lo, hi)))
     zeta = complex(interval.midpoint(), 0.5 * interval.eps_I)
     reports = [
         check_floquet_bound(cfg.block, interval),

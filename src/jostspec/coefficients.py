@@ -22,7 +22,6 @@ __all__ = [
     "make_model",
     "truncate",
     "q_variation_norm",
-    "check_l2_cauchy",
 ]
 
 
@@ -77,9 +76,6 @@ class PerturbationSpec:
                                    exactly zero beyond
       power_decay_oscillatory      c * cos(n**s) / n**gamma applied to the
                                    target coefficient(s)
-
-    l2_admissible is a declared flag for analytic families; it is carried
-    in the model fingerprint and read by nothing else, so no code checks it.
     """
 
     kind: str
@@ -89,7 +85,6 @@ class PerturbationSpec:
     s: float = 0.0
     gamma: float = 0.0
     target: str = "b"
-    l2_admissible: bool = False
 
     @staticmethod
     def zero() -> "PerturbationSpec":
@@ -103,7 +98,7 @@ class PerturbationSpec:
         return PerturbationSpec(kind="finite_list", alpha=alpha, beta=beta)
 
     @staticmethod
-    def power(c, s, gamma, target="b", l2_admissible=False) -> "PerturbationSpec":
+    def power(c, s, gamma, target="b") -> "PerturbationSpec":
         if not gamma > 0:
             raise ValidationError("decay exponent gamma must be positive")
         if not np.isfinite([c, s, gamma]).all():
@@ -116,7 +111,6 @@ class PerturbationSpec:
             s=float(s),
             gamma=float(gamma),
             target=target,
-            l2_admissible=bool(l2_admissible),
         )
 
 
@@ -274,12 +268,3 @@ def q_variation_norm(model, n_max):
     da = a[1 + q : n_max + q + 1] - a[1 : n_max + 1]
     db = b[1 + q : n_max + q + 1] - b[1 : n_max + 1]
     return float(np.sqrt(np.sum(da * da) + np.sum(db * db)))
-
-
-def check_l2_cauchy(model, n_maxes=(10**3, 10**4, 10**5), tol=0.05):
-    """Empirical Cauchy check for declared square-summable-variation families:
-    successive q-variation partial norms over a doubling-type schedule must
-    differ by less than tol."""
-    norms = [q_variation_norm(model, n) for n in n_maxes]
-    diffs = [abs(norms[i + 1] - norms[i]) for i in range(len(norms) - 1)]
-    return all(d < tol for d in diffs)

@@ -23,7 +23,6 @@ from .errors import (
     BandEdgeError,
     DegenerateBranchError,
     DiagonalizationError,
-    EigenvectorDegeneracyError,
     ValidationError,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "discriminant",
     "discriminant_derivative",
     "floquet_eigenvalue",
-    "floquet_eigenvector",
 ]
 
 # Complex-step offset for derivatives at real energy: of the discriminant,
@@ -174,15 +172,6 @@ def floquet_eigenvalue(block, zeta) -> FloquetData:
         raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {zeta}")
     zval = complex(small)
     return FloquetData(z=zval, z_inv=complex(big), delta=delta, eigvec=(zval - p22, p21))
-
-
-def floquet_eigenvector(block, zeta):
-    """Eigenvector (z - D, C) of the background period matrix at zeta."""
-    data = floquet_eigenvalue(block, zeta)
-    x, y = data.eigvec
-    if y == 0:
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
-    return (x, y)
 
 
 # Faults of the renormalized block chain, one code per energy (0 = none).

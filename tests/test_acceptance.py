@@ -116,7 +116,7 @@ def test_c7_entropy_stability(free_block):
     n_values = [10, 20, 40, 80, 160, 320]
 
     family = js.make_model(
-        free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2, l2_admissible=True)
+        free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2)
     )
     entropies = [js.entropy_integral(family, n, interval, quad_order=64) for n in n_values]
     finite = all(np.isfinite(entropies))
@@ -155,10 +155,10 @@ def test_c8_weak_convergence_sharpness(acceptance_suite):
 
 def test_c9_harmonic_certificate(free_block):
     family = js.make_model(
-        free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2, l2_admissible=True)
+        free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2)
     )
     eps_i, c_i = js.interval_constants(free_block, (-1.5, 1.5))
-    interval = js.AdmissibleInterval(-1.5, 1.5, eps_i, c_i, 0.1)
+    interval = js.AdmissibleInterval(-1.5, 1.5, eps_i, c_i)
     reports = {n: js.check_harmonic_hypotheses(family, n, interval) for n in (40, 80, 160)}
     all_pass = all(rep.passed for rep in reports.values())
     stable = True

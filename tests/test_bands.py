@@ -115,9 +115,9 @@ def test_widest_interval_ties_go_to_the_highest():
     assert upper.width == pytest.approx(lower.width, abs=1e-9)
     assert js.widest_interval([lower, upper]) is upper
     assert js.widest_interval([upper, lower]) is upper
-    nearly = js.AdmissibleInterval(lower.lo - 1e-12, lower.hi, lower.eps_I, lower.C_I, lower.margin)
+    nearly = js.AdmissibleInterval(lower.lo - 1e-12, lower.hi, lower.eps_I, lower.C_I)
     assert js.widest_interval([nearly, upper]) is upper
-    wider = js.AdmissibleInterval(lower.lo - 1e-6, lower.hi, lower.eps_I, lower.C_I, lower.margin)
+    wider = js.AdmissibleInterval(lower.lo - 1e-6, lower.hi, lower.eps_I, lower.C_I)
     assert js.widest_interval([wider, upper]) is wider
 
 

@@ -10,7 +10,7 @@ from jostspec.errors import ValidationError
 
 def _free_interval(free_block, lo=-1.0, hi=1.0):
     eps_i, c_i = js.interval_constants(free_block, (lo, hi))
-    return js.AdmissibleInterval(lo, hi, eps_i, c_i, 0.1)
+    return js.AdmissibleInterval(lo, hi, eps_i, c_i)
 
 
 def test_floquet_bound_free_passes(free_block):
@@ -26,7 +26,7 @@ def test_floquet_bound_rejects_inflated_constant():
     # closed-gap block: the trace derivative vanishes at E = 0, where the
     # true strip slope is smallest; an inflated C_I must be caught there
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    forced = js.AdmissibleInterval(-0.5, 0.5, eps_I=0.05, C_I=2.0, margin=0.0)
+    forced = js.AdmissibleInterval(-0.5, 0.5, eps_I=0.05, C_I=2.0)
     rep = js.check_floquet_bound(block, forced)
     assert not rep.passed
     assert abs(rep.worst_case["E"]) < 0.15
@@ -71,6 +71,14 @@ def test_w_summability_oscillatory_family(free_block):
     inc = rep.measured["increments"]
     assert all(b <= a + 1e-12 for a, b in zip(inc[:-1], inc[1:]))
     assert inc[-1] < 0.05
+
+
+@pytest.mark.parametrize("n_grid", [(128,), (64, 64), (), (0, 8)])
+def test_w_summability_needs_two_distinct_positive_indices(free_block, n_grid):
+    # with fewer than 2 distinct indices there is no increment to test
+    model = js.make_model(free_block, js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.2))
+    with pytest.raises(ValidationError, match="at least 2 distinct positive indices"):
+        js.check_w_summability(model, 0.4 + 0.05j, n_grid)
 
 
 def test_diagonal_products_zero_perturbation(free_block):

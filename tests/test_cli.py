@@ -92,9 +92,28 @@ def test_unknown_key_rejected(tmp_path):
 def test_unknown_section_rejected(tmp_path):
     cfg = _write(tmp_path, FREE_CONFIG + "\n[extra]\nx = 1\n")
     assert run(str(cfg), experiment="bands", out_dir=str(tmp_path / "o")) == 2
-    # configparser reserves DEFAULT and refuses to add it as a section
+    # DEFAULT is a section name like any other, so it is unknown too
     cfg = _write(tmp_path, FREE_CONFIG)
     assert run(str(cfg), overrides=["DEFAULT.x=1"], experiment="bands", out_dir=str(tmp_path / "o")) == 2
+
+
+# configparser would read this q as a default for every section, [block] included
+DEFAULT_SECTION_CONFIG = """\
+[DEFAULT]
+q = 2
+
+[block]
+a = 1.0, 1.4
+b = 0.1, -0.2
+"""
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_section_exits_2_without_output(tmp_path, capsys, experiment):
+    out = tmp_path / "out"
+    assert run(str(_write(tmp_path, DEFAULT_SECTION_CONFIG)), experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    assert '"message": "unknown config section [DEFAULT]"' in capsys.readouterr().err
 
 
 def test_density_writes_curve(tmp_path):
@@ -109,8 +128,8 @@ def test_density_writes_curve(tmp_path):
 
 def test_density_oracle_computes_only_the_oracle_curve(tmp_path, monkeypatch):
     cfg = str(_write(tmp_path, PERTURBED_CONFIG))
-    assert run(cfg, overrides=["experiment.method=both"], experiment="density", out_dir=str(tmp_path / "b")) == 0
-    _, both = _rows(tmp_path / "b" / "density.csv")
+    assert run(cfg, experiment="compare", out_dir=str(tmp_path / "c")) == 0
+    _, compared = _rows(tmp_path / "c" / "compare.csv")
 
     def refuse(*args, **kwargs):
         raise AssertionError("the key formula ran for method = oracle")
@@ -119,7 +138,8 @@ def test_density_oracle_computes_only_the_oracle_curve(tmp_path, monkeypatch):
     assert run(cfg, overrides=["experiment.method=oracle"], experiment="density", out_dir=str(tmp_path / "o")) == 0
     header, rows = _rows(tmp_path / "o" / "density.csv")
     assert header == ["E", "value"]
-    assert rows == [[r[0], r[2]] for r in both]
+    # the E and density_oracle columns of compare
+    assert rows == [[r[0], r[2]] for r in compared]
 
 
 def test_compare_perturbed_passes_tolerance(tmp_path):
@@ -381,8 +401,9 @@ def test_console_entry_point(tmp_path):
         FREE_CONFIG.replace("[block]\n", "").encode(),
         FREE_CONFIG.replace("b = 0.0\n", "b = 0.0\nb = 0.5\n").encode(),
         FREE_CONFIG.encode() + b"tol = \xff\xfe\n",
+        DEFAULT_SECTION_CONFIG.encode(),
     ],
-    ids=["n_grid-not-a-number", "no-section-header", "duplicate-key", "undecodable-bytes"],
+    ids=["n_grid-not-a-number", "no-section-header", "duplicate-key", "undecodable-bytes", "default-section"],
 )
 def test_malformed_config_text_exits_2_without_output(tmp_path, capsys, text):
     cfg = tmp_path / "config.ini"
@@ -479,12 +500,19 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "experiment.N_list=10.6, 20.4", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.N_list=1e30", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=8.5, 16", EXPERIMENTS),
+    # the summability certificate needs an increment, so 2 distinct entries
+    (BASELINE_CONFIG, "experiment.n_grid=128", EXPERIMENTS),
+    (BASELINE_CONFIG, "experiment.n_grid=64, 64", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
     # enumerations are checked when parsed, also where unread
     (FREE_CONFIG, "perturbation.target=xyz", EXPERIMENTS),
     (BASELINE_CONFIG, "perturbation.target=ab", EXPERIMENTS),
     (FREE_CONFIG, "perturbation.kind=sine", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.method=fast", EXPERIMENTS),
+    # compare writes both density curves, so density computes one
+    (BASELINE_CONFIG, "experiment.method=both", EXPERIMENTS),
+    # nothing read the declared flag, so the key is unknown
+    (BASELINE_CONFIG, "perturbation.l2_admissible=true", EXPERIMENTS),
     # the site recursion runs in double precision only, so the key is unknown
     (BASELINE_CONFIG, "experiment.precision=quad", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.precision=double", EXPERIMENTS),
@@ -523,7 +551,7 @@ def test_bad_enumeration_names_its_choices(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, parsed, expected",
     [
-        ("perturbation.l2_admissible=yes", lambda cfg: cfg.pert.l2_admissible, True),
+        ("experiment.n_grid=64, 64, 128", lambda cfg: cfg.params["n_grid"], (64, 64, 128)),
         ("experiment.interval=-1.5, 0.5", lambda cfg: cfg.params["interval"], (-1.5, 0.5)),
     ],
 )
@@ -542,3 +570,38 @@ def test_readme_grammar_lists_exactly_the_config_keys():
         elif key := re.match(r"#?\s*(\w+)\s*=", line):  # commented keys count too
             section.add(key[1])
     assert listed == {name: set(table) for name, table in cli._SECTIONS.items()}
+
+
+def _readme_csv_schemas():
+    """(experiment, header) pairs of the README's CSV schemas table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### CSV schemas\n", 1)[1].split("\n#", 1)[0]
+    pairs = []
+    # the rows after the column names and the |---| line
+    for row in [line for line in table.splitlines() if line.startswith("|")][2:]:
+        match = re.fullmatch(r"\| (\w+) \| `([\w,]+)` \|", row)
+        assert match, f"a schema row must name one experiment and one header: {row!r}"
+        pairs.append(match.groups())
+    return pairs
+
+
+def test_readme_csv_schemas_list_every_experiment_once():
+    assert sorted(name for name, _ in _readme_csv_schemas()) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        pytest.param("bands", [], id="bands"),
+        pytest.param("density", ["experiment.method=key_formula"], id="density-key_formula"),
+        pytest.param("density", ["experiment.method=oracle"], id="density-oracle"),
+        pytest.param("entropy", [], id="entropy"),
+        pytest.param("certify", [], id="certify"),
+        pytest.param("compare", [], id="compare"),
+    ],
+)
+def test_csv_header_matches_readme_schema(tmp_path, experiment, overrides):
+    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 4\nquad_order = 8\nn_grid = 8, 16\n")
+    assert run(str(cfg), overrides=overrides, experiment=experiment, out_dir=str(tmp_path / "out")) == 0
+    header, _ = _rows(tmp_path / "out" / f"{experiment}.csv")
+    assert ",".join(header) == dict(_readme_csv_schemas())[experiment]

@@ -173,8 +173,9 @@ def test_floquet_eigenvector_residual():
 
 def test_floquet_eigenvector_two_periodic_real():
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    x, y = js.floquet_eigenvector(block, 1.0)
-    z = js.floquet_eigenvalue(block, 1.0).z
+    data = js.floquet_eigenvalue(block, 1.0)
+    x, y = data.eigvec
+    z = data.z
     # D(E) = -1, C(E) = E
     assert x == pytest.approx(z + 1.0, abs=1e-12)
     assert y == pytest.approx(1.0, abs=1e-12)
