@@ -8,11 +8,10 @@ __version__ = "0.1.0"
 from .bands import (
     AdmissibleInterval,
     BandSet,
-    admissible_intervals,
     band_edges,
     interval_constants,
-    widest_admissible_interval,
-    widest_interval,
+    trimmed_bands,
+    widest_trimmed_band,
 )
 from .certify import (
     CertReport,
@@ -49,7 +48,6 @@ from .jost import (
     green_11,
     jost_solution,
     product_forms,
-    product_representation,
     reconstruct_boundary_pair,
     recursion_residuals,
     wronskian_defect,
@@ -57,15 +55,13 @@ from .jost import (
 from .measures import (
     DensityCurve,
     density_curve,
-    entropy_integral,
     entropy_integrals,
     moment,
     oracle_green_11,
     tail_m_function,
 )
 from .transfer import (
-    FloquetData,
     discriminant,
     discriminant_derivative,
-    floquet_eigenvalue,
+    floquet,
 )

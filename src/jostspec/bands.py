@@ -18,9 +18,7 @@ __all__ = [
     "BandSet",
     "AdmissibleInterval",
     "band_edges",
-    "admissible_intervals",
-    "widest_interval",
-    "widest_admissible_interval",
+    "trimmed_bands",
     "widest_trimmed_band",
     "band_interior",
     "interval_constants",
@@ -96,7 +94,7 @@ def band_edges(block) -> BandSet:
     return BandSet(bands=tuple(merged))
 
 
-def _trimmed_bands(block, margin):
+def trimmed_bands(block, margin):
     """The unmerged bands [E_2j, E_2j+1] as (lo, hi) pairs trimmed by margin
     at both ends, dropping those the trimming leaves (nearly) empty.
 
@@ -122,33 +120,10 @@ def _widest_index(pairs):
     return max((i for i, (lo, hi) in enumerate(pairs) if hi - lo >= widest - WIDTH_TIE), key=lambda i: pairs[i][0])
 
 
-def admissible_intervals(block, margin):
-    """Closed band-interior subintervals, each band trimmed by margin at both
-    ends, each carrying its strip constants."""
-    return [
-        AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)))
-        for lo, hi in _trimmed_bands(block, margin)
-    ]
-
-
-def widest_interval(intervals):
-    """The widest of the intervals; among those whose widths are within
-    WIDTH_TIE of the widest, the highest."""
-    return intervals[_widest_index([(iv.lo, iv.hi) for iv in intervals])]
-
-
 def widest_trimmed_band(block, margin):
-    """(lo, hi) of widest_admissible_interval(block, margin), without eps_I and C_I."""
-    pairs = _trimmed_bands(block, margin)
+    """The (lo, hi) of trimmed_bands(block, margin) that _widest_index picks."""
+    pairs = trimmed_bands(block, margin)
     return pairs[_widest_index(pairs)]
-
-
-def widest_admissible_interval(block, margin):
-    """widest_interval(admissible_intervals(block, margin)), with the strip
-    constants computed for the chosen interval alone, so that a band it does
-    not choose cannot make it fail."""
-    lo, hi = widest_trimmed_band(block, margin)
-    return AdmissibleInterval(lo, hi, *interval_constants(block, (lo, hi)))
 
 
 def band_interior(block, interval):
@@ -162,7 +137,8 @@ def band_interior(block, interval):
 
 
 def interval_constants(block, interval):
-    """Strip constants for a band-interior interval.
+    """The AdmissibleInterval of a band-interior interval (lo, hi), with its
+    strip constants.
 
     C_I is half the grid minimum of g(E) = |discriminant'| / sqrt(4 - delta^2);
     eps_I is the largest member of a geometric probe sequence below EPS_PROBE
@@ -192,7 +168,7 @@ def interval_constants(block, interval):
         z, _, coincide = decaying_branch(discriminant(block, zeta))
         stop = coincide | (np.abs(z) > 1.0 - c_i * ys[:, None])
         if not stop.any():
-            return eps, c_i
+            return AdmissibleInterval(lo, hi, eps, c_i)
         first = int(np.argmax(stop))
         if coincide.flat[first]:
             raise DegenerateBranchError(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import AdmissibleInterval, band_edges, band_interior, interval_constants, widest_trimmed_band
+from .bands import band_edges, band_interior, interval_constants, widest_trimmed_band
 from .certify import (
     check_diagonal_products,
     check_floquet_bound,
@@ -62,11 +62,13 @@ def _int_list(text):
 
 
 def _at_least(name, low, parse=int):
-    """Parser of an int, or with parse=_int_list of a list of ints, whose
-    every value is >= low."""
+    """Parser of an int, or with parse=_int_list of a nonempty list of ints,
+    whose every value is >= low."""
 
     def check(text):
         value = parse(text)
+        if np.size(value) == 0:
+            raise ValidationError(f"no {name} given")
         if not (np.asarray(value) >= low).all():
             raise ValidationError(f"{name} must be >= {low}")
         return value
@@ -291,8 +293,7 @@ def _run_entropy(cfg, model):
 
 def _run_certify(cfg, model):
     p = cfg.params
-    lo, hi = _resolve_interval(cfg)
-    interval = AdmissibleInterval(lo, hi, *interval_constants(cfg.block, (lo, hi)))
+    interval = interval_constants(cfg.block, _resolve_interval(cfg))
     zeta = complex(interval.midpoint(), 0.5 * interval.eps_I)
     reports = [
         check_floquet_bound(cfg.block, interval),

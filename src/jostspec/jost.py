@@ -2,7 +2,13 @@
 the absolutely-continuous density formula (its terms, its value, and its
 logarithm formed in log space, finite where the density underflows), and the
 block product representation of the boundary pair (u_1, u_0), evaluated for a
-whole grid of energies in one walk over the blocks (product_forms)."""
+whole grid of energies in one walk over the blocks (product_forms).
+
+Every function of energies takes a 1-D sequence of points (a scalar counts
+as one) and returns arrays over them, from one transfer.floquet call and one
+backward recursion over all points.  jost_solution is the one single-energy
+function: it keeps every row of the solution.
+"""
 
 from __future__ import annotations
 
@@ -16,10 +22,9 @@ from .coefficients import truncate
 from .errors import (
     BandEdgeError,
     EigenvectorDegeneracyError,
-    ValidationError,
     ZeroJostError,
 )
-from .transfer import DEAD_ALPHA, SINGULAR_U, floquet_eigenvalue, floquet_error, real_floquet
+from .transfer import DEAD_ALPHA, SINGULAR_U, floquet, floquet_error
 
 __all__ = [
     "JostSolution",
@@ -29,7 +34,6 @@ __all__ = [
     "green_11",
     "ac_density",
     "wronskian_defect",
-    "product_representation",
     "product_forms",
     "reconstruct_boundary_pair",
 ]
@@ -61,24 +65,44 @@ class JostSolution:
         return complex(self.u[1])
 
 
+def _boundary_pairs(block, zetas, interior=False):
+    """The backward recursion's boundary pair at every point of a 1-D
+    sequence, from one floquet call: (z, z - D, C), the index of the first
+    point that fails and its error (the number of points and None if none
+    does).  A point fails outside a band interior if `interior`, then on a
+    Floquet fault, then where C = 0."""
+    delta, z, c, d, fault = floquet(block, zetas)
+    outside = interior & (np.abs(delta) >= 2.0 - 1e-12)
+    bad = np.flatnonzero(outside | (fault != 0) | (c == 0))
+    if not bad.size:
+        return z, z - d, c, len(z), None
+    i = int(bad[0])
+    zeta = complex(zetas[i])
+    if outside[i]:
+        error = BandEdgeError(f"E = {zeta.real} is not in a band interior")
+    elif fault[i]:
+        error = floquet_error(int(fault[i]), zeta)
+    else:
+        error = EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta.real if zeta.imag == 0 else zeta}")
+    return z, z - d, c, i, error
+
+
 def jost_solution(model, N, zeta) -> JostSolution:
-    """Backward recursion from the eigenvector boundary condition.
+    """Backward recursion from the eigenvector boundary condition at one
+    point, keeping every row of the solution.
 
     The model is truncated at N internally; the boundary pair at sites
     (Nq+1, Nq) is the background Floquet eigenvector (z - D, C), and the
     three-term recursion is solved down to site 0.
     """
-    if N < 1:
-        raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
-    fl = floquet_eigenvalue(work.block, zeta)
-    x, y = fl.eigvec
-    if y == 0:
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {zeta}")
+    z, x, y, _, error = _boundary_pairs(work.block, [zeta])
+    if error is not None:
+        raise error
     a, b = work.coefficient_arrays(N * work.block.q)
     rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
     _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows)
-    return JostSolution(N=N, zeta=complex(zeta), u=rows.ravel(), z=fl.z, scale_log2=int(scales[0]))
+    return JostSolution(N=N, zeta=complex(zeta), u=rows.ravel(), z=complex(z[0]), scale_log2=int(scales[0]))
 
 
 def recursion_residuals(model, sol) -> np.ndarray:
@@ -93,49 +117,46 @@ def recursion_residuals(model, sol) -> np.ndarray:
     return np.abs(res) / np.where(scale > 0, scale, 1.0)
 
 
-def green_11(model, N, zeta):
-    """Boundary Green's value -u_1 / (a°_0 u_0) of the truncated operator."""
-    sol = jost_solution(model, N, zeta)
-    if sol.u0 == 0:
-        raise ZeroJostError(f"u_0(zeta) = 0 at zeta = {zeta}")
-    a0 = model.block.a(0)
-    return -sol.u1 / (a0 * sol.u0)
+def _boundary_values(model, N, zetas, interior=False):
+    """(z, C, u_0, u_1, scale_log2) at every point of a 1-D sequence, from
+    one floquet call and one recursion over the points.
+
+    Raises the error of the first failing point in order: a failure of
+    _boundary_pairs, or u_0 = 0.  The recursion runs for the points before
+    the first that fails _boundary_pairs, so a u_0 = 0 at an earlier point
+    comes first.
+    """
+    work = truncate(model, N)
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    z, x, c, stop, error = _boundary_pairs(work.block, zetas, interior)
+    if stop or error is None:  # the recursion runs unless the first point fails
+        a, b = work.coefficient_arrays(N * work.block.q)
+        u0, u1, scales = _kernels.jost_backward(a, b, zetas[:stop], x[:stop], c[:stop])
+        zero = np.flatnonzero(u0 == 0)
+        if zero.size:
+            zeta = complex(zetas[zero[0]])
+            raise ZeroJostError(f"u_0 = 0 at zeta = {zeta.real if zeta.imag == 0 else zeta}")
+    if error is not None:
+        raise error
+    return z, c, u0, u1, scales
+
+
+def green_11(model, N, zetas):
+    """Boundary Green's value -u_1 / (a°_0 u_0) of the truncated operator at
+    every point of a 1-D sequence, from one recursion over all of them."""
+    _, _, u0, u1, _ = _boundary_values(model, N, zetas)
+    return -u1 / (model.block.a(0) * u0)
 
 
 def density_terms(model, N, energies):
-    """The terms of the key formula at real energies: |C Im z|, |u_0| and
-    the recursion's rescale exponent scale_log2 (the true |u_0| is
-    |u_0| * 2**scale_log2), as arrays over the energies.
-
-    The Floquet setup (delta, z, C, D and a fault code) is one real_floquet
-    call over all energies, and the recursion runs once for the energies
-    before the first one that fails a Floquet check.  Raises the error of
-    the first failing energy in grid order: outside a band interior, a
-    Floquet fault, C = 0, or u_0 = 0 (checked on the energies the recursion
-    ran for).
-    """
-    block = model.block
+    """The terms of the key formula at real band-interior energies, as
+    arrays over a 1-D sequence: |C Im z|, |u_0| and the recursion's rescale
+    exponent scale_log2 (the true |u_0| is |u_0| * 2**scale_log2).  Raises
+    the error of the first failing energy in order, as _boundary_values, an
+    energy outside a band interior first."""
     energies = np.asarray(energies, dtype=np.float64)
-    delta, z, c_val, d_val, fault = real_floquet(block, energies)
-    outside = np.abs(delta) >= 2.0 - 1e-12
-    bad = np.flatnonzero(outside | (fault != 0) | (c_val == 0))
-    stop = int(bad[0]) if bad.size else len(energies)
-    if stop or not bad.size:  # the recursion runs unless the first energy fails
-        work = truncate(model, N)
-        a, b = work.coefficient_arrays(N * block.q)
-        zeta = energies[:stop].astype(np.complex128)
-        u0, _, scales = _kernels.jost_backward(a, b, zeta, z[:stop] - d_val[:stop], c_val[:stop])
-        zero = np.flatnonzero(u0 == 0)
-        if zero.size:
-            raise ZeroJostError(f"u_0(E) = 0 at E = {float(energies[zero[0]])}")
-    if bad.size:
-        energy = float(energies[stop])
-        if outside[stop]:
-            raise BandEdgeError(f"E = {energy} is not in a band interior")
-        if fault[stop]:
-            raise floquet_error(int(fault[stop]), energy)
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {energy}")
-    return np.abs(c_val * z.imag), np.hypot(u0.real, u0.imag), scales
+    z, c, u0, _, scales = _boundary_values(model, N, energies, interior=True)
+    return np.abs(c.real * z.imag), np.hypot(u0.real, u0.imag), scales
 
 
 def log_density(a0, num, abs_u0, scale_log2):
@@ -156,39 +177,28 @@ def density_values(a0, num, abs_u0, scale_log2):
         return np.where(direct, num / denom, np.exp(log_density(a0, num, abs_u0, scale_log2)))
 
 
-def ac_density(model, N, energy):
-    """Absolutely-continuous spectral density of the truncated operator at a
-    real band-interior energy: |C Im z| / (pi |a°_0| |u_0|^2)."""
-    terms = density_terms(model, N, [energy])
-    return float(density_values(model.block.a(0), *terms)[0])
+def ac_density(model, N, energies):
+    """Absolutely-continuous spectral density of the truncated operator at
+    every real band-interior energy of a 1-D sequence:
+    |C Im z| / (pi |a°_0| |u_0|^2)."""
+    return density_values(model.block.a(0), *density_terms(model, N, energies))
 
 
 def _wronskian_terms(model, N, energies):
     """Defect |Im(u_0 conj(u_1)) + C Im z| of the boundary identity and its
-    scale |u_0||u_1| + |C| at each real energy of a 1-D array, from one
-    real_floquet call and one recursion over all energies.  Raises the error
-    of the first failing energy, as jost_solution would."""
-    work = truncate(model, N)
-    _, z, c_val, d_val, fault = real_floquet(work.block, energies)
-    bad = np.flatnonzero((fault != 0) | (c_val == 0))
-    if bad.size:
-        i = int(bad[0])
-        if fault[i]:
-            raise floquet_error(int(fault[i]), float(energies[i]))
-        raise EigenvectorDegeneracyError(f"C(zeta) = 0 at zeta = {float(energies[i])}")
-    a, b = work.coefficient_arrays(N * work.block.q)
-    u0, u1, scale_log2 = _kernels.jost_backward(a, b, energies, z - d_val, c_val)
+    scale |u_0||u_1| + |C| at every real energy of a 1-D sequence, from one
+    _boundary_values call."""
+    z, c, u0, u1, scale_log2 = _boundary_values(model, N, np.asarray(energies, dtype=np.float64))
     # Im(u_0 conj(u_1)) term by term, as Python's complex product forms it
     cross = np.ldexp(u0.imag * u1.real - u0.real * u1.imag, 2 * scale_log2)
-    scale = np.ldexp(np.abs(u0) * np.abs(u1), 2 * scale_log2) + np.abs(c_val)
-    return np.abs(cross + c_val * z.imag), scale
+    scale = np.ldexp(np.abs(u0) * np.abs(u1), 2 * scale_log2) + np.abs(c)
+    return np.abs(cross + c.real * z.imag), scale
 
 
-def wronskian_defect(model, N, energy):
-    """Residual of the boundary identity Im(u_0 conj(u_1)) = -C Im z,
-    elementwise over a scalar or 1-D array of real energies."""
-    defect, _ = _wronskian_terms(model, N, np.atleast_1d(np.asarray(energy, dtype=np.float64)))
-    return float(defect[0]) if np.ndim(energy) == 0 else defect
+def wronskian_defect(model, N, energies):
+    """Residual of the boundary identity Im(u_0 conj(u_1)) = -C Im z at
+    every real energy of a 1-D sequence."""
+    return _wronskian_terms(model, N, energies)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,17 +211,16 @@ class ProductForm:
     so its imaginary part is the unwrapped sum of the arguments.
     (exp(log_prefactor), phi_N, nu_N) reconstruct (u_1, u_0) through
     M_0^{-1} U_0^{-1} L_0.  kappa is the observed eigenvalue-modulus floor.
-    The certificates read only phi_N, nu_N, lambda0 and c0.
-    product_representation fills the fields with scalars and u_inv0 with a
-    2x2 array; product_forms fills them with arrays over its points
-    (u_inv0 of shape (2, 2, points)).
+    The certificates read only phi_N, nu_N, lambda0 and c0.  Every field
+    but a0 is an array over the points of product_forms, u_inv0 of shape
+    (2, 2, points).
     """
 
-    phi_N: complex
-    nu_N: complex
-    kappa: float
-    log_prefactor: complex
-    lambda0: complex
+    phi_N: np.ndarray
+    nu_N: np.ndarray
+    kappa: np.ndarray
+    log_prefactor: np.ndarray
+    lambda0: np.ndarray
     a0: float
     u_inv0: np.ndarray = field(repr=False)
 
@@ -240,13 +249,11 @@ def product_forms(model, N, points) -> ProductForm:
     (identical eigenbases) has 1 + alpha_n = 1 exactly and only rescales nu
     by lambda_n^{-2}.
 
-    Raises the error product_representation would raise at the first failing
-    point: a block without a usable eigenbasis (lowest block) before a
-    singular U_{n-1} or 1 + alpha_n = 0 (highest n, and U_{n-1} before
-    alpha_n, which is formed from its inverse).
+    Raises the error of the first failing point in order: a block without a
+    usable eigenbasis (lowest block) before a singular U_{n-1} or
+    1 + alpha_n = 0 (highest n, and U_{n-1} before alpha_n, which is formed
+    from its inverse).
     """
-    if N < 1:
-        raise ValidationError("truncation index must be >= 1")
     work = truncate(model, N)
     q = work.block.q
     a, b = work.coefficient_arrays(N * q)
@@ -312,28 +319,11 @@ def product_forms(model, N, points) -> ProductForm:
     )
 
 
-def product_representation(model, N, zeta) -> ProductForm:
-    """The product representation at one energy: the single-point view of
-    product_forms, with scalar fields and a 2x2 u_inv0."""
-    form = product_forms(model, N, [zeta])
-    return ProductForm(
-        phi_N=complex(form.phi_N[0]),
-        nu_N=complex(form.nu_N[0]),
-        kappa=float(form.kappa[0]),
-        log_prefactor=complex(form.log_prefactor[0]),
-        lambda0=complex(form.lambda0[0]),
-        a0=form.a0,
-        u_inv0=form.u_inv0[:, :, 0],
-    )
-
-
 def reconstruct_boundary_pair(form):
-    """(u_1, u_0) from a ProductForm of product_representation:
+    """(u_1, u_0) from a ProductForm, elementwise over its points:
     exp(log_prefactor) * M_0^{-1} U_0^{-1} L_0 (phi, nu)."""
     w0 = form.lambda0 * form.phi_N
     w1 = form.nu_N / form.lambda0
     u = form.u_inv0
-    u1 = complex(u[0, 0]) * w0 + complex(u[0, 1]) * w1
-    u0 = (complex(u[1, 0]) * w0 + complex(u[1, 1]) * w1) / form.a0
-    prefactor = complex(np.exp(form.log_prefactor))
-    return prefactor * u1, prefactor * u0
+    prefactor = np.exp(form.log_prefactor)
+    return prefactor * (u[0, 0] * w0 + u[0, 1] * w1), prefactor * ((u[1, 0] * w0 + u[1, 1] * w1) / form.a0)

@@ -7,7 +7,9 @@ algorithms (different recursion direction, different tail treatment); their
 agreement is the package's central cross-check.  On the real axis the oracle
 takes the tail's boundary value from the Mobius fixed-point quadratic and
 strips down at real energy, where Im m_{n-1} = a_n^2 Im m_n / |w|^2 keeps
-relative accuracy at any density scale.
+relative accuracy at any density scale.  tail_m_function and
+oracle_green_11 take a 1-D sequence of points (a scalar counts as one), in
+the upper half-plane or on a band interior, and return arrays over them.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .coefficients import truncate
 from .errors import BandEdgeError, OracleConvergenceError, ValidationError
-from .jost import density_terms, density_values, log_density
+from .jost import ac_density, density_terms, log_density
 
 __all__ = [
     "DensityCurve",
     "tail_m_function",
     "oracle_green_11",
     "density_curve",
-    "entropy_integral",
     "entropy_integrals",
     "moment",
 ]
@@ -51,9 +52,10 @@ class DensityCurve:
             raise ValidationError("density values must be nonnegative")
 
 
-def _tail_closure(block, zetas):
-    """tail_m_function at every point of a 1-D complex array, batched, and
-    its boundary value at real band-interior energies.
+def tail_m_function(block, zetas):
+    """Boundary Green's value G(1,1) of the pure periodic background at every
+    point of a 1-D sequence (a scalar counts as one point), and its boundary
+    value at real band-interior energies.
 
     The tail is a root of the fixed-point quadratic of the period's Mobius
     map.  For Im zeta > 0 the other root is the reflected left half-line
@@ -65,7 +67,7 @@ def _tail_closure(block, zetas):
     band interior (the quadratic's discriminant not below 0), a root that is
     not finite or has Im m not above 0 (a NaN fails).
     """
-    z = np.asarray(zetas, dtype=np.complex128)
+    z = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     lower = z.imag < 0
     real = z.imag == 0
     with np.errstate(all="ignore"):
@@ -97,41 +99,19 @@ def _tail_closure(block, zetas):
     return m
 
 
-def tail_m_function(block, zeta):
-    """Boundary Green's value G(1,1) of the pure periodic background.
-
-    The single-energy view of _tail_closure: the root with Im m > 0 of the
-    fixed-point quadratic of the period-q stripping map, a Mobius
-    transformation.
-    """
-    zeta = complex(zeta)
-    if zeta.imag <= 0:
-        raise ValidationError("tail_m_function requires Im zeta > 0")
-    return complex(_tail_closure(block, [zeta])[0])
-
-
-def _oracle_values(model, N, zetas):
-    """oracle_green_11 at every zeta, and its boundary value at real
-    band-interior energies: one batched periodic-tail closure, then one
-    stripping pass over all of them."""
+def oracle_green_11(model, N, zetas):
+    """Boundary Green's value of the truncated operator by coefficient
+    stripping at every point of a 1-D sequence, and its boundary value at
+    real band-interior energies: one tail_m_function call at depth (N-1)q,
+    then one stripping pass over all points down to the boundary."""
     work = truncate(model, N)
-    zetas = np.asarray(zetas, dtype=np.complex128)
-    tails = _tail_closure(work.block, zetas)
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    tails = tail_m_function(work.block, zetas)
     depth = (N - 1) * work.block.q
     if depth == 0:
         return tails
     a, b = work.coefficient_arrays(depth)
     return _kernels.strip_downward(a, b, zetas, tails, depth)
-
-
-def oracle_green_11(model, N, zeta):
-    """Boundary Green's value of the truncated operator by coefficient
-    stripping: exact periodic tail at depth (N-1)q, then one stripping step
-    per perturbed site down to the boundary."""
-    zeta = complex(zeta)
-    if zeta.imag <= 0:
-        raise ValidationError("oracle_green_11 requires Im zeta > 0")
-    return complex(_oracle_values(model, N, [zeta])[0])
 
 
 def density_curve(model, N, interval, grid_points, method="key_formula"):
@@ -148,9 +128,9 @@ def density_curve(model, N, interval, grid_points, method="key_formula"):
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     grid = np.linspace(float(lo), float(hi), int(grid_points))
     if method == "key_formula":
-        vals = density_values(model.block.a(0), *density_terms(model, N, grid))
+        vals = ac_density(model, N, grid)
     elif method == "oracle":
-        vals = _oracle_values(model, N, grid).imag / math.pi
+        vals = oracle_green_11(model, N, grid).imag / math.pi
     else:
         raise ValidationError(f"unknown density method {method!r}")
     meta = {"model": model.fingerprint(), "N": int(N), "method": method}
@@ -165,11 +145,12 @@ def _gauss_legendre(order):
 
 
 def entropy_integrals(model, N, interval, quad_orders):
-    """entropy_integral at each of quad_orders, from one density_terms call
-    over the nodes of every order.  All orders are validated first; then the
-    first failing order raises the error entropy_integral would raise.  The
-    integrand is log_density, formed in log space, so it stays finite at
-    depths where the density itself underflows."""
+    """Gauss-Legendre quadrature of ln(density) over an admissible interval
+    at each of quad_orders, from one density_terms call over the nodes of
+    every order.  All orders are validated first; then the first failing
+    node in order raises its error.  The integrand is log_density, formed in
+    log space, so it stays finite at depths where the density itself
+    underflows."""
     orders = [int(order) for order in quad_orders]
     if any(order < 4 for order in orders):
         raise ValidationError("quad_order must be >= 4")
@@ -180,11 +161,6 @@ def entropy_integrals(model, N, interval, quad_orders):
     terms = density_terms(model, N, energies)
     parts = np.split(log_density(model.block.a(0), *terms), np.cumsum(orders)[:-1])
     return [half * float(_gauss_legendre(order)[1] @ part) for order, part in zip(orders, parts)]
-
-
-def entropy_integral(model, N, interval, quad_order=64):
-    """Gauss-Legendre quadrature of ln(density) over an admissible interval."""
-    return entropy_integrals(model, N, interval, (quad_order,))[0]
 
 
 def moment(model, N_or_full, k, depth):

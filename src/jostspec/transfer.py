@@ -7,14 +7,12 @@ Everything here works elementwise over arrays of energies.  The chain takes
 its period products from _kernels.period_products; chain_blocks and
 connection_entries hold its one implementation, for connection_matrices
 (every W_n at once) and jost.product_forms (a downward walk, a chunk of
-blocks at a time).  floquet_eigenvalue is the single-energy view of
-real_floquet on the real axis and of decaying_branch off it.  Each
-batched entry point raises the error of the first failing point in order,
-and its docstring states which fault of a point comes first."""
+blocks at a time).  floquet is the one entry point for the background's
+Floquet data, on the real axis and off it.  Each batched entry point
+raises the error of the first failing point in order, and its docstring
+states which fault of a point comes first."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +25,9 @@ from .errors import (
 )
 
 __all__ = [
-    "FloquetData",
     "discriminant",
     "discriminant_derivative",
-    "floquet_eigenvalue",
+    "floquet",
 ]
 
 # Complex-step offset for derivatives at real energy: of the discriminant,
@@ -48,11 +45,10 @@ COINCIDE_TOL = 1e-13
 
 def _background_period_matrix(block, zeta):
     """Period matrix of the pure background as four entries, elementwise over
-    a scalar or array zeta; real zeta gives real (float64) entries."""
-    if isinstance(zeta, complex) or (isinstance(zeta, np.ndarray) and zeta.dtype.kind == "c"):
-        p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    else:
-        p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    a scalar, sequence or array zeta; real zeta gives real (float64) entries."""
+    zeta = np.asarray(zeta)
+    one, zero = (1.0 + 0j, 0j) if np.iscomplexobj(zeta) else (1.0, 0.0)
+    p11, p12, p21, p22 = one, zero, zero, one
     for k in range(1, block.q + 1):
         ak = block.a(k)
         t11 = (zeta - block.b(k)) / ak
@@ -62,27 +58,16 @@ def _background_period_matrix(block, zeta):
 
 
 def discriminant(block, zeta):
-    """Trace of the background period matrix, elementwise over a scalar or
-    array zeta; real for real zeta."""
+    """Trace of the background period matrix, elementwise over a scalar,
+    sequence or array zeta; real for real zeta."""
     p11, _, _, p22 = _background_period_matrix(block, zeta)
     return p11 + p22
 
 
 def discriminant_derivative(block, energy):
     """Derivative of the discriminant at real energy by a complex step of
-    CS_STEP, elementwise over a scalar or array energy."""
-    return discriminant(block, energy + 1j * CS_STEP).imag / CS_STEP
-
-
-@dataclass(frozen=True)
-class FloquetData:
-    """Floquet eigenvalue branch data at one energy: the |z| <= 1 eigenvalue,
-    its reciprocal, the discriminant, and the eigenvector (z - D, C)."""
-
-    z: complex
-    z_inv: complex
-    delta: complex
-    eigvec: tuple
+    CS_STEP, elementwise over a scalar, sequence or array energy."""
+    return discriminant(block, np.asarray(energy) + 1j * CS_STEP).imag / CS_STEP
 
 
 def decaying_branch(delta):
@@ -113,65 +98,55 @@ def _real_branch(trace, slope):
     )
 
 
-# Faults of the Floquet data at real energies, one code per energy (0 = none),
-# in the order floquet_eigenvalue checks them.
-BAND_EDGE, FLAT_DELTA = 1, 2
+# Faults of the Floquet data, one code per point (0 = none): at real points
+# a band edge before a flat discriminant, off the axis coinciding moduli.
+BAND_EDGE, FLAT_DELTA, COINCIDE = 1, 2, 3
 
 
-def floquet_error(code, energy):
-    """The error of real-axis Floquet fault `code` at energy."""
-    if code == BAND_EDGE:
-        return BandEdgeError(f"|discriminant| = 2 at E = {energy}")
-    return DegenerateBranchError(f"discriminant derivative vanishes at E = {energy}")
-
-
-def real_floquet(block, energies):
-    """Floquet data at real energies, elementwise over a 1-D array, in float64.
-
-    Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch,
-    inside a band (delta - i sign(delta') sqrt(4 - delta^2)) / 2 with delta'
-    by the complex step, outside the smaller real root; the lower row (C, D)
-    of the period matrix, so (z - D, C) is the eigenvector; the fault code.
-    """
-    energy = np.asarray(energies, dtype=np.float64)
-    p11, _, c, d = _background_period_matrix(block, energy)
-    # for q = 1 the lower row is constant
-    c, d = np.broadcast_to(c, energy.shape), np.broadcast_to(d, energy.shape)
-    delta = p11 + d
-    dd = discriminant_derivative(block, energy)
-    interior = np.abs(delta) < 2.0
-    lam = _real_branch(delta, dd)
-    # on the unit circle conj(lam) is 1/lam without rounding
-    z = np.where(interior, np.conj(lam), 1.0 / lam)
-    edge = np.abs(np.abs(delta) - 2.0) < EDGE_TOL
-    fault = np.select([edge, interior & (np.abs(dd) < DERIV_TOL)], [BAND_EDGE, FLAT_DELTA], 0)
-    return delta, z, c, d, fault
-
-
-def floquet_eigenvalue(block, zeta) -> FloquetData:
-    """Floquet eigenvalue with the |z| <= 1 branch fixed.
-
-    Off the real axis the root of smaller modulus is taken; at real energies
-    this is the single-energy view of real_floquet (the branch's boundary
-    value inside a band, the smaller real root outside).
-    """
+def floquet_error(code, zeta):
+    """The error of Floquet fault `code` at the point zeta."""
     z = complex(zeta)
-    if z.imag == 0.0:
-        energy = z.real
-        delta, zr, c, d, fault = real_floquet(block, [energy])
-        if fault[0]:
-            raise floquet_error(int(fault[0]), energy)
-        zval = complex(zr[0])
-        return FloquetData(
-            z=zval, z_inv=1.0 / zval, delta=float(delta[0]), eigvec=(zval - float(d[0]), complex(c[0]))
-        )
-    p11, _, p21, p22 = _background_period_matrix(block, z)
-    delta = p11 + p22
-    small, big, coincide = decaying_branch(delta)
-    if coincide:
-        raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {zeta}")
-    zval = complex(small)
-    return FloquetData(z=zval, z_inv=complex(big), delta=delta, eigvec=(zval - p22, p21))
+    if code == BAND_EDGE:
+        return BandEdgeError(f"|discriminant| = 2 at E = {z.real}")
+    if code == FLAT_DELTA:
+        return DegenerateBranchError(f"discriminant derivative vanishes at E = {z.real}")
+    return DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {z}")
+
+
+def floquet(block, zetas):
+    """Floquet data at every point of a 1-D sequence zetas (a scalar counts
+    as one point), as complex arrays.
+
+    Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch;
+    the lower row (C, D) of the period matrix, so (z - D, C) is the
+    eigenvector; the fault code.  Real points are computed in float64: inside
+    a band z is (delta - i sign(delta') sqrt(4 - delta^2)) / 2 with delta' by
+    the complex step, outside the smaller real root.  Off the axis z is the
+    root of smaller modulus from decaying_branch.
+    """
+    zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    real = zeta.imag == 0.0
+    off = ~real
+    delta, z, c, d = (np.empty(zeta.shape, dtype=np.complex128) for _ in range(4))
+    fault = np.zeros(zeta.shape, dtype=np.int64)
+    if real.any():
+        energy = zeta.real[real]
+        p11, _, c[real], d_real = _background_period_matrix(block, energy)
+        d[real] = d_real
+        delta[real] = dl = p11 + d_real
+        dd = discriminant_derivative(block, energy)
+        interior = np.abs(dl) < 2.0
+        lam = _real_branch(dl, dd)
+        # on the unit circle conj(lam) is 1/lam without rounding
+        z[real] = np.where(interior, np.conj(lam), 1.0 / lam)
+        edge = np.abs(np.abs(dl) - 2.0) < EDGE_TOL
+        fault[real] = np.select([edge, interior & (np.abs(dd) < DERIV_TOL)], [BAND_EDGE, FLAT_DELTA], 0)
+    if off.any():
+        p11, _, c[off], d[off] = _background_period_matrix(block, zeta[off])
+        delta[off] = p11 + d[off]
+        z[off], _, coincide = decaying_branch(delta[off])
+        fault[off] = np.where(coincide, COINCIDE, 0)
+    return delta, z, c, d, fault
 
 
 # Faults of the renormalized block chain, one code per energy (0 = none).

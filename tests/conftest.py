@@ -29,10 +29,9 @@ def random_suite(seed=20250808, count=20, margin=0.2, min_width=0.5, max_support
         q = 1 + len(suite) % 3
         try:
             block = random_block(rng, q)
-            intervals = js.admissible_intervals(block, margin=margin)
+            interval = js.interval_constants(block, js.widest_trimmed_band(block, margin))
         except (NoAdmissibleIntervalError, DegenerateBranchError):
             continue
-        interval = js.widest_interval(intervals)
         if interval.width < min_width:
             continue
         support = int(rng.integers(5, max_support + 1))

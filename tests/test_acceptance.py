@@ -21,7 +21,7 @@ def _verdict(tag, ok, detail):
 def test_c1_free_case_key_formula(free_model):
     t0 = time.perf_counter()
     grid = np.linspace(-1.9, 1.9, 101)
-    values = np.array([js.ac_density(free_model, 4, e) for e in grid])
+    values = js.ac_density(free_model, 4, grid)
     elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(values - np.sqrt(4 - grid**2) / (2 * np.pi))))
     ok = err < 1e-8 and elapsed < 1.0
@@ -79,14 +79,13 @@ def test_c5_product_form_reconstruction(acceptance_suite, free_model):
             interval.lo + 0.85 * interval.width,
             complex(interval.midpoint(), interval.eps_I / 2),
         ]
-        for zeta in probes:
+        form = js.product_forms(model, n_trunc, probes)
+        for zeta, u1, u0 in zip(probes, *js.reconstruct_boundary_pair(form)):
             sol = js.jost_solution(model, n_trunc, zeta)
-            form = js.product_representation(model, n_trunc, zeta)
-            u1, u0 = js.reconstruct_boundary_pair(form)
             scale = max(abs(sol.u1), abs(sol.u0))
             worst = max(worst, abs(u1 - sol.u1) / scale, abs(u0 - sol.u0) / scale)
-    clean = js.product_representation(free_model, 10, 0.4)
-    exact = clean.phi_N == 1.0 and clean.nu_N == 0.0
+    clean = js.product_forms(free_model, 10, [0.4])
+    exact = clean.phi_N.tolist() == [1.0] and clean.nu_N.tolist() == [0.0]
     ok = worst < 1e-8 and exact
     assert _verdict(
         "C5 product-form reconstruction",
@@ -100,7 +99,7 @@ def test_c6_strip_certificate(acceptance_suite, free_block):
     for model, interval, _ in acceptance_suite:
         rep = js.check_floquet_bound(model.block, interval)
         all_pass = all_pass and rep.passed
-    eps_i, c_i = js.interval_constants(free_block, (-1.0, 1.0))
+    c_i = js.interval_constants(free_block, (-1.0, 1.0)).C_I
     c_ok = abs(c_i - 0.25) < 1e-6
     ok = all_pass and c_ok
     assert _verdict(
@@ -118,7 +117,7 @@ def test_c7_entropy_stability(free_block):
     family = js.make_model(
         free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2)
     )
-    entropies = [js.entropy_integral(family, n, interval, quad_order=64) for n in n_values]
+    entropies = [js.entropy_integrals(family, n, interval, (64,))[0] for n in n_values]
     finite = all(np.isfinite(entropies))
     running_min = np.minimum.accumulate(entropies)
     change = abs(running_min[-1] - running_min[-3]) / abs(running_min[-3])
@@ -127,7 +126,7 @@ def test_c7_entropy_stability(free_block):
     rng = np.random.default_rng(7)
     beta = 1.5 * rng.uniform(-1.0, 1.0, 320) / np.arange(1, 321) ** 0.25
     contrast = js.make_model(free_block, js.PerturbationSpec.finite(beta=beta))
-    cvals = [js.entropy_integral(contrast, n, interval, quad_order=64) for n in n_values]
+    cvals = [js.entropy_integrals(contrast, n, interval, (64,))[0] for n in n_values]
     decreasing = all(b < a for a, b in zip(cvals[:-1], cvals[1:]))
 
     elapsed = time.perf_counter() - t0
@@ -157,8 +156,7 @@ def test_c9_harmonic_certificate(free_block):
     family = js.make_model(
         free_block, js.PerturbationSpec.power(c=1.0, s=0.5, gamma=0.2)
     )
-    eps_i, c_i = js.interval_constants(free_block, (-1.5, 1.5))
-    interval = js.AdmissibleInterval(-1.5, 1.5, eps_i, c_i)
+    interval = js.interval_constants(free_block, (-1.5, 1.5))
     reports = {n: js.check_harmonic_hypotheses(family, n, interval) for n in (40, 80, 160)}
     all_pass = all(rep.passed for rep in reports.values())
     stable = True

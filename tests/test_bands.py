@@ -102,7 +102,8 @@ def test_band_structure_properties(block):
         assert np.all(np.abs(js.discriminant(block, np.linspace(lo, hi, 401))) <= 2.0 + 1e-9)
     for (_, hi), (lo, _) in zip(bands[:-1], bands[1:]):
         assert abs(js.discriminant(block, 0.5 * (lo + hi))) > 2.0
-    for iv in js.admissible_intervals(block, margin=0.05):
+    for pair in js.trimmed_bands(block, margin=0.05):
+        iv = js.interval_constants(block, pair)
         grid = np.linspace(iv.lo, iv.hi, 401)
         for values in (js.discriminant_derivative(block, grid), _background_period_matrix(block, grid)[2]):
             assert np.all(values > 0) or np.all(values < 0)
@@ -111,14 +112,15 @@ def test_band_structure_properties(block):
 def test_widest_interval_ties_go_to_the_highest():
     # the two bands of a q = 2 background have equal widths
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
-    lower, upper = js.admissible_intervals(block, margin=0.1)
-    assert upper.width == pytest.approx(lower.width, abs=1e-9)
-    assert js.widest_interval([lower, upper]) is upper
-    assert js.widest_interval([upper, lower]) is upper
-    nearly = js.AdmissibleInterval(lower.lo - 1e-12, lower.hi, lower.eps_I, lower.C_I)
-    assert js.widest_interval([nearly, upper]) is upper
-    wider = js.AdmissibleInterval(lower.lo - 1e-6, lower.hi, lower.eps_I, lower.C_I)
-    assert js.widest_interval([wider, upper]) is wider
+    lower, upper = js.trimmed_bands(block, margin=0.1)
+    assert upper[1] - upper[0] == pytest.approx(lower[1] - lower[0], abs=1e-9)
+    assert js.widest_trimmed_band(block, 0.1) == upper
+    assert bands._widest_index([lower, upper]) == 1
+    assert bands._widest_index([upper, lower]) == 0
+    nearly = (lower[0] - 1e-12, lower[1])
+    assert bands._widest_index([nearly, upper]) == 1
+    wider = (lower[0] - 1e-6, lower[1])
+    assert bands._widest_index([wider, upper]) == 0
 
 
 @pytest.mark.parametrize("margin", [0.05, 0.1])
@@ -129,27 +131,28 @@ def test_widest_admissible_interval_matches_widest_of_all(q, margin):
     for _ in range(6):
         block = random_block(rng, q)
         try:
-            expected = js.widest_interval(js.admissible_intervals(block, margin))
+            every = [js.interval_constants(block, pair) for pair in js.trimmed_bands(block, margin)]
         except (NoAdmissibleIntervalError, DegenerateBranchError):
             continue
-        # dataclass equality: lo, hi, eps_I, C_I and margin all match exactly
-        assert js.widest_admissible_interval(block, margin) == expected
-        assert bands.widest_trimmed_band(block, margin) == (expected.lo, expected.hi)
+        expected = every[bands._widest_index([(iv.lo, iv.hi) for iv in every])]
+        # dataclass equality: lo, hi, eps_I and C_I all match exactly, so a
+        # band's strip constants do not depend on the bands beside it
+        assert js.interval_constants(block, js.widest_trimmed_band(block, margin)) == expected
         checked += 1
     assert checked > 0
 
 
 def test_widest_admissible_interval_tie_and_empty(free_block):
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
-    assert js.widest_admissible_interval(block, 0.1) == js.admissible_intervals(block, 0.1)[1]
+    assert js.widest_trimmed_band(block, 0.1) == js.trimmed_bands(block, 0.1)[1]
     with pytest.raises(NoAdmissibleIntervalError):
-        js.widest_admissible_interval(free_block, margin=2.5)
+        js.widest_trimmed_band(free_block, margin=2.5)
 
 
 def test_admissible_free(free_block):
-    intervals = js.admissible_intervals(free_block, margin=0.1)
-    assert len(intervals) == 1
-    iv = intervals[0]
+    pairs = js.trimmed_bands(free_block, margin=0.1)
+    assert len(pairs) == 1
+    iv = js.interval_constants(free_block, pairs[0])
     assert iv.lo == pytest.approx(-1.9, abs=1e-9)
     assert iv.hi == pytest.approx(1.9, abs=1e-9)
     assert iv.eps_I > 0 and iv.C_I > 0
@@ -158,7 +161,7 @@ def test_admissible_free(free_block):
 def test_admissible_excludes_corner_zero():
     # C(E) = E and discriminant derivative both vanish at 0 for this block
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    intervals = js.admissible_intervals(block, margin=0.1)
+    intervals = [js.interval_constants(block, pair) for pair in js.trimmed_bands(block, margin=0.1)]
     assert len(intervals) == 2
     (a1, b1), (a2, b2) = [(iv.lo, iv.hi) for iv in intervals]
     assert b1 == pytest.approx(-0.1, abs=1e-6)
@@ -167,22 +170,22 @@ def test_admissible_excludes_corner_zero():
 
 def test_admissible_margin_too_large(free_block):
     with pytest.raises(NoAdmissibleIntervalError):
-        js.admissible_intervals(free_block, margin=2.5)
+        js.trimmed_bands(free_block, margin=2.5)
 
 
 def test_interval_constants_free_symmetric(free_block):
-    eps_i, c_i = js.interval_constants(free_block, (-1.0, 1.0))
-    assert c_i == pytest.approx(0.25, abs=1e-6)
-    assert eps_i > 0
-    eps_w, c_w = js.interval_constants(free_block, (-1.9, 1.9))
+    iv = js.interval_constants(free_block, (-1.0, 1.0))
+    assert (iv.lo, iv.hi) == (-1.0, 1.0)
+    assert iv.C_I == pytest.approx(0.25, abs=1e-6)
+    assert iv.eps_I > 0
     # minimum of |delta'| / sqrt(4 - delta^2) still sits at E = 0
-    assert c_w == pytest.approx(0.25, abs=1e-6)
+    assert js.interval_constants(free_block, (-1.9, 1.9)).C_I == pytest.approx(0.25, abs=1e-6)
 
 
 def test_interval_constants_monotone_under_shrinking(free_block):
-    _, c_small = js.interval_constants(free_block, (0.5, 1.5))
-    _, c_large = js.interval_constants(free_block, (0.2, 1.8))
-    assert c_small >= c_large - 1e-12
+    small = js.interval_constants(free_block, (0.5, 1.5))
+    large = js.interval_constants(free_block, (0.2, 1.8))
+    assert small.C_I >= large.C_I - 1e-12
 
 
 def test_interval_constants_reject_band_edge(free_block):
@@ -205,11 +208,11 @@ def test_interval_outside_one_band_interior_is_rejected(b, interval):
 
 
 def test_strip_bound_holds_on_finer_grid(free_block):
-    iv = js.admissible_intervals(free_block, margin=0.1)[0]
+    iv = js.interval_constants(free_block, js.widest_trimmed_band(free_block, margin=0.1))
     energies = np.linspace(iv.lo, iv.hi, 57)
     heights = iv.eps_I * 0.5 ** np.arange(5)
     for y in heights:
-        for e in energies:
-            z = js.floquet_eigenvalue(free_block, complex(e, y)).z
-            assert abs(z) < 1.0
-            assert abs(z) <= 1.0 - 0.9 * iv.C_I * y
+        _, z, _, _, fault = js.floquet(free_block, energies + 1j * y)
+        assert not fault.any()
+        assert (np.abs(z) < 1.0).all()
+        assert (np.abs(z) <= 1.0 - 0.9 * iv.C_I * y).all()

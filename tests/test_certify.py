@@ -9,8 +9,7 @@ from jostspec.errors import ValidationError
 
 
 def _free_interval(free_block, lo=-1.0, hi=1.0):
-    eps_i, c_i = js.interval_constants(free_block, (lo, hi))
-    return js.AdmissibleInterval(lo, hi, eps_i, c_i)
+    return js.interval_constants(free_block, (lo, hi))
 
 
 def test_floquet_bound_free_passes(free_block):
@@ -39,11 +38,9 @@ def test_floquet_bound_margin_grows_with_height(free_block):
     iv = _free_interval(free_block)
     low, high = [], []
     for y in (iv.eps_I / 32, iv.eps_I):
-        margins = []
-        for e in np.linspace(iv.lo, iv.hi, 32):
-            z = js.floquet_eigenvalue(free_block, complex(e, y)).z
-            margins.append((1.0 - 0.9 * iv.C_I * y) - abs(z))
-        (low if y < iv.eps_I else high).append(min(margins))
+        _, z, _, _, _ = js.floquet(free_block, np.linspace(iv.lo, iv.hi, 32) + 1j * y)
+        margins = (1.0 - 0.9 * iv.C_I * y) - np.abs(z)
+        (low if y < iv.eps_I else high).append(margins.min())
     assert high[0] > low[0]
 
 
@@ -139,7 +136,7 @@ def test_diagonal_products_baseline_settles_from_64_blocks():
     # the sup over every range stops moving once the blocks reach 64
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
     model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
-    iv = js.widest_interval(js.admissible_intervals(block, margin=0.1))
+    iv = js.interval_constants(block, js.widest_trimmed_band(block, margin=0.1))
     for n_blocks in (64, 128, 256):
         rep = js.check_diagonal_products(model, iv, n_blocks=n_blocks)
         assert rep.passed

@@ -197,11 +197,11 @@ def test_product_forms_match_reference(baseline_model):
     for i, zeta in enumerate(POINTS):
         want, diagonal = reference_product(baseline_model, N, zeta)
         assert diagonal == 0
-        single = js.product_representation(baseline_model, N, zeta)
+        single = js.product_forms(baseline_model, N, [zeta])
         for name, ref in want.items():
             assert_close(getattr(form, name)[i], ref)
-            assert_close(getattr(single, name), ref)
-        u1, u0 = js.reconstruct_boundary_pair(single)
+            assert_close(getattr(single, name)[0], ref)
+        (u1,), (u0,) = js.reconstruct_boundary_pair(single)
         sol = js.jost_solution(baseline_model, N, zeta)
         scale = max(abs(sol.u0), abs(sol.u1))
         assert abs(u0 - sol.u0) <= 1e-8 * scale and abs(u1 - sol.u1) <= 1e-8 * scale
@@ -366,7 +366,7 @@ def test_first_failing_point_raises_the_pointwise_error(beta, points, first, mes
     with pytest.raises(DiagonalizationError) as batched:
         certify._boundary_factor_values(model, 8, [complex(p) for p in points])
     with pytest.raises(DiagonalizationError) as single:
-        js.product_representation(model, 8, first)
+        js.product_forms(model, 8, [first])
     for exc in (batched.value, single.value):
         assert (str(exc), exc.n, exc.zeta) == (message, n, complex(first))
 
@@ -477,7 +477,7 @@ PINNED_DIAGONAL = {
 @pytest.fixture(scope="module")
 def baseline_interval():
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
-    return js.widest_interval(js.admissible_intervals(block, margin=0.1))
+    return js.interval_constants(block, js.widest_trimmed_band(block, 0.1))
 
 
 def test_pinned_harmonic_constants(baseline_model, baseline_interval):

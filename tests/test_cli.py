@@ -279,9 +279,9 @@ n_grid = 8, 16
 def test_auto_interval_computes_strip_constants_once(tmp_path, monkeypatch, experiment):
     # only certify reads eps_I and C_I, and it computes them for the widest band alone
     cfg = _write(tmp_path, THREE_BAND_CONFIG)
-    intervals = bands.admissible_intervals(load_config(str(cfg), [], experiment).block, 0.1)
-    assert len(intervals) == 3
-    widest = bands.widest_interval(intervals)
+    pairs = bands.trimmed_bands(load_config(str(cfg), [], experiment).block, 0.1)
+    assert len(pairs) == 3
+    widest = pairs[bands._widest_index(pairs)]
     calls = []
     interval_constants = bands.interval_constants
 
@@ -292,7 +292,7 @@ def test_auto_interval_computes_strip_constants_once(tmp_path, monkeypatch, expe
     monkeypatch.setattr(bands, "interval_constants", counting)
     monkeypatch.setattr(cli, "interval_constants", counting)
     assert run(str(cfg), experiment=experiment, out_dir=str(tmp_path / "out")) == 0
-    assert calls == ([(widest.lo, widest.hi)] if experiment == "certify" else [])
+    assert calls == ([widest] if experiment == "certify" else [])
 
 
 # Bands (-1.99985, 0) and (3e-4, 2.00015): no point of a 129-point grid on
@@ -495,6 +495,8 @@ REJECTED_VALUES = [
     (BASELINE_CONFIG, "experiment.grid_points=1", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.N_list=0", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.N_list=10, 0", EXPERIMENTS),
+    # an empty schedule would write a header and no rows
+    (BASELINE_CONFIG, "experiment.N_list=", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=8, 0", EXPERIMENTS),
     # integer lists take integers only, as N does
     (BASELINE_CONFIG, "experiment.N_list=10.6, 20.4", EXPERIMENTS),

@@ -71,8 +71,8 @@ def baseline_model():
 def _batch(model, N, energies):
     work = js.truncate(model, N)
     a, b = work.coefficient_arrays(N * work.block.q)
-    tops, seconds = zip(*(js.floquet_eigenvalue(work.block, e).eigvec for e in energies))
-    return a, b, np.array(energies, dtype=complex), np.array(tops), np.array(seconds)
+    _, z, c, d, _ = js.floquet(work.block, energies)
+    return a, b, np.array(energies, dtype=complex), z - d, c
 
 
 def _rel(x, y):
@@ -170,8 +170,8 @@ def test_strip_downward_batch_matches_reference(baseline_model):
     work = js.truncate(baseline_model, 300)
     depth = 299 * 2
     a, b = work.coefficient_arrays(depth)
-    tails = [js.tail_m_function(work.block, z) for z in zetas]
-    got = _kernels.strip_downward(a, b, np.array(zetas), np.array(tails), depth)
+    tails = js.tail_m_function(work.block, zetas)
+    got = _kernels.strip_downward(a, b, np.array(zetas), tails, depth)
     assert got.shape == (len(zetas),)
     for g, z, t in zip(got, zetas, tails):
         assert _rel(g, reference_strip(a, b, z, t, depth)) <= 1e-13
@@ -202,12 +202,12 @@ def test_strip_downward_matches_indexed_loop_bit_for_bit(q, points):
 
 
 def test_batched_density_matches_pointwise(baseline_model):
-    iv = js.widest_interval(js.admissible_intervals(baseline_model.block, margin=0.1))
+    iv = js.widest_trimmed_band(baseline_model.block, margin=0.1)
     curve = js.density_curve(baseline_model, 50, iv, 21)
-    pointwise = [js.ac_density(baseline_model, 50, e) for e in curve.grid]
+    pointwise = [js.ac_density(baseline_model, 50, e)[0] for e in curve.grid]
     assert curve.values.tolist() == pointwise
     oracle = js.density_curve(baseline_model, 50, iv, 21, method="oracle")
-    pointwise = [js.measures._oracle_values(baseline_model, 50, [e])[0].imag / np.pi for e in oracle.grid]
+    pointwise = [js.oracle_green_11(baseline_model, 50, e)[0].imag / np.pi for e in oracle.grid]
     assert oracle.values.tolist() == pointwise
 
 
@@ -226,4 +226,4 @@ def test_first_failing_energy_in_grid_order_is_reported(free_model):
     outside = [e for e in 1.75 + 0.75 * nodes if e > 2.0]
     assert len(outside) == 2
     with pytest.raises(BandEdgeError, match=re.escape(f"E = {outside[0]} is not")):
-        js.entropy_integral(free_model, 5, (1.0, 2.5), quad_order=4)
+        js.entropy_integrals(free_model, 5, (1.0, 2.5), (4,))

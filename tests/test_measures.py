@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec import jost, measures
+from jostspec import jost
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
@@ -17,12 +17,12 @@ from jostspec.errors import (
 
 
 def test_tail_m_free_closed_form(free_block):
-    m = js.tail_m_function(free_block, 1j)
+    (m,) = js.tail_m_function(free_block, 1j)
     assert m == pytest.approx(1j * (np.sqrt(5) - 1) / 2, abs=1e-12)
 
 
 def test_tail_m_near_axis_matches_density(free_block):
-    m = js.tail_m_function(free_block, 1e-3j)
+    (m,) = js.tail_m_function(free_block, 1e-3j)
     assert m.imag == pytest.approx(1.0, abs=2e-3)
 
 
@@ -30,8 +30,8 @@ def test_tail_m_fixed_point_residual():
     rng = np.random.default_rng(9)
     for q in (1, 2, 3):
         block = random_block(rng, q)
-        for zeta in (0.3 + 1e-2j, -0.7 + 1e-4j, 1j):
-            m = js.tail_m_function(block, zeta)
+        zetas = (0.3 + 1e-2j, -0.7 + 1e-4j, 1j)
+        for zeta, m in zip(zetas, js.tail_m_function(block, zetas)):
             m_next = m
             for k in range(block.q, 0, -1):
                 ak = block.a(k)
@@ -40,9 +40,23 @@ def test_tail_m_fixed_point_residual():
             assert m.imag > 0
 
 
-def test_tail_m_requires_upper_half_plane(free_block):
-    with pytest.raises(ValidationError):
-        js.tail_m_function(free_block, 0.5)
+def test_tail_m_and_oracle_on_the_axis_and_below_it(free_block):
+    # at a real band-interior energy both return the boundary value that
+    # density_curve(method="oracle") takes; with N = 1 the oracle is the tail
+    model = js.make_model(BASELINE_BLOCK, POWER)
+    band = js.widest_trimmed_band(BASELINE_BLOCK, 0.1)
+    curve = js.density_curve(model, 20, band, 5, method="oracle")
+    assert (js.oracle_green_11(model, 20, curve.grid).imag / np.pi).tolist() == curve.values.tolist()
+    curve = js.density_curve(model, 1, band, 5, method="oracle")
+    assert (js.tail_m_function(BASELINE_BLOCK, curve.grid).imag / np.pi).tolist() == curve.values.tolist()
+    # the free tail (-E + i sqrt(4 - E^2)) / 2
+    assert js.tail_m_function(free_block, 0.5)[0] == pytest.approx(complex(-0.5, np.sqrt(3.75)) / 2, abs=1e-15)
+    free = js.make_model(free_block)
+    for evaluate in (lambda z: js.tail_m_function(free_block, z), lambda z: js.oracle_green_11(free, 3, z)):
+        with pytest.raises(ValidationError, match=r"^Im zeta < 0 at zeta = \(0\.5-0\.001j\)$"):
+            evaluate(0.5 - 1e-3j)
+        with pytest.raises(BandEdgeError, match=r"^E = 2\.5 is not in a band interior$"):
+            evaluate(2.5)
 
 
 def test_oracle_equals_tail_without_perturbation(free_block):
@@ -56,23 +70,22 @@ def test_oracle_equals_tail_without_perturbation(free_block):
 def test_oracle_matches_jost_green(acceptance_suite):
     for model, iv, n_trunc in acceptance_suite[:8]:
         zeta = complex(iv.midpoint(), 1e-3)
-        g = js.green_11(model, n_trunc, zeta)
-        og = js.oracle_green_11(model, n_trunc, zeta)
+        (g,) = js.green_11(model, n_trunc, zeta)
+        (og,) = js.oracle_green_11(model, n_trunc, zeta)
         assert abs(g - og) / abs(g) < 1e-8
         assert og.imag > 0
 
 
 def test_oracle_equivalence_down_to_low_strips(acceptance_suite):
     for model, iv, n_trunc in acceptance_suite[:4]:
-        for y in (1e-3, 1e-4):
-            zeta = complex(iv.lo + 0.4 * iv.width, y)
-            g = js.green_11(model, n_trunc, zeta)
-            og = js.oracle_green_11(model, n_trunc, zeta)
-            assert abs(g - og) / abs(g) < 1e-8
+        zetas = [complex(iv.lo + 0.4 * iv.width, y) for y in (1e-3, 1e-4)]
+        g = js.green_11(model, n_trunc, zetas)
+        og = js.oracle_green_11(model, n_trunc, zetas)
+        assert (np.abs(g - og) / np.abs(g) < 1e-8).all()
 
 
 def test_density_curve_free_key_formula(free_model):
-    iv = js.admissible_intervals(free_model.block, margin=0.1)[0]
+    iv = js.widest_trimmed_band(free_model.block, margin=0.1)
     curve = js.density_curve(free_model, 4, iv, 101, method="key_formula")
     reference = np.sqrt(4 - curve.grid**2) / (2 * np.pi)
     assert np.max(np.abs(curve.values - reference)) < 1e-8
@@ -80,7 +93,7 @@ def test_density_curve_free_key_formula(free_model):
 
 
 def test_density_curve_free_oracle(free_model):
-    iv = js.admissible_intervals(free_model.block, margin=0.1)[0]
+    iv = js.widest_trimmed_band(free_model.block, margin=0.1)
     curve = js.density_curve(free_model, 4, iv, 101, method="oracle")
     reference = np.sqrt(4 - curve.grid**2) / (2 * np.pi)
     assert np.max(np.abs(curve.values - reference)) < 1e-5
@@ -103,24 +116,23 @@ def test_entropy_free_reference(free_model):
     reference = float(
         np.sum(weights * np.log(np.sqrt(4 - nodes**2) / (2 * np.pi)))
     )  # interval [-1, 1]: no affine rescale needed
-    value = js.entropy_integral(free_model, 5, (-1.0, 1.0), quad_order=64)
+    (value,) = js.entropy_integrals(free_model, 5, (-1.0, 1.0), (64,))
     assert value == pytest.approx(reference, abs=1e-8)
 
 
 def test_entropy_continuity_in_perturbation_size(free_block):
     base = np.array([0.3, -0.25, 0.2, 0.1])
-    clean = js.entropy_integral(js.make_model(free_block), 8, (-1.5, 1.5))
+    (clean,) = js.entropy_integrals(js.make_model(free_block), 8, (-1.5, 1.5), (64,))
     gaps = []
     for scale in (1.0, 0.5, 0.25):
         model = js.make_model(free_block, js.PerturbationSpec.finite(beta=scale * base))
-        val = js.entropy_integral(model, 8, (-1.5, 1.5))
+        (val,) = js.entropy_integrals(model, 8, (-1.5, 1.5), (64,))
         gaps.append(abs(val - clean))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_entropy_quadrature_converged(free_model):
-    v32 = js.entropy_integral(free_model, 5, (-1.0, 1.0), quad_order=32)
-    v64 = js.entropy_integral(free_model, 5, (-1.0, 1.0), quad_order=64)
+    v32, v64 = js.entropy_integrals(free_model, 5, (-1.0, 1.0), (32, 64))
     assert abs(v64 - v32) < 1e-6
 
 
@@ -196,7 +208,7 @@ def test_batched_tail_matches_reference_loop():
         bands = js.band_edges(block).bands
         energies = np.linspace(bands[0][0] - 0.5, bands[-1][1] + 0.5, 23)
         zetas = [complex(e, y) for e in energies for y in (1e-5, 1e-3, 1.0)]
-        got = measures._tail_closure(block, zetas)
+        got = js.tail_m_function(block, zetas)
         for g, zeta in zip(got, zetas):
             ref = reference_tail(block, zeta)
             assert abs(g - ref) <= 1e-13 * abs(ref)
@@ -205,17 +217,43 @@ def test_batched_tail_matches_reference_loop():
 def test_tail_of_a_point_does_not_depend_on_its_batch():
     rng = np.random.default_rng(43)
     block = random_block(rng, 3)
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
     # 200 energies over the bands, as close as 0.004 to an edge, on and off
-    # the axis: every point's root is a closed form in its own zeta
-    intervals = js.admissible_intervals(block, margin=0.004)
-    energies = np.concatenate([np.linspace(iv.lo, iv.hi, 67) for iv in intervals])[:200]
+    # the axis: every point's values come from elementwise steps on its own zeta
+    bands = js.trimmed_bands(block, margin=0.004)
+    energies = np.concatenate([np.linspace(lo, hi, 67) for lo, hi in bands])[:200]
     zetas = [complex(e, y) for e in energies for y in (1e-3, 0.0, 1e-4, 1e-5)]
-    batch = measures._tail_closure(block, zetas)
-    assert batch.shape == (800,)
-    alone = [
-        js.tail_m_function(block, z) if z.imag else complex(measures._tail_closure(block, [z])[0]) for z in zetas
-    ]
-    assert batch.tolist() == alone
+    batched = {
+        "tail_m_function": lambda z: (js.tail_m_function(block, z),),
+        "oracle_green_11": lambda z: (js.oracle_green_11(model, 6, z),),
+        "green_11": lambda z: (js.green_11(model, 6, z),),
+        "floquet": lambda z: js.floquet(block, z),
+    }
+    for name, evaluate in batched.items():
+        batch = list(zip(*(x.tolist() for x in evaluate(zetas))))
+        assert len(batch) == 800, name
+        alone = [tuple(x[0].item() for x in evaluate(z)) for z in zetas]
+        assert batch == alone, name
+
+
+@pytest.mark.parametrize(
+    "zetas, error, message",
+    [
+        # a band edge on the axis, then coinciding moduli 1e-20 above a band
+        ([0.3 + 1e-3j, 2.0, 0.5 + 1e-20j], BandEdgeError, r"^\|discriminant\| = 2 at E = 2\.0$"),
+        (
+            [0.3, 0.5 + 1e-20j, -2.0],
+            DegenerateBranchError,
+            r"^eigenvalue moduli coincide at zeta = \(0\.5\+1e-20j\)$",
+        ),
+    ],
+    ids=["real-first", "off-axis-first"],
+)
+def test_green_raises_the_first_failing_point_of_a_mixed_batch(free_model, zetas, error, message):
+    *_, fault = js.floquet(free_model.block, zetas)
+    assert np.count_nonzero(fault) == 2
+    with pytest.raises(error, match=message):
+        js.green_11(free_model, 4, zetas)
 
 
 # Error order: a batched evaluation raises what a loop over its points would
@@ -253,22 +291,22 @@ def test_entropy_raises_the_first_failing_node():
     nodes, _ = leggauss(8)
     first = -1.975 + 2.025 * nodes[0]
     with pytest.raises(DegenerateBranchError, match=re.escape(f"vanishes at E = {first}")):
-        js.entropy_integral(model, 3, (-4.0, 0.05), quad_order=8)
+        js.entropy_integrals(model, 3, (-4.0, 0.05), (8,))
     # three passing nodes, then one above the band
     nodes, _ = leggauss(4)
     last = 145000.0 + 155000.0 * nodes[3]
     with pytest.raises(BandEdgeError, match=re.escape(f"E = {last} is not in a band interior")):
-        js.entropy_integral(model, 3, (-10000.0, 300000.0), quad_order=4)
+        js.entropy_integrals(model, 3, (-10000.0, 300000.0), (4,))
 
 
 def test_entropy_integrals_is_entropy_integral_per_order():
     model = js.make_model(
         js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
     )
-    iv = js.widest_interval(js.admissible_intervals(model.block, margin=0.1))
+    band = js.widest_trimmed_band(model.block, margin=0.1)
     orders = (8, 16, 64)
-    got = js.entropy_integrals(model, 60, iv, orders)
-    assert got == [js.entropy_integral(model, 60, iv, order) for order in orders]
+    got = js.entropy_integrals(model, 60, band, orders)
+    assert got == [js.entropy_integrals(model, 60, band, (order,))[0] for order in orders]
 
 
 def _first_error(call):
@@ -282,10 +320,10 @@ def test_entropy_integrals_raise_the_first_failing_order(free_model, interval, f
     # on (1.0, 2.05) the 4-point rule stays inside the band and the 8-point
     # rule does not
     got = _first_error(lambda: js.entropy_integrals(free_model, 5, interval, (4, 8)))
-    assert got == _first_error(lambda: js.entropy_integral(free_model, 5, interval, quad_order=failing))
+    assert got == _first_error(lambda: js.entropy_integrals(free_model, 5, interval, (failing,)))
     assert got[0] is BandEdgeError
     if failing == 8:
-        assert np.isfinite(js.entropy_integral(free_model, 5, interval, quad_order=4))
+        assert np.isfinite(js.entropy_integrals(free_model, 5, interval, (4,))).all()
 
 
 BASELINE = js.make_model(
@@ -297,7 +335,7 @@ BASELINE = js.make_model(
 def test_entropy_is_finite_where_the_density_underflows(N, expected):
     # from N = 5000 on some 64-point nodes have ln(density) below -745, where
     # the density as a double is 0.0; the integrand is ln(density) itself
-    iv = js.widest_admissible_interval(BASELINE.block, 0.1)
+    iv = js.interval_constants(BASELINE.block, js.widest_trimmed_band(BASELINE.block, 0.1))
     nodes = 0.5 * (iv.hi + iv.lo) + 0.5 * (iv.hi - iv.lo) * leggauss(64)[0]
     ln_rho = jost.log_density(BASELINE.block.a(0), *jost.density_terms(BASELINE, N, nodes))
     assert ln_rho.min() < -745.0
@@ -328,7 +366,7 @@ def _quotient_then_log_entropy(model, N, iv, order):
 
 @pytest.mark.parametrize("N", [20, 500, 1000, 3000])
 def test_log_space_entropy_matches_the_quotient_then_log_route(N):
-    iv = js.widest_admissible_interval(BASELINE.block, 0.1)
+    iv = js.interval_constants(BASELINE.block, js.widest_trimmed_band(BASELINE.block, 0.1))
     got = js.entropy_integrals(BASELINE, N, iv, (64, 128))
     expected = [_quotient_then_log_entropy(BASELINE, N, iv, order) for order in (64, 128)]
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
@@ -344,15 +382,16 @@ def test_oracle_raises_the_first_failing_point(free_block):
     with pytest.raises(BandEdgeError, match=gap):
         js.density_curve(model, 3, (0.0, 1e200), 3, method="oracle")
     with pytest.raises(OracleConvergenceError, match=no_root):
-        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 5e199 + 1e-3j, 0j])
+        js.oracle_green_11(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 5e199 + 1e-3j, 0j])
     with pytest.raises(BandEdgeError, match=gap):
-        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 0j, 5e199 + 1e-3j])
+        js.oracle_green_11(model, 3, [0.3 + 1e-3j, 0.5 + 0j, 0j, 5e199 + 1e-3j])
     with pytest.raises(ValidationError, match=r"^Im zeta < 0 at zeta = \(0\.5-0\.001j\)$"):
-        measures._oracle_values(model, 3, [0.3 + 1e-3j, 0.5 - 1e-3j, 0j, 5e199 + 1e-3j])
+        js.oracle_green_11(model, 3, [0.3 + 1e-3j, 0.5 - 1e-3j, 0j, 5e199 + 1e-3j])
     with pytest.raises(OracleConvergenceError, match=no_root):
         js.oracle_green_11(model, 3, 5e199 + 1e-3j)
-    with pytest.raises(ValidationError, match=r"^oracle_green_11 requires Im zeta > 0$"):
-        js.oracle_green_11(model, 3, 0.5)
+    # E = 0.5 alone is no failure: it gives the oracle density's boundary value
+    curve = js.density_curve(model, 3, (0.5, 0.6), 2, method="oracle")
+    assert (js.oracle_green_11(model, 3, 0.5).imag / np.pi).tolist() == curve.values[:1].tolist()
     with pytest.raises(OracleConvergenceError, match=no_root):
         js.oracle_green_11(js.make_model(free_block), 3, 5e199 + 1e-3j)
 
@@ -376,8 +415,8 @@ POWER = js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
 def test_tail_just_off_the_axis_is_the_boundary_value():
     # Im zeta = 1e-30 is below every rounding of the period product at
     # E = -0.9, so the root with Im m > 0 is the real-axis root bit for bit
-    off = measures._tail_closure(BASELINE_BLOCK, [-0.9 + 1e-30j])
-    on = measures._tail_closure(BASELINE_BLOCK, [-0.9])
+    off = js.tail_m_function(BASELINE_BLOCK, -0.9 + 1e-30j)
+    on = js.tail_m_function(BASELINE_BLOCK, -0.9)
     assert off.tolist() == on.tolist()
 
 
@@ -386,7 +425,7 @@ def test_tail_at_a_large_band_scale_matches_closed_form():
     # 18 orders below the band scale, where a contraction ratio is 1 within
     # rounding
     a, zeta = 1e13, -1.75e13 + 1e-5j
-    m = js.tail_m_function(js.periodic_block(1, [a], [0.0]), zeta)
+    (m,) = js.tail_m_function(js.periodic_block(1, [a], [0.0]), zeta)
     exact = (-zeta + 1j * np.sqrt(4 * a * a - zeta * zeta)) / (2 * a * a)
     assert abs(m - exact) <= 1e-12 * abs(exact)
 
@@ -396,7 +435,7 @@ def test_tail_near_a_band_edge_against_50_digit_root():
     mpmath = pytest.importorskip("mpmath")
     block = random_block(np.random.default_rng(43), 3)
     zeta = 1.5564118 + 1e-5j
-    m = js.tail_m_function(block, zeta)
+    m = complex(js.tail_m_function(block, zeta)[0])
     with mpmath.workdps(50):
         z = mpmath.mpc(zeta.real, zeta.imag)
         g11, g12, g21, g22 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
@@ -445,13 +484,12 @@ def test_real_axis_oracle_and_key_formula_against_50_digit_stripping():
     for q in (1, 2, 3):
         block = random_block(rng, q)
         model = js.make_model(block, POWER)
-        iv = js.widest_interval(js.admissible_intervals(block, margin=0.1))
-        energies = [iv.lo + 0.2 * iv.width, iv.midpoint(), iv.lo + 0.8 * iv.width]
+        lo, hi = js.widest_trimmed_band(block, margin=0.1)
+        energies = [lo + 0.2 * (hi - lo), 0.5 * (lo + hi), lo + 0.8 * (hi - lo)]
         for N in (20, 1000):
-            oracle = measures._oracle_values(model, N, energies).imag / np.pi
-            for energy, orc in zip(energies, oracle):
+            oracle = js.oracle_green_11(model, N, energies).imag / np.pi
+            for energy, orc, key in zip(energies, oracle, js.ac_density(model, N, energies)):
                 ref = reference_real_axis_green(mpmath, model, N, energy).imag / mpmath.pi
-                key = js.ac_density(model, N, energy)
                 worst_key = max(worst_key, float(abs(key - ref) / ref))
                 worst_oracle = max(worst_oracle, float(abs(orc - ref) / ref))
     assert worst_key <= 1e-11
@@ -461,10 +499,11 @@ def test_real_axis_oracle_and_key_formula_against_50_digit_stripping():
 def test_off_axis_oracle_approaches_the_real_axis_value_linearly():
     # G(E + i eps) - G(E) = O(eps) inside a band: 10x closer per decade
     model = js.make_model(BASELINE_BLOCK, POWER)
-    iv = js.widest_interval(js.admissible_intervals(BASELINE_BLOCK, margin=0.1))
-    energy = iv.midpoint()
-    on_axis = complex(measures._oracle_values(model, 20, [energy])[0])
-    slopes = [abs(js.oracle_green_11(model, 20, complex(energy, eps)) - on_axis) / eps for eps in (1e-3, 1e-4, 1e-5)]
+    lo, hi = js.widest_trimmed_band(BASELINE_BLOCK, margin=0.1)
+    energy = 0.5 * (lo + hi)
+    epsilons = np.array([1e-3, 1e-4, 1e-5])
+    on_axis, *off_axis = js.oracle_green_11(model, 20, [energy, *(energy + 1j * epsilons)])
+    slopes = np.abs(np.array(off_axis) - on_axis) / epsilons
     assert max(slopes) <= 1.1 * min(slopes)
     assert max(slopes) <= 10.0
 
@@ -474,7 +513,7 @@ def test_oracle_agrees_with_key_formula_close_to_band_edges():
     # block, where the oracle's tail is the real-axis root with Im m > 0
     block = random_block(np.random.default_rng(43), 3)
     model = js.make_model(block, POWER)
-    for iv in js.admissible_intervals(block, margin=1e-3):
+    for iv in js.trimmed_bands(block, margin=1e-3):
         key = js.density_curve(model, 20, iv, 101)
         oracle = js.density_curve(model, 20, iv, 101, method="oracle")
         assert np.max(np.abs(oracle.values - key.values) / key.values) <= 1e-11

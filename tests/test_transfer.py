@@ -125,60 +125,64 @@ def test_discriminant_translation_covariance():
 
 
 def test_floquet_free_band_interior(free_block):
-    data = js.floquet_eigenvalue(free_block, 0.0)
-    assert data.z == pytest.approx(-1j, abs=1e-14)
-    assert data.z * data.z_inv == pytest.approx(1.0, abs=1e-12)
-    assert data.eigvec == (pytest.approx(-1j), pytest.approx(1.0))
+    delta, z, c, d, fault = js.floquet(free_block, 0.0)
+    assert fault.tolist() == [0]
+    assert z[0] == pytest.approx(-1j, abs=1e-14)
+    assert z[0] + 1.0 / z[0] == pytest.approx(delta[0], abs=1e-12)
+    assert (z[0] - d[0], c[0]) == (pytest.approx(-1j), pytest.approx(1.0))
 
 
 def test_floquet_free_outside_band(free_block):
-    data = js.floquet_eigenvalue(free_block, 3.0)
-    assert data.z == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-12)
-    assert abs(data.z) < 1 < abs(data.z_inv)
+    delta, z, _, _, fault = js.floquet(free_block, 3.0)
+    assert fault.tolist() == [0]
+    assert z[0] == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-12)
+    assert z[0] + 1.0 / z[0] == pytest.approx(delta[0], abs=1e-12)
 
 
 def test_floquet_free_upper_half_plane(free_block):
-    data = js.floquet_eigenvalue(free_block, 1j)
-    assert data.z == pytest.approx(-1j * (np.sqrt(5) - 1) / 2, abs=1e-12)
-    assert abs(data.z) == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
+    _, z, _, _, fault = js.floquet(free_block, 1j)
+    assert fault.tolist() == [0]
+    assert z[0] == pytest.approx(-1j * (np.sqrt(5) - 1) / 2, abs=1e-12)
+    assert abs(z[0]) == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
 
 
 def test_floquet_band_edge_error(free_block):
-    with pytest.raises(BandEdgeError):
-        js.floquet_eigenvalue(free_block, 2.0)
+    *_, fault = js.floquet(free_block, [1.0, 2.0, -2.0, 2.0 + 1e-3j])
+    assert fault.tolist() == [0, transfer.BAND_EDGE, transfer.BAND_EDGE, 0]
+    with pytest.raises(BandEdgeError, match=r"^\|discriminant\| = 2 at E = 2\.0$"):
+        js.jost_solution(js.make_model(free_block), 3, 2.0)
 
 
 def test_floquet_branch_is_boundary_limit(free_block):
     # difference to the strip value shrinks linearly in the offset
     for energy in (-1.2, 0.3, 1.7):
-        z0 = js.floquet_eigenvalue(free_block, energy).z
-        d4 = abs(js.floquet_eigenvalue(free_block, complex(energy, 1e-4)).z - z0)
-        d6 = abs(js.floquet_eigenvalue(free_block, complex(energy, 1e-6)).z - z0)
+        _, (z0, z4, z6), _, _, fault = js.floquet(free_block, [energy, complex(energy, 1e-4), complex(energy, 1e-6)])
+        assert not fault.any()
+        d4, d6 = abs(z4 - z0), abs(z6 - z0)
         assert d6 < 5e-5
         assert 20 < d4 / d6 < 500
 
 
 def test_floquet_eigenvector_residual():
     rng = np.random.default_rng(17)
+    zetas = [0.3 + 0.2j, -0.5 + 0.05j, 1.1 + 0.4j]
     for q in (1, 2, 3):
         block = random_block(rng, q)
-        for zeta in (0.3 + 0.2j, -0.5 + 0.05j, 1.1 + 0.4j):
-            data = js.floquet_eigenvalue(block, zeta)
-            x, y = data.eigvec
+        _, zs, cs, ds, fault = js.floquet(block, zetas)
+        assert not fault.any()
+        for zeta, z, x, y in zip(zetas, zs, zs - ds, cs):
             rx, ry = period_matrices(js.make_model(block), zeta, q, 1)[0] @ [x, y]
             norm = np.hypot(abs(x), abs(y))
-            assert abs(rx - data.z * x) < 1e-10 * norm
-            assert abs(ry - data.z * y) < 1e-10 * norm
+            assert abs(rx - z * x) < 1e-10 * norm
+            assert abs(ry - z * y) < 1e-10 * norm
 
 
 def test_floquet_eigenvector_two_periodic_real():
     block = js.periodic_block(2, [1.0, 1.0], [0.0, 0.0])
-    data = js.floquet_eigenvalue(block, 1.0)
-    x, y = data.eigvec
-    z = data.z
+    _, (z,), (c,), (d,), _ = js.floquet(block, 1.0)
     # D(E) = -1, C(E) = E
-    assert x == pytest.approx(z + 1.0, abs=1e-12)
-    assert y == pytest.approx(1.0, abs=1e-12)
+    assert z - d == pytest.approx(z + 1.0, abs=1e-12)
+    assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_renormalized_block_det_and_trace():
