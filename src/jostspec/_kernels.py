@@ -4,10 +4,23 @@ These recursions visit every lattice site, so they dominate runtime once
 truncation depths reach 1e3-1e5 sites.  The backward Jost recursion and the
 stripping map are sequential in the site but independent across energies, so
 both take 1-D arrays of energies and boundary data: one Python loop runs over
-the sites, and each step is a NumPy operation over all energies at once.
-Working memory is O(energies); no (sites x energies) array is formed unless
-the caller asks for the full solution rows.  The backward recursion's
-overflow guard checks magnitudes only where a growth bound allows one.
+the sites, and each step is a few NumPy calls over all energies at once.
+Working memory is O(sites + energies): one complex128 copy per site
+coefficient the loop reads, and a fixed set of energy buffers; no
+(sites x energies) array is formed unless the caller asks for the full
+solution rows.  The backward recursion's overflow guard checks magnitudes
+only where a growth bound allows one.
+
+The site loops are bound by per-call overhead, not arithmetic, so a step
+keeps its calls few and cheap: each site coefficient enters as a 0-d view
+such as b_c[n, ...] of a complex128 copy (a Python float operand costs about
+half as much again per call), and every result goes to a buffer made before
+the loop through a positional out argument.  Operand order is part of the
+result: a complex product of two arrays may differ in the last bit when its
+operands swap, because the loop uses FMA.  So every operand keeps its place,
+(b_n - zeta) * u_n, u_{n+1} * a_n, (...) * (-1/a_{n-1}), (b_n - zeta) -
+a_n^2 m and 1 / (...).  Every step is elementwise across energies, so a
+column of a batch equals the same energy's call on its own, bit for bit.
 
 The period-block products of the renormalized block chain are independent
 across blocks as well as energies: one Python loop runs over the q sites of a
@@ -62,14 +75,15 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     bound = _peak(hi, lo)
     # -(x / a) is x * (-1 / a) bit for bit.  A complex product over its own
     # one-element input can round differently.
-    neg_inv, a, b = [-1.0 / x for x in a], list(a), list(b)
+    neg_inv = (-1.0 / a).astype(np.complex128)
+    a_c, b_c = a.astype(np.complex128), b.astype(np.complex128)
     new, diff, tmp = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
     for n in range(m, 0, -1):
-        np.subtract(b[n], zeta, out=diff)
-        np.multiply(diff, lo, out=tmp)
-        np.multiply(hi, a[n], out=new)
-        np.add(new, tmp, out=new)
-        np.multiply(new, neg_inv[n - 1], out=new)
+        np.subtract(b_c[n, ...], zeta, diff)
+        np.multiply(diff, lo, tmp)
+        np.multiply(hi, a_c[n, ...], new)
+        np.add(new, tmp, new)
+        np.multiply(new, neg_inv[n - 1, ...], new)
         if rows is not None:
             rows[n - 1] = new
         bound *= growth
@@ -90,10 +104,13 @@ def strip_downward(a, b, zeta, m_start, n_from):
     """Resolvent stripping m_n = 1/(b_n - zeta - a_n^2 m_{n+1}), n = n_from..1,
     per energy; zeta and m_start are 1-D arrays of equal length."""
     zeta, m = _energy_arrays(zeta, m_start)
-    # Python floats: no NumPy scalar per site, a_n^2 formed once
-    a2, b = [x * x for x in a[: n_from + 1].tolist()], b[: n_from + 1].tolist()
+    a2 = (a[: n_from + 1] * a[: n_from + 1]).astype(np.complex128)
+    b_c = b[: n_from + 1].astype(np.complex128)
+    one, t = np.ones((), dtype=np.complex128), np.empty_like(m)
     for n in range(n_from, 0, -1):
-        m = 1.0 / (b[n] - zeta - a2[n] * m)
+        np.subtract(b_c[n, ...], zeta, t)
+        t -= np.multiply(a2[n, ...], m, m)
+        np.divide(one, t, m)
     return m
 
 

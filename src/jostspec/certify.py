@@ -74,13 +74,24 @@ def check_floquet_bound(block, interval, grid=32) -> CertReport:
     )
 
 
-def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
-    """Partial sums of ||W_n||_F^2 along a doubling grid: increments must be
-    nonincreasing and the final increment below tol.  The grid needs at
-    least 2 distinct indices, so that there is an increment to test."""
+def _doubling_grid(n_grid):
+    """n_grid sorted, after checking that it has at least 2 distinct positive
+    indices and that each is twice the one before it."""
     n_grid = sorted(int(m) for m in n_grid)
     if len(set(n_grid)) < 2 or n_grid[0] < 1:
         raise ValidationError("n_grid must contain at least 2 distinct positive indices")
+    if any(hi != 2 * lo for lo, hi in zip(n_grid[:-1], n_grid[1:])):
+        raise ValidationError(f"n_grid must double, each index twice the one before; got {n_grid}")
+    return n_grid
+
+
+def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
+    """Partial sums of ||W_n||_F^2 along a doubling grid: increments must be
+    nonincreasing and the final increment below tol.  The grid needs at
+    least 2 distinct indices, so that there is an increment to test, and
+    each index twice the one before it, so that the increments are over
+    windows [m, 2m) and comparable."""
+    n_grid = _doubling_grid(n_grid)
     m_max = n_grid[-1]
     w = connection_matrices(model, m_max + 1, [zeta])
     cumulative = np.concatenate(([0.0], np.cumsum(sum(np.abs(x[:, 0]) ** 2 for x in w))))

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .bands import band_edges, band_interior, interval_constants, widest_trimmed_band
 from .certify import (
+    _doubling_grid,
     check_diagonal_products,
     check_floquet_bound,
     check_harmonic_hypotheses,
@@ -90,10 +91,10 @@ def _finite(name, parse=float):
 
 
 def _n_grid(text):
-    """Parser of certify's n_grid: positive ints, at least 2 of them distinct."""
-    value = _at_least("n_grid entries", 1, _int_list)(text)
-    if len(set(value)) < 2:
-        raise ValidationError("n_grid must have at least 2 distinct entries")
+    """Parser of certify's n_grid: positive ints, at least 2 of them
+    distinct, each twice the one before it once sorted."""
+    value = _int_list(text)
+    _doubling_grid(value)
     return value
 
 

@@ -78,6 +78,14 @@ def test_w_summability_needs_two_distinct_positive_indices(free_block, n_grid):
         js.check_w_summability(model, 0.4 + 0.05j, n_grid)
 
 
+@pytest.mark.parametrize("n_grid", [(16, 4000, 4001), (16, 32, 48), (8, 16, 64)])
+def test_w_summability_needs_a_doubling_grid(free_block, n_grid):
+    # increments over windows of different lengths are not comparable
+    model = js.make_model(free_block, js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.2))
+    with pytest.raises(ValidationError, match="n_grid must double"):
+        js.check_w_summability(model, 0.4 + 0.05j, n_grid)
+
+
 def test_diagonal_products_zero_perturbation(free_block):
     iv = _free_interval(free_block, -1.5, 1.5)
     model = js.make_model(free_block)

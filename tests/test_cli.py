@@ -505,6 +505,9 @@ REJECTED_VALUES = [
     # the summability certificate needs an increment, so 2 distinct entries
     (BASELINE_CONFIG, "experiment.n_grid=128", EXPERIMENTS),
     (BASELINE_CONFIG, "experiment.n_grid=64, 64", EXPERIMENTS),
+    # its increments are over windows [m, 2m), so each entry doubles the last;
+    # at s = 1.5, outside the hypothesis, this grid passed the certificate
+    (BASELINE_CONFIG.replace("s = 0.5\n", "s = 1.5\n"), "experiment.n_grid=16, 4000, 4001", EXPERIMENTS),
     (BASELINE_CONFIG.replace("gamma = 0.2\n", ""), None, EXPERIMENTS),
     # enumerations are checked when parsed, also where unread
     (FREE_CONFIG, "perturbation.target=xyz", EXPERIMENTS),
@@ -553,7 +556,7 @@ def test_bad_enumeration_names_its_choices(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, parsed, expected",
     [
-        ("experiment.n_grid=64, 64, 128", lambda cfg: cfg.params["n_grid"], (64, 64, 128)),
+        ("experiment.n_grid=128, 64, 256", lambda cfg: cfg.params["n_grid"], (128, 64, 256)),
         ("experiment.interval=-1.5, 0.5", lambda cfg: cfg.params["interval"], (-1.5, 0.5)),
     ],
 )

@@ -1,6 +1,7 @@
 """Energy-batched kernels against a pure-Python reference recursion."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,59 @@ def test_first_failing_energy_in_grid_order_is_reported(free_model):
     assert len(outside) == 2
     with pytest.raises(BandEdgeError, match=re.escape(f"E = {outside[0]} is not")):
         js.entropy_integrals(free_model, 5, (1.0, 2.5), (4,))
+
+
+@pytest.mark.parametrize("points", [1, 7, 8, 9, 200])
+def test_each_column_equals_its_own_call_bit_for_bit(baseline_model, points):
+    # Batches on both sides of the SIMD width: the first 8k columns run in
+    # the vector loop, the rest in its scalar tail, and a call of one column
+    # runs in the scalar tail alone.  A low threshold makes the guard fire,
+    # while the growth bound, from the batch's largest |zeta|, differs from
+    # the one of a single column.
+    rng = np.random.default_rng(points)
+    a, b = js.truncate(baseline_model, 300).coefficient_arrays(600)
+    zetas = rng.uniform(-2.5, 2.5, points) + 1j * rng.uniform(1e-4, 0.3, points)
+    tops, seconds, tails = (rng.normal(size=points) + 1j * rng.normal(size=points) for _ in range(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
+        mp.setattr(_kernels, "RESCALE_SHIFT", 10)
+        rows = np.empty((len(a) + 1, points), dtype=complex)
+        batch = _kernels.jost_backward(a, b, zetas, tops, seconds, rows=rows)
+        assert batch[2].max() > 0
+        assert all(np.array_equal(x, y) for x, y in zip(_kernels.jost_backward(a, b, zetas, tops, seconds), batch))
+        for i in range(points):
+            one = slice(i, i + 1)
+            own_rows = np.empty((len(a) + 1, 1), dtype=complex)
+            own = _kernels.jost_backward(a, b, zetas[one], tops[one], seconds[one], rows=own_rows)
+            assert all(np.array_equal(x[one], y) for x, y in zip(batch, own))
+            assert np.array_equal(rows[:, one], own_rows)
+    stripped = _kernels.strip_downward(a, b, zetas, tails, 600)
+    for i in range(points):
+        one = slice(i, i + 1)
+        assert np.array_equal(stripped[one], _kernels.strip_downward(a, b, zetas[one], tails[one], 600))
+
+
+@pytest.fixture(scope="module")
+def deep_arrays(baseline_model):
+    # 40,000 sites of the baseline model at N = 20000, and 8 energies
+    a, b = js.truncate(baseline_model, 20000).coefficient_arrays(40000)
+    zetas = np.linspace(0.35, 0.8, 8) + 1e-3j
+    return a, b, zetas, np.ones(8, dtype=complex)
+
+
+def _traced_peak(kernel, *args):
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_site_loops_hold_one_complex_copy_per_coefficient(deep_arrays):
+    # 16 B per site and coefficient read: a, b and -1/a in the recursion
+    # (1.92 MB), b and a^2 in the stripping map (1.28 MB)
+    a, b, zetas, ones = deep_arrays
+    assert (a.dtype, b.dtype) == (np.float64, np.float64)
+    assert _traced_peak(_kernels.jost_backward, a, b, zetas, ones, ones) <= 2.5e6
+    assert _traced_peak(_kernels.strip_downward, a, b, zetas, ones, 40000) <= 1.6e6
