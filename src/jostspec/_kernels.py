@@ -60,6 +60,11 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     A step grows max(|u[n+1]|, |u[n]|) at most by (max|a| + max|b| +
     max|zeta|) / min|a|; the guard checks magnitudes only where this bound
     allows an overflow, so it rescales at the steps a check per step would.
+    Hence a run split at a site k continues bit for bit: the run on
+    a[k-1:], b[k-1:] returns (u[k-1], u[k]), the run on a[:k], b[:k] from
+    u_top = u[k], u_second = u[k-1] returns the unsplit u[0] and u[1], and
+    the two scale_log2 add up to the unsplit one.  jost's recursion ladder
+    rests on this.
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
     whole solution u[0..m+1], every row on the final scale of its energy.

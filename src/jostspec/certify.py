@@ -6,9 +6,10 @@ Certificates fit their constants from probe data and test stability under
 refinement; they are deterministic given (model, grid spec).  Each
 certificate evaluates its whole probe grid in one energy-batched call: the
 Floquet grid through decaying_branch, the chain certificates through
-connection_matrices and product_forms.  A grid point that the pointwise
-evaluation would reject raises the same error, for the first such point in
-grid order.
+connection_matrices and the product walk, which the harmonic certificate
+takes for N and 2N as one ladder over their shared blocks.  A grid point
+that the pointwise evaluation would reject raises the same error, for the
+first such point in grid order, and N's errors come before 2N's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBranchError, ValidationError, ZeroJostError
-from .jost import product_forms
+from .jost import _product_ladder
 from .transfer import connection_matrices, decaying_branch, discriminant
 
 __all__ = [
@@ -178,15 +179,21 @@ def check_diagonal_products(model, interval, n_blocks=128) -> CertReport:
     )
 
 
-def _boundary_factor_values(model, N, points):
-    """-ln |C_0 (lambda_0 phi_N + lambda_0^{-1} nu_N)| at the given energies;
-    a vanishing factor raises ZeroJostError for the first such point."""
-    form = product_forms(model, N, points)
-    val = form.c0 * (form.lambda0 * form.phi_N + form.nu_N / form.lambda0)
-    zero = np.flatnonzero(val == 0)
-    if zero.size:
-        raise ZeroJostError(f"boundary factor vanishes at zeta = {points[zero[0]]}")
-    return -np.log(np.abs(val))
+def _boundary_factor_values(model, Ns, points):
+    """-ln |C_0 (lambda_0 phi_N + lambda_0^{-1} nu_N)| at the given energies
+    for each N of a sequence Ns, from one ladder walk.  The errors come in
+    the order of Ns: an N's first failing point, then a vanishing factor
+    (ZeroJostError for the first such point), before the next N's."""
+    values = []
+    for form, error in _product_ladder(model, Ns, points):
+        if error is not None:
+            raise error
+        val = form.c0 * (form.lambda0 * form.phi_N + form.nu_N / form.lambda0)
+        zero = np.flatnonzero(val == 0)
+        if zero.size:
+            raise ZeroJostError(f"boundary factor vanishes at zeta = {points[zero[0]]}")
+        values.append(-np.log(np.abs(val)))
+    return values
 
 
 # Energies of the harmonic-hypothesis grid: on the real section, and per row
@@ -195,7 +202,8 @@ HARMONIC_REAL_POINTS = 96
 HARMONIC_ROW_POINTS = 16
 
 
-def _harmonic_constants(model, N, interval):
+def _harmonic_constants(model, Ns, interval):
+    """The three fitted constants for each N of a sequence Ns."""
     lo, hi, eps = interval.lo, interval.hi, interval.eps_I
     n_real, n_e = HARMONIC_REAL_POINTS, HARMONIC_ROW_POINTS
     egrid = np.linspace(lo, hi, n_real)
@@ -210,16 +218,16 @@ def _harmonic_constants(model, N, interval):
             (es[None, :] + 1j * tops[:, None]).ravel(),
         ]
     )
-    f_real, f_strip, f_top = np.split(
-        _boundary_factor_values(model, N, points), [n_real, n_real + ys.size * n_e]
-    )
-    # (i) integral of the positive part on the real section
-    c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
-    # (ii) lower bound -C / Im zeta on the strip
-    worst_lower = max(0.0, float(np.max(-f_strip.reshape(ys.size, n_e) * ys[:, None])))
-    # (iii) upper bound on the top quarter of the strip
-    c_top = float(np.max(f_top))
-    return c_plus, worst_lower, c_top
+    constants = []
+    for f in _boundary_factor_values(model, Ns, points):
+        f_real, f_strip, f_top = np.split(f, [n_real, n_real + ys.size * n_e])
+        # (i) integral of the positive part on the real section
+        c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
+        # (ii) lower bound -C / Im zeta on the strip
+        worst_lower = max(0.0, float(np.max(-f_strip.reshape(ys.size, n_e) * ys[:, None])))
+        # (iii) upper bound on the top quarter of the strip
+        constants.append((c_plus, worst_lower, float(np.max(f_top))))
+    return constants
 
 
 def check_harmonic_hypotheses(model, N, interval) -> CertReport:
@@ -228,9 +236,10 @@ def check_harmonic_hypotheses(model, N, interval) -> CertReport:
     (i) bounded integral of f_N^+ on I, (ii) f_N >= -C / Im zeta on the strip,
     (iii) f_N <= C on the top quarter of the strip; the fitted constants must
     be finite and stable (factor <= 2, small constants floored at 0.01) when
-    N doubles."""
-    cons_n = _harmonic_constants(model, N, interval)
-    cons_2n = _harmonic_constants(model, 2 * N, interval)
+    N doubles.  N and 2N are one ladder walk over the probe grid: blocks
+    0 .. N-3 are shared, so they are computed once.  N's first failing point
+    or vanishing factor raises before 2N's."""
+    cons_n, cons_2n = _harmonic_constants(model, (N, 2 * N), interval)
 
     def ratio(u, v):
         fu, fv = max(u, 0.01), max(v, 0.01)

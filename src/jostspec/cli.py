@@ -285,9 +285,9 @@ def _run_entropy(cfg, model):
     rows = ["N,I_lo,I_hi,value,quad_order"]
     orders = (p["quad_order"], 2 * p["quad_order"])
     bounds = f"{_fmt(interval[0])},{_fmt(interval[1])}"
-    for n in p["N_list"]:
-        values = entropy_integrals(model, n, interval, orders)
-        rows += [f"{n},{bounds},{_fmt(val)},{order}" for order, val in zip(orders, values)]
+    values = entropy_integrals(model, p["N_list"], interval, orders)
+    for n, per_order in zip(p["N_list"], values):
+        rows += [f"{n},{bounds},{_fmt(val)},{order}" for order, val in zip(orders, per_order)]
     extra = f"interval=[{bounds}]"
     return rows, _meta_lines(cfg, model, extra), 0
 

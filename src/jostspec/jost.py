@@ -8,6 +8,14 @@ Every function of energies takes a 1-D sequence of points (a scalar counts
 as one) and returns arrays over them, from one transfer.floquet call and one
 backward recursion over all points.  jost_solution is the one single-energy
 function: it keeps every row of the solution.
+
+Truncations N < N' have the same coefficients below site (N-1)q, so a
+ladder of truncations is one walk: the deepest N walks from its top, and
+each shallower N runs only its own top steps before it joins the walk for
+the shared lower sites or blocks.  The backward recursion's ladder serves
+density_terms and measures.entropy_integrals, the product walk's ladder
+product_forms and certify.check_harmonic_hypotheses; the one-N functions
+are the one-rung case, and every N gets its own walk's values bit for bit.
 """
 
 from __future__ import annotations
@@ -117,35 +125,95 @@ def recursion_residuals(model, sol) -> np.ndarray:
     return np.abs(res) / np.where(scale > 0, scale, 1.0)
 
 
-def _boundary_values(model, N, zetas, interior=False):
-    """(z, C, u_0, u_1, scale_log2) at every point of a 1-D sequence, from
-    one floquet call and one recursion over the points.
+def _recursion_ladder(model, Ns, zetas, tops, seconds):
+    """(u_0, u_1, scale_log2) of the backward recursion from the boundary pair
+    (tops, seconds) at every point, for each N of a sequence Ns, in its
+    order, from one walk.
 
-    Raises the error of the first failing point in order: a failure of
-    _boundary_pairs, or u_0 = 0.  The recursion runs for the points before
-    the first that fails _boundary_pairs, so a u_0 = 0 at an earlier point
-    comes first.
+    Truncations N < N' have the same coefficients below site k = (N-1)q, so
+    the steps k-1 .. 1 are the same for both.  Each shallower N runs its own
+    top steps Nq .. k on a[k-1:], then joins the deeper walk as a column
+    block for the shared steps, and each column adds up its scale_log2 over
+    its segments.  A jost_backward run split at a site continues bit for bit
+    (see its docstring), so every N gets its own recursion's values.
     """
-    work = truncate(model, N)
+    if not Ns:
+        return []
+    q = model.block.q
+    deep, *shallow = sorted(set(Ns), reverse=True)
+    results, joins = {}, {}
+    for N in shallow:
+        k = (N - 1) * q
+        a, b = truncate(model, N).coefficient_arrays(N * q)
+        u_lo, u_hi, scale = _kernels.jost_backward(a[max(k - 1, 0) :], b[max(k - 1, 0) :], zetas, tops, seconds)
+        if k > 1:
+            joins[k] = (N, u_hi, u_lo, scale)
+        else:  # no step below its own top: it ran down to site 0
+            results[N] = (u_lo, u_hi, scale)
+    a, b = truncate(model, deep).coefficient_arrays(deep * q)
+    carried, scales = [deep], [np.zeros(len(zetas), dtype=np.int64)]
+    top = deep * q
+    for k in [*sorted(joins, reverse=True), 1]:
+        # steps top .. k over every column, leaving its pair (u_k, u_{k-1})
+        u_lo, u_hi, scale = _kernels.jost_backward(
+            a[k - 1 : top + 1], b[k - 1 : top + 1], np.tile(zetas, len(carried)), tops, seconds
+        )
+        scales = [x + y for x, y in zip(scales, np.split(scale, len(carried)))]
+        tops, seconds, top = u_hi, u_lo, k - 1
+        if k in joins:
+            N, own_hi, own_lo, own_scale = joins[k]
+            carried.append(N)
+            scales.append(own_scale)
+            tops, seconds = np.concatenate([tops, own_hi]), np.concatenate([seconds, own_lo])
+    results.update(zip(carried, zip(np.split(seconds, len(carried)), np.split(tops, len(carried)), scales)))
+    return [results[N] for N in Ns]
+
+
+def _boundary_values(model, Ns, zetas, interior=False):
+    """(z, C, rungs) at every point of a 1-D sequence, where rungs holds
+    (u_0, u_1, scale_log2) for each N of a sequence Ns, from one floquet
+    call and one recursion ladder over the points.
+
+    Every N is validated first.  Then raises the error of the first failing
+    N in order, and within it of the first failing point: a failure of
+    _boundary_pairs, which is the same for every N, or u_0 = 0.  The
+    recursion runs for the points before the first that fails
+    _boundary_pairs, so a u_0 = 0 at an earlier point of the first N comes
+    first.
+    """
+    Ns = [truncate(model, N).trunc for N in Ns]
     zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
-    z, x, c, stop, error = _boundary_pairs(work.block, zetas, interior)
+    z, x, c, stop, error = _boundary_pairs(model.block, zetas, interior)
+    rungs = []
     if stop or error is None:  # the recursion runs unless the first point fails
-        a, b = work.coefficient_arrays(N * work.block.q)
-        u0, u1, scales = _kernels.jost_backward(a, b, zetas[:stop], x[:stop], c[:stop])
-        zero = np.flatnonzero(u0 == 0)
-        if zero.size:
-            zeta = complex(zetas[zero[0]])
-            raise ZeroJostError(f"u_0 = 0 at zeta = {zeta.real if zeta.imag == 0 else zeta}")
+        rungs = _recursion_ladder(model, Ns, zetas[:stop], x[:stop], c[:stop])
+        for u0, _, _ in rungs:
+            zero = np.flatnonzero(u0 == 0)
+            if zero.size:
+                zeta = complex(zetas[zero[0]])
+                raise ZeroJostError(f"u_0 = 0 at zeta = {zeta.real if zeta.imag == 0 else zeta}")
+            if error is not None:
+                break
     if error is not None:
         raise error
-    return z, c, u0, u1, scales
+    return z, c, rungs
 
 
 def green_11(model, N, zetas):
     """Boundary Green's value -u_1 / (a°_0 u_0) of the truncated operator at
     every point of a 1-D sequence, from one recursion over all of them."""
-    _, _, u0, u1, _ = _boundary_values(model, N, zetas)
+    _, _, [(u0, u1, _)] = _boundary_values(model, [N], zetas)
     return -u1 / (model.block.a(0) * u0)
+
+
+def _density_ladder(model, Ns, energies):
+    """density_terms for each N of a sequence Ns, in its order, from one
+    recursion ladder; raises as _boundary_values, an energy outside a band
+    interior first."""
+    energies = np.asarray(energies, dtype=np.float64)
+    z, c, rungs = _boundary_values(model, Ns, energies, interior=True)
+    num = np.abs(c.real * z.imag)
+    return [(num, np.hypot(u0.real, u0.imag), scales) for u0, _, scales in rungs]
 
 
 def density_terms(model, N, energies):
@@ -153,10 +221,9 @@ def density_terms(model, N, energies):
     arrays over a 1-D sequence: |C Im z|, |u_0| and the recursion's rescale
     exponent scale_log2 (the true |u_0| is |u_0| * 2**scale_log2).  Raises
     the error of the first failing energy in order, as _boundary_values, an
-    energy outside a band interior first."""
-    energies = np.asarray(energies, dtype=np.float64)
-    z, c, u0, _, scales = _boundary_values(model, N, energies, interior=True)
-    return np.abs(c.real * z.imag), np.hypot(u0.real, u0.imag), scales
+    energy outside a band interior first.  The one-rung case of the
+    recursion ladder."""
+    return _density_ladder(model, [N], energies)[0]
 
 
 def log_density(a0, num, abs_u0, scale_log2):
@@ -188,7 +255,7 @@ def _wronskian_terms(model, N, energies):
     """Defect |Im(u_0 conj(u_1)) + C Im z| of the boundary identity and its
     scale |u_0||u_1| + |C| at every real energy of a 1-D sequence, from one
     _boundary_values call."""
-    z, c, u0, u1, scale_log2 = _boundary_values(model, N, np.asarray(energies, dtype=np.float64))
+    z, c, [(u0, u1, scale_log2)] = _boundary_values(model, [N], np.asarray(energies, dtype=np.float64))
     # Im(u_0 conj(u_1)) term by term, as Python's complex product forms it
     cross = np.ldexp(u0.imag * u1.real - u0.real * u1.imag, 2 * scale_log2)
     scale = np.ldexp(np.abs(u0) * np.abs(u1), 2 * scale_log2) + np.abs(c)
@@ -230,8 +297,137 @@ class ProductForm:
         return self.u_inv0[1, 0] / self.a0
 
 
-# Blocks per chunk of product_forms' walk; working memory is O(CHUNK x points).
+# Blocks per chunk of the product walk; working memory is O(CHUNK x points).
 CHUNK = 8
+
+
+class _Walk:
+    """A downward product walk over one truncation's coefficient arrays.
+
+    It stands at block `hi` and keeps that block's (lam, u).  It carries one
+    state row per truncation (rung): the normalized pair (v0, v1), the log
+    prefactor, the modulus floor kappa, and the (code, index) of the row's
+    lowest chain fault and highest walk fault.  Each step is a NumPy
+    operation over all rows and points, the block's rows broadcast over the
+    rungs.
+    """
+
+    def __init__(self, a, b, q, points, top):
+        self.a, self.b, self.q, self.points, self.hi = a, b, q, points, top
+        shape = (1, len(points))
+        self.chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        self.walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        self.lam, self.u = self._blocks(top, 1)
+        self.kappa = np.abs(self.lam)
+        self.v0 = np.ones(shape, dtype=np.complex128)
+        self.v1 = np.zeros(shape, dtype=np.complex128)
+        self.logpref = np.zeros(shape, dtype=np.complex128)
+
+    def _blocks(self, lo, count):
+        lam, u, faults = transfer.chain_blocks(self.a, self.b, self.points, self.q, lo, count)
+        if faults.any():
+            code, first = transfer._lowest_fault(faults)
+            # the walk descends, so the last block recorded is the lowest
+            hit = code != 0
+            self.chain = (np.where(hit, code, self.chain[0]), np.where(hit, lo + first, self.chain[1]))
+        return lam, u
+
+    def descend(self, lo):
+        """Steps n = hi .. lo+1 (row n - lo - 1) from blocks lo .. hi-1 and
+        the kept block hi; then the walk stands at block lo.  A method, so
+        that a chunk's arrays are freed before the next chunk's exist."""
+        hi = self.hi
+        lam_c, u_c = self._blocks(lo, hi - lo)
+        self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
+        lam = np.concatenate([lam_c[1:], self.lam])
+        (w11, w12, w21, w22), singular = transfer.connection_entries(
+            u_c, tuple(np.concatenate([x[1:], y]) for x, y in zip(u_c, self.u))
+        )
+        one_alpha = 1.0 + w11
+        diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
+        dead = one_alpha == 0
+        if singular.any() or dead.any():
+            code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
+            fresh = (code != 0) & (self.walk[0] == 0)
+            index = hi - top - (code == SINGULAR_U)
+            self.walk = (np.where(fresh, code, self.walk[0]), np.where(fresh, index, self.walk[1]))
+        inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
+        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam, diagonal, inc)
+        v0, v1, logpref = self.v0, self.v1, self.logpref
+        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag, inc_n in reversed(list(rows)):
+            t0 = lam_n * v0
+            t1 = v1 / lam_n
+            v0 = np.where(diag, v0, (oa * t0 + w12_n * t1) / denom)
+            v1 = np.where(diag, v1 / lam2, (w21_n * t0 + ow22 * t1) / denom)
+            logpref = logpref + inc_n
+        self.v0, self.v1, self.logpref = v0, v1, logpref
+        self.hi, self.lam, self.u = lo, lam_c[:1].copy(), tuple(x[:1].copy() for x in u_c)
+
+    def join(self, other):
+        """Carry the rows of `other`, which stands at the same block, from here on."""
+        for name in ("v0", "v1", "logpref", "kappa"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+        self.chain = tuple(np.concatenate(x) for x in zip(self.chain, other.chain))
+        self.walk = tuple(np.concatenate(x) for x in zip(self.walk, other.walk))
+
+    def result(self, row, a0):
+        """(ProductForm, error) of a row: the error of its first failing point, or None."""
+        form = ProductForm(
+            phi_N=self.v0[row],
+            nu_N=self.v1[row],
+            kappa=self.kappa[row],
+            log_prefactor=self.logpref[row],
+            lambda0=self.lam[0],
+            a0=a0,
+            u_inv0=np.array(self.u).reshape(2, 2, -1),
+        )
+        faults = ((self.chain[0][row], self.chain[1][row]), (self.walk[0][row], self.walk[1][row]))
+        return form, transfer._first_fault_error(self.points, *faults)
+
+
+def _product_ladder(model, Ns, points):
+    """(ProductForm, error) for each N of a sequence Ns, in its order, at every
+    point of a 1-D sequence, from one walk; error is what product_forms(model,
+    N, points) raises, or None.
+
+    Truncations N < N' have the same blocks 0 .. N-3 (block N-2 reads
+    a[(N-1)q], background at N only).  The deepest N walks from its top,
+    CHUNK blocks at a time; each shallower N takes its steps N-1 and N-2 on
+    its own arrays and then joins the walk as a state row at block N-3, so
+    every shared block and step is computed once for all of them.  An N <= 3
+    has no shared step and keeps its own block 0.
+    """
+    q = model.block.q
+    Ns = [int(N) for N in Ns]
+    a0 = float(model.a(0))
+
+    def walk(N):
+        a, b = truncate(model, N).coefficient_arrays(N * q)
+        return _Walk(a, b, q, points, N - 1)
+
+    rungs = sorted(set(Ns), reverse=True)
+    results, joins = {}, {}
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        deep = walk(rungs[0])
+        for N in rungs[1:]:
+            own = walk(N)
+            if N > 1:
+                own.descend(max(N - 3, 0))
+            if N > 3:
+                joins[N - 3] = (N, own)
+            else:
+                results[N] = own.result(0, a0)
+        carried = [rungs[0]]
+        # the deepest N's chunks, also cut where a shallower N joins
+        stops = sorted({*range(deep.hi, 0, -CHUNK), *joins}, reverse=True)
+        for hi, lo in zip(stops, [*stops[1:], 0]):
+            if hi in joins:
+                N, own = joins[hi]
+                deep.join(own)
+                carried.append(N)
+            deep.descend(lo)
+    results.update((N, deep.result(row, a0)) for row, N in enumerate(carried))
+    return [results[N] for N in Ns]
 
 
 def product_forms(model, N, points) -> ProductForm:
@@ -247,76 +443,17 @@ def product_forms(model, N, points) -> ProductForm:
     ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to
     log_prefactor, with no complex logarithm.  A step with W_n = 0
     (identical eigenbases) has 1 + alpha_n = 1 exactly and only rescales nu
-    by lambda_n^{-2}.
+    by lambda_n^{-2}.  This is the one-rung case of the ladder walk.
 
     Raises the error of the first failing point in order: a block without a
     usable eigenbasis (lowest block) before a singular U_{n-1} or
     1 + alpha_n = 0 (highest n, and U_{n-1} before alpha_n, which is formed
     from its inverse).
     """
-    work = truncate(model, N)
-    q = work.block.q
-    a, b = work.coefficient_arrays(N * q)
-    shape = (len(points),)
-    # (code, index) per point: lowest faulty block, highest faulty step
-    chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-    walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-
-    def blocks(lo, count):
-        lam, u, faults = transfer.chain_blocks(a, b, points, q, lo, count)
-        if faults.any():
-            code, first = transfer._lowest_fault(faults)
-            # the walk descends, so the last block recorded is the lowest
-            hit = code != 0
-            chain[0][hit], chain[1][hit] = code[hit], lo + first[hit]
-        return lam, u
-
-    def chunk(lo, hi, lam, u):
-        # Steps n = hi .. lo+1 (row n - lo - 1) from blocks lo .. hi-1 and the
-        # kept block hi = (lam, u); returns block lo.  A function, so that a
-        # chunk's arrays are freed before the next chunk's exist.
-        nonlocal kappa, v0, v1, logpref
-        lam_c, u_c = blocks(lo, hi - lo)
-        kappa = np.minimum(kappa, np.abs(lam_c).min(axis=0))
-        lam = np.concatenate([lam_c[1:], lam])
-        (w11, w12, w21, w22), singular = transfer.connection_entries(
-            u_c, tuple(np.concatenate([x[1:], y]) for x, y in zip(u_c, u))
-        )
-        one_alpha = 1.0 + w11
-        diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
-        dead = one_alpha == 0
-        if singular.any() or dead.any():
-            code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
-            fresh = (code != 0) & (walk[0] == 0)
-            walk[0][fresh], walk[1][fresh] = code[fresh], (hi - top - (code == SINGULAR_U))[fresh]
-        inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
-        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam, diagonal, inc)
-        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag, inc_n in reversed(list(rows)):
-            t0 = lam_n * v0
-            t1 = v1 / lam_n
-            v0 = np.where(diag, v0, (oa * t0 + w12_n * t1) / denom)
-            v1 = np.where(diag, v1 / lam2, (w21_n * t0 + ow22 * t1) / denom)
-            logpref = logpref + inc_n
-        return lam_c[:1].copy(), tuple(x[:1].copy() for x in u_c)
-
-    lam, u = blocks(N - 1, 1)
-    kappa = np.abs(lam[0])
-    v0 = np.ones(shape, dtype=np.complex128)
-    v1 = np.zeros(shape, dtype=np.complex128)
-    logpref = np.zeros(shape, dtype=np.complex128)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for hi in range(N - 1, 0, -CHUNK):
-            lam, u = chunk(max(hi - CHUNK, 0), hi, lam, u)
-    transfer._raise_first_fault(points, chain, walk)
-    return ProductForm(
-        phi_N=v0,
-        nu_N=v1,
-        kappa=kappa,
-        log_prefactor=logpref,
-        lambda0=lam[0],
-        a0=float(work.a(0)),
-        u_inv0=np.array(u).reshape(2, 2, -1),
-    )
+    form, error = _product_ladder(model, [N], points)[0]
+    if error is not None:
+        raise error
+    return form
 
 
 def reconstruct_boundary_pair(form):

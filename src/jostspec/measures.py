@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .coefficients import truncate
 from .errors import BandEdgeError, OracleConvergenceError, ValidationError
-from .jost import ac_density, density_terms, log_density
+from .jost import _density_ladder, ac_density, log_density
 
 __all__ = [
     "DensityCurve",
@@ -133,8 +133,7 @@ def density_curve(model, N, interval, grid_points, method="key_formula"):
         vals = oracle_green_11(model, N, grid).imag / math.pi
     else:
         raise ValidationError(f"unknown density method {method!r}")
-    meta = {"model": model.fingerprint(), "N": int(N), "method": method}
-    return DensityCurve(grid=grid, values=vals, meta=meta)
+    return DensityCurve(grid=grid, values=vals, meta={"N": int(N), "method": method})
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,10 +145,13 @@ def _gauss_legendre(order):
 
 def entropy_integrals(model, N, interval, quad_orders):
     """Gauss-Legendre quadrature of ln(density) over an admissible interval
-    at each of quad_orders, from one density_terms call over the nodes of
-    every order.  All orders are validated first; then the first failing
-    node in order raises its error.  The integrand is log_density, formed in
-    log space, so it stays finite at depths where the density itself
+    at each of quad_orders, from the nodes of every order at once.  N is a
+    truncation index, or a 1-D sequence of them; for a sequence the result
+    is one per-order list for each entry, in its order with duplicates kept,
+    from one recursion ladder over every N.  All orders and every N are
+    validated first; then the first failing N in order raises, with the
+    error of its first failing node.  The integrand is log_density, formed
+    in log space, so it stays finite at depths where the density itself
     underflows."""
     orders = [int(order) for order in quad_orders]
     if any(order < 4 for order in orders):
@@ -158,9 +160,12 @@ def entropy_integrals(model, N, interval, quad_orders):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]
-    terms = density_terms(model, N, energies)
-    parts = np.split(log_density(model.block.a(0), *terms), np.cumsum(orders)[:-1])
-    return [half * float(_gauss_legendre(order)[1] @ part) for order, part in zip(orders, parts)]
+    ladder = np.ndim(N) == 1
+    values = []
+    for terms in _density_ladder(model, N if ladder else [N], energies):
+        parts = np.split(log_density(model.block.a(0), *terms), np.cumsum(orders)[:-1])
+        values.append([half * float(_gauss_legendre(order)[1] @ part) for order, part in zip(orders, parts)])
+    return values if ladder else values[0]
 
 
 def moment(model, N_or_full, k, depth):

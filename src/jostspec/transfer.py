@@ -7,10 +7,11 @@ Everything here works elementwise over arrays of energies.  The chain takes
 its period products from _kernels.period_products; chain_blocks and
 connection_entries hold its one implementation, for connection_matrices
 (every W_n at once) and jost.product_forms (a downward walk, a chunk of
-blocks at a time).  floquet is the one entry point for the background's
-Floquet data, on the real axis and off it.  Each batched entry point
-raises the error of the first failing point in order, and its docstring
-states which fault of a point comes first."""
+blocks at a time, which a ladder of truncations shares).  floquet is the
+one entry point for the background's Floquet data, on the real axis and
+off it.  Each batched entry point raises the error of the first failing
+point in order, and its docstring states which fault of a point comes
+first."""
 
 from __future__ import annotations
 
@@ -178,10 +179,10 @@ def _lowest_fault(faults):
     return faults[first, np.arange(faults.shape[1])], first
 
 
-def _raise_first_fault(points, chain, walk=None):
-    # Raise the error of the first point, in order, that has a fault.  chain
-    # and walk are (code, index) pairs of per-point arrays; a point's chain
-    # fault comes before its walk fault, as the blocks' eigen-data are
+def _first_fault_error(points, chain, walk=None):
+    # The error of the first point, in order, that has a fault, or None.
+    # chain and walk are (code, index) pairs of per-point arrays; a point's
+    # chain fault comes before its walk fault, as the blocks' eigen-data are
     # complete before any connection step uses them.
     code, index = chain
     if walk is not None:
@@ -189,7 +190,8 @@ def _raise_first_fault(points, chain, walk=None):
     bad = np.flatnonzero(code)
     if bad.size:
         i = int(bad[0])
-        raise _fault_error(int(code[i]), int(index[i]), points[i])
+        return _fault_error(int(code[i]), int(index[i]), points[i])
+    return None
 
 
 def chain_blocks(a, b, zetas, q, first, count):
@@ -275,7 +277,9 @@ def connection_matrices(model, n_blocks, zetas):
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)
     w, singular = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
-    _raise_first_fault(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
+    error = _first_fault_error(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
+    if error is not None:
+        raise error
     return w
 
 

@@ -135,7 +135,9 @@ def reference_forms(model, N, points):
             ln_abs = np.log(np.abs(lam)) + np.log(np.abs(one_alpha))
             logpref = logpref + (ln_abs + 1j * (np.angle(lam) + np.angle(one_alpha)))
             lam, u = lam_prev, u_prev
-    transfer._raise_first_fault(points, chain, walk)
+    error = transfer._first_fault_error(points, chain, walk)
+    if error is not None:
+        raise error
     return {
         "phi_N": v0,
         "nu_N": v1,
@@ -240,6 +242,25 @@ def test_chunked_walk_matches_two_block_walk_bit_for_bit(q, N):
         # both branches of the step: W_n = 0 past the support, nonzero inside it
         zero = (np.array(transfer.connection_matrices(model, N, points)) == 0).all(axis=(0, 2))
         assert zero.any() and not zero.all()
+
+
+@pytest.mark.parametrize("ladder", [(1, 2), (2, 4), (3, 6), (40, 80), (10, 20, 40, 80), (80, 3, 40, 3)], ids=str)
+@pytest.mark.parametrize("target", ["a", "b", "both"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_ladder_rungs_match_two_block_walk_bit_for_bit(q, target, ladder):
+    # A shallower N joins the deepest N's walk at block N - 3; with target a
+    # or both, its blocks N - 2 and N - 1 differ from the deeper ones, as
+    # they read a[(N-1)q].  Each rung, in the given order with duplicates
+    # kept, must be its own walk bit for bit.
+    model, points = _support_model_and_points(q)
+    model = js.make_model(model.block, js.PerturbationSpec.power(c=0.3, s=0.5, gamma=0.3, target=target))
+    rungs = jost._product_ladder(model, ladder, points)
+    assert len(rungs) == len(ladder)
+    for N, (form, error) in zip(ladder, rungs):
+        assert error is None
+        want = reference_forms(model, N, points)
+        for name in FORM_FIELDS:
+            assert np.array_equal(getattr(form, name), want[name], equal_nan=True), (N, name)
 
 
 def test_walk_memory_does_not_grow_with_depth(baseline_model, baseline_interval):
@@ -364,11 +385,52 @@ def test_first_failing_point_raises_the_pointwise_error(beta, points, first, mes
     # messages and indices as the per-energy implementation reported them
     model = _parabolic_model(beta)
     with pytest.raises(DiagonalizationError) as batched:
-        certify._boundary_factor_values(model, 8, [complex(p) for p in points])
+        certify._boundary_factor_values(model, (8, 16), [complex(p) for p in points])
     with pytest.raises(DiagonalizationError) as single:
         js.product_forms(model, 8, [first])
     for exc in (batched.value, single.value):
         assert (str(exc), exc.n, exc.zeta) == (message, n, complex(first))
+
+
+def _vanishing_factors(monkeypatch, zeros):
+    """Make certify's ladder return phi_N = nu_N = 0 at the point zeros[i]
+    of the i-th N, so that the boundary factor vanishes there."""
+    real_ladder = jost._product_ladder
+
+    def forcing(model, Ns, points):
+        forced = []
+        for i, (form, error) in enumerate(real_ladder(model, Ns, points)):
+            if i in zeros:
+                phi, nu = form.phi_N.copy(), form.nu_N.copy()
+                phi[zeros[i]] = nu[zeros[i]] = 0.0
+                form = dataclasses.replace(form, phi_N=phi, nu_N=nu)
+            forced.append((form, error))
+        return forced
+
+    monkeypatch.setattr(certify, "_product_ladder", forcing)
+
+
+@pytest.mark.parametrize(
+    "beta, points, zeros, error, message",
+    [
+        # N = 4 fails at block 1 (E = 2.5), 8 also at block 4 (E = 3.0), its first point
+        ([0, 0.5, 0, 0, 1.0], [3.0, 2.5], {}, DiagonalizationError, "block 1 is parabolic at E = 2.5"),
+        # only 8 reaches the perturbation of block 4
+        ([0, 0, 0, 0, 1.0], [3.0, 0.4, 1.5], {}, DiagonalizationError, "block 4 is parabolic at E = 3.0"),
+        # N = 4's vanishing factor comes before 8's fault
+        ([0, 0, 0, 0, 1.0], [3.0, 0.4, 1.5], {0: 1}, ZeroJostError, "vanishes at zeta = (0.4+0j)"),
+        # N = 4's vanishing factor comes before 8's at an earlier point
+        ([0, 0, 0, 0, 0.1], [3.0, 0.4, 1.5], {0: 2, 1: 0}, ZeroJostError, "vanishes at zeta = (1.5+0j)"),
+        ([0, 0, 0, 0, 0.1], [3.0, 0.4, 1.5], {1: 0}, ZeroJostError, "vanishes at zeta = (3+0j)"),
+    ],
+)
+def test_harmonic_ladder_raises_n_before_2n(monkeypatch, beta, points, zeros, error, message):
+    # check_harmonic_hypotheses walks N and 2N as one ladder and raises what
+    # N, then 2N, would raise on its own
+    _vanishing_factors(monkeypatch, zeros)
+    with pytest.raises(error) as exc:
+        certify._boundary_factor_values(_parabolic_model(beta), (4, 8), [complex(p) for p in points])
+    assert str(exc.value).endswith(message)
 
 
 @pytest.mark.parametrize(
@@ -526,15 +588,8 @@ def test_vanishing_diagonal_factor_fails_the_fit(monkeypatch, baseline_model, ba
 
 def test_vanishing_boundary_factor_raises(monkeypatch, baseline_model):
     # a zero factor would make f_N = +inf, which the strip lower bound would
-    # take silently; the first such point raises instead
-    real_forms = jost.product_forms
-
-    def forcing(model, N, points):
-        form = real_forms(model, N, points)
-        phi, nu = form.phi_N.copy(), form.nu_N.copy()
-        phi[1:], nu[1:] = 0.0, 0.0
-        return dataclasses.replace(form, phi_N=phi, nu_N=nu)
-
-    monkeypatch.setattr(certify, "product_forms", forcing)
+    # take silently; the first such point raises instead, on the (N, 2N)
+    # ladder that check_harmonic_hypotheses walks
+    _vanishing_factors(monkeypatch, {0: slice(1, None), 1: slice(1, None)})
     with pytest.raises(ZeroJostError, match=r"at zeta = \(1\.5\+0j\)"):
-        certify._boundary_factor_values(baseline_model, 6, np.array([0.8, 1.5, 0.3 + 0.02j]))
+        certify._boundary_factor_values(baseline_model, (6, 12), np.array([0.8, 1.5, 0.3 + 0.02j]))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jostspec import _kernels, bands, cli, measures
+from jostspec import _kernels, bands, cli, jost, measures
 from jostspec.cli import EXPERIMENTS, load_config, main, run
 
 FREE_CONFIG = """\
@@ -134,7 +134,7 @@ def test_density_oracle_computes_only_the_oracle_curve(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the key formula ran for method = oracle")
 
-    monkeypatch.setattr(measures, "density_terms", refuse)
+    monkeypatch.setattr(jost, "density_terms", refuse)
     assert run(cfg, overrides=["experiment.method=oracle"], experiment="density", out_dir=str(tmp_path / "o")) == 0
     header, rows = _rows(tmp_path / "o" / "density.csv")
     assert header == ["E", "value"]
@@ -239,19 +239,55 @@ def test_entropy_rows_and_convergence_orders(tmp_path):
     assert orders == {"32", "64"}
 
 
-def test_entropy_runs_one_recursion_per_truncation(tmp_path, monkeypatch):
+BASELINE_CONFIG = """\
+[block]
+q = 2
+a = 1.0, 1.4
+b = 0.1, -0.2
+
+[perturbation]
+kind = power_decay_oscillatory
+c = 0.8
+s = 0.5
+gamma = 0.2
+target = b
+
+[experiment]
+margin = 0.1
+quad_order = 16
+"""
+
+
+def test_entropy_rows_follow_n_list_with_duplicates(tmp_path):
+    def rows(n_list):
+        name = n_list.replace(", ", "-")
+        cfg = _write(tmp_path, BASELINE_CONFIG + f"N_list = {n_list}\n", name=f"{name}.ini")
+        assert run(str(cfg), experiment="entropy", out_dir=str(tmp_path / name)) == 0
+        return _rows(tmp_path / name / "entropy.csv")[1]
+
+    got = rows("40, 10, 40")
+    assert [r[0] for r in got] == ["40", "40", "10", "10", "40", "40"]
+    assert [r[4] for r in got] == ["16", "32"] * 3
+    assert got == rows("40") + rows("10") + rows("40")
+    assert got[0][3] != got[2][3]
+
+
+def test_entropy_runs_one_recursion_ladder_over_n_list(tmp_path, monkeypatch):
     calls = []
     jost_backward = _kernels.jost_backward
 
     def counting(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append((len(args[0]) - 1, len(args[2])))
         return jost_backward(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "jost_backward", counting)
-    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 4, 8, 16\nquad_order = 8\n")
+    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 8, 4, 16\nquad_order = 8\n")
     assert run(str(cfg), experiment="entropy", out_dir=str(tmp_path / "out")) == 0
-    # each call covers the nodes of both orders, 8 + 16
-    assert calls == [24, 24, 24]
+    # (sites, columns) per call, each column block the nodes of both orders,
+    # 8 + 16.  On q = 1, N = 8 and N = 4 run their own top q + 1 = 2 steps;
+    # N = 16 walks from its top and carries their columns from sites 7 and 3
+    # down, so 20 sites are walked, not 4 + 8 + 16 = 28.
+    assert calls == [(2, 24), (2, 24), (10, 24), (4, 48), (2, 72)]
 
 
 THREE_BAND_CONFIG = """\

@@ -129,6 +129,28 @@ def test_gated_guard_matches_the_per_step_guard(chain):
         _assert_bit_identical(*chain)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(guarded_chains(), st.integers(150, 450))
+def test_split_run_continues_bit_for_bit(chain, k):
+    # The recursion ladder's property: a run split at site k into a[k-1:],
+    # b[k-1:] and then a[:k], b[:k], the second started from the pair
+    # (u_k, u_{k-1}) the first returns and the scale_log2 added up, is the
+    # unsplit run bit for bit, real and off-axis energies alike.  A low
+    # threshold makes the guard fire in both segments, where each segment's
+    # growth bound, from its own coefficients, differs from the whole run's.
+    a, b, zeta, top, second = chain
+    zeta = np.concatenate([zeta, zeta.real])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
+        mp.setattr(_kernels, "RESCALE_SHIFT", 10)
+        whole = _kernels.jost_backward(a, b, zeta, top, second)
+        u_lo, u_hi, upper = _kernels.jost_backward(a[k - 1 :], b[k - 1 :], zeta, top, second)
+        u0, u1, lower = _kernels.jost_backward(a[:k], b[:k], zeta, u_hi, u_lo)
+    assert upper[0] > 0 and lower[0] > 0
+    assert np.array_equal(u0, whole[0]) and np.array_equal(u1, whole[1])
+    assert np.array_equal(upper + lower, whole[2])
+
+
 def test_jost_backward_batch_matches_reference(baseline_model):
     energies = SIX_ENERGIES
     a, b, zeta, tops, seconds = _batch(baseline_model, 60, energies)

@@ -7,12 +7,13 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec import jost
+from jostspec import _kernels, jost
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
     OracleConvergenceError,
     ValidationError,
+    ZeroJostError,
 )
 
 
@@ -89,7 +90,7 @@ def test_density_curve_free_key_formula(free_model):
     curve = js.density_curve(free_model, 4, iv, 101, method="key_formula")
     reference = np.sqrt(4 - curve.grid**2) / (2 * np.pi)
     assert np.max(np.abs(curve.values - reference)) < 1e-8
-    assert curve.meta["method"] == "key_formula"
+    assert curve.meta == {"N": 4, "method": "key_formula"}
 
 
 def test_density_curve_free_oracle(free_model):
@@ -370,6 +371,95 @@ def test_log_space_entropy_matches_the_quotient_then_log_route(N):
     got = js.entropy_integrals(BASELINE, N, iv, (64, 128))
     expected = [_quotient_then_log_entropy(BASELINE, N, iv, order) for order in (64, 128)]
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def reference_terms(model, N, energies):
+    """density_terms as one backward recursion from the top of truncation N
+    down to site 0, with no ladder."""
+    a, b = js.truncate(model, N).coefficient_arrays(N * model.block.q)
+    _, z, c, d, _ = js.floquet(model.block, energies)
+    u0, _, scale_log2 = _kernels.jost_backward(a, b, np.asarray(energies, dtype=complex), z - d, c)
+    return np.abs(c.real * z.imag), np.hypot(u0.real, u0.imag), scale_log2
+
+
+def _assert_ladder_terms(model, ladder, energies):
+    rungs = jost._density_ladder(model, ladder, energies)
+    assert len(rungs) == len(ladder)
+    for N, terms in zip(ladder, rungs):
+        want = reference_terms(model, N, energies)
+        assert all(np.array_equal(x, y) for x, y in zip(terms, want)), N
+        assert all(np.array_equal(x, y) for x, y in zip(jost.density_terms(model, N, energies), want)), N
+    return rungs
+
+
+@pytest.mark.parametrize("ladder", [(1, 2), (2, 4), (3, 6), (40, 80), (10, 20, 40, 80), (80, 3, 40, 3)], ids=str)
+@pytest.mark.parametrize("target", ["a", "b", "both"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_recursion_ladder_rungs_are_their_own_recursions_bit_for_bit(q, target, ladder):
+    # a shallower N runs its own top q + 1 steps (site (N-1)q reads a
+    # coefficient the deeper N perturbs when the target is a or both), then
+    # rides the deepest N's walk as a column block down to site 0
+    rng = np.random.default_rng(q)
+    block = js.periodic_block(q, rng.uniform(0.8, 1.5, q), rng.uniform(-0.4, 0.4, q))
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.3, s=0.5, gamma=0.3, target=target))
+    energies = [lo + t * (hi - lo) for lo, hi in js.band_edges(block).bands for t in (0.1, 0.45, 0.8)]
+    _assert_ladder_terms(model, ladder, energies)
+
+
+def test_rescaling_recursion_ladder_is_bit_for_bit():
+    # near the band edges the guard rescales both N's columns on the shared
+    # sites, by up to 2**1200 at N = 5000 and 2**5400 at N = 20000
+    energies = [-2.44, -2.4, -2.36, -0.5, 0.4, 1.2, 2.3, 2.34]
+    rungs = _assert_ladder_terms(BASELINE, (5000, 20000), energies)
+    assert [scale_log2.max() for _, _, scale_log2 in rungs] == [1200, 5400]
+
+
+def test_entropy_ladder_keeps_order_and_duplicates():
+    iv = js.interval_constants(BASELINE.block, js.widest_trimmed_band(BASELINE.block, 0.1))
+    got = js.entropy_integrals(BASELINE, [40, 10, 40], iv, (16, 32))
+    assert got == [js.entropy_integrals(BASELINE, N, iv, (16, 32)) for N in (40, 10, 40)]
+    assert got[0] != got[1]
+    assert js.entropy_integrals(BASELINE, np.array([10]), iv, (16,)) == [js.entropy_integrals(BASELINE, 10, iv, (16,))]
+
+
+def _vanishing_u0(monkeypatch, zeros):
+    """Make the recursion ladder return u_0 = 0 at the node zeros[N] of N."""
+    real_ladder = jost._recursion_ladder
+
+    def forcing(model, Ns, zetas, tops, seconds):
+        forced = []
+        for N, (u0, u1, scale_log2) in zip(Ns, real_ladder(model, Ns, zetas, tops, seconds)):
+            if N in zeros:
+                u0 = u0.copy()
+                u0[zeros[N]] = 0.0
+            forced.append((u0, u1, scale_log2))
+        return forced
+
+    monkeypatch.setattr(jost, "_recursion_ladder", forcing)
+
+
+@pytest.mark.parametrize(
+    "Ns, zeros, node",
+    [((20, 10), {10: 0, 20: 3}, 3), ((10, 20), {10: 0, 20: 3}, 0), ((10, 20, 10), {20: 1}, 1)],
+)
+def test_entropy_ladder_raises_the_first_failing_n(monkeypatch, Ns, zeros, node):
+    iv = js.interval_constants(BASELINE.block, js.widest_trimmed_band(BASELINE.block, 0.1))
+    energy = 0.5 * (iv.hi + iv.lo) + 0.5 * (iv.hi - iv.lo) * leggauss(8)[0][node]
+    _vanishing_u0(monkeypatch, zeros)
+    with pytest.raises(ZeroJostError, match=re.escape(f"u_0 = 0 at zeta = {energy}")):
+        js.entropy_integrals(BASELINE, Ns, iv, (8,))
+
+
+@pytest.mark.parametrize(
+    "zeros, error",
+    [({}, BandEdgeError), ({10: 0}, BandEdgeError), ({5: 0}, ZeroJostError), ({5: 1}, ZeroJostError)],
+)
+def test_entropy_ladder_raises_a_node_error_for_the_first_n(free_model, monkeypatch, zeros, error):
+    # on (1.0, 2.5) the 4-point nodes 2 and 3 lie above the band: the first
+    # N raises for node 2 unless its own u_0 vanishes at an earlier node
+    _vanishing_u0(monkeypatch, zeros)
+    with pytest.raises(error):
+        js.entropy_integrals(free_model, (5, 10), (1.0, 2.5), (4,))
 
 
 def test_oracle_raises_the_first_failing_point(free_block):
