@@ -120,24 +120,14 @@ def _power_values(pert, n):
     return pert.c * np.cos(nf**pert.s) / nf**pert.gamma
 
 
-def _alpha_values(pert, n):
+def _perturbation_values(pert, n, which):
+    # alpha_n (which = "a") or beta_n (which = "b") at integer sites n >= 1
+    values = pert.alpha if which == "a" else pert.beta
     out = np.zeros(n.shape, dtype=np.float64)
-    if pert.kind == "finite_list" and pert.alpha:
-        vals = np.asarray(pert.alpha)
-        mask = n <= len(pert.alpha)
-        out[mask] = vals[n[mask] - 1]
-    elif pert.kind == "power_decay_oscillatory" and pert.target in ("a", "both"):
-        out = _power_values(pert, n)
-    return out
-
-
-def _beta_values(pert, n):
-    out = np.zeros(n.shape, dtype=np.float64)
-    if pert.kind == "finite_list" and pert.beta:
-        vals = np.asarray(pert.beta)
-        mask = n <= len(pert.beta)
-        out[mask] = vals[n[mask] - 1]
-    elif pert.kind == "power_decay_oscillatory" and pert.target in ("b", "both"):
+    if pert.kind == "finite_list" and values:
+        mask = n <= len(values)
+        out[mask] = np.asarray(values)[n[mask] - 1]
+    elif pert.kind == "power_decay_oscillatory" and pert.target in (which, "both"):
         out = _power_values(pert, n)
     return out
 
@@ -206,8 +196,8 @@ def _cached_arrays(model, n_top):
 
     pert = model.pert
     if pert.kind != "zero" and n_top >= 1:
-        pa = _alpha_values(pert, n)
-        pb = _beta_values(pert, n)
+        pa = _perturbation_values(pert, n, "a")
+        pb = _perturbation_values(pert, n, "b")
         # Only touch sites the perturbation actually reaches; elsewhere the
         # background floats pass through untouched.
         if np.any(pa != 0.0):
@@ -250,6 +240,8 @@ def make_model(block, pert=None) -> CoefficientModel:
 def truncate(model, N) -> CoefficientModel:
     """Model whose coefficients follow the input up to site (N-1)q and are
     exactly the periodic background beyond.  Idempotent for equal N."""
+    if not (np.isfinite(N) and N == int(N)):
+        raise ValidationError(f"truncation index must be an integer, got {N}")
     N = int(N)
     if N < 1:
         raise ValidationError(f"truncation index must be >= 1, got {N}")

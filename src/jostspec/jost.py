@@ -10,12 +10,13 @@ backward recursion over all points.  jost_solution is the one single-energy
 function: it keeps every row of the solution.
 
 Truncations N < N' have the same coefficients below site (N-1)q, so a
-ladder of truncations is one walk: the deepest N walks from its top, and
-each shallower N runs only its own top steps before it joins the walk for
-the shared lower sites or blocks.  The backward recursion's ladder serves
-density_terms and measures.entropy_integrals, the product walk's ladder
-product_forms and certify.check_harmonic_hypotheses; the one-N functions
-are the one-rung case, and every N gets its own walk's values bit for bit.
+ladder of truncations is one walk on one schedule, _ladder: each shallower N
+runs only its own top steps, then joins the deepest N's walk as a row.  It
+drives the backward recursion (joined at site (N-1)q) behind density_terms
+and measures.entropy_integrals, and the product walk (joined at block N-3,
+in chunks of CHUNK blocks counted from the top and from each join point)
+behind product_forms and certify.check_harmonic_hypotheses.  The one-N
+functions are the one-rung case; every N gets its own walk's bits.
 """
 
 from __future__ import annotations
@@ -125,48 +126,72 @@ def recursion_residuals(model, sol) -> np.ndarray:
     return np.abs(res) / np.where(scale > 0, scale, 1.0)
 
 
-def _recursion_ladder(model, Ns, zetas, tops, seconds):
-    """(u_0, u_1, scale_log2) of the backward recursion from the boundary pair
-    (tops, seconds) at every point, for each N of a sequence Ns, in its
-    order, from one walk.
+def _ladder(Ns, walk, join_at, floor):
+    """walk(N).result(row) for each N of a sequence Ns, in its order with
+    duplicates kept, from one walk down to `floor`.
 
-    Truncations N < N' have the same coefficients below site k = (N-1)q, so
-    the steps k-1 .. 1 are the same for both.  Each shallower N runs its own
-    top steps Nq .. k on a[k-1:], then joins the deeper walk as a column
-    block for the shared steps, and each column adds up its scale_log2 over
-    its segments.  A jost_backward run split at a site continues bit for bit
-    (see its docstring), so every N gets its own recursion's values.
+    A walker stands at `hi`: walk(N) at the top of truncation N, with one
+    row; descend(lo) takes it down to lo, and join(other) carries the rows
+    of a walker at the same point.  Truncations N < N' agree below
+    join_at(N): every shallower N descends on its own arrays to join_at(N),
+    and the deepest N walks from its top and takes each one in there as a
+    row.  A rung that reaches the floor on its own ends there.
     """
     if not Ns:
         return []
-    q = model.block.q
     deep, *shallow = sorted(set(Ns), reverse=True)
-    results, joins = {}, {}
-    for N in shallow:
-        k = (N - 1) * q
-        a, b = truncate(model, N).coefficient_arrays(N * q)
-        u_lo, u_hi, scale = _kernels.jost_backward(a[max(k - 1, 0) :], b[max(k - 1, 0) :], zetas, tops, seconds)
-        if k > 1:
-            joins[k] = (N, u_hi, u_lo, scale)
-        else:  # no step below its own top: it ran down to site 0
-            results[N] = (u_lo, u_hi, scale)
-    a, b = truncate(model, deep).coefficient_arrays(deep * q)
-    carried, scales = [deep], [np.zeros(len(zetas), dtype=np.int64)]
-    top = deep * q
-    for k in [*sorted(joins, reverse=True), 1]:
-        # steps top .. k over every column, leaving its pair (u_k, u_{k-1})
-        u_lo, u_hi, scale = _kernels.jost_backward(
-            a[k - 1 : top + 1], b[k - 1 : top + 1], np.tile(zetas, len(carried)), tops, seconds
-        )
-        scales = [x + y for x, y in zip(scales, np.split(scale, len(carried)))]
-        tops, seconds, top = u_hi, u_lo, k - 1
-        if k in joins:
-            N, own_hi, own_lo, own_scale = joins[k]
-            carried.append(N)
-            scales.append(own_scale)
-            tops, seconds = np.concatenate([tops, own_hi]), np.concatenate([seconds, own_lo])
-    results.update(zip(carried, zip(np.split(seconds, len(carried)), np.split(tops, len(carried)), scales)))
+    rungs = {N: walk(N) for N in shallow}
+    for N, own in rungs.items():
+        own.descend(max(join_at(N), floor))
+    main, rows = walk(deep), [deep]
+    for N, own in rungs.items():
+        if own.hi > floor:
+            main.descend(own.hi)
+            main.join(own)
+            rows.append(N)
+    main.descend(floor)
+    results = {N: own.result(0) for N, own in rungs.items() if own.hi == floor}
+    results.update((N, main.result(row)) for row, N in enumerate(rows))
     return [results[N] for N in Ns]
+
+
+class _Recursion:
+    """The backward recursion on a truncated model's sites 0 .. Nq from the
+    boundary pair (tops, seconds) = (u_{Nq+1}, u_{Nq}).  It stands at site
+    `hi` with the pair (u_hi, u_{hi-1}) of every column, one block of columns
+    per rung, and adds up each column's scale_log2 over its segments; a
+    jost_backward run split at a site continues bit for bit."""
+
+    def __init__(self, work, zetas, tops, seconds):
+        self.a, self.b = work.coefficient_arrays(work.trunc * work.block.q)
+        self.hi, self.n = len(self.a), len(zetas)
+        self.zetas, self.upper, self.lower = zetas, tops, seconds
+        self.scale = np.zeros(self.n, dtype=np.int64)
+
+    def descend(self, lo):
+        """Steps hi-1 .. lo over every column; then it stands at site lo."""
+        sites = slice(lo - 1, self.hi)
+        u_lo, u_hi, scale = _kernels.jost_backward(self.a[sites], self.b[sites], self.zetas, self.upper, self.lower)
+        self.upper, self.lower, self.scale, self.hi = u_hi, u_lo, self.scale + scale, lo
+
+    def join(self, other):
+        """Carry the columns of `other`, which stands at the same site, from here on."""
+        for name in ("zetas", "upper", "lower", "scale"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+    def result(self, row):
+        """(u_0, u_1, scale_log2) of a row's columns, standing at site 1."""
+        cols = slice(row * self.n, (row + 1) * self.n)
+        return self.lower[cols], self.upper[cols], self.scale[cols]
+
+
+def _recursion_ladder(model, Ns, zetas, tops, seconds):
+    """(u_0, u_1, scale_log2) of the backward recursion from the boundary pair
+    (tops, seconds) at every point, for each N of a sequence Ns, in its
+    order, from one ladder: a shallower N joins at site (N-1)q, below which
+    the truncations' coefficients agree."""
+    q = model.block.q
+    return _ladder(Ns, lambda N: _Recursion(truncate(model, N), zetas, tops, seconds), lambda N: (N - 1) * q, 1)
 
 
 def _boundary_values(model, Ns, zetas, interior=False):
@@ -302,7 +327,7 @@ CHUNK = 8
 
 
 class _Walk:
-    """A downward product walk over one truncation's coefficient arrays.
+    """A downward product walk over a truncated model's blocks N-1 .. 0.
 
     It stands at block `hi` and keeps that block's (lam, u).  It carries one
     state row per truncation (rung): the normalized pair (v0, v1), the log
@@ -312,12 +337,13 @@ class _Walk:
     rungs.
     """
 
-    def __init__(self, a, b, q, points, top):
-        self.a, self.b, self.q, self.points, self.hi = a, b, q, points, top
+    def __init__(self, work, points):
+        self.q, self.points, self.hi, self.a0 = work.block.q, points, work.trunc - 1, float(work.a(0))
+        self.a, self.b = work.coefficient_arrays(work.trunc * self.q)
         shape = (1, len(points))
         self.chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
         self.walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-        self.lam, self.u = self._blocks(top, 1)
+        self.lam, self.u = self._blocks(self.hi, 1)
         self.kappa = np.abs(self.lam)
         self.v0 = np.ones(shape, dtype=np.complex128)
         self.v1 = np.zeros(shape, dtype=np.complex128)
@@ -333,9 +359,15 @@ class _Walk:
         return lam, u
 
     def descend(self, lo):
+        """Steps n = hi .. lo+1, CHUNK blocks at a time from hi down; then
+        the walk stands at block lo."""
+        while self.hi > lo:
+            self._chunk(max(self.hi - CHUNK, lo))
+
+    def _chunk(self, lo):
         """Steps n = hi .. lo+1 (row n - lo - 1) from blocks lo .. hi-1 and
-        the kept block hi; then the walk stands at block lo.  A method, so
-        that a chunk's arrays are freed before the next chunk's exist."""
+        the kept block hi.  A method, so that a chunk's arrays are freed
+        before the next chunk's exist."""
         hi = self.hi
         lam_c, u_c = self._blocks(lo, hi - lo)
         self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
@@ -370,7 +402,7 @@ class _Walk:
         self.chain = tuple(np.concatenate(x) for x in zip(self.chain, other.chain))
         self.walk = tuple(np.concatenate(x) for x in zip(self.walk, other.walk))
 
-    def result(self, row, a0):
+    def result(self, row):
         """(ProductForm, error) of a row: the error of its first failing point, or None."""
         form = ProductForm(
             phi_N=self.v0[row],
@@ -378,7 +410,7 @@ class _Walk:
             kappa=self.kappa[row],
             log_prefactor=self.logpref[row],
             lambda0=self.lam[0],
-            a0=a0,
+            a0=self.a0,
             u_inv0=np.array(self.u).reshape(2, 2, -1),
         )
         faults = ((self.chain[0][row], self.chain[1][row]), (self.walk[0][row], self.walk[1][row]))
@@ -387,47 +419,17 @@ class _Walk:
 
 def _product_ladder(model, Ns, points):
     """(ProductForm, error) for each N of a sequence Ns, in its order, at every
-    point of a 1-D sequence, from one walk; error is what product_forms(model,
-    N, points) raises, or None.
+    point of a 1-D sequence (a scalar counts as one), from one walk; error is
+    what product_forms(model, N, points) raises, or None.
 
-    Truncations N < N' have the same blocks 0 .. N-3 (block N-2 reads
-    a[(N-1)q], background at N only).  The deepest N walks from its top,
-    CHUNK blocks at a time; each shallower N takes its steps N-1 and N-2 on
-    its own arrays and then joins the walk as a state row at block N-3, so
-    every shared block and step is computed once for all of them.  An N <= 3
-    has no shared step and keeps its own block 0.
+    A shallower N joins at block N-3: blocks 0 .. N-3 are the same for all
+    truncations, block N-2 reads a[(N-1)q], background at N only.  An
+    N <= 3 has no shared step and keeps its own block 0.
     """
-    q = model.block.q
-    Ns = [int(N) for N in Ns]
-    a0 = float(model.a(0))
-
-    def walk(N):
-        a, b = truncate(model, N).coefficient_arrays(N * q)
-        return _Walk(a, b, q, points, N - 1)
-
-    rungs = sorted(set(Ns), reverse=True)
-    results, joins = {}, {}
+    Ns = [truncate(model, N).trunc for N in Ns]
+    points = [points] if np.ndim(points) == 0 else points
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        deep = walk(rungs[0])
-        for N in rungs[1:]:
-            own = walk(N)
-            if N > 1:
-                own.descend(max(N - 3, 0))
-            if N > 3:
-                joins[N - 3] = (N, own)
-            else:
-                results[N] = own.result(0, a0)
-        carried = [rungs[0]]
-        # the deepest N's chunks, also cut where a shallower N joins
-        stops = sorted({*range(deep.hi, 0, -CHUNK), *joins}, reverse=True)
-        for hi, lo in zip(stops, [*stops[1:], 0]):
-            if hi in joins:
-                N, own = joins[hi]
-                deep.join(own)
-                carried.append(N)
-            deep.descend(lo)
-    results.update((N, deep.result(row, a0)) for row, N in enumerate(carried))
-    return [results[N] for N in Ns]
+        return _ladder(Ns, lambda N: _Walk(truncate(model, N), points), lambda N: N - 3, 0)
 
 
 def product_forms(model, N, points) -> ProductForm:
@@ -437,7 +439,7 @@ def product_forms(model, N, points) -> ProductForm:
     from block N-1 down to block 1, dividing out lambda_n (1 + alpha_n) at
     each step so the normalized pair (phi_N, nu_N) and the log-space
     prefactor come out separately.  The walk takes CHUNK blocks at a time,
-    top chunk first: one chain_blocks and one connection_entries call and
+    counted from the top: one chain_blocks and one connection_entries call and
     the logarithms and masks as arrays per chunk, then one NumPy step over
     all points per block, in descending n.  Each step adds
     ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to

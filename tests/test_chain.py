@@ -244,7 +244,13 @@ def test_chunked_walk_matches_two_block_walk_bit_for_bit(q, N):
         assert zero.any() and not zero.all()
 
 
-@pytest.mark.parametrize("ladder", [(1, 2), (2, 4), (3, 6), (40, 80), (10, 20, 40, 80), (80, 3, 40, 3)], ids=str)
+@pytest.mark.parametrize(
+    "ladder",
+    # in the last, the deepest top 3C + 2 lies whole chunks above the joins
+    # 2C + 2 and C + 2, and the join C + 3 lies between two of those cuts
+    [(1, 2), (2, 4), (3, 6), (40, 80), (10, 20, 40, 80), (80, 3, 40, 3), (C + 5, C + 6, 2 * C + 5, 3 * C + 3)],
+    ids=str,
+)
 @pytest.mark.parametrize("target", ["a", "b", "both"])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_ladder_rungs_match_two_block_walk_bit_for_bit(q, target, ladder):
@@ -261,6 +267,21 @@ def test_ladder_rungs_match_two_block_walk_bit_for_bit(q, target, ladder):
         want = reference_forms(model, N, points)
         for name in FORM_FIELDS:
             assert np.array_equal(getattr(form, name), want[name], equal_nan=True), (N, name)
+
+
+def test_product_ladder_walks_the_shared_blocks_once(monkeypatch, baseline_model, certify_points):
+    # N = 40 walks its own blocks 39 .. 37 and joins N = 80 at block 37: 3 + 80
+    # blocks, where two separate walks would take 40 + 80
+    counts = []
+    chain_blocks = transfer.chain_blocks
+
+    def counting(a, b, zetas, q, first, count):
+        counts.append(count)
+        return chain_blocks(a, b, zetas, q, first, count)
+
+    monkeypatch.setattr(transfer, "chain_blocks", counting)
+    jost._product_ladder(baseline_model, (40, 80), certify_points)
+    assert sum(counts) == 83
 
 
 def test_walk_memory_does_not_grow_with_depth(baseline_model, baseline_interval):

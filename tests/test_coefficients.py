@@ -103,6 +103,20 @@ def test_truncate_rejects_bad_index(free_model):
         js.truncate(free_model, 0)
 
 
+def test_truncate_rejects_a_non_integral_index():
+    # flooring N = 10.5 would certify the pair N = 10, 21 and give N = 10's entropy
+    model = js.make_model(js.periodic_block(2, (1.0, 1.4), (0.1, -0.2)), js.PerturbationSpec.power(0.8, 0.5, 0.2))
+    iv = js.interval_constants(model.block, js.widest_trimmed_band(model.block, 0.1))
+    for N in (10.5, np.float64(10.5), float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            js.truncate(model, N)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            js.check_harmonic_hypotheses(model, N, iv)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            js.entropy_integrals(model, N, iv, (8,))
+    assert js.truncate(model, 10.0) == js.truncate(model, np.int64(10)) == js.truncate(model, 10)
+
+
 def test_q_variation_zero_perturbation(free_model):
     assert js.q_variation_norm(free_model, 50) == 0.0
 

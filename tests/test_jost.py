@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import jostspec as js
 from conftest import random_block
-from jostspec import jost
+from jostspec import jost, measures, transfer
 from jostspec.errors import BandEdgeError, EigenvectorDegeneracyError
 
 
@@ -218,3 +219,34 @@ def test_density_of_a_large_unscaled_u0_does_not_overflow():
     assert values[3] == 0.3 / (np.pi * 0.7**2.0)
     assert logs[0] == pytest.approx(-np.log(np.pi) - 2.0 * np.log(1e200), rel=1e-14)
     assert logs[2] == pytest.approx(np.log(1e300) - np.log(np.pi) - 1200 * np.log(2.0), rel=1e-14)
+
+
+SCALAR_MODEL = js.make_model(js.periodic_block(2, (1.0, 1.4), (0.1, -0.2)), js.PerturbationSpec.power(0.8, 0.5, 0.2))
+SCALAR_CALLS = {
+    "floquet": lambda x: transfer.floquet(SCALAR_MODEL.block, x),
+    "connection_matrices": lambda x: transfer.connection_matrices(SCALAR_MODEL, 6, x),
+    "green_11": lambda x: jost.green_11(SCALAR_MODEL, 6, x),
+    "density_terms": lambda x: jost.density_terms(SCALAR_MODEL, 6, x),
+    "ac_density": lambda x: jost.ac_density(SCALAR_MODEL, 6, x),
+    "wronskian_defect": lambda x: jost.wronskian_defect(SCALAR_MODEL, 6, x),
+    "product_forms": lambda x: jost.product_forms(SCALAR_MODEL, 6, x),
+    "tail_m_function": lambda x: measures.tail_m_function(SCALAR_MODEL.block, x),
+    "oracle_green_11": lambda x: measures.oracle_green_11(SCALAR_MODEL, 6, x),
+}
+
+
+def _arrays(value):
+    """The arrays of a batched result: a tuple's entries or a dataclass's fields."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [np.asarray(x) for x in (value if isinstance(value, tuple | list) else [value])]
+
+
+@pytest.mark.parametrize("point", [1.2, np.float64(1.2), np.array(1.2)], ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("name", list(SCALAR_CALLS))
+def test_a_scalar_point_is_one_point(name, point):
+    # every batched entry point treats a scalar as a sequence of one point
+    got, want = _arrays(SCALAR_CALLS[name](point)), _arrays(SCALAR_CALLS[name]([1.2]))
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and np.array_equal(x, y)
