@@ -70,15 +70,19 @@ def _edge_pairs(block):
     The edges are the sorted eigenvalues of the periodic and antiperiodic
     q x q Jacobi matrices (corner +a_q and -a_q), where the discriminant is
     +2 and -2; for q = 1 the corner lands on the diagonal twice, b +- 2a.
+    Both are one (2, q, q) stack and one eigvalsh call.  An entry sums its
+    terms as separate diagonal matrices would (b + 0.0, so -0.0 reads 0.0),
+    then the corner +-a_q; for q = 1, b + a then + a.
     """
-    a = np.asarray(block.a_bg)
-    edges = []
-    for sign in (1.0, -1.0):
-        m = np.diag(np.asarray(block.b_bg)) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
-        m[-1, 0] += sign * a[-1]
-        m[0, -1] += sign * a[-1]
-        edges.extend(np.linalg.eigvalsh(m).tolist())
-    edges.sort()
+    q, a = block.q, np.asarray(block.a_bg)
+    m = np.zeros((2, q, q))
+    flat = m.reshape(2, q * q)
+    flat[:, :: q + 1] += block.b_bg
+    flat[:, 1 :: q + 1] = a[:-1]
+    flat[:, q :: q + 1] = a[:-1]
+    m[:, -1, 0] += (a[-1], -a[-1])
+    m[:, 0, -1] += (a[-1], -a[-1])
+    edges = sorted(np.linalg.eigvalsh(m).ravel().tolist())
     return list(zip(edges[0::2], edges[1::2]))
 
 

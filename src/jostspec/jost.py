@@ -427,7 +427,7 @@ def _product_ladder(model, Ns, points):
     N <= 3 has no shared step and keeps its own block 0.
     """
     Ns = [truncate(model, N).trunc for N in Ns]
-    points = [points] if np.ndim(points) == 0 else points
+    points = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return _ladder(Ns, lambda N: _Walk(truncate(model, N), points), lambda N: N - 3, 0)
 

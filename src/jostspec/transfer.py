@@ -168,7 +168,7 @@ def _fault_error(code, n, zeta):
     elif code == SINGULAR_U:
         message = f"U_{n} is singular"
     else:
-        message = f"1 + alpha_{n} = 0 at zeta = {zeta}"
+        message = f"1 + alpha_{n} = 0 at zeta = {z.real if z.imag == 0 else z}"
     return DiagonalizationError(message, n=n, zeta=z)
 
 

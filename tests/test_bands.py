@@ -61,6 +61,32 @@ def test_band_edges_satisfy_tolerance():
             assert b < c
 
 
+def _separate_matrix_edges(block):
+    # the 2q edges from the periodic and antiperiodic matrices, each built
+    # and diagonalized on its own
+    a, b = np.array(block.a_bg), np.array(block.b_bg)
+    edges = []
+    for sign in (1.0, -1.0):
+        m = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+        m[-1, 0] += sign * a[-1]
+        m[0, -1] += sign * a[-1]
+        edges.extend(np.linalg.eigvalsh(m).tolist())
+    return sorted(edges)
+
+
+def test_band_edges_match_separate_matrices_bit_for_bit():
+    rng = np.random.default_rng(31)
+    blocks = [random_block(rng, q) for q in range(1, 9) for _ in range(4)]
+    for block in blocks:
+        edges = _separate_matrix_edges(block)
+        assert [x.hex() for pair in js.band_edges(block).bands for x in pair] == [x.hex() for x in edges]
+    # b = -0 on the diagonal: the antiperiodic edges are zeros, and +0.0 as
+    # from a sum of diagonal matrices
+    block = js.periodic_block(2, [1.0, 1.0], [-0.0, -0.0])
+    edges = _separate_matrix_edges(block)
+    assert [x.hex() for pair in bands._edge_pairs(block) for x in pair] == [x.hex() for x in edges]
+
+
 @pytest.mark.parametrize(
     "a, b, gap",
     [

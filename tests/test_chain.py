@@ -505,6 +505,13 @@ def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message
     assert exc.value.zeta == complex(points[0])
 
 
+@pytest.mark.parametrize("point", [0.4, np.float64(0.4), complex(0.4, 0.0), np.complex128(0.4)])
+def test_dead_alpha_message_reads_a_real_point_as_real(point):
+    # certify passes complex points, so the message must not depend on the type
+    error = transfer._fault_error(transfer.DEAD_ALPHA, 5, point)
+    assert (str(error), error.zeta) == ("1 + alpha_5 = 0 at zeta = 0.4", 0.4 + 0j)
+
+
 @pytest.mark.parametrize(
     "points, forced, message, n",
     [

@@ -489,6 +489,27 @@ def test_seed_flag_is_an_argparse_error(tmp_path):
     assert not out.exists()
 
 
+def test_main_calls_in_one_process_share_nothing(tmp_path, capsys):
+    # main() reuses one parser: an override, a --help exit or a successful
+    # call leaves nothing behind for the next call
+    cfg = _write(tmp_path, FREE_CONFIG)
+    argv = ["density", "--config", str(cfg), "--out"]
+    assert main([*argv, str(tmp_path / "a"), "--set", "experiment.grid_points=17"]) == 0
+    assert main([*argv, str(tmp_path / "b")]) == 0
+    assert [len(_rows(tmp_path / out / "density.csv")[1]) for out in "ab"] == [17, 40]
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--set section.key=value" in helps[0]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "c"), "--bogus"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("experiment", ["density", "entropy", "certify", "compare"])
 def test_nan_margin_exits_2_without_output(tmp_path, capsys, experiment):
     # NaN passed a `margin <= 0` test and left no interval to choose from
