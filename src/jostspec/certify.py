@@ -185,13 +185,14 @@ def _boundary_factor_values(model, Ns, points):
     the order of Ns: an N's first failing point, then a vanishing factor
     (ZeroJostError for the first such point), before the next N's."""
     values = []
-    for form, error in _product_ladder(model, Ns, points):
+    for form, error in _product_ladder(model, Ns, points, prefactor=False):
         if error is not None:
             raise error
         val = form.c0 * (form.lambda0 * form.phi_N + form.nu_N / form.lambda0)
         zero = np.flatnonzero(val == 0)
         if zero.size:
-            raise ZeroJostError(f"boundary factor vanishes at zeta = {points[zero[0]]}")
+            zeta = complex(points[zero[0]])
+            raise ZeroJostError(f"boundary factor vanishes at zeta = {zeta.real if zeta.imag == 0 else zeta}")
         values.append(-np.log(np.abs(val)))
     return values
 

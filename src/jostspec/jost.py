@@ -16,7 +16,8 @@ drives the backward recursion (joined at site (N-1)q) behind density_terms
 and measures.entropy_integrals, and the product walk (joined at block N-3,
 in chunks of CHUNK blocks counted from the top and from each join point)
 behind product_forms and certify.check_harmonic_hypotheses.  The one-N
-functions are the one-rung case; every N gets its own walk's bits.
+functions are the one-rung case; every N gets its own walk's bits.  The
+certificate's walk forms no log prefactor and no kappa, as it reads neither.
 """
 
 from __future__ import annotations
@@ -303,9 +304,9 @@ class ProductForm:
     so its imaginary part is the unwrapped sum of the arguments.
     (exp(log_prefactor), phi_N, nu_N) reconstruct (u_1, u_0) through
     M_0^{-1} U_0^{-1} L_0.  kappa is the observed eigenvalue-modulus floor.
-    The certificates read only phi_N, nu_N, lambda0 and c0.  Every field
-    but a0 is an array over the points of product_forms, u_inv0 of shape
-    (2, 2, points).
+    The certificates read only phi_N, nu_N, lambda0 and c0, and their walk
+    leaves log_prefactor and kappa None.  Every other field but a0 is an
+    array over the points of product_forms, u_inv0 of shape (2, 2, points).
     """
 
     phi_N: np.ndarray
@@ -331,23 +332,25 @@ class _Walk:
 
     It stands at block `hi` and keeps that block's (lam, u).  It carries one
     state row per truncation (rung): the normalized pair (v0, v1), the log
-    prefactor, the modulus floor kappa, and the (code, index) of the row's
-    lowest chain fault and highest walk fault.  Each step is a NumPy
-    operation over all rows and points, the block's rows broadcast over the
-    rungs.
+    prefactor and the modulus floor kappa (None without `prefactor`), and the
+    (code, index) of the row's lowest chain fault and highest walk fault.
+    Each step is a NumPy operation over all rows and points, the block's rows
+    broadcast over the rungs.
     """
 
-    def __init__(self, work, points):
+    def __init__(self, work, points, prefactor=True):
         self.q, self.points, self.hi, self.a0 = work.block.q, points, work.trunc - 1, float(work.a(0))
         self.a, self.b = work.coefficient_arrays(work.trunc * self.q)
         shape = (1, len(points))
         self.chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
         self.walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
         self.lam, self.u = self._blocks(self.hi, 1)
-        self.kappa = np.abs(self.lam)
         self.v0 = np.ones(shape, dtype=np.complex128)
         self.v1 = np.zeros(shape, dtype=np.complex128)
-        self.logpref = np.zeros(shape, dtype=np.complex128)
+        self.kappa = self.logpref = None
+        if prefactor:
+            self.kappa = np.abs(self.lam)
+            self.logpref = np.zeros(shape, dtype=np.complex128)
 
     def _blocks(self, lo, count):
         lam, u, faults = transfer.chain_blocks(self.a, self.b, self.points, self.q, lo, count)
@@ -370,7 +373,8 @@ class _Walk:
         before the next chunk's exist."""
         hi = self.hi
         lam_c, u_c = self._blocks(lo, hi - lo)
-        self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
+        if self.kappa is not None:
+            self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
         lam = np.concatenate([lam_c[1:], self.lam])
         (w11, w12, w21, w22), singular = transfer.connection_entries(
             u_c, tuple(np.concatenate([x[1:], y]) for x, y in zip(u_c, self.u))
@@ -383,22 +387,31 @@ class _Walk:
             fresh = (code != 0) & (self.walk[0] == 0)
             index = hi - top - (code == SINGULAR_U)
             self.walk = (np.where(fresh, code, self.walk[0]), np.where(fresh, index, self.walk[1]))
-        inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
-        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam, diagonal, inc)
-        v0, v1, logpref = self.v0, self.v1, self.logpref
-        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag, inc_n in reversed(list(rows)):
+        # only a chunk with a W_n = 0 step needs the mask (lam2 is read only then);
+        # np.where with a false mask returns its second operand exactly
+        masked = diagonal.any()
+        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam if masked else lam, diagonal)
+        v0, v1 = self.v0, self.v1
+        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag in reversed(list(rows)):
             t0 = lam_n * v0
             t1 = v1 / lam_n
-            v0 = np.where(diag, v0, (oa * t0 + w12_n * t1) / denom)
-            v1 = np.where(diag, v1 / lam2, (w21_n * t0 + ow22 * t1) / denom)
-            logpref = logpref + inc_n
-        self.v0, self.v1, self.logpref = v0, v1, logpref
+            new0 = (oa * t0 + w12_n * t1) / denom
+            new1 = (w21_n * t0 + ow22 * t1) / denom
+            if masked:
+                new0, new1 = np.where(diag, v0, new0), np.where(diag, v1 / lam2, new1)
+            v0, v1 = new0, new1
+        self.v0, self.v1 = v0, v1
+        if self.logpref is not None:
+            inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
+            for inc_n in inc[::-1]:
+                self.logpref = self.logpref + inc_n
         self.hi, self.lam, self.u = lo, lam_c[:1].copy(), tuple(x[:1].copy() for x in u_c)
 
     def join(self, other):
         """Carry the rows of `other`, which stands at the same block, from here on."""
         for name in ("v0", "v1", "logpref", "kappa"):
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+            if getattr(self, name) is not None:
+                setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
         self.chain = tuple(np.concatenate(x) for x in zip(self.chain, other.chain))
         self.walk = tuple(np.concatenate(x) for x in zip(self.walk, other.walk))
 
@@ -407,8 +420,8 @@ class _Walk:
         form = ProductForm(
             phi_N=self.v0[row],
             nu_N=self.v1[row],
-            kappa=self.kappa[row],
-            log_prefactor=self.logpref[row],
+            kappa=None if self.kappa is None else self.kappa[row],
+            log_prefactor=None if self.logpref is None else self.logpref[row],
             lambda0=self.lam[0],
             a0=self.a0,
             u_inv0=np.array(self.u).reshape(2, 2, -1),
@@ -417,10 +430,13 @@ class _Walk:
         return form, transfer._first_fault_error(self.points, *faults)
 
 
-def _product_ladder(model, Ns, points):
+def _product_ladder(model, Ns, points, prefactor=True):
     """(ProductForm, error) for each N of a sequence Ns, in its order, at every
     point of a 1-D sequence (a scalar counts as one), from one walk; error is
-    what product_forms(model, N, points) raises, or None.
+    what product_forms(model, N, points) raises, or None.  Without
+    `prefactor` the walk skips the logarithms, angles and moduli behind
+    log_prefactor and kappa, which it leaves None; the other fields and the
+    errors keep their bits.
 
     A shallower N joins at block N-3: blocks 0 .. N-3 are the same for all
     truncations, block N-2 reads a[(N-1)q], background at N only.  An
@@ -429,7 +445,7 @@ def _product_ladder(model, Ns, points):
     Ns = [truncate(model, N).trunc for N in Ns]
     points = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return _ladder(Ns, lambda N: _Walk(truncate(model, N), points), lambda N: N - 3, 0)
+        return _ladder(Ns, lambda N: _Walk(truncate(model, N), points, prefactor), lambda N: N - 3, 0)
 
 
 def product_forms(model, N, points) -> ProductForm:
@@ -445,7 +461,8 @@ def product_forms(model, N, points) -> ProductForm:
     ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to
     log_prefactor, with no complex logarithm.  A step with W_n = 0
     (identical eigenbases) has 1 + alpha_n = 1 exactly and only rescales nu
-    by lambda_n^{-2}.  This is the one-rung case of the ladder walk.
+    by lambda_n^{-2}; a chunk with no such step takes its steps without that
+    mask.  This is the one-rung case of the ladder walk.
 
     Raises the error of the first failing point in order: a block without a
     usable eigenbasis (lowest block) before a singular U_{n-1} or
