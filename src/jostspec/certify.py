@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coefficients import count
 from .errors import DegenerateBranchError, ValidationError, ZeroJostError
 from .jost import _product_ladder
 from .transfer import connection_matrices, decaying_branch, discriminant
@@ -41,14 +42,18 @@ class CertReport:
     worst_case: dict = field(default_factory=dict)
 
 
-def check_floquet_bound(block, interval, grid=32) -> CertReport:
+# Energies and heights of the Floquet strip grid.
+FLOQUET_GRID = 32
+
+
+def check_floquet_bound(block, interval) -> CertReport:
     """Verify |z(E+iy)| <= 1 - 0.9 C_I y and |z^{-1}(E+iy)| >= 1 + 0.9 C_I y
-    on a grid over I x (0, eps_I].  The 0.9 slack absorbs the quadratic
-    remainder of the linear strip bound."""
+    on a FLOQUET_GRID x FLOQUET_GRID grid over I x (0, eps_I].  The 0.9
+    slack absorbs the quadratic remainder of the linear strip bound."""
     c_i = interval.C_I
     eps = interval.eps_I
-    energies = np.linspace(interval.lo, interval.hi, grid)
-    heights = np.linspace(eps / grid, eps, grid)
+    energies = np.linspace(interval.lo, interval.hi, FLOQUET_GRID)
+    heights = np.linspace(eps / FLOQUET_GRID, eps, FLOQUET_GRID)
     # rows are heights, so row-major order is the (height, energy) probe order
     zeta = energies[None, :] + 1j * heights[:, None]
     z, z_inv, coincide = decaying_branch(discriminant(block, zeta))
@@ -70,7 +75,7 @@ def check_floquet_bound(block, interval, grid=32) -> CertReport:
             "slope_floor_observed": slope_floor,
             "worst_margin": worst["margin"],
         },
-        grid_spec=f"{grid}x{grid} probes over [{interval.lo}, {interval.hi}] x (0, {eps}]",
+        grid_spec=f"{FLOQUET_GRID}x{FLOQUET_GRID} probes over [{interval.lo}, {interval.hi}] x (0, {eps}]",
         worst_case=worst,
     )
 
@@ -78,7 +83,8 @@ def check_floquet_bound(block, interval, grid=32) -> CertReport:
 def _doubling_grid(n_grid):
     """n_grid sorted, after checking that it has at least 2 distinct positive
     indices and that each is twice the one before it."""
-    n_grid = sorted(int(m) for m in n_grid)
+    # the lower bound is checked below, with the grid's own message
+    n_grid = sorted(count("n_grid", m, -math.inf) for m in n_grid)
     if len(set(n_grid)) < 2 or n_grid[0] < 1:
         raise ValidationError("n_grid must contain at least 2 distinct positive indices")
     if any(hi != 2 * lo for lo, hi in zip(n_grid[:-1], n_grid[1:])):
@@ -139,8 +145,8 @@ def check_diagonal_products(model, interval, n_blocks=128) -> CertReport:
     spanning I, ends included; heights eps_I 2^{0,-2,-4,-6}), and the same for
     delta; pass requires the fit to be finite and stable when the blocks
     double from n_blocks // 2 to n_blocks."""
-    if n_blocks < 6:
-        raise ValidationError("n_blocks must be >= 6, so that n_blocks // 2 blocks hold a range k < l")
+    # with fewer than 6 blocks, n_blocks // 2 blocks hold no range k < l
+    n_blocks = count("n_blocks", n_blocks, 6)
     energies = np.linspace(interval.lo, interval.hi, 4)
     heights = interval.eps_I * 0.25 ** np.arange(4)
     zetas = (energies[None, :] + 1j * heights[:, None]).ravel()

@@ -1,7 +1,9 @@
 """Coefficient sequences: periodic backgrounds, perturbation families,
 truncations, and variation norms.
 
-All objects are frozen value types; evaluations are pure and cached.
+All objects are frozen value types; evaluations are pure and cached.  Every
+count argument of the library goes through count: it must be an integer
+(10.0 and np.int64(10) are 10) and is never floored (10.5 raises).
 """
 
 from __future__ import annotations
@@ -22,7 +24,22 @@ __all__ = [
     "make_model",
     "truncate",
     "q_variation_norm",
+    "count",
 ]
+
+
+def count(name, value, low):
+    """int(value), or ValidationError naming the argument when value is not an
+    integer or is below low."""
+    try:
+        integral = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -38,8 +55,6 @@ class PeriodicBlock:
 
     def a(self, n):
         """Background off-diagonal a°_n for n >= 0."""
-        if n == 0:
-            return self.a_bg[self.q - 1]
         return self.a_bg[(n - 1) % self.q]
 
     def b(self, n):
@@ -49,9 +64,7 @@ class PeriodicBlock:
 
 def periodic_block(q, a_bg, b_bg) -> PeriodicBlock:
     """Validate and build a periodic background block."""
-    q = int(q)
-    if q < 1:
-        raise ValidationError(f"period must be >= 1, got {q}")
+    q = count("period q", q, 1)
     a_bg = tuple(float(x) for x in a_bg)
     b_bg = tuple(float(x) for x in b_bg)
     if len(a_bg) != q or len(b_bg) != q:
@@ -162,7 +175,7 @@ class CoefficientModel:
 
     def coefficient_arrays(self, n_top):
         """Site arrays (a[0..n_top], b[0..n_top]); b[0] is a placeholder."""
-        return _cached_arrays(self, int(n_top))
+        return _cached_arrays(self, count("n_top", n_top, 0))
 
     def fingerprint(self):
         """Stable short hash of the model parameters (used in CSV metadata)."""
@@ -194,27 +207,15 @@ def _cached_arrays(model, n_top):
     a[1:] = a_bg[idx]
     b[1:] = b_bg[idx]
 
-    pert = model.pert
-    if pert.kind != "zero" and n_top >= 1:
-        pa = _perturbation_values(pert, n, "a")
-        pb = _perturbation_values(pert, n, "b")
-        # Only touch sites the perturbation actually reaches; elsewhere the
-        # background floats pass through untouched.
-        if np.any(pa != 0.0):
-            a[1:] = a[1:] + pa
-        if np.any(pb != 0.0):
-            b[1:] = b[1:] + pb
-
-    if model.trunc is not None:
-        n0 = (model.trunc - 1) * q
-        if n0 <= n_top:
-            tail = np.arange(max(n0, 1), n_top + 1)
-            a[tail] = a_bg[(tail - 1) % q]
-            if n0 == 0:
-                a[0] = block.a_bg[q - 1]
-        if n0 + 1 <= n_top:
-            tail = np.arange(n0 + 1, n_top + 1)
-            b[tail] = b_bg[(tail - 1) % q]
+    # The truncation keeps the perturbation of a below site (N-1)q and of b
+    # up to it.  Only sites the perturbation reaches are touched; elsewhere
+    # the background floats pass through untouched.
+    n0 = np.inf if model.trunc is None else (model.trunc - 1) * q
+    for values, which, last in ((a, "a", n0 - 1), (b, "b", n0)):
+        sites = n[n <= last]
+        p = _perturbation_values(model.pert, sites, which)
+        if np.any(p != 0.0):
+            values[1 : sites.size + 1] += p
 
     bad = np.nonzero(a[1:] <= 0.0)[0]
     if bad.size:
@@ -240,11 +241,7 @@ def make_model(block, pert=None) -> CoefficientModel:
 def truncate(model, N) -> CoefficientModel:
     """Model whose coefficients follow the input up to site (N-1)q and are
     exactly the periodic background beyond.  Idempotent for equal N."""
-    if not (np.isfinite(N) and N == int(N)):
-        raise ValidationError(f"truncation index must be an integer, got {N}")
-    N = int(N)
-    if N < 1:
-        raise ValidationError(f"truncation index must be >= 1, got {N}")
+    N = count("truncation index N", N, 1)
     if model.trunc == N:
         return model
     return CoefficientModel(block=model.block, pert=model.pert, trunc=N)
@@ -252,9 +249,7 @@ def truncate(model, N) -> CoefficientModel:
 
 def q_variation_norm(model, n_max):
     """( sum_{n=1}^{n_max} |a(n+q)-a(n)|^2 + |b(n+q)-b(n)|^2 )^(1/2)."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    n_max = count("n_max", n_max, 1)
     q = model.block.q
     a, b = model.coefficient_arrays(n_max + q)
     da = a[1 + q : n_max + q + 1] - a[1 : n_max + 1]

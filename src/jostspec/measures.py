@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
-from .coefficients import truncate
+from .coefficients import count, truncate
 from .errors import BandEdgeError, OracleConvergenceError, ValidationError
 from .jost import _density_ladder, ac_density, log_density
 
@@ -123,10 +123,9 @@ def density_curve(model, N, interval, grid_points, method="key_formula"):
     recursion runs once for the whole grid, and the first energy outside a
     band interior raises BandEdgeError.
     """
-    if grid_points < 2:
-        raise ValidationError("grid_points must be >= 2")
+    grid_points = count("grid_points", grid_points, 2)
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
-    grid = np.linspace(float(lo), float(hi), int(grid_points))
+    grid = np.linspace(float(lo), float(hi), grid_points)
     if method == "key_formula":
         vals = ac_density(model, N, grid)
     elif method == "oracle":
@@ -153,9 +152,7 @@ def entropy_integrals(model, N, interval, quad_orders):
     error of its first failing node.  The integrand is log_density, formed
     in log space, so it stays finite at depths where the density itself
     underflows."""
-    orders = [int(order) for order in quad_orders]
-    if any(order < 4 for order in orders):
-        raise ValidationError("quad_order must be >= 4")
+    orders = [count("quad_order", order, 4) for order in quad_orders]
     lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -174,21 +171,16 @@ def moment(model, N_or_full, k, depth):
     N_or_full is a truncation index or None for the untruncated model; the
     moment depends only on sites <= k+1, so depth >= k+2 suffices exactly.
     """
-    k = int(k)
-    depth = int(depth)
-    if k < 0:
-        raise ValidationError("moment order must be >= 0")
-    if depth < k + 2:
-        raise ValidationError(f"depth must be >= k + 2 = {k + 2}")
+    k = count("moment order k", k, 0)
+    depth = count("depth", depth, k + 2)
     work = model if N_or_full is None else truncate(model, N_or_full)
     a, b = work.coefficient_arrays(depth)
-    v = [0.0] * depth
+    v = np.zeros(depth)
     v[0] = 1.0
     for _ in range(k):
-        w = [0.0] * depth
-        w[0] = a[1] * v[1] + b[1] * v[0]
-        for i in range(1, depth - 1):
-            w[i] = a[i + 1] * v[i + 1] + b[i + 1] * v[i] + a[i] * v[i - 1]
-        w[depth - 1] = b[depth] * v[depth - 1] + a[depth - 1] * v[depth - 2]
+        # row i of J v, summed as (a_(i+1) v_(i+1) + b_(i+1) v_i) + a_i v_(i-1)
+        w = b[1:] * v
+        w[:-1] = a[1:depth] * v[1:] + w[:-1]
+        w[1:] += a[1:depth] * v[:-1]
         v = w
     return float(v[0])

@@ -18,12 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    BandEdgeError,
-    DegenerateBranchError,
-    DiagonalizationError,
-    ValidationError,
-)
+from .coefficients import count
+from .errors import BandEdgeError, DegenerateBranchError, DiagonalizationError
 
 __all__ = [
     "discriminant",
@@ -271,8 +267,7 @@ def connection_matrices(model, n_blocks, zetas):
     without a usable eigenbasis (lowest block) comes before a singular
     U_{n-1} (lowest n).
     """
-    if n_blocks < 1:
-        raise ValidationError("need at least one block")
+    n_blocks = count("n_blocks", n_blocks, 1)
     q = model.block.q
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)

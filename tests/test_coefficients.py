@@ -3,6 +3,7 @@ import pytest
 
 import jostspec as js
 from jostspec.errors import CoefficientError, ValidationError
+from jostspec.transfer import connection_matrices
 
 
 def test_periodic_block_free():
@@ -148,3 +149,66 @@ def test_diagonal_shift_moves_b_by_constant():
     m1 = js.make_model(shifted)
     for n in range(1, 12):
         assert m1.b(n) - m0.b(n) == pytest.approx(0.7, abs=1e-12)
+
+
+def _baseline():
+    model = js.make_model(js.periodic_block(2, (1.0, 1.4), (0.1, -0.2)), js.PerturbationSpec.power(0.8, 0.5, 0.2))
+    return model, js.interval_constants(model.block, js.widest_trimmed_band(model.block, 0.1))
+
+
+# (argument named in the error, call with the count, lowest valid count); each
+# call returns something np.testing.assert_equal compares
+COUNT_ARGUMENTS = {
+    "periodic_block": ("q", lambda m, iv, q: js.periodic_block(q, [1.0] * 10, [0.0] * 10), 1),
+    "truncate": ("N", lambda m, iv, N: js.truncate(m, N), 1),
+    "coefficient_arrays": ("n_top", lambda m, iv, n: m.coefficient_arrays(n), 0),
+    "q_variation_norm": ("n_max", lambda m, iv, n: js.q_variation_norm(m, n), 1),
+    "density_curve": ("grid_points", lambda m, iv, g: js.density_curve(m, 6, iv, g).values, 2),
+    "entropy_integrals": ("quad_order", lambda m, iv, o: js.entropy_integrals(m, 6, iv, (8, o)), 4),
+    "moment_k": ("k", lambda m, iv, k: js.moment(m, None, k, 14), 0),
+    "moment_depth": ("depth", lambda m, iv, d: js.moment(m, 3, 2, d), 4),
+    "connection_matrices": ("n_blocks", lambda m, iv, n: connection_matrices(m, n, [0.4 + 0.05j]), 1),
+    "check_diagonal_products": ("n_blocks", lambda m, iv, n: js.check_diagonal_products(m, iv, n).measured, 6),
+    "check_w_summability": ("n_grid", lambda m, iv, n: js.check_w_summability(m, 0.4 + 0.05j, (n, 2 * n)).measured, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ARGUMENTS))
+def test_every_count_argument_is_an_integer_never_floored(entry):
+    name, call, low = COUNT_ARGUMENTS[entry]
+    model, iv = _baseline()
+    for bad in (2.5, np.float64(2.5), float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=rf"\b{name}\b.* must be an integer"):
+            call(model, iv, bad)
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        call(model, iv, low - 1)
+    expected = call(model, iv, 10)
+    for same in (np.int64(10), 10.0):
+        np.testing.assert_equal(call(model, iv, same), expected)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "pert",
+    [
+        js.PerturbationSpec.zero(),
+        js.PerturbationSpec.finite([0.05, 0.0, -0.03] * 3, [0.1, -0.08] * 5),
+        js.PerturbationSpec.power(0.3, 0.5, 0.2, target="a"),
+        js.PerturbationSpec.power(0.3, 0.5, 0.2, target="b"),
+        js.PerturbationSpec.power(0.3, 0.5, 0.2, target="both"),
+    ],
+    ids=["zero", "finite_list", "power-a", "power-b", "power-both"],
+)
+def test_truncation_keeps_a_below_the_cut_and_b_up_to_it(q, pert):
+    block = js.periodic_block(q, 1.0 + 0.1 * np.arange(q), -0.2 + 0.15 * np.arange(q))
+    model = js.make_model(block, pert)
+    for N in range(1, 7):
+        n0 = (N - 1) * q
+        for n_top in sorted({max(n0 - 1, 0), n0, n0 + 1, n0 + 2 * q + 3}):
+            a, b = js.truncate(model, N).coefficient_arrays(n_top)
+            full_a, full_b = model.coefficient_arrays(n_top)
+            bg_a, bg_b = js.make_model(block).coefficient_arrays(n_top)
+            assert a.size == b.size == n_top + 1
+            assert a[0] == block.a_bg[q - 1]
+            assert np.array_equal(a[1:n0], full_a[1:n0]) and np.array_equal(a[n0:], bg_a[n0:])
+            assert np.array_equal(b[1 : n0 + 1], full_b[1 : n0 + 1]) and np.array_equal(b[n0 + 1 :], bg_b[n0 + 1 :])

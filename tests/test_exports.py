@@ -37,6 +37,18 @@ def test_readme_quick_start_runs():
     assert namespace["entropy"] < 0 and namespace["report"].passed
 
 
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_readme_config_example_runs(tmp_path, experiment):
+    # configparser reads an inline "# ..." as part of the value, so each
+    # comment of the example must stand on its own line
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    config = tmp_path / "config.ini"
+    config.write_text(blocks[0], encoding="utf-8")
+    assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{experiment}.csv").exists()
+
+
 def readme_names(text):
     """The backticked tokens outside code blocks that name code: module.name,
     with or without the jostspec. prefix, and bare lowercase identifiers

@@ -163,6 +163,37 @@ def test_moment_depth_validation(free_model):
         js.moment(free_model, None, 4, 5)
 
 
+def moment_by_lists(model, N_or_full, k, depth):
+    """<delta_1, J^k delta_1> by Python-list tridiagonal steps, each row
+    summed as (a_(i+1) v_(i+1) + b_(i+1) v_i) + a_i v_(i-1)."""
+    work = model if N_or_full is None else js.truncate(model, N_or_full)
+    a, b = work.coefficient_arrays(depth)
+    v = [0.0] * depth
+    v[0] = 1.0
+    for _ in range(k):
+        w = [0.0] * depth
+        w[0] = a[1] * v[1] + b[1] * v[0]
+        for i in range(1, depth - 1):
+            w[i] = a[i + 1] * v[i + 1] + b[i + 1] * v[i] + a[i] * v[i - 1]
+        w[depth - 1] = b[depth] * v[depth - 1] + a[depth - 1] * v[depth - 2]
+        v = w
+    return float(v[0])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "pert",
+    [js.PerturbationSpec.power(0.3, 0.5, 0.2, target="both"), js.PerturbationSpec.finite([0.05, -0.03] * 4, [0.1, -0.08, 0.02] * 3)],
+    ids=["power-both", "finite_list"],
+)
+def test_moment_matches_list_steps_bit_for_bit(q, pert):
+    model = js.make_model(random_block(np.random.default_rng(q), q), pert)
+    for N in (None, 1, 3, 8):
+        for k in range(12):
+            for depth in (k + 2, k + 5, 30):
+                assert js.moment(model, N, k, depth) == moment_by_lists(model, N, k, depth)
+
+
 def test_moment_truncation_invisible_beyond_radius(acceptance_suite):
     for model, _, _ in acceptance_suite[:6]:
         q = model.block.q
