@@ -127,18 +127,23 @@ def period_products(a, b, zeta, q, n_blocks):
     site n_blocks * q.  zeta is a 1-D array of energies (a scalar counts as
     one).  Returns the entries (p11, p12, p21, p22), each an
     (n_blocks, len(zeta)) complex array.
+
+    A block's product starts from its first site's matrix.  t11 is
+    (zeta - b[k]) * (1/a[k]), the product NumPy's complex division by a real
+    forms, so the entries keep the bits of the identity-start loop with a
+    true division unless zeta - b[k] has a -0.0 part; t12 stays a real
+    division, which -a[k-1] * (1/a[k]) would round differently.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
-    shape = (n_blocks, zeta.shape[0])
-    p11 = np.ones(shape, dtype=np.complex128)
-    p12 = np.zeros(shape, dtype=np.complex128)
-    p21 = np.zeros(shape, dtype=np.complex128)
-    p22 = np.ones(shape, dtype=np.complex128)
     top = n_blocks * q
     for j in range(1, q + 1):
         # site k = nb*q + j of every block nb
         a_k = a[j : top + 1 : q, None]
-        t11 = (zeta - b[j : top + 1 : q, None]) / a_k
+        t11 = (zeta - b[j : top + 1 : q, None]) * (1.0 / a_k)
         t12 = -a[j - 1 : top : q, None] / a_k
-        p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+        if j > 1:
+            p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+        else:
+            p11, p12 = t11, np.broadcast_to(t12, t11.shape).astype(np.complex128)
+            p21, p22 = np.ones_like(t11), np.zeros_like(t11)
     return p11, p12, p21, p22

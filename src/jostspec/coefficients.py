@@ -149,8 +149,8 @@ def _perturbation_values(pert, n, which):
 class CoefficientModel:
     """Full coefficient sequences: background plus perturbation.
 
-    a(n) is defined for n >= 0 (a(0) = a°_0, fixed convention); b(n) for
-    n >= 1.  With truncation N set, a(n) = a°_n for n >= (N-1)q and
+    a(n) is defined for integers n >= 0 (a(0) = a°_0, fixed convention);
+    b(n) for n >= 1.  With truncation N set, a(n) = a°_n for n >= (N-1)q and
     b(n) = b°_n for n > (N-1)q, bypassing perturbation arithmetic entirely
     so the tail is bit-exact background.
     """
@@ -160,6 +160,7 @@ class CoefficientModel:
     trunc: int | None = None
 
     def a(self, n):
+        n = count("n", n, -np.inf)
         if n < 0:
             raise ValidationError("a(n) is defined for n >= 0")
         if n == 0:
@@ -168,6 +169,7 @@ class CoefficientModel:
         return float(arr_a[n])
 
     def b(self, n):
+        n = count("n", n, -np.inf)
         if n < 1:
             raise ValidationError("b(n) is defined for n >= 1")
         _, arr_b = self.coefficient_arrays(_round_up(n))

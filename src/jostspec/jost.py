@@ -17,7 +17,9 @@ and measures.entropy_integrals, and the product walk (joined at block N-3,
 in chunks of CHUNK blocks counted from the top and from each join point)
 behind product_forms and certify.check_harmonic_hypotheses.  The one-N
 functions are the one-rung case; every N gets its own walk's bits.  The
-certificate's walk forms no log prefactor and no kappa, as it reads neither.
+product walk's steps take no division: it is folded into coefficients
+formed once per chunk.  The certificate's walk forms no log prefactor and
+no kappa, as it reads neither.
 """
 
 from __future__ import annotations
@@ -334,8 +336,8 @@ class _Walk:
     state row per truncation (rung): the normalized pair (v0, v1), the log
     prefactor and the modulus floor kappa (None without `prefactor`), and the
     (code, index) of the row's lowest chain fault and highest walk fault.
-    Each step is a NumPy operation over all rows and points, the block's rows
-    broadcast over the rungs.
+    Each step is three products and two sums over all rows and points, from
+    the chunk's folded coefficients (product_forms) broadcast over the rungs.
     """
 
     def __init__(self, work, points, prefactor=True):
@@ -376,30 +378,20 @@ class _Walk:
         if self.kappa is not None:
             self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
         lam = np.concatenate([lam_c[1:], self.lam])
-        (w11, w12, w21, w22), singular = transfer.connection_entries(
-            u_c, tuple(np.concatenate([x[1:], y]) for x, y in zip(u_c, self.u))
-        )
+        c11, c12, c21 = (np.concatenate([x[1:], y]) for x, y in zip(u_c[:3], self.u))
+        (w11, w12, w21, w22), singular = transfer.connection_entries(u_c, (c11, c12, c21, c21))
         one_alpha = 1.0 + w11
-        diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
         dead = one_alpha == 0
         if singular.any() or dead.any():
             code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
             fresh = (code != 0) & (self.walk[0] == 0)
             index = hi - top - (code == SINGULAR_U)
             self.walk = (np.where(fresh, code, self.walk[0]), np.where(fresh, index, self.walk[1]))
-        # only a chunk with a W_n = 0 step needs the mask (lam2 is read only then);
-        # np.where with a false mask returns its second operand exactly
-        masked = diagonal.any()
-        rows = zip(lam, one_alpha, w12, w21, 1.0 + w22, lam * one_alpha, lam * lam if masked else lam, diagonal)
+        # the step matrix [[1, A_n], [B_n, C_n]] of product_forms, for every block at once
+        r = 1.0 / (lam * lam * one_alpha)
         v0, v1 = self.v0, self.v1
-        for lam_n, oa, w12_n, w21_n, ow22, denom, lam2, diag in reversed(list(rows)):
-            t0 = lam_n * v0
-            t1 = v1 / lam_n
-            new0 = (oa * t0 + w12_n * t1) / denom
-            new1 = (w21_n * t0 + ow22 * t1) / denom
-            if masked:
-                new0, new1 = np.where(diag, v0, new0), np.where(diag, v1 / lam2, new1)
-            v0, v1 = new0, new1
+        for a_n, b_n, c_n in reversed(list(zip(w12 * r, w21 / one_alpha, (1.0 + w22) * r))):
+            v0, v1 = v0 + a_n * v1, b_n * v0 + c_n * v1
         self.v0, self.v1 = v0, v1
         if self.logpref is not None:
             inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
@@ -452,17 +444,19 @@ def product_forms(model, N, points) -> ProductForm:
     """The product representation at every point of a 1-D sequence, in one walk.
 
     Evaluates the connection-matrix recursion Psi <- (I + W_n) Lambda_n Psi
-    from block N-1 down to block 1, dividing out lambda_n (1 + alpha_n) at
-    each step so the normalized pair (phi_N, nu_N) and the log-space
+    from block N-1 down to block 1, with lambda_n (1 + alpha_n) divided out
+    of each step so the normalized pair (phi_N, nu_N) and the log-space
     prefactor come out separately.  The walk takes CHUNK blocks at a time,
-    counted from the top: one chain_blocks and one connection_entries call and
-    the logarithms and masks as arrays per chunk, then one NumPy step over
-    all points per block, in descending n.  Each step adds
+    counted from the top: per chunk one chain_blocks and one
+    connection_entries call and, as arrays, the logarithms and the step
+    coefficients A_n = w12 r, B_n = w21 / (1 + alpha_n) and C_n = (1 + w22) r
+    with r = 1 / (lambda_n^2 (1 + alpha_n)); then per block, in descending
+    n, phi <- phi + A_n nu, nu <- B_n phi + C_n nu (both from the old phi)
+    over all points: three products and two sums, no division.  At W_n = 0
+    (identical eigenbases) A_n = B_n = 0, so phi is kept exactly.  Each step adds
     ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to
-    log_prefactor, with no complex logarithm.  A step with W_n = 0
-    (identical eigenbases) has 1 + alpha_n = 1 exactly and only rescales nu
-    by lambda_n^{-2}; a chunk with no such step takes its steps without that
-    mask.  This is the one-rung case of the ladder walk.
+    log_prefactor, with no complex logarithm.  This is the one-rung case of
+    the ladder walk.
 
     Raises the error of the first failing point in order: a block without a
     usable eigenbasis (lowest block) before a singular U_{n-1} or

@@ -239,21 +239,20 @@ def chain_blocks(a, b, zetas, q, first, count):
 def connection_entries(prev, cur):
     """Entries of W_n = U_{n-1} U_n^{-1} - I, elementwise.
 
-    prev and cur are the U^{-1} entry tuples of blocks n-1 and n.  Identical
-    eigenbases give W = 0 exactly.  Returns (w, singular): the entries
-    (w11, w12, w21, w22) and the mask where U_{n-1} is singular.
+    prev and cur are the U^{-1} entry tuples of blocks n-1 and n with equal
+    lower-row entries (u21 = u22), as chain_blocks returns them, so u21
+    stands for u22 below: four distinct products for W and three
+    comparisons for W = 0.  Identical eigenbases give W = 0 exactly.  Returns
+    (w, singular): the entries (w11, w12, w21, w22) and the mask where
+    U_{n-1} is singular.
     """
-    p11, p12, p21, p22 = prev
-    c11, c12, c21, c22 = cur
-    same = (p11 == c11) & (p12 == c12) & (p21 == c21) & (p22 == c22)
-    det = p11 * p22 - p12 * p21
+    p11, p12, p21, _ = prev
+    c11, c12, c21, _ = cur
+    same = (p11 == c11) & (p12 == c12) & (p21 == c21)
+    det = p11 * p21 - p12 * p21
+    x11, x12, y12, y11 = p21 * c11, p21 * c12, p12 * c21, p11 * c21
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        w = (
-            (p22 * c11 - p12 * c21) / det - 1.0,
-            (p22 * c12 - p12 * c22) / det,
-            (-p21 * c11 + p11 * c21) / det,
-            (-p21 * c12 + p11 * c22) / det - 1.0,
-        )
+        w = ((x11 - y12) / det - 1.0, (x12 - y12) / det, (y11 - x11) / det, (y11 - x12) / det - 1.0)
     if same.any():
         w = tuple(np.where(same, 0j, x) for x in w)
     return w, ~same & (det == 0)

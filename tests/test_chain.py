@@ -125,11 +125,8 @@ def reference_forms(model, N, points):
             record(singular, transfer.SINGULAR_U, n - 1)
             record(~diagonal & (1.0 + w11 == 0), transfer.DEAD_ALPHA, n)
             one_alpha = 1.0 + w11
-            t0 = lam * v0
-            t1 = v1 / lam
-            denom = lam * one_alpha
-            v0 = np.where(diagonal, v0, (one_alpha * t0 + w12 * t1) / denom)
-            v1 = np.where(diagonal, v1 / (lam * lam), (w21 * t0 + (1.0 + w22) * t1) / denom)
+            r = 1.0 / (lam * lam * one_alpha)
+            v0, v1 = v0 + (w12 * r) * v1, (w21 / one_alpha) * v0 + ((1.0 + w22) * r) * v1
             # ln|lambda| + ln|1 + alpha| + i (arg lambda + arg(1 + alpha)),
             # with 1 + alpha = 1 exactly on a diagonal step
             ln_abs = np.log(np.abs(lam)) + np.log(np.abs(one_alpha))
@@ -207,6 +204,114 @@ def test_product_forms_match_reference(baseline_model):
         sol = js.jost_solution(baseline_model, N, zeta)
         scale = max(abs(sol.u0), abs(sol.u1))
         assert abs(u0 - sol.u0) <= 1e-8 * scale and abs(u1 - sol.u1) <= 1e-8 * scale
+
+
+def eight_product_entries(prev, cur):
+    """connection_entries with every entry of U_{n-1} and U_n^{-1} read on
+    its own: eight products for W and four comparisons for W = 0."""
+    p11, p12, p21, p22 = prev
+    c11, c12, c21, c22 = cur
+    same = (p11 == c11) & (p12 == c12) & (p21 == c21) & (p22 == c22)
+    det = p11 * p22 - p12 * p21
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        w = (
+            (p22 * c11 - p12 * c21) / det - 1.0,
+            (p22 * c12 - p12 * c22) / det,
+            (-p21 * c11 + p11 * c21) / det,
+            (-p21 * c12 + p11 * c22) / det - 1.0,
+        )
+    if same.any():
+        w = tuple(np.where(same, 0j, x) for x in w)
+    return w, ~same & (det == 0)
+
+
+def bits(x):
+    # the IEEE bit patterns, so +0.0 and -0.0 differ
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "finite_list"])
+def test_connection_entries_match_eight_products_bit_for_bit(baseline_model, kind):
+    q, n_blocks = 2, 40
+    if kind == "baseline":
+        model, points = baseline_model, POINTS
+    else:
+        model, points = _support_model_and_points(q)
+    a, b = model.coefficient_arrays(n_blocks * q)
+    _, u, _ = transfer.chain_blocks(a, b, points, q, 0, n_blocks)
+    # the precondition: the lower row of each U_n^{-1} has equal entries
+    assert np.array_equal(u[2], u[3])
+    prev, cur = tuple(x[:-1] for x in u), tuple(x[1:] for x in u)
+    (w, singular), (want, want_singular) = transfer.connection_entries(prev, cur), eight_product_entries(prev, cur)
+    for got, ref in zip(w, want):
+        assert np.array_equal(bits(got), bits(ref))
+    assert np.array_equal(singular, want_singular)
+    # W = 0 exactly past the finite support only
+    zero = (np.array(w) == 0).all(axis=0)
+    assert zero.any() == (kind == "finite_list") and not zero.all()
+
+
+def _division_step_walk(lam, w, N):
+    """(phi_N, nu_N) of the walk with the division step: t0 = lambda v0,
+    t1 = v1 / lambda, then each entry of (I + W_n)(t0, t1) divided by
+    lambda (1 + alpha_n)."""
+    v0 = np.ones(lam.shape[1], dtype=np.complex128)
+    v1 = np.zeros(lam.shape[1], dtype=np.complex128)
+    for n in range(N - 1, 0, -1):
+        w11, w12, w21, w22 = (x[n - 1] for x in w)
+        t0, t1, denom = lam[n] * v0, v1 / lam[n], lam[n] * (1.0 + w11)
+        v0, v1 = ((1.0 + w11) * t0 + w12 * t1) / denom, (w21 * t0 + (1.0 + w22) * t1) / denom
+    return v0, v1
+
+
+def _exact_walk(mpmath, lam, w, N, i):
+    """(phi_N, nu_N) at point i in 40-digit arithmetic from the double chain
+    data: phi <- phi + w12 nu / (lambda^2 (1 + alpha)),
+    nu <- (w21 phi + (1 + w22) nu / lambda^2) / (1 + alpha)."""
+    with mpmath.workdps(40):
+        phi, nu = mpmath.mpc(1), mpmath.mpc(0)
+        for n in range(N - 1, 0, -1):
+            lam_n = mpmath.mpc(complex(lam[n, i]))
+            w11, w12, w21, w22 = (mpmath.mpc(complex(x[n - 1, i])) for x in w)
+            one_alpha, lam2 = 1 + w11, lam_n * lam_n
+            phi, nu = phi + w12 * nu / (lam2 * one_alpha), (w21 * phi + (1 + w22) * nu / lam2) / one_alpha
+        return phi, nu
+
+
+# Perturbations of the baseline block whose q-variation is square-summable
+# (in; in-slow, whose sum converges slowly) and is not (out).
+ACCURACY_MODELS = {
+    "in": js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2),
+    "in-slow": js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.6),
+    "out": js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCURACY_MODELS))
+def test_folded_step_against_exact_walk(baseline_model, baseline_interval, name):
+    mpmath = pytest.importorskip("mpmath")
+    N, iv = 320, baseline_interval
+    es = np.linspace(iv.lo, iv.hi, 6)
+    points = np.concatenate([es + 0j, es + 1j * iv.eps_I * 0.5 ** np.arange(0, 12, 2)])
+    work = js.truncate(js.make_model(baseline_model.block, ACCURACY_MODELS[name]), N)
+    a, b = work.coefficient_arrays(N * 2)
+    lam, u, faults = transfer.chain_blocks(a, b, points, 2, 0, N)
+    assert not faults.any()
+    w, _ = transfer.connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
+    form = js.product_forms(work, N, points)
+    old = _division_step_walk(lam, w, N)
+    errors = {"folded": [], "division": []}
+    for i in range(len(points)):
+        phi, nu = _exact_walk(mpmath, lam, w, N, i)
+        scale = max(abs(phi), abs(nu))
+        for key, (got_phi, got_nu) in (("folded", (form.phi_N, form.nu_N)), ("division", old)):
+            err = max(abs(mpmath.mpc(complex(got_phi[i])) - phi), abs(mpmath.mpc(complex(got_nu[i])) - nu))
+            errors[key].append(float(err / scale))
+    # at most one rounding unit per step, and no worse than the division
+    # step at its worst point or in the median
+    assert max(errors["folded"]) <= N * 2.0**-53
+    assert max(errors["folded"]) <= max(errors["division"])
+    assert np.median(errors["folded"]) <= np.median(errors["division"])
 
 
 C = jost.CHUNK

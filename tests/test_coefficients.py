@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,20 @@ def test_model_rejects_indices_below_its_range(free_block):
         model.a(-1)
     with pytest.raises(ValidationError, match=r"b\(n\) is defined for n >= 1"):
         model.b(0)
+
+
+@pytest.mark.parametrize("n, site", [(2.0, 2), (np.int64(2), 2), (np.float64(2.0), 2), (True, 1)])
+def test_model_reads_integral_indices_as_integers(free_block, n, site):
+    model = js.make_model(free_block, js.PerturbationSpec.finite(alpha=[0.1, 0.2], beta=[0.1, 0.3]))
+    assert (model.a(n), model.b(n)) == (model.a(site), model.b(site)) == ([1.1, 1.2][site - 1], [0.1, 0.3][site - 1])
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf, "2"])
+def test_model_rejects_non_integer_indices(free_block, which, n):
+    model = js.make_model(free_block, js.PerturbationSpec.finite(beta=[0.1]))
+    with pytest.raises(ValidationError, match=rf"^n must be an integer, got {n}$"):
+        getattr(model, which)(n)
 
 
 def test_coefficient_error_on_nonpositive_a(free_block):

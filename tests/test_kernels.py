@@ -224,6 +224,50 @@ def test_strip_downward_matches_indexed_loop_bit_for_bit(q, points):
     assert np.array_equal(got, indexed_strip(a, b, zetas, tails, depth), equal_nan=True)
 
 
+def identity_start_products(a, b, zeta, q, n_blocks):
+    """period_products from the identity matrix, with t11 a complex division
+    by the real a[k]."""
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    shape = (n_blocks, zeta.shape[0])
+    p11, p12 = np.ones(shape, dtype=np.complex128), np.zeros(shape, dtype=np.complex128)
+    p21, p22 = np.zeros(shape, dtype=np.complex128), np.ones(shape, dtype=np.complex128)
+    top = n_blocks * q
+    for j in range(1, q + 1):
+        a_k = a[j : top + 1 : q, None]
+        t11 = (zeta - b[j : top + 1 : q, None]) / a_k
+        t12 = -a[j - 1 : top : q, None] / a_k
+        p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+    return p11, p12, p21, p22
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+def test_period_products_match_identity_start_loop_bit_for_bit(q):
+    rng = np.random.default_rng(70 + q)
+    # real, complex-step, strip and lower half-plane heights
+    heights = np.array([0.0, 1e-100, 1e-3, 0.3, -0.05])
+    for n_blocks in range(1, 21):
+        # a, b and Re zeta on a 0.1 grid, so that Re zeta = b[k] occurs; the
+        # + 0.0 turns a rounded -0.0 into +0.0 (the products and a division
+        # differ in the sign of a zero from a -0.0 part of zeta - b[k])
+        a = np.round(rng.uniform(0.3, 2.0, n_blocks * q + 1), 1)
+        b = np.round(rng.uniform(-1.0, 1.0, n_blocks * q + 1), 1) + 0.0
+        b[rng.integers(1, n_blocks * q + 1, 2)] = 0.0
+        re = np.concatenate([rng.choice(b[1:], 4), np.round(rng.uniform(-2.5, 2.5, 4), 1) + 0.0, [0.0]])
+        zeta = (re[None, :] + 1j * heights[:, None]).ravel()
+        got = _kernels.period_products(a, b, zeta, q, n_blocks)
+        want = identity_start_products(a, b, zeta, q, n_blocks)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape == (n_blocks, zeta.size)
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    # Re zeta = -0.0 on b[k] = +0.0, or Im zeta = -0.0, may flip the sign of
+    # a zero entry, never a value
+    zeta = np.empty(heights.size + 1, dtype=np.complex128)
+    zeta.real, zeta.imag = -0.0, np.append(heights, -0.0)
+    got = _kernels.period_products(a, b, zeta, q, n_blocks)
+    for x, y in zip(got, identity_start_products(a, b, zeta, q, n_blocks)):
+        assert np.array_equal(x, y)
+
+
 def test_batched_density_matches_pointwise(baseline_model):
     iv = js.widest_trimmed_band(baseline_model.block, margin=0.1)
     curve = js.density_curve(baseline_model, 50, iv, 21)
