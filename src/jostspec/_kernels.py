@@ -1,40 +1,35 @@
 """Site-level numeric kernels.
 
 These recursions visit every lattice site, so they dominate runtime once
-truncation depths reach 1e3-1e5 sites.  The backward Jost recursion and the
-stripping map are sequential in the site but independent across energies, so
-both take 1-D arrays of energies and boundary data: one Python loop runs over
-the sites, and each step is a few NumPy calls over all energies at once.
-Working memory is O(sites + energies): one complex128 copy per site
-coefficient the loop reads, and a fixed set of energy buffers; no
-(sites x energies) array is formed unless the caller asks for the full
-solution rows.  The backward recursion's overflow guard checks magnitudes
-only where a growth bound allows one.
+truncation depths reach 1e3-1e5 sites.  They take 1-D arrays of energies,
+and each NumPy call works on all of them elementwise: a column of a batch
+equals the same energy's call on its own, bit for bit.  Working memory is
+O(sites + energies), or O(chunk x energies) for the chain's period products.
 
-The site loops are bound by per-call overhead, not arithmetic, so a step
-keeps its calls few and cheap: each site coefficient enters as a 0-d view
-such as b_c[n, ...] of a complex128 copy (a Python float operand costs about
-half as much again per call), and every result goes to a buffer made before
-the loop through a positional out argument.  Operand order is part of the
-result: a complex product of two arrays may differ in the last bit when its
-operands swap, because the loop uses FMA.  So every operand keeps its place,
+A per-site step is bound by per-call overhead, not arithmetic, so it keeps
+its calls few and cheap: each site coefficient enters as a 0-d view such as
+b_c[n, ...] of a complex128 copy (a Python float operand costs about half as
+much again per call), and every result goes to a buffer made before the loop
+through a positional out argument.  Operand order is part of the result: a
+complex product of two arrays may differ in the last bit when its operands
+swap, because the loop uses FMA.  So every operand keeps its place,
 (b_n - zeta) * u_n, u_{n+1} * a_n, (...) * (-1/a_{n-1}), (b_n - zeta) -
-a_n^2 m and 1 / (...).  Every step is elementwise across energies, so a
-column of a batch equals the same energy's call on its own, bit for bit.
-
-The period-block products of the renormalized block chain are independent
-across blocks as well as energies: one Python loop runs over the q sites of a
-period, and each step is a NumPy operation over every requested block and
-energy.  The chain's product walk asks for a fixed chunk of blocks at a
-time, so its working memory is O(chunk x energies).
+a_n^2 m and 1 / (...).  The stripping map takes four calls a site, the
+backward recursion five, but only above its highest block boundary: below
+it, three calls a site form the products of a group of blocks at once, in
+float64 where every energy is real, and two calls a block apply them.
 """
 
 import numpy as np
 
-# Magnitude guard for the backward recursion: above this the working pair is
-# rescaled by 2**-RESCALE_SHIFT and the shift is accumulated.
-RESCALE_THRESHOLD = 1e280
+# Guard of the backward recursion: a block product or pair above this is
+# rescaled by 2**-RESCALE_SHIFT, so a product times a pair stays below 2**1001.
+RESCALE_THRESHOLD = 2.0**500
 RESCALE_SHIFT = 600
+# Sites per block of the backward recursion, counted from a call's site 1;
+# block x energy entries of a group of block products (and of x_n per call).
+BLOCK = 64
+GROUP = 1 << 13
 
 
 def _energy_arrays(zeta, *values):
@@ -54,36 +49,89 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     u[m+1] = u_top, u[m] = u_second.  zeta, u_top and u_second are 1-D arrays
     of equal length (scalars broadcast).  Returns (u0, u1, scale_log2): the
     values u[0], u[1] and the power-of-two rescale exponent of each energy
-    (the true solution is u * 2**scale_log2).  Only the working pair is
-    rescaled when the guard fires.
+    (the true solution is u * 2**scale_log2).
 
-    A step grows max(|u[n+1]|, |u[n]|) at most by (max|a| + max|b| +
-    max|zeta|) / min|a|; the guard checks magnitudes only where this bound
-    allows an overflow, so it rescales at the steps a check per step would.
-    Hence a run split at a site k continues bit for bit: the run on
-    a[k-1:], b[k-1:] returns (u[k-1], u[k]), the run on a[:k], b[:k] from
-    u_top = u[k], u_second = u[k-1] returns the unsplit u[0] and u[1], and
-    the two scale_log2 add up to the unsplit one.  jost's recursion ladder
-    rests on this.
+    Sites above the highest multiple of BLOCK take the per-site step; below
+    it one product M_s ... M_{s+BLOCK-1} per block is applied to the pair,
+    where M_n = [[0, 1], [y_n, x_n]], y_n = -a[n] / a[n-1] and
+    x_n = (zeta - b[n]) / a[n-1] maps (u[n+1], u[n]) to (u[n], u[n-1]).
+    The guard rescales a block product after a step, and the pair after a
+    site or a block, where its largest magnitude exceeds RESCALE_THRESHOLD,
+    checking only where a growth bound of (max|a| + max|b| + max|zeta|) /
+    min|a| per site allows it.  So u * 2**scale_log2 (in the normal range)
+    does not depend on where it fired, and a run split at a block boundary
+    k = 1 (mod BLOCK) continues bit for bit, as jost's recursion ladder
+    needs: the run on a[k-1:], b[k-1:] returns (u[k-1], u[k]), the run on
+    a[:k], b[:k] from u_top = u[k], u_second = u[k-1] the unsplit u[0] and
+    u[1], and the two scale_log2 add up to the unsplit one.
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
-    whole solution u[0..m+1], every row on the final scale of its energy.
+    whole solution u[0..m+1] on the final scale of each energy: the pairs at
+    block boundaries, the per-site step from a block's top pair inside it.
+    The returned values do not depend on rows.
     """
     zeta, hi, lo = _energy_arrays(zeta, u_top, u_second)
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     m = a.shape[0] - 1
+    top = m - m % BLOCK
     scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
-    factor = 2.0 ** (-RESCALE_SHIFT)
+    growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
+    lo, hi = _site_steps(a[top:], b[top:], zeta, hi, lo, 0, scale_log2, growth, None if rows is None else rows[top:])
+    if not top:
+        return lo, hi, scale_log2
+    z = zeta if zeta.imag.any() else np.ascontiguousarray(zeta.real)
+    pair, terms = np.array([hi, lo]), np.empty((2, 2, zeta.shape[0]), dtype=np.complex128)
+    factor, bound, per = 2.0 ** (-RESCALE_SHIFT), _peak(pair), max(1, GROUP // zeta.shape[0])
+    # the products of GROUP block x energy entries at once, from the top down
+    for k1 in range(top // BLOCK, 0, -per):
+        k0 = max(k1 - per, 0)
+        prod, shifts = _block_products(a, b, z, k0, k1, growth)
+        # |P u| <= 2 max|P| max|u|
+        peaks = (np.abs(prod).max(axis=(0, 1, 3)) * (2 * (1 + 1e-9))).tolist()
+        for k in range(k1 - k0 - 1, -1, -1):
+            before = None if rows is None else scale_log2.copy()
+            np.multiply(prod[:, :, k], pair, terms)
+            np.add(terms[:, 0], terms[:, 1], pair)
+            if shifts is not None:
+                scale_log2 += shifts[k]
+            bound *= peaks[k]
+            if not bound <= RESCALE_THRESHOLD:
+                big = np.abs(pair).max(axis=0) > RESCALE_THRESHOLD
+                if big.any():
+                    pair[:, big] *= factor
+                    scale_log2[big] += RESCALE_SHIFT
+                bound = _peak(pair)
+            if rows is not None:
+                # the rows above move to the pair's scale; the per-site step
+                # fills the block of sites s .. s+BLOCK-1 from its top pair
+                s, shift, above = (k0 + k) * BLOCK + 1, before - scale_log2, rows[(k0 + k + 1) * BLOCK :]
+                if shift.any():
+                    above.real, above.imag = np.ldexp(above.real, shift), np.ldexp(above.imag, shift)
+                u_lo, u_hi = above[:2].copy()
+                _site_steps(a[s : s + BLOCK], b[s : s + BLOCK], zeta, u_hi, u_lo, 1, None, 0, rows[s : s + BLOCK + 1])
+                rows[s - 1], rows[s] = pair[1], pair[0]
+        # free this group's products before the next group's exist
+        del prod, shifts
+    return pair[1], pair[0], scale_log2
+
+
+def _site_steps(a, b, zeta, hi, lo, stop, scale_log2, growth, rows):
+    """Steps n = m .. stop+1 one site at a time, on site arrays indexed 0..m,
+    from (hi, lo) = (u[m+1], u[m]); returns (u[stop], u[stop+1]) and writes
+    rows[stop..m+1] if rows is given.  Without scale_log2 the guard is off."""
+    m = a.shape[0] - 1
     if rows is not None:
         rows[m:] = lo, hi
-    growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
-    bound = _peak(hi, lo)
+    if m == stop:
+        return lo, hi
+    factor = 2.0 ** (-RESCALE_SHIFT)
+    bound = 0.0 if scale_log2 is None else _peak(hi, lo)
     # -(x / a) is x * (-1 / a) bit for bit.  A complex product over its own
     # one-element input can round differently.
     neg_inv = (-1.0 / a).astype(np.complex128)
     a_c, b_c = a.astype(np.complex128), b.astype(np.complex128)
     new, diff, tmp = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
-    for n in range(m, 0, -1):
+    for n in range(m, stop, -1):
         np.subtract(b_c[n, ...], zeta, diff)
         np.multiply(diff, lo, tmp)
         np.multiply(hi, a_c[n, ...], new)
@@ -102,7 +150,45 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
                     rows[n - 1 :, big] *= factor
             bound = _peak(new, lo)
         hi, lo, new = lo, new, hi
-    return lo, hi, scale_log2
+    return lo, hi
+
+
+def _block_products(a, b, zeta, k0, k1, growth):
+    """The products M_s ... M_{s+BLOCK-1}, s = k BLOCK + 1, of the blocks
+    k = k0 .. k1-1 as an array (row, column, block, energy) of zeta's dtype,
+    and the guard's shifts per (block, energy) or None.  From the top site's
+    matrix, a step M_n P moves P's second row up and forms y_n r1 + x_n r2."""
+    g, e = k1 - k0, zeta.shape[0]
+    sites, below = slice(k0 * BLOCK + 1, k1 * BLOCK + 1), slice(k0 * BLOCK, k1 * BLOCK)
+    # site columns (BLOCK, block, 1), so that a step takes views
+    columns = (1.0 / a[below], -a[sites] / a[below], b[sites])
+    inv, y, b_n = (np.ascontiguousarray(v.reshape(g, BLOCK).T)[:, :, None] for v in columns)
+    prod, t = np.empty((2, 2, g, e), dtype=zeta.dtype), np.empty((2, g, e), dtype=zeta.dtype)
+    xs = np.empty((min(max(GROUP // (g * e), 1), BLOCK - 1), g, e), dtype=zeta.dtype)
+    # each of the BLOCK - 1 steps swaps the row names
+    r1, r2 = prod[(BLOCK - 1) % 2], prod[BLOCK % 2]
+    r1[0], r1[1], r2[0] = 0.0, 1.0, y[-1]
+    np.multiply(np.subtract(zeta, b_n[-1], r2[1]), inv[-1], r2[1])
+    factor, bound, shifts = 2.0 ** (-RESCALE_SHIFT), growth, None
+    for top in range(BLOCK - 1, 0, -len(xs)):
+        cols = slice(max(top - len(xs), 0), top)
+        x = xs[: top - cols.start]
+        np.multiply(np.subtract(zeta, b_n[cols], x), inv[cols], x)
+        for x_n, y_n in zip(x[::-1], y[cols][::-1]):
+            np.multiply(r1, y_n, r1)
+            np.multiply(r2, x_n, t)
+            np.add(r1, t, r1)
+            r1, r2 = r2, r1
+            bound *= growth
+            if not bound <= RESCALE_THRESHOLD:
+                peak = np.abs(prod).max(axis=(0, 1))
+                big = peak > RESCALE_THRESHOLD
+                if big.any():
+                    shifts = np.where(big, RESCALE_SHIFT, 0) + (0 if shifts is None else shifts)
+                    prod *= np.where(big, factor, 1.0)
+                    peak[big] *= factor
+                bound = float(peak.max())
+    return prod, shifts
 
 
 def strip_downward(a, b, zeta, m_start, n_from):

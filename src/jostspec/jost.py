@@ -12,11 +12,12 @@ function: it keeps every row of the solution.
 Truncations N < N' have the same coefficients below site (N-1)q, so a
 ladder of truncations is one walk on one schedule, _ladder: each shallower N
 runs only its own top steps, then joins the deepest N's walk as a row.  It
-drives the backward recursion (joined at site (N-1)q) behind density_terms
-and measures.entropy_integrals, and the product walk (joined at block N-3,
-in chunks of CHUNK blocks counted from the top and from each join point)
-behind product_forms and certify.check_harmonic_hypotheses.  The one-N
-functions are the one-rung case; every N gets its own walk's bits.  The
+drives the backward recursion (joined at the highest block boundary of
+its kernel at or below site (N-1)q) behind density_terms and
+measures.entropy_integrals, and the product walk (joined at block N-3, in
+chunks of CHUNK blocks counted from the top and from each join point) behind
+product_forms and certify.check_harmonic_hypotheses.  The one-N functions
+are the one-rung case; every N gets its own walk's bits.  The
 product walk's steps take no division: it is folded into coefficients
 formed once per chunk.  The certificate's walk forms no log prefactor and
 no kappa, as it reads neither.
@@ -163,7 +164,7 @@ class _Recursion:
     boundary pair (tops, seconds) = (u_{Nq+1}, u_{Nq}).  It stands at site
     `hi` with the pair (u_hi, u_{hi-1}) of every column, one block of columns
     per rung, and adds up each column's scale_log2 over its segments; a
-    jost_backward run split at a site continues bit for bit."""
+    jost_backward run split at a block boundary continues bit for bit."""
 
     def __init__(self, work, zetas, tops, seconds):
         self.a, self.b = work.coefficient_arrays(work.trunc * work.block.q)
@@ -191,10 +192,12 @@ class _Recursion:
 def _recursion_ladder(model, Ns, zetas, tops, seconds):
     """(u_0, u_1, scale_log2) of the backward recursion from the boundary pair
     (tops, seconds) at every point, for each N of a sequence Ns, in its
-    order, from one ladder: a shallower N joins at site (N-1)q, below which
-    the truncations' coefficients agree."""
-    q = model.block.q
-    return _ladder(Ns, lambda N: _Recursion(truncate(model, N), zetas, tops, seconds), lambda N: (N - 1) * q, 1)
+    order, from one ladder: a shallower N joins at the highest block
+    boundary k = 1 (mod BLOCK) with k <= (N-1)q, below which the
+    truncations' coefficients agree."""
+    q, block = model.block.q, _kernels.BLOCK
+    walk = lambda N: _Recursion(truncate(model, N), zetas, tops, seconds)
+    return _ladder(Ns, walk, lambda N: ((N - 1) * q - 1) // block * block + 1, 1)
 
 
 def _boundary_values(model, Ns, zetas, interior=False):

@@ -281,13 +281,14 @@ def test_entropy_runs_one_recursion_ladder_over_n_list(tmp_path, monkeypatch):
         return jost_backward(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "jost_backward", counting)
-    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 8, 4, 16\nquad_order = 8\n")
+    cfg = _write(tmp_path, FREE_CONFIG + "N_list = 200, 100, 400\nquad_order = 8\n")
     assert run(str(cfg), experiment="entropy", out_dir=str(tmp_path / "out")) == 0
     # (sites, columns) per call, each column block the nodes of both orders,
-    # 8 + 16.  On q = 1, N = 8 and N = 4 run their own top q + 1 = 2 steps;
-    # N = 16 walks from its top and carries their columns from sites 7 and 3
-    # down, so 20 sites are walked, not 4 + 8 + 16 = 28.
-    assert calls == [(2, 24), (2, 24), (10, 24), (4, 48), (2, 72)]
+    # 8 + 16.  On q = 1, N = 200 and N = 100 join at the block boundaries
+    # 193 and 65 below sites 199 and 99 and run their own 8 and 36 top
+    # steps; N = 400 walks from its top and carries their columns from
+    # sites 193 and 65 down, so 444 sites are walked, not 700.
+    assert calls == [(8, 24), (36, 24), (208, 24), (128, 48), (64, 72)]
 
 
 THREE_BAND_CONFIG = """\

@@ -203,9 +203,10 @@ def test_boundary_factor_envelope_shape(free_block):
 
 
 def test_density_of_a_large_unscaled_u0_does_not_overflow():
-    # |u_0|^2 overflows between 1.3e154 and the rescale threshold 1e280; the
-    # log form takes over there, and wherever the recursion rescaled u_0;
-    # elsewhere the density is the direct quotient, bit for bit
+    # |u_0|^2 overflows above 1.3e154, past the recursion's rescale
+    # threshold 2**500 (3.3e150) but not past what density_values accepts;
+    # the log form takes over there, and wherever the recursion rescaled
+    # u_0; elsewhere the density is the direct quotient, bit for bit
     num = np.array([1.0, 1e120, 1e300, 0.3])
     abs_u0 = np.array([1e200, 1e200, 1.0, 0.7])
     scale_log2 = np.array([0, 0, 600, 0])

@@ -96,10 +96,13 @@ def _assert_bit_identical(a, b, zeta, tops, seconds):
 
 @pytest.mark.parametrize(
     "N, energies, scales",
-    [(60, SIX_ENERGIES, [0] * 6), (4000, [0.8, complex(0.3, 1e-3), 1.5], [0, 600, 0])],
+    [(31, SIX_ENERGIES, [0] * 6), (31, [0.8, complex(0.3, 400.0), 1.5], [0, 600, 0])],
     ids=["six-energies", "rescale"],
 )
 def test_jost_backward_matches_the_per_step_guard_bit_for_bit(baseline_model, N, energies, scales):
+    # a chain shorter than BLOCK takes the per-site step alone; at Im zeta =
+    # 400 the solution passes the threshold within its 62 sites
+    assert 2 * N < _kernels.BLOCK
     got = _assert_bit_identical(*_batch(baseline_model, N, energies))
     assert got[2].tolist() == scales
 
@@ -118,26 +121,53 @@ def guarded_chains(draw):
     return np.resize(a, 601), np.resize(b, 601), zeta, top, second
 
 
+def _unscaled(u, scale_log2):
+    """u * 2**scale_log2 as mantissas and exponents of its real and imaginary
+    parts, exact at magnitudes beyond the range of a double."""
+    parts = []
+    for x in (u.real, u.imag):
+        mantissa, exponent = np.frexp(x)
+        parts += [mantissa, np.where(mantissa == 0, 0, exponent + scale_log2)]
+    return parts
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(guarded_chains())
 def test_gated_guard_matches_the_per_step_guard(chain):
-    # a low threshold and a small shift make the guard fire many times on 600
-    # sites, so the bound is reset from the actual pair again and again
+    # The guard only moves exponents: a low threshold and a small shift make
+    # it fire many times on 600 sites, on block products, pairs and single
+    # sites alike, so the bound is reset from the actual values again and
+    # again; u * 2**scale_log2 and every row on the final scale equal the
+    # default run's bit for bit (rows that fall below the normal range of
+    # either run lose bits there), and the results do not depend on rows.
+    a = chain[0]
+    rows = np.empty((len(a) + 1, len(chain[2])), dtype=complex)
+    default = _kernels.jost_backward(*chain, rows=rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
         mp.setattr(_kernels, "RESCALE_SHIFT", 10)
-        _assert_bit_identical(*chain)
+        low_rows = np.empty_like(rows)
+        low = _kernels.jost_backward(*chain, rows=low_rows)
+        assert all(np.array_equal(x, y) for x, y in zip(_kernels.jost_backward(*chain), low))
+    assert low[2][0] > 0
+    tiny = np.finfo(float).tiny
+    pairs = ((rows.real, low_rows.real), (rows.imag, low_rows.imag))
+    both = [(x == 0) & (y == 0) | (np.abs(x) >= tiny) & (np.abs(y) >= tiny) for x, y in pairs]
+    for got, want, keep in ((low[0], default[0], ...), (low[1], default[1], ...), (low_rows, rows, both[0] & both[1])):
+        got, want = _unscaled(got, low[2]), _unscaled(want, default[2])
+        assert all(np.array_equal(x[keep], y[keep]) for x, y in zip(got, want))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(guarded_chains(), st.integers(150, 450))
+@given(guarded_chains(), st.integers(2, 7).map(lambda j: j * _kernels.BLOCK + 1))
 def test_split_run_continues_bit_for_bit(chain, k):
-    # The recursion ladder's property: a run split at site k into a[k-1:],
-    # b[k-1:] and then a[:k], b[:k], the second started from the pair
-    # (u_k, u_{k-1}) the first returns and the scale_log2 added up, is the
-    # unsplit run bit for bit, real and off-axis energies alike.  A low
-    # threshold makes the guard fire in both segments, where each segment's
-    # growth bound, from its own coefficients, differs from the whole run's.
+    # The recursion ladder's property: a run split at a block boundary
+    # k = 1 (mod BLOCK) into a[k-1:], b[k-1:] and then a[:k], b[:k], the
+    # second started from the pair (u_k, u_{k-1}) the first returns and the
+    # scale_log2 added up, is the unsplit run bit for bit, real and off-axis
+    # energies alike.  A low threshold makes the guard fire in both segments,
+    # where each segment's growth bound, from its own coefficients, differs
+    # from the whole run's.
     a, b, zeta, top, second = chain
     zeta = np.concatenate([zeta, zeta.real])
     with pytest.MonkeyPatch.context() as mp:
@@ -149,6 +179,43 @@ def test_split_run_continues_bit_for_bit(chain, k):
     assert upper[0] > 0 and lower[0] > 0
     assert np.array_equal(u0, whole[0]) and np.array_equal(u1, whole[1])
     assert np.array_equal(upper + lower, whole[2])
+
+
+# Perturbations of the baseline block whose q-variation is square-summable
+# (in; in-slow, whose sum converges slowly) and is not (out).
+ACCURACY_MODELS = {
+    "in": js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2),
+    "in-slow": js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.6),
+    "out": js.PerturbationSpec.power(c=0.8, s=1.5, gamma=0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCURACY_MODELS))
+def test_jost_backward_against_50_digit_recursion(baseline_model, name):
+    # The same recursion in 50-digit arithmetic from the same float64
+    # boundary pair, at 8 real band energies (float64 block products) and
+    # 8 strip points (complex ones), each set in one call, on 1000 sites:
+    # 15 blocks and the per-site step on the top 40 sites.
+    mpmath = pytest.importorskip("mpmath")
+    block, N = baseline_model.block, 500
+    lo, hi = js.widest_trimmed_band(block, margin=0.1)
+    energies = np.linspace(lo, hi, 8)
+    a, b, zeta, tops, seconds = _batch(js.make_model(block, ACCURACY_MODELS[name]), N, [*energies, *energies + 0.01j])
+    calls = [_kernels.jost_backward(a, b, zeta[half], tops[half], seconds[half]) for half in (slice(8), slice(8, 16))]
+    u0 = np.concatenate([u for u, _, _ in calls])
+    scale_log2 = np.concatenate([s for _, _, s in calls])
+    worst = 0.0
+    with mpmath.workdps(50):
+        am = [mpmath.mpf(float(x)) for x in a]
+        bm = [mpmath.mpf(float(x)) for x in b]
+        for i, point in enumerate(zeta):
+            z = mpmath.mpc(point)
+            u_hi, u_lo = mpmath.mpc(tops[i]), mpmath.mpc(seconds[i])
+            for n in range(len(am) - 1, 0, -1):
+                u_hi, u_lo = u_lo, -(am[n] * u_hi + (bm[n] - z) * u_lo) / am[n - 1]
+            got = mpmath.mpc(complex(u0[i])) * mpmath.mpf(2) ** int(scale_log2[i])
+            worst = max(worst, float(abs(got - u_lo) / abs(u_lo)))
+    assert worst <= 1e-12
 
 
 def test_jost_backward_batch_matches_reference(baseline_model):
@@ -344,9 +411,20 @@ def _traced_peak(kernel, *args):
 
 
 def test_site_loops_hold_one_complex_copy_per_coefficient(deep_arrays):
-    # 16 B per site and coefficient read: a, b and -1/a in the recursion
-    # (1.92 MB), b and a^2 in the stripping map (1.28 MB)
+    # The recursion's 625 blocks fit one group: 8 B per site for each of
+    # 1/a, -a/a and b as block columns, and the complex products (1.69 MB in
+    # all); 16 B per site for b and a^2 in the stripping map (1.28 MB)
     a, b, zetas, ones = deep_arrays
     assert (a.dtype, b.dtype) == (np.float64, np.float64)
     assert _traced_peak(_kernels.jost_backward, a, b, zetas, ones, ones) <= 2.5e6
     assert _traced_peak(_kernels.strip_downward, a, b, zetas, ones, 40000) <= 1.6e6
+
+
+def test_block_walk_memory_at_a_wide_batch(baseline_model):
+    # 2000 sites at 4096 real energies: a group holds GROUP block x energy
+    # entries, so the products stay a few hundred kB beside the per-energy
+    # buffers, and no (sites x energies) array is formed (65 MB)
+    a, b = js.truncate(baseline_model, 1000).coefficient_arrays(2000)
+    energies = np.linspace(-2.5, 2.5, 4096)
+    ones = np.ones(energies.size, dtype=complex)
+    assert _traced_peak(_kernels.jost_backward, a, b, energies, ones, ones) <= 2.5e6

@@ -439,10 +439,24 @@ def test_recursion_ladder_rungs_are_their_own_recursions_bit_for_bit(q, target, 
 
 def test_rescaling_recursion_ladder_is_bit_for_bit():
     # near the band edges the guard rescales both N's columns on the shared
-    # sites, by up to 2**1200 at N = 5000 and 2**5400 at N = 20000
+    # sites, by up to 2**1800 at N = 5000 and 2**6000 at N = 20000
     energies = [-2.44, -2.4, -2.36, -0.5, 0.4, 1.2, 2.3, 2.34]
     rungs = _assert_ladder_terms(BASELINE, (5000, 20000), energies)
-    assert [scale_log2.max() for _, _, scale_log2 in rungs] == [1200, 5400]
+    assert [scale_log2.max() for _, _, scale_log2 in rungs] == [1800, 6000]
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, -1.0])
+def test_wigner_von_neumann_exponent_at_depth(c):
+    # On the free block, b_n = c cos(n) / n has a resonance at
+    # E_0 = 2 cos(1/2), where rho_N(E_0) decays like N^-kappa with
+    # kappa = |c| / (2 sin(1/2)).  The slope of ln rho_N between N = 10^3 and
+    # 10^4 is within 1e-3 of -kappa (3.1e-4, 5.0e-5 and 2.5e-5 off): a check
+    # of the recursion at depth that does not go through the oracle.
+    model = js.make_model(js.periodic_block(1, [1.0], [0.0]), js.PerturbationSpec.power(c, 1.0, 1.0))
+    energy = [2.0 * math.cos(0.5)]
+    logs = [jost.log_density(1.0, *jost.density_terms(model, N, energy))[0] for N in (1000, 10000)]
+    slope = (logs[1] - logs[0]) / math.log(10.0)
+    assert abs(slope + abs(c) / (2.0 * math.sin(0.5))) <= 1e-3
 
 
 def test_entropy_ladder_keeps_order_and_duplicates():
