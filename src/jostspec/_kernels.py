@@ -15,19 +15,22 @@ complex product of two arrays may differ in the last bit when its operands
 swap, because the loop uses FMA.  So every operand keeps its place,
 (b_n - zeta) * u_n, u_{n+1} * a_n, (...) * (-1/a_{n-1}), (b_n - zeta) -
 a_n^2 m and 1 / (...).  The stripping map takes four calls a site, the
-backward recursion five, but only above its highest block boundary: below
-it, three calls a site form the products of a group of blocks at once, in
-float64 where every energy is real, and two calls a block apply them.
+backward recursion five, but only above the highest block boundary (and the
+stripping at off-axis energies): below it, three calls a site form the
+products of a group of blocks at once, in float64 where the energies are
+real, and a few calls a block apply them, two to the recursion's pair, a
+Mobius step to the stripping's m with Im m from the block's determinant.
 """
 
 import numpy as np
 
-# Guard of the backward recursion: a block product or pair above this is
-# rescaled by 2**-RESCALE_SHIFT, so a product times a pair stays below 2**1001.
+# Guard of the block products and the backward recursion: a product or pair
+# above this is rescaled by 2**-RESCALE_SHIFT, so a product times a pair (or
+# an m) stays below 2**1001.
 RESCALE_THRESHOLD = 2.0**500
 RESCALE_SHIFT = 600
-# Sites per block of the backward recursion, counted from a call's site 1;
-# block x energy entries of a group of block products (and of x_n per call).
+# Sites per block of both walks, counted from a call's site 1; block x energy
+# entries of a group of block products (and of x_n per call).
 BLOCK = 64
 GROUP = 1 << 13
 
@@ -85,7 +88,8 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     # the products of GROUP block x energy entries at once, from the top down
     for k1 in range(top // BLOCK, 0, -per):
         k0 = max(k1 - per, 0)
-        prod, shifts = _block_products(a, b, z, k0, k1, growth)
+        sites, below = slice(k0 * BLOCK + 1, k1 * BLOCK + 1), slice(k0 * BLOCK, k1 * BLOCK)
+        prod, shifts = _block_products((1.0 / a[below], -a[sites] / a[below], b[sites]), z, growth)
         # |P u| <= 2 max|P| max|u|
         peaks = (np.abs(prod).max(axis=(0, 1, 3)) * (2 * (1 + 1e-9))).tolist()
         for k in range(k1 - k0 - 1, -1, -1):
@@ -153,16 +157,16 @@ def _site_steps(a, b, zeta, hi, lo, stop, scale_log2, growth, rows):
     return lo, hi
 
 
-def _block_products(a, b, zeta, k0, k1, growth):
-    """The products M_s ... M_{s+BLOCK-1}, s = k BLOCK + 1, of the blocks
-    k = k0 .. k1-1 as an array (row, column, block, energy) of zeta's dtype,
-    and the guard's shifts per (block, energy) or None.  From the top site's
-    matrix, a step M_n P moves P's second row up and forms y_n r1 + x_n r2."""
-    g, e = k1 - k0, zeta.shape[0]
-    sites, below = slice(k0 * BLOCK + 1, k1 * BLOCK + 1), slice(k0 * BLOCK, k1 * BLOCK)
+def _block_products(columns, zeta, growth):
+    """The products M_s ... M_{s+BLOCK-1} of the blocks of BLOCK sites
+    whose columns (inv_n, y_n, b_n), 1-D over the blocks' sites, are given,
+    with M_n = [[0, 1], [y_n, x_n]] and x_n = (zeta - b_n) inv_n, as an array
+    (row, column, block, energy) of zeta's dtype, and the guard's shifts per
+    (block, energy) or None.  From the top site's matrix, a step M_n P moves
+    P's second row up and forms y_n r1 + x_n r2."""
     # site columns (BLOCK, block, 1), so that a step takes views
-    columns = (1.0 / a[below], -a[sites] / a[below], b[sites])
-    inv, y, b_n = (np.ascontiguousarray(v.reshape(g, BLOCK).T)[:, :, None] for v in columns)
+    inv, y, b_n = (np.ascontiguousarray(v.reshape(-1, BLOCK).T)[:, :, None] for v in columns)
+    g, e = inv.shape[1], zeta.shape[0]
     prod, t = np.empty((2, 2, g, e), dtype=zeta.dtype), np.empty((2, g, e), dtype=zeta.dtype)
     xs = np.empty((min(max(GROUP // (g * e), 1), BLOCK - 1), g, e), dtype=zeta.dtype)
     # each of the BLOCK - 1 steps swaps the row names
@@ -193,15 +197,59 @@ def _block_products(a, b, zeta, k0, k1, growth):
 
 def strip_downward(a, b, zeta, m_start, n_from):
     """Resolvent stripping m_n = 1/(b_n - zeta - a_n^2 m_{n+1}), n = n_from..1,
-    per energy; zeta and m_start are 1-D arrays of equal length."""
+    per energy; zeta and m_start are 1-D arrays of equal length.  Real
+    energies walk the sites below the highest multiple of BLOCK a block at a
+    time, with P the product of S_n = [[0, 1], [-a_n^2, b_n - zeta]] over the
+    block: Re m from (P11 m + P12) / (P21 m + P22), Im m from det P =
+    prod a_n^2 as det P Im m / |P21 m + P22|^2, never P11 P22 - P12 P21.
+    Other energies and sites take the per-site map."""
     zeta, m = _energy_arrays(zeta, m_start)
-    a2 = (a[: n_from + 1] * a[: n_from + 1]).astype(np.complex128)
-    b_c = b[: n_from + 1].astype(np.complex128)
+    real = zeta.imag == 0
+    top = n_from - n_from % BLOCK if real.any() else 0
+    _strip_sites(a, b, zeta, m, n_from, top)
+    if top:
+        if not real.all():
+            m[~real] = _strip_sites(a, b, zeta[~real], m[~real], top, 0)
+        m[real] = _strip_blocks(a, b, zeta.real[real], m[real], top)
+    return m
+
+
+def _strip_sites(a, b, zeta, m, n_from, stop):
+    """The per-site map in place on m, for n = n_from .. stop+1."""
+    a2 = (a[stop : n_from + 1] * a[stop : n_from + 1]).astype(np.complex128)
+    b_c = b[stop : n_from + 1].astype(np.complex128)
     one, t = np.ones((), dtype=np.complex128), np.empty_like(m)
-    for n in range(n_from, 0, -1):
+    for n in range(n_from - stop, 0, -1):
         np.subtract(b_c[n, ...], zeta, t)
         t -= np.multiply(a2[n, ...], m, m)
         np.divide(one, t, m)
+    return m
+
+
+def _strip_blocks(a, b, energy, m, top):
+    """The block walk in place on m, sites top .. 1; prod a_n of a block is a
+    frexp mantissa and exponent (less the guard's shifts), so it cannot overflow."""
+    growth = max(1.0, (_peak(a[1 : top + 1]) ** 2 + _peak(b[1 : top + 1]) + _peak(energy)) * (1 + 1e-9))
+    per = max(1, GROUP // energy.shape[0])
+    for k1 in range(top // BLOCK, 0, -per):
+        k0 = max(k1 - per, 0)
+        sites = slice(k0 * BLOCK + 1, k1 * BLOCK + 1)
+        a_k = a[sites]
+        prod, shifts = _block_products((np.broadcast_to(-1.0, a_k.shape), -(a_k * a_k), b[sites]), energy, growth)
+        # a product of BLOCK mantissas in [1/2, 1) is a normal double
+        mant, expo = np.frexp(a_k.reshape(-1, BLOCK))
+        mant, expo = mant.prod(axis=1), expo.sum(axis=1)
+        if shifts is not None:
+            expo = expo[:, None] - shifts
+        for k in range(k1 - k0 - 1, -1, -1):
+            p = prod[:, :, k]
+            num, den = p[0, 0] * m + p[0, 1], p[1, 0] * m + p[1, 1]
+            rho = np.ldexp(mant[k] / np.abs(den), expo[k])
+            im = rho * rho * m.imag
+            np.divide(num, den, m)
+            m.imag = im
+        # free this group's products before the next group's exist
+        del prod, shifts
     return m
 
 
@@ -211,8 +259,9 @@ def period_products(a, b, zeta, q, n_blocks):
     Block nb is T_{(nb+1)q} ... T_{nb*q+1} with
     T_k = [[(zeta - b[k])/a[k], -a[k-1]/a[k]], [1, 0]]; a and b must reach
     site n_blocks * q.  zeta is a 1-D array of energies (a scalar counts as
-    one).  Returns the entries (p11, p12, p21, p22), each an
-    (n_blocks, len(zeta)) complex array.
+    one).  Returns the entries (p11, p21, p22), each an (n_blocks, len(zeta))
+    complex array: no caller reads p12, so a block's last site past its
+    first does not form it.
 
     A block's product starts from its first site's matrix.  t11 is
     (zeta - b[k]) * (1/a[k]), the product NumPy's complex division by a real
@@ -227,9 +276,11 @@ def period_products(a, b, zeta, q, n_blocks):
         a_k = a[j : top + 1 : q, None]
         t11 = (zeta - b[j : top + 1 : q, None]) * (1.0 / a_k)
         t12 = -a[j - 1 : top : q, None] / a_k
-        if j > 1:
-            p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
-        else:
+        if j == 1:
             p11, p12 = t11, np.broadcast_to(t12, t11.shape).astype(np.complex128)
             p21, p22 = np.ones_like(t11), np.zeros_like(t11)
-    return p11, p12, p21, p22
+        elif j < q:
+            p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+        else:
+            p11, p21, p22 = t11 * p11 + t12 * p21, p11, p12
+    return p11, p21, p22

@@ -6,10 +6,13 @@ The stripping oracle and the key-formula density are deliberately disjoint
 algorithms (different recursion direction, different tail treatment); their
 agreement is the package's central cross-check.  On the real axis the oracle
 takes the tail's boundary value from the Mobius fixed-point quadratic and
-strips down at real energy, where Im m_{n-1} = a_n^2 Im m_n / |w|^2 keeps
-relative accuracy at any density scale.  tail_m_function and
-oracle_green_11 take a 1-D sequence of points (a scalar counts as one), in
-the upper half-plane or on a band interior, and return arrays over them.
+strips down at real energy, 64 sites a step below the highest block
+boundary.  There Im m comes from the block determinant, det P = prod a_n^2,
+as det P Im m / |P21 m + P22|^2: the per-site Im m_{n-1} = a_n^2 Im m_n /
+|w|^2 over a block, which keeps relative accuracy at any density scale.
+tail_m_function and oracle_green_11 take a 1-D sequence of points (a scalar
+counts as one), in the upper half-plane or on a band interior, and return
+arrays over them.
 """
 
 from __future__ import annotations

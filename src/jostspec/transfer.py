@@ -211,7 +211,7 @@ def chain_blocks(a, b, zetas, q, first, count):
     off = ~real
     lo, hi = first * q, (first + count) * q + 1
     zeval = np.where(real, zeta + 1j * CS_STEP, zeta)
-    p11, _, p21, p22 = _kernels.period_products(a[lo:hi], b[lo:hi], zeval, q, count)
+    p11, p21, p22 = _kernels.period_products(a[lo:hi], b[lo:hi], zeval, q, count)
     a_nq = a[lo:hi:q, None]
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]

@@ -19,6 +19,22 @@ def random_block(rng, q):
     return js.periodic_block(q, rng.uniform(0.7, 1.6, q), rng.uniform(-0.6, 0.6, q))
 
 
+def identity_start_products(a, b, zeta, q, n_blocks):
+    """The entries (p11, p12, p21, p22) of _kernels.period_products' blocks
+    from the identity matrix, with t11 a complex division by the real a[k]."""
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    shape = (n_blocks, zeta.shape[0])
+    p11, p12 = np.ones(shape, dtype=np.complex128), np.zeros(shape, dtype=np.complex128)
+    p21, p22 = np.zeros(shape, dtype=np.complex128), np.ones(shape, dtype=np.complex128)
+    top = n_blocks * q
+    for j in range(1, q + 1):
+        a_k = a[j : top + 1 : q, None]
+        t11 = (zeta - b[j : top + 1 : q, None]) / a_k
+        t12 = -a[j - 1 : top : q, None] / a_k
+        p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
+    return p11, p12, p21, p22
+
+
 def random_suite(seed=20250808, count=20, margin=0.2, min_width=0.5, max_support=30):
     """Deterministic randomized model suite: cycling periods 1..3, random
     backgrounds with a usable admissible interval, random finite

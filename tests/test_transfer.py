@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 import jostspec as js
-from conftest import random_block
+from conftest import identity_start_products, random_block
 from jostspec import _kernels, transfer
 from jostspec.errors import BandEdgeError
 
 
 def period_matrices(model, zeta, q, n_blocks):
     """Blocks 0 .. n_blocks-1 of q one-step matrices each at one energy, as an
-    (n_blocks, 2, 2) array; q = 1 gives the one-step matrices T_1, T_2, ..."""
+    (n_blocks, 2, 2) array; q = 1 gives the one-step matrices T_1, T_2, ...
+    The entries _kernels.period_products returns are checked against them."""
     a, b = model.coefficient_arrays(n_blocks * q)
-    entries = [p[:, 0] for p in _kernels.period_products(a, b, zeta, q, n_blocks)]
-    return np.stack(entries, axis=-1).reshape(n_blocks, 2, 2)
+    p11, p12, p21, p22 = identity_start_products(a, b, zeta, q, n_blocks)
+    # the kernel forms every entry but p12, which no caller reads
+    for got, want in zip(_kernels.period_products(a, b, zeta, q, n_blocks), (p11, p21, p22), strict=True):
+        assert np.array_equal(got, want)
+    return np.stack([p[:, 0] for p in (p11, p12, p21, p22)], axis=-1).reshape(n_blocks, 2, 2)
 
 
 def unit_det_blocks(model, zeta, n_blocks):
