@@ -4,7 +4,7 @@ These recursions visit every lattice site, so they dominate runtime once
 truncation depths reach 1e3-1e5 sites.  They take 1-D arrays of energies,
 and each NumPy call works on all of them elementwise: a column of a batch
 equals the same energy's call on its own, bit for bit.  Working memory is
-O(sites + energies), or O(chunk x energies) for the chain's period products.
+O(sites + energies), or O(blocks x energies) for the chain's products.
 
 A per-site step is bound by per-call overhead, not arithmetic, so it keeps
 its calls few and cheap: each site coefficient enters as a 0-d view such as
@@ -14,12 +14,15 @@ through a positional out argument.  Operand order is part of the result: a
 complex product of two arrays may differ in the last bit when its operands
 swap, because the loop uses FMA.  So every operand keeps its place,
 (b_n - zeta) * u_n, u_{n+1} * a_n, (...) * (-1/a_{n-1}), (b_n - zeta) -
-a_n^2 m and 1 / (...).  The stripping map takes four calls a site, the
-backward recursion five, but only above the highest block boundary (and the
-stripping at off-axis energies): below it, three calls a site form the
-products of a group of blocks at once, in float64 where the energies are
-real, and a few calls a block apply them, two to the recursion's pair, a
-Mobius step to the stripping's m with Im m from the block's determinant.
+a_n^2 m and 1 / (...), and in a block product r1 * y_n and x_n * r2.  The
+per-site maps, four calls a site of the stripping and five of the backward
+recursion, run above the highest block boundary (and at every site for the
+stripping off the axis and the recursion that keeps its rows).  Below it
+the one block-product loop forms a group of blocks' products in three calls
+a site, in float64 at real energies, and a few calls a block apply them:
+two to the recursion's pair, a Mobius step to the stripping's m with Im m
+from the block's determinant.  transfer takes the chain's q-site period
+products from the same loop, with the guard off.
 """
 
 import numpy as np
@@ -69,31 +72,29 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     u[1], and the two scale_log2 add up to the unsplit one.
 
     rows, if given, is an (m + 2, len(zeta)) complex array that receives the
-    whole solution u[0..m+1] on the final scale of each energy: the pairs at
-    block boundaries, the per-site step from a block's top pair inside it.
-    The returned values do not depend on rows.
+    whole solution u[0..m+1] on the final scale of each energy.  With rows,
+    the call is the per-site recursion at every site, with no block walk.
     """
     zeta, hi, lo = _energy_arrays(zeta, u_top, u_second)
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     m = a.shape[0] - 1
-    top = m - m % BLOCK
+    top = m - m % BLOCK if rows is None else 0
     scale_log2 = np.zeros(zeta.shape, dtype=np.int64)
     growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
-    lo, hi = _site_steps(a[top:], b[top:], zeta, hi, lo, 0, scale_log2, growth, None if rows is None else rows[top:])
+    lo, hi = _site_steps(a[top:], b[top:], zeta, hi, lo, scale_log2, growth, rows)
     if not top:
         return lo, hi, scale_log2
     z = zeta if zeta.imag.any() else np.ascontiguousarray(zeta.real)
     pair, terms = np.array([hi, lo]), np.empty((2, 2, zeta.shape[0]), dtype=np.complex128)
-    factor, bound, per = 2.0 ** (-RESCALE_SHIFT), _peak(pair), max(1, GROUP // zeta.shape[0])
+    factor, bound, per = 2.0 ** (-RESCALE_SHIFT), _peak(pair), max(1, GROUP // max(zeta.shape[0], 1))
     # the products of GROUP block x energy entries at once, from the top down
     for k1 in range(top // BLOCK, 0, -per):
         k0 = max(k1 - per, 0)
         sites, below = slice(k0 * BLOCK + 1, k1 * BLOCK + 1), slice(k0 * BLOCK, k1 * BLOCK)
         prod, shifts = _block_products((1.0 / a[below], -a[sites] / a[below], b[sites]), z, growth)
         # |P u| <= 2 max|P| max|u|
-        peaks = (np.abs(prod).max(axis=(0, 1, 3)) * (2 * (1 + 1e-9))).tolist()
+        peaks = (np.abs(prod).max(axis=(0, 1, 3), initial=0.0) * (2 * (1 + 1e-9))).tolist()
         for k in range(k1 - k0 - 1, -1, -1):
-            before = None if rows is None else scale_log2.copy()
             np.multiply(prod[:, :, k], pair, terms)
             np.add(terms[:, 0], terms[:, 1], pair)
             if shifts is not None:
@@ -105,37 +106,25 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
                     pair[:, big] *= factor
                     scale_log2[big] += RESCALE_SHIFT
                 bound = _peak(pair)
-            if rows is not None:
-                # the rows above move to the pair's scale; the per-site step
-                # fills the block of sites s .. s+BLOCK-1 from its top pair
-                s, shift, above = (k0 + k) * BLOCK + 1, before - scale_log2, rows[(k0 + k + 1) * BLOCK :]
-                if shift.any():
-                    above.real, above.imag = np.ldexp(above.real, shift), np.ldexp(above.imag, shift)
-                u_lo, u_hi = above[:2].copy()
-                _site_steps(a[s : s + BLOCK], b[s : s + BLOCK], zeta, u_hi, u_lo, 1, None, 0, rows[s : s + BLOCK + 1])
-                rows[s - 1], rows[s] = pair[1], pair[0]
         # free this group's products before the next group's exist
         del prod, shifts
     return pair[1], pair[0], scale_log2
 
 
-def _site_steps(a, b, zeta, hi, lo, stop, scale_log2, growth, rows):
-    """Steps n = m .. stop+1 one site at a time, on site arrays indexed 0..m,
-    from (hi, lo) = (u[m+1], u[m]); returns (u[stop], u[stop+1]) and writes
-    rows[stop..m+1] if rows is given.  Without scale_log2 the guard is off."""
+def _site_steps(a, b, zeta, hi, lo, scale_log2, growth, rows):
+    """Steps n = m .. 1 one site at a time, on site arrays indexed 0..m,
+    from (hi, lo) = (u[m+1], u[m]); returns (u[0], u[1]) and writes
+    rows[0..m+1] if rows is given."""
     m = a.shape[0] - 1
     if rows is not None:
         rows[m:] = lo, hi
-    if m == stop:
-        return lo, hi
-    factor = 2.0 ** (-RESCALE_SHIFT)
-    bound = 0.0 if scale_log2 is None else _peak(hi, lo)
+    factor, bound = 2.0 ** (-RESCALE_SHIFT), _peak(hi, lo)
     # -(x / a) is x * (-1 / a) bit for bit.  A complex product over its own
     # one-element input can round differently.
     neg_inv = (-1.0 / a).astype(np.complex128)
     a_c, b_c = a.astype(np.complex128), b.astype(np.complex128)
     new, diff, tmp = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
-    for n in range(m, stop, -1):
+    for n in range(m, 0, -1):
         np.subtract(b_c[n, ...], zeta, diff)
         np.multiply(diff, lo, tmp)
         np.multiply(hi, a_c[n, ...], new)
@@ -157,30 +146,31 @@ def _site_steps(a, b, zeta, hi, lo, stop, scale_log2, growth, rows):
     return lo, hi
 
 
-def _block_products(columns, zeta, growth):
-    """The products M_s ... M_{s+BLOCK-1} of the blocks of BLOCK sites
-    whose columns (inv_n, y_n, b_n), 1-D over the blocks' sites, are given,
-    with M_n = [[0, 1], [y_n, x_n]] and x_n = (zeta - b_n) inv_n, as an array
+def _block_products(columns, zeta, growth, size=BLOCK):
+    """The products M_s ... M_{s+size-1} of blocks of `size` sites, from
+    columns (inv_n, y_n, b_n) 1-D over the blocks' sites or (block, site),
+    with M_n = [[0, 1], [y_n, x_n]] and x_n = (zeta - b_n) inv_n: an array
     (row, column, block, energy) of zeta's dtype, and the guard's shifts per
-    (block, energy) or None.  From the top site's matrix, a step M_n P moves
-    P's second row up and forms y_n r1 + x_n r2."""
-    # site columns (BLOCK, block, 1), so that a step takes views
-    inv, y, b_n = (np.ascontiguousarray(v.reshape(-1, BLOCK).T)[:, :, None] for v in columns)
+    (block, energy), or None; growth 0 turns the guard off.  From the last
+    site's matrix, a step M_n P moves P's second row up and forms
+    y_n r1 + x_n r2, as r1 * y_n and x_n * r2.  One site is its matrix."""
+    # site columns (size, block, 1), so that a step takes views
+    inv, y, b_n = (np.ascontiguousarray(v.reshape(-1, size).T)[:, :, None] for v in columns)
     g, e = inv.shape[1], zeta.shape[0]
     prod, t = np.empty((2, 2, g, e), dtype=zeta.dtype), np.empty((2, g, e), dtype=zeta.dtype)
-    xs = np.empty((min(max(GROUP // (g * e), 1), BLOCK - 1), g, e), dtype=zeta.dtype)
-    # each of the BLOCK - 1 steps swaps the row names
-    r1, r2 = prod[(BLOCK - 1) % 2], prod[BLOCK % 2]
+    xs = np.empty((max(min(GROUP // max(g * e, 1), size - 1), 1), g, e), dtype=zeta.dtype)
+    # each of the size - 1 steps swaps the row names
+    r1, r2 = prod[(size - 1) % 2], prod[size % 2]
     r1[0], r1[1], r2[0] = 0.0, 1.0, y[-1]
     np.multiply(np.subtract(zeta, b_n[-1], r2[1]), inv[-1], r2[1])
     factor, bound, shifts = 2.0 ** (-RESCALE_SHIFT), growth, None
-    for top in range(BLOCK - 1, 0, -len(xs)):
+    for top in range(size - 1, 0, -len(xs)):
         cols = slice(max(top - len(xs), 0), top)
         x = xs[: top - cols.start]
         np.multiply(np.subtract(zeta, b_n[cols], x), inv[cols], x)
         for x_n, y_n in zip(x[::-1], y[cols][::-1]):
             np.multiply(r1, y_n, r1)
-            np.multiply(r2, x_n, t)
+            np.multiply(x_n, r2, t)
             np.add(r1, t, r1)
             r1, r2 = r2, r1
             bound *= growth
@@ -191,7 +181,7 @@ def _block_products(columns, zeta, growth):
                     shifts = np.where(big, RESCALE_SHIFT, 0) + (0 if shifts is None else shifts)
                     prod *= np.where(big, factor, 1.0)
                     peak[big] *= factor
-                bound = float(peak.max())
+                bound = float(peak.max(initial=0.0))
     return prod, shifts
 
 
@@ -251,36 +241,3 @@ def _strip_blocks(a, b, energy, m, top):
         # free this group's products before the next group's exist
         del prod, shifts
     return m
-
-
-def period_products(a, b, zeta, q, n_blocks):
-    """Products of q consecutive one-step transfer matrices, per block and energy.
-
-    Block nb is T_{(nb+1)q} ... T_{nb*q+1} with
-    T_k = [[(zeta - b[k])/a[k], -a[k-1]/a[k]], [1, 0]]; a and b must reach
-    site n_blocks * q.  zeta is a 1-D array of energies (a scalar counts as
-    one).  Returns the entries (p11, p21, p22), each an (n_blocks, len(zeta))
-    complex array: no caller reads p12, so a block's last site past its
-    first does not form it.
-
-    A block's product starts from its first site's matrix.  t11 is
-    (zeta - b[k]) * (1/a[k]), the product NumPy's complex division by a real
-    forms, so the entries keep the bits of the identity-start loop with a
-    true division unless zeta - b[k] has a -0.0 part; t12 stays a real
-    division, which -a[k-1] * (1/a[k]) would round differently.
-    """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
-    top = n_blocks * q
-    for j in range(1, q + 1):
-        # site k = nb*q + j of every block nb
-        a_k = a[j : top + 1 : q, None]
-        t11 = (zeta - b[j : top + 1 : q, None]) * (1.0 / a_k)
-        t12 = -a[j - 1 : top : q, None] / a_k
-        if j == 1:
-            p11, p12 = t11, np.broadcast_to(t12, t11.shape).astype(np.complex128)
-            p21, p22 = np.ones_like(t11), np.zeros_like(t11)
-        elif j < q:
-            p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
-        else:
-            p11, p21, p22 = t11 * p11 + t12 * p21, p11, p12
-    return p11, p21, p22

@@ -129,8 +129,11 @@ class PerturbationSpec:
 
 def _power_values(pert, n):
     # n: integer array >= 1
+    # n**s overflows for large s, and cos(inf) is NaN: _cached_arrays
+    # rejects the values, so no warning need escape
     nf = n.astype(np.float64)
-    return pert.c * np.cos(nf**pert.s) / nf**pert.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pert.c * np.cos(nf**pert.s) / nf**pert.gamma
 
 
 def _perturbation_values(pert, n, which):
@@ -176,7 +179,9 @@ class CoefficientModel:
         return float(arr_b[n])
 
     def coefficient_arrays(self, n_top):
-        """Site arrays (a[0..n_top], b[0..n_top]); b[0] is a placeholder."""
+        """Site arrays (a[0..n_top], b[0..n_top]); b[0] is a placeholder.
+        Raises CoefficientError at the first site whose a or b is not
+        finite, then at the first a that is not positive."""
         return _cached_arrays(self, count("n_top", n_top, 0))
 
     def fingerprint(self):
@@ -219,6 +224,11 @@ def _cached_arrays(model, n_top):
         if np.any(p != 0.0):
             values[1 : sites.size + 1] += p
 
+    bad = np.flatnonzero(~(np.isfinite(a[1:]) & np.isfinite(b[1:])))
+    if bad.size:
+        first = int(bad[0]) + 1
+        name, value = ("a", a[first]) if not np.isfinite(a[first]) else ("b", b[first])
+        raise CoefficientError(f"{name}({first}) = {value} is not finite")
     bad = np.nonzero(a[1:] <= 0.0)[0]
     if bad.size:
         first = int(bad[0]) + 1

@@ -10,7 +10,8 @@ class ValidationError(JostspecError):
 
 
 class CoefficientError(JostspecError):
-    """A coefficient evaluation produced an inadmissible value (a_n <= 0)."""
+    """A coefficient evaluation produced an inadmissible value (a_n <= 0, or
+    an a_n or b_n that is not finite)."""
 
 
 class BandEdgeError(JostspecError):

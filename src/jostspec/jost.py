@@ -7,7 +7,7 @@ whole grid of energies in one walk over the blocks (product_forms).
 Every function of energies takes a 1-D sequence of points (a scalar counts
 as one) and returns arrays over them, from one transfer.floquet call and one
 backward recursion over all points.  jost_solution is the one single-energy
-function: it keeps every row of the solution.
+function: it keeps every row of the solution, from the per-site recursion.
 
 Truncations N < N' have the same coefficients below site (N-1)q, so a
 ladder of truncations is one walk on one schedule, _ladder: each shallower N
@@ -104,9 +104,9 @@ def jost_solution(model, N, zeta) -> JostSolution:
     """Backward recursion from the eigenvector boundary condition at one
     point, keeping every row of the solution.
 
-    The model is truncated at N internally; the boundary pair at sites
-    (Nq+1, Nq) is the background Floquet eigenvector (z - D, C), and the
-    three-term recursion is solved down to site 0.
+    The model is truncated at N; the boundary pair at sites (Nq+1, Nq) is
+    the background Floquet eigenvector (z - D, C), and the three-term
+    recursion runs one site at a time down to site 0, with no block walk.
     """
     work = truncate(model, N)
     z, x, y, _, error = _boundary_pairs(work.block, [zeta])

@@ -4,14 +4,14 @@ W_n connection matrices) used by the product representation and the
 certificates.
 
 Everything here works elementwise over arrays of energies.  The chain takes
-its period products from _kernels.period_products; chain_blocks and
-connection_entries hold its one implementation, for connection_matrices
-(every W_n at once) and jost.product_forms (a downward walk, a chunk of
-blocks at a time, which a ladder of truncations shares).  floquet is the
-one entry point for the background's Floquet data, on the real axis and
-off it.  Each batched entry point raises the error of the first failing
-point in order, and its docstring states which fault of a point comes
-first."""
+its period products from the kernels' block-product loop, with q-site blocks
+and the guard off; chain_blocks and connection_entries hold its one
+implementation, for connection_matrices (every W_n at once) and
+jost.product_forms (a downward walk, a chunk of blocks at a time, which a
+ladder of truncations shares).  floquet is the one entry point for the
+background's Floquet data, on the real axis and off it.  Each batched entry
+point raises the error of the first failing point in order, and its
+docstring states which fault of a point comes first."""
 
 from __future__ import annotations
 
@@ -190,6 +190,19 @@ def _first_fault_error(points, chain, walk=None):
     return None
 
 
+def _period_products(a, b, zeta, q):
+    """Entries (p11, p21, p22) of the period products T_{(n+1)q} ... T_{nq+1}
+    over the sites 1 .. len(a) - 1, each a (blocks, len(zeta)) array, with
+    T_k = [[(zeta - b[k]) (1 / a[k]), -a[k-1] / a[k]], [1, 0]].  T_k is
+    J M_k J for J the swap and M_k the site matrix of _kernels._block_products,
+    so each block's sites taken top first give P = M_top ... M_first and the
+    product J P J.  Growth 0 keeps P unscaled: a rescaled P has another
+    eigenvalue."""
+    columns = tuple(v.reshape(-1, q)[:, ::-1] for v in (1.0 / a[1:], -a[:-1] / a[1:], b[1:]))
+    prod, _ = _kernels._block_products(columns, zeta, 0.0, q)
+    return prod[1, 1], prod[0, 1], prod[0, 0]
+
+
 def chain_blocks(a, b, zetas, q, first, count):
     """Eigen-data of renormalized blocks first .. first+count-1 at every point
     of a 1-D sequence zetas, from the coefficient arrays a, b.
@@ -211,7 +224,7 @@ def chain_blocks(a, b, zetas, q, first, count):
     off = ~real
     lo, hi = first * q, (first + count) * q + 1
     zeval = np.where(real, zeta + 1j * CS_STEP, zeta)
-    p11, p21, p22 = _kernels.period_products(a[lo:hi], b[lo:hi], zeval, q, count)
+    p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], zeval, q)
     a_nq = a[lo:hi:q, None]
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]

@@ -20,7 +20,7 @@ def random_block(rng, q):
 
 
 def identity_start_products(a, b, zeta, q, n_blocks):
-    """The entries (p11, p12, p21, p22) of _kernels.period_products' blocks
+    """The entries (p11, p12, p21, p22) of transfer._period_products' blocks
     from the identity matrix, with t11 a complex division by the real a[k]."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
     shape = (n_blocks, zeta.shape[0])

@@ -521,6 +521,20 @@ def test_nan_margin_exits_2_without_output(tmp_path, capsys, experiment):
     assert '"message": "margin must be positive"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["density", "entropy", "certify", "compare"])
+def test_non_finite_coefficients_exit_2_without_output(tmp_path, capsys, experiment):
+    # at s = 1000, n**s overflows and cos(inf) is NaN: entropy wrote nan
+    # values, certify nan rows, and density and compare failed only after
+    # the whole computation
+    cfg = _write(tmp_path, BASELINE_CONFIG.replace("s = 0.5\n", "s = 1000\n").replace("target = b\n", "target = both\n"))
+    out = tmp_path / "out"
+    overrides = ["experiment.N=40", "experiment.N_list=20, 40"]
+    assert run(str(cfg), overrides=overrides, experiment=experiment, out_dir=str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ['{"error": "CoefficientError", "message": "a(3) = nan is not finite"}']
+
+
 # (config, override, experiments it reaches); each value is rejected before
 # anything is computed or written.
 REJECTED_VALUES = [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_coefficient_error_on_nonpositive_a(free_block):
     model = js.make_model(free_block, js.PerturbationSpec.finite(alpha=[-2.0]))
     with pytest.raises(CoefficientError):
         model.a(1)
+
+
+@pytest.mark.parametrize("target, site", [("a", "a(3)"), ("b", "b(3)"), ("both", "a(3)")])
+def test_coefficient_error_on_non_finite_values(target, site):
+    # n**s overflows from n = 3 at s = 1000, and cos(inf) is NaN; NaN <= 0
+    # is False, so the positivity check alone let it through, with two
+    # RuntimeWarnings on the way
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=1000, gamma=0.2, target=target))
+    with pytest.raises(CoefficientError, match=rf"^{re.escape(site)} = nan is not finite$"):
+        model.coefficient_arrays(80)
+    with pytest.raises(CoefficientError):
+        js.truncate(model, 40).coefficient_arrays(80)
 
 
 def test_truncate_zero_perturbation_is_inert(free_model):

@@ -251,3 +251,31 @@ def test_a_scalar_point_is_one_point(name, point):
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def _form_fields(form):
+    return [form.phi_N, form.nu_N, form.kappa, form.log_prefactor, form.lambda0, form.u_inv0]
+
+
+# Each entry point of energies on an empty sequence: (results, their shapes).
+EMPTY_BATCH = {
+    "ac_density": lambda model, N, iv: ([js.ac_density(model, N, [])], [(0,)]),
+    "green_11": lambda model, N, iv: ([js.green_11(model, N, [])], [(0,)]),
+    "wronskian_defect": lambda model, N, iv: ([js.wronskian_defect(model, N, [])], [(0,)]),
+    "density_terms": lambda model, N, iv: (list(jost.density_terms(model, N, [])), [(0,)] * 3),
+    # no quadrature order: an empty per-order list
+    "entropy_integrals": lambda model, N, iv: ([np.asarray(js.entropy_integrals(model, N, iv, []))], [(0,)]),
+    "product_forms": lambda model, N, iv: (_form_fields(js.product_forms(model, N, [])), [(0,)] * 5 + [(2, 2, 0)]),
+    "connection_matrices": lambda model, N, iv: (list(transfer.connection_matrices(model, N, [])), [(N - 1, 0)] * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH))
+@pytest.mark.parametrize("N", [20, 40])
+def test_empty_batch_returns_empty_arrays(name, N):
+    # at N = 40 the recursion walks a block of 64 sites; the group sizes of
+    # its walk and of the chain's block products divide by the energy count
+    block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
+    results, shapes = EMPTY_BATCH[name](model, N, js.widest_trimmed_band(block, margin=0.1))
+    assert [np.shape(x) for x in results] == shapes

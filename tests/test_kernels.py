@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import identity_start_products, random_block
-from jostspec import _kernels
+from jostspec import _kernels, transfer
 from jostspec.errors import BandEdgeError
 
 
@@ -84,25 +84,30 @@ SIX_ENERGIES = [0.35, 0.8, 1.2, complex(0.35, 1e-3), complex(0.8, 0.05), complex
 
 
 def _assert_bit_identical(a, b, zeta, tops, seconds):
+    # with rows the call is the per-site recursion at any length; without
+    # rows, only a chain shorter than BLOCK takes the per-site step alone
     rows, ref_rows = (np.empty((len(a) + 1, len(zeta)), dtype=complex) for _ in range(2))
     got = _kernels.jost_backward(a, b, zeta, tops, seconds, rows=rows)
     ref = reference_batched_jost(a, b, zeta, tops, seconds, rows=ref_rows)
     assert all(np.array_equal(x, y) for x, y in zip(got, ref))
     assert np.array_equal(rows, ref_rows)
-    got = _kernels.jost_backward(a, b, zeta, tops, seconds)
-    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    if len(a) <= _kernels.BLOCK:
+        assert all(np.array_equal(x, y) for x, y in zip(_kernels.jost_backward(a, b, zeta, tops, seconds), ref))
     return got
 
 
 @pytest.mark.parametrize(
     "N, energies, scales",
-    [(31, SIX_ENERGIES, [0] * 6), (31, [0.8, complex(0.3, 400.0), 1.5], [0, 600, 0])],
-    ids=["six-energies", "rescale"],
+    [
+        (31, SIX_ENERGIES, [0] * 6),
+        (31, [0.8, complex(0.3, 400.0), 1.5], [0, 600, 0]),
+        (150, [0.8, complex(0.3, 400.0), 1.5], [0, 2400, 0]),
+    ],
+    ids=["six-energies", "rescale", "rows-past-a-block"],
 )
 def test_jost_backward_matches_the_per_step_guard_bit_for_bit(baseline_model, N, energies, scales):
-    # a chain shorter than BLOCK takes the per-site step alone; at Im zeta =
-    # 400 the solution passes the threshold within its 62 sites
-    assert 2 * N < _kernels.BLOCK
+    # 62 sites are shorter than BLOCK; at Im zeta = 400 the solution passes
+    # the threshold within them, and four times on 300 sites
     got = _assert_bit_identical(*_batch(baseline_model, N, energies))
     assert got[2].tolist() == scales
 
@@ -137,24 +142,27 @@ def test_gated_guard_matches_the_per_step_guard(chain):
     # The guard only moves exponents: a low threshold and a small shift make
     # it fire many times on 600 sites, on block products, pairs and single
     # sites alike, so the bound is reset from the actual values again and
-    # again; u * 2**scale_log2 and every row on the final scale equal the
-    # default run's bit for bit (rows that fall below the normal range of
-    # either run lose bits there), and the results do not depend on rows.
+    # again; u * 2**scale_log2 equals the default run's bit for bit, of the
+    # block walk and of the per-site recursion a call with rows takes, and
+    # so does every row on the final scale (rows that fall below the normal
+    # range of either run lose bits there).
     a = chain[0]
     rows = np.empty((len(a) + 1, len(chain[2])), dtype=complex)
-    default = _kernels.jost_backward(*chain, rows=rows)
+    default, default_sites = _kernels.jost_backward(*chain), _kernels.jost_backward(*chain, rows=rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
         mp.setattr(_kernels, "RESCALE_SHIFT", 10)
         low_rows = np.empty_like(rows)
-        low = _kernels.jost_backward(*chain, rows=low_rows)
-        assert all(np.array_equal(x, y) for x, y in zip(_kernels.jost_backward(*chain), low))
-    assert low[2][0] > 0
+        low, low_sites = _kernels.jost_backward(*chain), _kernels.jost_backward(*chain, rows=low_rows)
+    assert low[2][0] > 0 and low_sites[2][0] > 0
     tiny = np.finfo(float).tiny
     pairs = ((rows.real, low_rows.real), (rows.imag, low_rows.imag))
     both = [(x == 0) & (y == 0) | (np.abs(x) >= tiny) & (np.abs(y) >= tiny) for x, y in pairs]
-    for got, want, keep in ((low[0], default[0], ...), (low[1], default[1], ...), (low_rows, rows, both[0] & both[1])):
-        got, want = _unscaled(got, low[2]), _unscaled(want, default[2])
+    runs = ((low, default), (low_sites, default_sites))
+    compared = [(x, lo[2], y, de[2], ...) for lo, de in runs for x, y in zip(lo[:2], de[:2])]
+    compared.append((low_rows, low_sites[2], rows, default_sites[2], both[0] & both[1]))
+    for got, got_scale, want, want_scale, keep in compared:
+        got, want = _unscaled(got, got_scale), _unscaled(want, want_scale)
         assert all(np.array_equal(x[keep], y[keep]) for x, y in zip(got, want))
 
 
@@ -245,12 +253,18 @@ def test_rescale_guard_is_per_energy(baseline_model):
 
 
 def test_solution_rows_share_the_final_scale(baseline_model):
+    # jost_solution's rows are the per-site recursion, bit for bit; the block
+    # walk of the call without rows agrees with its u_0, u_1 and scale
     sol = js.jost_solution(baseline_model, 4000, complex(0.3, 1e-3))
     assert sol.scale_log2 == 600
     assert js.recursion_residuals(baseline_model, sol).max() < 1e-10
     a, b, zeta, tops, seconds = _batch(baseline_model, 4000, [complex(0.3, 1e-3)])
-    u0, u1, _ = _kernels.jost_backward(a, b, zeta, tops, seconds)
-    assert (sol.u0, sol.u1) == (u0[0], u1[0])
+    ref_rows = np.empty((len(a) + 1, 1), dtype=complex)
+    reference_batched_jost(a, b, zeta, tops, seconds, rows=ref_rows)
+    assert np.array_equal(sol.u, ref_rows.ravel())
+    u0, u1, scale = _kernels.jost_backward(a, b, zeta, tops, seconds)
+    assert scale[0] == sol.scale_log2
+    assert _rel(u0[0], sol.u0) <= 1e-13 and _rel(u1[0], sol.u1) <= 1e-13
     ref, _ = reference_jost(a, b, zeta[0], tops[0], seconds[0])
     assert np.max(np.abs(sol.u - ref) / np.abs(ref)) <= 1e-13
 
@@ -330,7 +344,7 @@ def test_period_products_match_identity_start_loop_bit_for_bit(q):
         b[rng.integers(1, n_blocks * q + 1, 2)] = 0.0
         re = np.concatenate([rng.choice(b[1:], 4), np.round(rng.uniform(-2.5, 2.5, 4), 1) + 0.0, [0.0]])
         zeta = (re[None, :] + 1j * heights[:, None]).ravel()
-        got = _kernels.period_products(a, b, zeta, q, n_blocks)
+        got = transfer._period_products(a, b, zeta, q)
         p11, _, p21, p22 = identity_start_products(a, b, zeta, q, n_blocks)
         for x, y in zip(got, (p11, p21, p22), strict=True):
             assert x.shape == y.shape == (n_blocks, zeta.size)
@@ -339,7 +353,7 @@ def test_period_products_match_identity_start_loop_bit_for_bit(q):
     # a zero entry, never a value
     zeta = np.empty(heights.size + 1, dtype=np.complex128)
     zeta.real, zeta.imag = -0.0, np.append(heights, -0.0)
-    got = _kernels.period_products(a, b, zeta, q, n_blocks)
+    got = transfer._period_products(a, b, zeta, q)
     p11, _, p21, p22 = identity_start_products(a, b, zeta, q, n_blocks)
     for x, y in zip(got, (p11, p21, p22), strict=True):
         assert np.array_equal(x, y)
@@ -398,16 +412,18 @@ def test_each_column_equals_its_own_call_bit_for_bit(baseline_model, points):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
             mp.setattr(_kernels, "RESCALE_SHIFT", 10)
+            # the block walk, and the per-site recursion of a call with rows
             rows = np.empty((len(a) + 1, points), dtype=complex)
-            batch = _kernels.jost_backward(a, b, zetas, tops, seconds, rows=rows)
-            assert batch[2].max() > 0
-            again = _kernels.jost_backward(a, b, zetas, tops, seconds)
-            assert all(np.array_equal(x, y) for x, y in zip(again, batch))
+            batch = _kernels.jost_backward(a, b, zetas, tops, seconds)
+            batch_sites = _kernels.jost_backward(a, b, zetas, tops, seconds, rows=rows)
+            assert batch[2].max() > 0 and batch_sites[2].max() > 0
             for i in range(points):
                 one = slice(i, i + 1)
+                own = _kernels.jost_backward(a, b, zetas[one], tops[one], seconds[one])
+                assert all(np.array_equal(x[one], y) for x, y in zip(batch, own))
                 own_rows = np.empty((len(a) + 1, 1), dtype=complex)
                 own = _kernels.jost_backward(a, b, zetas[one], tops[one], seconds[one], rows=own_rows)
-                assert all(np.array_equal(x[one], y) for x, y in zip(batch, own))
+                assert all(np.array_equal(x[one], y) for x, y in zip(batch_sites, own))
                 assert np.array_equal(rows[:, one], own_rows)
             mp.setattr(_kernels, "_block_products", spy)
             shifted.clear()

@@ -1,24 +1,24 @@
-"""Transfer algebra: the period products of _kernels.period_products, the
-discriminant and its Floquet branches, and the renormalized block chain at
-single points."""
+"""Transfer algebra: the chain's period products, the discriminant and its
+Floquet branches, and the renormalized block chain at single points."""
 
 import numpy as np
 import pytest
 
 import jostspec as js
 from conftest import identity_start_products, random_block
-from jostspec import _kernels, transfer
+from jostspec import transfer
 from jostspec.errors import BandEdgeError
 
 
 def period_matrices(model, zeta, q, n_blocks):
     """Blocks 0 .. n_blocks-1 of q one-step matrices each at one energy, as an
     (n_blocks, 2, 2) array; q = 1 gives the one-step matrices T_1, T_2, ...
-    The entries _kernels.period_products returns are checked against them."""
+    The entries transfer._period_products returns are checked against them."""
     a, b = model.coefficient_arrays(n_blocks * q)
     p11, p12, p21, p22 = identity_start_products(a, b, zeta, q, n_blocks)
-    # the kernel forms every entry but p12, which no caller reads
-    for got, want in zip(_kernels.period_products(a, b, zeta, q, n_blocks), (p11, p21, p22), strict=True):
+    # the chain reads every entry but p12
+    products = transfer._period_products(a, b, np.atleast_1d(np.asarray(zeta, dtype=complex)), q)
+    for got, want in zip(products, (p11, p21, p22), strict=True):
         assert np.array_equal(got, want)
     return np.stack([p[:, 0] for p in (p11, p12, p21, p22)], axis=-1).reshape(n_blocks, 2, 2)
 
