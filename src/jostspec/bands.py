@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
-from .transfer import decaying_branch, discriminant, discriminant_derivative
+from .transfer import COINCIDE, decaying_branch, discriminant, discriminant_derivative, floquet_error
 
 __all__ = [
     "BandSet",
@@ -130,11 +130,21 @@ def widest_trimmed_band(block, margin):
     return pairs[_widest_index(pairs)]
 
 
+def _bounds(interval):
+    """Float (lo, hi) of an AdmissibleInterval or a pair; ValidationError
+    unless -inf < lo < hi < inf."""
+    pair = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
+    lo, hi = (float(x) for x in pair)
+    if not -np.inf < lo < hi < np.inf:
+        raise ValidationError(f"interval must be two finite numbers lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def band_interior(block, interval):
     """(lo, hi) of an interval strictly inside one band [E_2j, E_2j+1] of
     _edge_pairs; DegenerateBranchError if it reaches an edge or crosses a gap,
     however narrow, or a closed one, where C vanishes."""
-    lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
+    lo, hi = _bounds(interval)
     if not any(e_lo < lo and hi < e_hi for e_lo, e_hi in _edge_pairs(block)):
         raise DegenerateBranchError(f"interval [{lo}, {hi}] is not inside one band interior")
     return lo, hi
@@ -175,9 +185,7 @@ def interval_constants(block, interval):
             return AdmissibleInterval(lo, hi, eps, c_i)
         first = int(np.argmax(stop))
         if coincide.flat[first]:
-            raise DegenerateBranchError(
-                f"eigenvalue moduli coincide at zeta = {complex(zeta.flat[first])}"
-            )
+            raise floquet_error(COINCIDE, zeta.flat[first])
         eps *= 0.5
     raise DegenerateBranchError(
         "no strip height certifies the eigenvalue bound on this interval"

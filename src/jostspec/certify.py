@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import count
-from .errors import DegenerateBranchError, ValidationError, ZeroJostError
+from .errors import ValidationError, ZeroJostError
 from .jost import _product_ladder
-from .transfer import connection_matrices, decaying_branch, discriminant
+from .transfer import COINCIDE, connection_matrices, decaying_branch, discriminant, floquet_error
 
 __all__ = [
     "CertReport",
@@ -44,6 +44,8 @@ class CertReport:
 
 # Energies and heights of the Floquet strip grid.
 FLOQUET_GRID = 32
+# check_w_summability passes only if the last increment is below this.
+W_TAIL_TOL = 0.05
 
 
 def check_floquet_bound(block, interval) -> CertReport:
@@ -58,8 +60,7 @@ def check_floquet_bound(block, interval) -> CertReport:
     zeta = energies[None, :] + 1j * heights[:, None]
     z, z_inv, coincide = decaying_branch(discriminant(block, zeta))
     if coincide.any():
-        i = int(np.argmax(coincide))
-        raise DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {complex(zeta.flat[i])}")
+        raise floquet_error(COINCIDE, zeta.flat[np.argmax(coincide)])
     y = heights[:, None]
     margins = np.minimum((1.0 - 0.9 * c_i * y) - np.abs(z), np.abs(z_inv) - (1.0 + 0.9 * c_i * y))
     slope_floor = float(np.min((1.0 - np.abs(z)) / y))
@@ -92,9 +93,9 @@ def _doubling_grid(n_grid):
     return n_grid
 
 
-def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
+def check_w_summability(model, zeta, n_grid) -> CertReport:
     """Partial sums of ||W_n||_F^2 along a doubling grid: increments must be
-    nonincreasing and the final increment below tol.  The grid needs at
+    nonincreasing and the final increment below W_TAIL_TOL.  The grid needs at
     least 2 distinct indices, so that there is an increment to test, and
     each index twice the one before it, so that the increments are over
     windows [m, 2m) and comparable."""
@@ -109,7 +110,7 @@ def check_w_summability(model, zeta, n_grid, tol=0.05) -> CertReport:
     )
     return CertReport(
         name="w_square_summability",
-        passed=decreasing and increments[-1] < tol,
+        passed=decreasing and increments[-1] < W_TAIL_TOL,
         measured={
             "l2_norm_estimate": math.sqrt(partials[-1]),
             "partial_sums": partials,

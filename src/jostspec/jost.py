@@ -37,7 +37,7 @@ from .errors import (
     EigenvectorDegeneracyError,
     ZeroJostError,
 )
-from .transfer import DEAD_ALPHA, SINGULAR_U, floquet, floquet_error
+from .transfer import DEAD_ALPHA, EDGE_TOL, SINGULAR_U, floquet, floquet_error
 
 __all__ = [
     "JostSolution",
@@ -82,10 +82,10 @@ def _boundary_pairs(block, zetas, interior=False):
     """The backward recursion's boundary pair at every point of a 1-D
     sequence, from one floquet call: (z, z - D, C), the index of the first
     point that fails and its error (the number of points and None if none
-    does).  A point fails outside a band interior if `interior`, then on a
-    Floquet fault, then where C = 0."""
+    does).  A point fails outside a band interior if `interior` (a NaN
+    energy included), then on a Floquet fault, then where C = 0."""
     delta, z, c, d, fault = floquet(block, zetas)
-    outside = interior & (np.abs(delta) >= 2.0 - 1e-12)
+    outside = interior & ~(np.abs(delta) < 2.0 - EDGE_TOL)
     bad = np.flatnonzero(outside | (fault != 0) | (c == 0))
     if not bad.size:
         return z, z - d, c, len(z), None
@@ -267,8 +267,8 @@ def density_values(a0, num, abs_u0, scale_log2):
     """The density from density_terms: the direct quotient where the
     recursion did not rescale and |u_0|^2 is finite, exp(log_density)
     elsewhere.  np.hypot and np.float_power call the C library's hypot and
-    pow, as Python's abs(complex) and float ** do, so the quotient equals the
-    scalar formula's bit for bit."""
+    pow, the functions behind Python's abs(complex) and float **, so the
+    quotient is the same number when formed from Python scalars."""
     with np.errstate(over="ignore"):
         denom = math.pi * abs(a0) * np.float_power(abs_u0, 2.0)
         direct = (scale_log2 == 0) & np.isfinite(denom)

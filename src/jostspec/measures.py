@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
+from .bands import _bounds
 from .coefficients import count, truncate
 from .errors import BandEdgeError, OracleConvergenceError, ValidationError
 from .jost import _density_ladder, ac_density, log_density
@@ -127,8 +128,7 @@ def density_curve(model, N, interval, grid_points, method="key_formula"):
     band interior raises BandEdgeError.
     """
     grid_points = count("grid_points", grid_points, 2)
-    lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
-    grid = np.linspace(float(lo), float(hi), grid_points)
+    grid = np.linspace(*_bounds(interval), grid_points)
     if method == "key_formula":
         vals = ac_density(model, N, grid)
     elif method == "oracle":
@@ -156,7 +156,7 @@ def entropy_integrals(model, N, interval, quad_orders):
     in log space, so it stays finite at depths where the density itself
     underflows."""
     orders = [count("quad_order", order, 4) for order in quad_orders]
-    lo, hi = (interval.lo, interval.hi) if hasattr(interval, "lo") else interval
+    lo, hi = _bounds(interval)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     energies = [mid + half * x for order in orders for x in _gauss_legendre(order)[0]]

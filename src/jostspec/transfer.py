@@ -9,9 +9,10 @@ and the guard off; chain_blocks and connection_entries hold its one
 implementation, for connection_matrices (every W_n at once) and
 jost.product_forms (a downward walk, a chunk of blocks at a time, which a
 ladder of truncations shares).  floquet is the one entry point for the
-background's Floquet data, on the real axis and off it.  Each batched entry
-point raises the error of the first failing point in order, and its
-docstring states which fault of a point comes first."""
+background's Floquet data, on the real axis and off it; it and the chain
+pick their roots and report their faults by one rule, _branches.  Each
+batched entry point raises the error of the first failing point in order,
+and its docstring states which fault of a point comes first."""
 
 from __future__ import annotations
 
@@ -28,13 +29,13 @@ __all__ = [
 ]
 
 # Complex-step offset for derivatives at real energy: of the discriminant,
-# and the signs of block-trace derivatives.
+# and the signs of trace derivatives in the branch rule.
 CS_STEP = 1e-100
-# |trace| within this of 2 counts as parabolic (no eigenbasis).
+# |block trace| within this of 2 counts as parabolic (no eigenbasis).
 PARABOLIC_TOL = 1e-9
 # |discriminant| within this of 2 at real energy counts as a band edge.
 EDGE_TOL = 1e-12
-# |discriminant derivative| below this blocks real-axis branch selection.
+# |trace derivative| below this blocks real-axis branch selection.
 DERIV_TOL = 1e-9
 # Off the real axis, a larger root of modulus below 1 + this has no branch.
 COINCIDE_TOL = 1e-13
@@ -95,9 +96,38 @@ def _real_branch(trace, slope):
     )
 
 
-# Faults of the Floquet data, one code per point (0 = none): at real points
-# a band edge before a flat discriminant, off the axis coinciding moduli.
-BAND_EDGE, FLAT_DELTA, COINCIDE = 1, 2, 3
+# Faults of a Floquet branch, one code per point (0 = none): at real points
+# |trace| at 2 (a band edge of the background, a parabolic block of the
+# chain) before a flat trace, off the axis coinciding moduli.  The chain's
+# connection steps add the last two.
+BAND_EDGE, FLAT_DELTA, COINCIDE, SINGULAR_U, DEAD_ALPHA = 1, 2, 3, 4, 5
+
+
+def _branches(trace, real, edge_tol):
+    """The larger-modulus root lam of r^2 - trace r + 1 = 0 and its fault
+    code, per entry of a complex array whose last axis runs over points;
+    `real` masks the real points.  A real point's trace is taken CS_STEP
+    above the axis, so its imaginary part carries the derivative that picks
+    the branch (_real_branch); it is a BAND_EDGE within edge_tol of +-2, then
+    FLAT_DELTA where the derivative is below DERIV_TOL inside (-2, 2).  The
+    other points take decaying_branch, with COINCIDE.  Each point computes
+    its own branch only."""
+    off = ~real
+    lam = np.empty_like(trace)
+    fault = np.zeros(trace.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if real.any():
+            re, slope = trace.real[..., real], trace.imag[..., real] / CS_STEP
+            lam[..., real] = _real_branch(re, slope)
+            edge = np.abs(np.abs(re) - 2.0) < edge_tol
+            flat = (np.abs(re) < 2.0) & (np.abs(slope) < DERIV_TOL)
+            if edge.any() or flat.any():
+                fault[..., real] = np.select([edge, flat], [BAND_EDGE, FLAT_DELTA], 0)
+        if off.any():
+            _, lam[..., off], coincide = decaying_branch(trace[..., off])
+            if coincide.any():
+                fault[..., off] = np.where(coincide, COINCIDE, 0)
+    return lam, fault
 
 
 def floquet_error(code, zeta):
@@ -114,52 +144,36 @@ def floquet(block, zetas):
     """Floquet data at every point of a 1-D sequence zetas (a scalar counts
     as one point), as complex arrays.
 
-    Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch;
-    the lower row (C, D) of the period matrix, so (z - D, C) is the
-    eigenvector; the fault code.  Real points are computed in float64: inside
-    a band z is (delta - i sign(delta') sqrt(4 - delta^2)) / 2 with delta' by
-    the complex step, outside the smaller real root.  Off the axis z is the
-    root of smaller modulus from decaying_branch.
+    Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch,
+    1 / lam for the root lam of _branches (on a band conj(lam), the same
+    number without rounding); the lower row (C, D) of the period matrix, so
+    (z - D, C) is the eigenvector; the fault code, with EDGE_TOL.  Real
+    points take delta, C and D from the float64 product, which divides by
+    a_k where the complex one multiplies by 1 / a_k.
     """
     zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     real = zeta.imag == 0.0
-    off = ~real
-    delta, z, c, d = (np.empty(zeta.shape, dtype=np.complex128) for _ in range(4))
-    fault = np.zeros(zeta.shape, dtype=np.int64)
+    p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * CS_STEP, zeta))
+    # q = 1 gives scalar C and D
+    c, d = (np.full(zeta.shape, x, dtype=np.complex128) for x in (c, d))
+    trace = p11 + d
     if real.any():
-        energy = zeta.real[real]
-        p11, _, c[real], d_real = _background_period_matrix(block, energy)
-        d[real] = d_real
-        delta[real] = dl = p11 + d_real
-        dd = discriminant_derivative(block, energy)
-        interior = np.abs(dl) < 2.0
-        lam = _real_branch(dl, dd)
-        # on the unit circle conj(lam) is 1/lam without rounding
-        z[real] = np.where(interior, np.conj(lam), 1.0 / lam)
-        edge = np.abs(np.abs(dl) - 2.0) < EDGE_TOL
-        fault[real] = np.select([edge, interior & (np.abs(dd) < DERIV_TOL)], [BAND_EDGE, FLAT_DELTA], 0)
-    if off.any():
-        p11, _, c[off], d[off] = _background_period_matrix(block, zeta[off])
-        delta[off] = p11 + d[off]
-        z[off], _, coincide = decaying_branch(delta[off])
-        fault[off] = np.where(coincide, COINCIDE, 0)
-    return delta, z, c, d, fault
-
-
-# Faults of the renormalized block chain, one code per energy (0 = none).
-# The first three arise while the blocks' eigen-data are computed; the last
-# two in the connection steps between adjacent blocks.
-PARABOLIC, FLAT_TRACE, COINCIDENT, SINGULAR_U, DEAD_ALPHA = 1, 2, 3, 4, 5
+        p11, _, c[real], d[real] = _background_period_matrix(block, zeta.real[real])
+        trace.real[real] = p11 + d.real[real]
+    lam, fault = _branches(trace, real, EDGE_TOL)
+    with np.errstate(invalid="ignore"):
+        z = np.where(real & (np.abs(trace.real) < 2.0), np.conj(lam), 1.0 / lam)
+    return np.where(real, trace.real, trace), z, c, d, fault
 
 
 def _fault_error(code, n, zeta):
     # the DiagonalizationError of chain fault `code` at index n and energy zeta
     z = complex(zeta)
-    if code == PARABOLIC:
+    if code == BAND_EDGE:
         message = f"block {n} is parabolic at E = {z.real}"
-    elif code == FLAT_TRACE:
+    elif code == FLAT_DELTA:
         message = f"block {n} trace derivative vanishes at E = {z.real}"
-    elif code == COINCIDENT:
+    elif code == COINCIDE:
         message = f"block {n} eigenvalue moduli coincide at zeta = {z}"
     elif code == SINGULAR_U:
         message = f"U_{n} is singular"
@@ -212,37 +226,21 @@ def chain_blocks(a, b, zetas, q, first, count):
     whose columns are (rho_n lambda_n^{-1} - D_n, a_nq C_n) and
     (rho_n lambda_n - D_n, a_nq C_n) with rho_n = a_nq / a_(n+1)q.  At real
     energies the blocks are evaluated a complex step CS_STEP above the axis,
-    so the sign of the trace derivative comes with the trace and fixes the
-    branch.  Each point computes its own branch only: _real_branch and the
-    PARABOLIC / FLAT_TRACE tests on the real columns, decaying_branch and
-    the COINCIDENT test on the others.  Returns (lam, u, faults), each entry
-    a (count, points) array; faults holds PARABOLIC, FLAT_TRACE or
-    COINCIDENT where the block has no usable eigenbasis.
+    so the trace carries its derivative, and lambda_n and the fault are
+    floquet's rule (_branches), with PARABOLIC_TOL.  Returns (lam, u,
+    faults), each entry a (count, points) array; faults holds BAND_EDGE (a
+    parabolic block), FLAT_DELTA or COINCIDE where the block has no usable
+    eigenbasis.
     """
     zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     real = zeta.imag == 0.0
-    off = ~real
     lo, hi = first * q, (first + count) * q + 1
-    zeval = np.where(real, zeta + 1j * CS_STEP, zeta)
-    p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], zeval, q)
+    p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], np.where(real, zeta + 1j * CS_STEP, zeta), q)
     a_nq = a[lo:hi:q, None]
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]
-    tr = p11 + p22 / rho
-    lam = np.empty_like(tr)
-    faults = np.zeros(tr.shape, dtype=np.int64)
+    lam, faults = _branches(p11 + p22 / rho, real, PARABOLIC_TOL)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if real.any():
-            re, dsign = tr.real[:, real], tr.imag[:, real] / CS_STEP
-            lam[:, real] = _real_branch(re, dsign)
-            parabolic = np.abs(np.abs(re) - 2.0) < PARABOLIC_TOL
-            flat = (np.abs(re) < 2.0) & (np.abs(dsign) < DERIV_TOL)
-            if parabolic.any() or flat.any():
-                faults[:, real] = np.select([parabolic, flat], [PARABOLIC, FLAT_TRACE], 0)
-        if off.any():
-            _, lam[:, off], coincide = decaying_branch(tr[:, off])
-            if coincide.any():
-                faults[:, off] = np.where(coincide, COINCIDENT, 0)
         u12 = rho * lam - p22
         u11 = rho / lam - p22
     u21 = a_lo * p21

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec import _kernels, jost
+from jostspec import _kernels, bands, jost, measures
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
@@ -652,3 +652,38 @@ def test_oracle_agrees_with_key_formula_close_to_band_edges():
         key = js.density_curve(model, 20, iv, 101)
         oracle = js.density_curve(model, 20, iv, 101, method="oracle")
         assert np.max(np.abs(oracle.values - key.values) / key.values) <= 1e-11
+
+
+BASELINE = js.make_model(
+    js.periodic_block(2, [1.0, 1.4], [0.1, -0.2]), js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2)
+)
+
+
+@pytest.mark.parametrize(
+    "pick",
+    [lambda lo, hi: (hi, lo), lambda lo, hi: (math.nan, hi), lambda lo, hi: (lo, math.inf)],
+    ids=["reversed", "nan", "inf"],
+)
+def test_reversed_or_non_finite_interval_is_rejected(monkeypatch, pick):
+    interval = pick(*js.widest_trimmed_band(BASELINE.block, 0.1))
+    # rejected before any density is computed
+    monkeypatch.setattr(measures, "ac_density", None)
+    monkeypatch.setattr(measures, "_density_ladder", None)
+    checks = (
+        lambda: bands.band_interior(BASELINE.block, interval),
+        lambda: js.interval_constants(BASELINE.block, interval),
+        lambda: js.density_curve(BASELINE, 40, interval, 5),
+        lambda: js.entropy_integrals(BASELINE, 40, interval, [16]),
+    )
+    for check in checks:
+        with pytest.raises(ValidationError, match=r"^interval must be two finite numbers lo < hi"):
+            check()
+
+
+def test_nan_energy_raises_the_oracles_band_edge_error():
+    with pytest.raises(BandEdgeError) as oracle:
+        js.oracle_green_11(BASELINE, 40, [0.5, math.nan])
+    assert str(oracle.value) == "E = nan is not in a band interior"
+    for key_formula in (jost.density_terms, jost.ac_density):
+        with pytest.raises(BandEdgeError, match=f"^{re.escape(str(oracle.value))}$"):
+            key_formula(BASELINE, 40, [0.5, math.nan])

@@ -6,7 +6,7 @@ import pytest
 
 import jostspec as js
 from conftest import identity_start_products, random_block
-from jostspec import transfer
+from jostspec import bands, transfer
 from jostspec.errors import BandEdgeError
 
 
@@ -256,3 +256,36 @@ def test_w_norms_square_summable_for_l2_family(free_block):
     increments = np.diff(sums)
     assert increments[-1] < increments[0]
     assert all(inc < 0.05 for inc in increments)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_chain_and_floquet_take_one_branch(q):
+    # without perturbation each block's lambda_n is the background's
+    # multiplier, 1 / z: in bands, in gaps, outside the spectrum, off the axis
+    block = random_block(np.random.default_rng(70 + q), q)
+    edges = np.array([e for pair in bands._edge_pairs(block) for e in pair])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    strip = [mids[::2] + 1j * y for y in (1e-3, 0.1, 1.0)]
+    points = np.concatenate([mids, [edges[0] - 0.5, edges[-1] + 0.5], *strip])
+    lam, _, faults = transfer.chain_blocks(*js.make_model(block).coefficient_arrays(4 * q), points, q, 0, 4)
+    _, z, _, _, fault = js.floquet(block, points)
+    assert not faults.any() and not fault.any()
+    np.testing.assert_allclose(lam * z, 1.0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "block, zeta, code",
+    [
+        (js.periodic_block(1, [1.0], [0.0]), 2.0, transfer.BAND_EDGE),
+        (js.periodic_block(1, [1.0], [0.0]), -2.0, transfer.BAND_EDGE),
+        # discriminant E^2 / 1e10 - 2: a derivative below DERIV_TOL at E = -4
+        (js.periodic_block(2, [1e5, 1e5], [0.0, 0.0]), -4.0, transfer.FLAT_DELTA),
+        (js.periodic_block(1, [1.0], [0.0]), 0.5 + 1e-20j, transfer.COINCIDE),
+    ],
+    ids=["edge-top", "edge-bottom", "flat", "coincide"],
+)
+def test_chain_and_floquet_report_one_fault_code(block, zeta, code):
+    *_, fault = js.floquet(block, [zeta])
+    _, _, faults = transfer.chain_blocks(*js.make_model(block).coefficient_arrays(3 * block.q), [zeta], block.q, 0, 3)
+    assert fault.tolist() == [code]
+    assert faults.ravel().tolist() == [code] * 3
