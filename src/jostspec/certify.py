@@ -247,6 +247,7 @@ def check_harmonic_hypotheses(model, N, interval) -> CertReport:
     N doubles.  N and 2N are one ladder walk over the probe grid: blocks
     0 .. N-3 are shared, so they are computed once.  N's first failing point
     or vanishing factor raises before 2N's."""
+    N = count("truncation index N", N, 1)
     cons_n, cons_2n = _harmonic_constants(model, (N, 2 * N), interval)
 
     def ratio(u, v):

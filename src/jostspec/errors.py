@@ -20,7 +20,9 @@ class BandEdgeError(JostspecError):
 
 class DegenerateBranchError(JostspecError):
     """Floquet branch cannot be selected (discriminant derivative vanishes,
-    or the two eigenvalue moduli coincide off the real axis)."""
+    the two eigenvalue moduli coincide off the real axis, or no multiplier
+    is finite, as at a NaN or infinite point or where the discriminant
+    overflows)."""
 
 
 class EigenvectorDegeneracyError(JostspecError):

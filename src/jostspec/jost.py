@@ -112,10 +112,10 @@ def jost_solution(model, N, zeta) -> JostSolution:
     z, x, y, _, error = _boundary_pairs(work.block, [zeta])
     if error is not None:
         raise error
-    a, b = work.coefficient_arrays(N * work.block.q)
+    a, b = work.coefficient_arrays(work.trunc * work.block.q)
     rows = np.empty((a.shape[0] + 1, 1), dtype=np.complex128)
     _, _, scales = _kernels.jost_backward(a, b, complex(zeta), x, y, rows=rows)
-    return JostSolution(N=N, zeta=complex(zeta), u=rows.ravel(), z=complex(z[0]), scale_log2=int(scales[0]))
+    return JostSolution(N=work.trunc, zeta=complex(zeta), u=rows.ravel(), z=complex(z[0]), scale_log2=int(scales[0]))
 
 
 def recursion_residuals(model, sol) -> np.ndarray:
@@ -135,11 +135,12 @@ def _ladder(Ns, walk, join_at, floor):
     duplicates kept, from one walk down to `floor`.
 
     A walker stands at `hi`: walk(N) at the top of truncation N, with one
-    row; descend(lo) takes it down to lo, and join(other) carries the rows
-    of a walker at the same point.  Truncations N < N' agree below
-    join_at(N): every shallower N descends on its own arrays to join_at(N),
-    and the deepest N walks from its top and takes each one in there as a
-    row.  A rung that reaches the floor on its own ends there.
+    row; descend(lo) takes it down to lo.  Its class names in ROWS the arrays
+    that hold its rows along axis 0 (None where a walker does not form one).
+    Truncations N < N' agree below join_at(N): every shallower N descends on
+    its own arrays to join_at(N), and the deepest N walks from its top and,
+    standing there, concatenates that walker's ROWS to its own.  A rung that
+    reaches the floor on its own ends there.
     """
     if not Ns:
         return []
@@ -151,7 +152,9 @@ def _ladder(Ns, walk, join_at, floor):
     for N, own in rungs.items():
         if own.hi > floor:
             main.descend(own.hi)
-            main.join(own)
+            for name in main.ROWS:
+                if getattr(main, name) is not None:
+                    setattr(main, name, np.concatenate([getattr(main, name), getattr(own, name)]))
             rows.append(N)
     main.descend(floor)
     results = {N: own.result(0) for N, own in rungs.items() if own.hi == floor}
@@ -166,6 +169,8 @@ class _Recursion:
     per rung, and adds up each column's scale_log2 over its segments; a
     jost_backward run split at a block boundary continues bit for bit."""
 
+    ROWS = ("zetas", "upper", "lower", "scale")
+
     def __init__(self, work, zetas, tops, seconds):
         self.a, self.b = work.coefficient_arrays(work.trunc * work.block.q)
         self.hi, self.n = len(self.a), len(zetas)
@@ -177,11 +182,6 @@ class _Recursion:
         sites = slice(lo - 1, self.hi)
         u_lo, u_hi, scale = _kernels.jost_backward(self.a[sites], self.b[sites], self.zetas, self.upper, self.lower)
         self.upper, self.lower, self.scale, self.hi = u_hi, u_lo, self.scale + scale, lo
-
-    def join(self, other):
-        """Carry the columns of `other`, which stands at the same site, from here on."""
-        for name in ("zetas", "upper", "lower", "scale"):
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
 
     def result(self, row):
         """(u_0, u_1, scale_log2) of a row's columns, standing at site 1."""
@@ -336,19 +336,22 @@ class _Walk:
     """A downward product walk over a truncated model's blocks N-1 .. 0.
 
     It stands at block `hi` and keeps that block's (lam, u).  It carries one
-    state row per truncation (rung): the normalized pair (v0, v1), the log
-    prefactor and the modulus floor kappa (None without `prefactor`), and the
-    (code, index) of the row's lowest chain fault and highest walk fault.
-    Each step is three products and two sums over all rows and points, from
-    the chunk's folded coefficients (product_forms) broadcast over the rungs.
+    state row per truncation (rung), the arrays of ROWS: the normalized pair
+    (v0, v1), the log prefactor and the modulus floor kappa (None without
+    `prefactor`), and one fault record (code, index) per point, code 0 for
+    none.  Each step is three products and two sums over all rows and
+    points, from the chunk's folded coefficients (product_forms) broadcast
+    over the rungs.
     """
+
+    ROWS = ("v0", "v1", "logpref", "kappa", "code", "index")
 
     def __init__(self, work, points, prefactor=True):
         self.q, self.points, self.hi, self.a0 = work.block.q, points, work.trunc - 1, float(work.a(0))
         self.a, self.b = work.coefficient_arrays(work.trunc * self.q)
         shape = (1, len(points))
-        self.chain = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
-        self.walk = (np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        self.code = np.zeros(shape, dtype=np.int64)
+        self.index = np.zeros(shape, dtype=np.int64)
         self.lam, self.u = self._blocks(self.hi, 1)
         self.v0 = np.ones(shape, dtype=np.complex128)
         self.v1 = np.zeros(shape, dtype=np.complex128)
@@ -361,9 +364,10 @@ class _Walk:
         lam, u, faults = transfer.chain_blocks(self.a, self.b, self.points, self.q, lo, count)
         if faults.any():
             code, first = transfer._lowest_fault(faults)
-            # the walk descends, so the last block recorded is the lowest
+            # a block without an eigenbasis comes before any connection step,
+            # and the walk descends, so the last block recorded is the lowest
             hit = code != 0
-            self.chain = (np.where(hit, code, self.chain[0]), np.where(hit, lo + first, self.chain[1]))
+            self.code, self.index = np.where(hit, code, self.code), np.where(hit, lo + first, self.index)
         return lam, u
 
     def descend(self, lo):
@@ -387,9 +391,10 @@ class _Walk:
         dead = one_alpha == 0
         if singular.any() or dead.any():
             code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
-            fresh = (code != 0) & (self.walk[0] == 0)
+            # only into an empty record: the first step met is the highest n
+            fresh = (code != 0) & (self.code == 0)
             index = hi - top - (code == SINGULAR_U)
-            self.walk = (np.where(fresh, code, self.walk[0]), np.where(fresh, index, self.walk[1]))
+            self.code, self.index = np.where(fresh, code, self.code), np.where(fresh, index, self.index)
         # the step matrix [[1, A_n], [B_n, C_n]] of product_forms, for every block at once
         r = 1.0 / (lam * lam * one_alpha)
         v0, v1 = self.v0, self.v1
@@ -402,14 +407,6 @@ class _Walk:
                 self.logpref = self.logpref + inc_n
         self.hi, self.lam, self.u = lo, lam_c[:1].copy(), tuple(x[:1].copy() for x in u_c)
 
-    def join(self, other):
-        """Carry the rows of `other`, which stands at the same block, from here on."""
-        for name in ("v0", "v1", "logpref", "kappa"):
-            if getattr(self, name) is not None:
-                setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-        self.chain = tuple(np.concatenate(x) for x in zip(self.chain, other.chain))
-        self.walk = tuple(np.concatenate(x) for x in zip(self.walk, other.walk))
-
     def result(self, row):
         """(ProductForm, error) of a row: the error of its first failing point, or None."""
         form = ProductForm(
@@ -421,8 +418,7 @@ class _Walk:
             a0=self.a0,
             u_inv0=np.array(self.u).reshape(2, 2, -1),
         )
-        faults = ((self.chain[0][row], self.chain[1][row]), (self.walk[0][row], self.walk[1][row]))
-        return form, transfer._first_fault_error(self.points, *faults)
+        return form, transfer._first_fault_error(self.points, self.code[row], self.index[row])
 
 
 def _product_ladder(model, Ns, points, prefactor=True):

@@ -111,7 +111,7 @@ def oracle_green_11(model, N, zetas):
     work = truncate(model, N)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     tails = tail_m_function(work.block, zetas)
-    depth = (N - 1) * work.block.q
+    depth = (work.trunc - 1) * work.block.q
     if depth == 0:
         return tails
     a, b = work.coefficient_arrays(depth)

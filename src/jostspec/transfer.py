@@ -98,9 +98,10 @@ def _real_branch(trace, slope):
 
 # Faults of a Floquet branch, one code per point (0 = none): at real points
 # |trace| at 2 (a band edge of the background, a parabolic block of the
-# chain) before a flat trace, off the axis coinciding moduli.  The chain's
-# connection steps add the last two.
-BAND_EDGE, FLAT_DELTA, COINCIDE, SINGULAR_U, DEAD_ALPHA = 1, 2, 3, 4, 5
+# chain) before a flat trace, off the axis coinciding moduli, and anywhere a
+# root that is not finite (a NaN or infinite point, or an overflowing trace).
+# The chain's connection steps add SINGULAR_U and DEAD_ALPHA.
+BAND_EDGE, FLAT_DELTA, COINCIDE, SINGULAR_U, DEAD_ALPHA, NONFINITE = 1, 2, 3, 4, 5, 6
 
 
 def _branches(trace, real, edge_tol):
@@ -110,8 +111,8 @@ def _branches(trace, real, edge_tol):
     above the axis, so its imaginary part carries the derivative that picks
     the branch (_real_branch); it is a BAND_EDGE within edge_tol of +-2, then
     FLAT_DELTA where the derivative is below DERIV_TOL inside (-2, 2).  The
-    other points take decaying_branch, with COINCIDE.  Each point computes
-    its own branch only."""
+    other points take decaying_branch, with COINCIDE.  A root that is not
+    finite is NONFINITE.  Each point computes its own branch only."""
     off = ~real
     lam = np.empty_like(trace)
     fault = np.zeros(trace.shape, dtype=np.int64)
@@ -127,6 +128,9 @@ def _branches(trace, real, edge_tol):
             _, lam[..., off], coincide = decaying_branch(trace[..., off])
             if coincide.any():
                 fault[..., off] = np.where(coincide, COINCIDE, 0)
+    nonfinite = ~np.isfinite(lam)
+    if nonfinite.any():
+        fault[nonfinite] = NONFINITE
     return lam, fault
 
 
@@ -137,6 +141,8 @@ def floquet_error(code, zeta):
         return BandEdgeError(f"|discriminant| = 2 at E = {z.real}")
     if code == FLAT_DELTA:
         return DegenerateBranchError(f"discriminant derivative vanishes at E = {z.real}")
+    if code == NONFINITE:
+        return DegenerateBranchError(f"no finite Floquet multiplier at zeta = {z}")
     return DegenerateBranchError(f"eigenvalue moduli coincide at zeta = {z}")
 
 
@@ -149,17 +155,19 @@ def floquet(block, zetas):
     number without rounding); the lower row (C, D) of the period matrix, so
     (z - D, C) is the eigenvector; the fault code, with EDGE_TOL.  Real
     points take delta, C and D from the float64 product, which divides by
-    a_k where the complex one multiplies by 1 / a_k.
+    a_k where the complex one multiplies by 1 / a_k.  A NaN or infinite
+    point reaches the NONFINITE fault without a warning.
     """
     zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     real = zeta.imag == 0.0
-    p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * CS_STEP, zeta))
-    # q = 1 gives scalar C and D
-    c, d = (np.full(zeta.shape, x, dtype=np.complex128) for x in (c, d))
-    trace = p11 + d
-    if real.any():
-        p11, _, c[real], d[real] = _background_period_matrix(block, zeta.real[real])
-        trace.real[real] = p11 + d.real[real]
+    with np.errstate(invalid="ignore", over="ignore"):
+        p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * CS_STEP, zeta))
+        # q = 1 gives scalar C and D
+        c, d = (np.full(zeta.shape, x, dtype=np.complex128) for x in (c, d))
+        trace = p11 + d
+        if real.any():
+            p11, _, c[real], d[real] = _background_period_matrix(block, zeta.real[real])
+            trace.real[real] = p11 + d.real[real]
     lam, fault = _branches(trace, real, EDGE_TOL)
     with np.errstate(invalid="ignore"):
         z = np.where(real & (np.abs(trace.real) < 2.0), np.conj(lam), 1.0 / lam)
@@ -175,6 +183,8 @@ def _fault_error(code, n, zeta):
         message = f"block {n} trace derivative vanishes at E = {z.real}"
     elif code == COINCIDE:
         message = f"block {n} eigenvalue moduli coincide at zeta = {z}"
+    elif code == NONFINITE:
+        message = f"block {n} has no finite eigenvalue at zeta = {z}"
     elif code == SINGULAR_U:
         message = f"U_{n} is singular"
     else:
@@ -189,14 +199,9 @@ def _lowest_fault(faults):
     return faults[first, np.arange(faults.shape[1])], first
 
 
-def _first_fault_error(points, chain, walk=None):
-    # The error of the first point, in order, that has a fault, or None.
-    # chain and walk are (code, index) pairs of per-point arrays; a point's
-    # chain fault comes before its walk fault, as the blocks' eigen-data are
-    # complete before any connection step uses them.
-    code, index = chain
-    if walk is not None:
-        code, index = np.where(code != 0, code, walk[0]), np.where(code != 0, index, walk[1])
+def _first_fault_error(points, code, index):
+    # The error of the first point, in order, that has a fault, or None;
+    # code (0 for none) and index are the per-point fault record.
     bad = np.flatnonzero(code)
     if bad.size:
         i = int(bad[0])
@@ -229,13 +234,14 @@ def chain_blocks(a, b, zetas, q, first, count):
     so the trace carries its derivative, and lambda_n and the fault are
     floquet's rule (_branches), with PARABOLIC_TOL.  Returns (lam, u,
     faults), each entry a (count, points) array; faults holds BAND_EDGE (a
-    parabolic block), FLAT_DELTA or COINCIDE where the block has no usable
-    eigenbasis.
+    parabolic block), FLAT_DELTA, COINCIDE or NONFINITE where the block has
+    no usable eigenbasis.
     """
     zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
     real = zeta.imag == 0.0
     lo, hi = first * q, (first + count) * q + 1
-    p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], np.where(real, zeta + 1j * CS_STEP, zeta), q)
+    with np.errstate(invalid="ignore", over="ignore"):
+        p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], np.where(real, zeta + 1j * CS_STEP, zeta), q)
     a_nq = a[lo:hi:q, None]
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]
@@ -243,7 +249,7 @@ def chain_blocks(a, b, zetas, q, first, count):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         u12 = rho * lam - p22
         u11 = rho / lam - p22
-    u21 = a_lo * p21
+        u21 = a_lo * p21
     return lam, (u11, u12, u21, u21), faults
 
 
@@ -260,9 +266,9 @@ def connection_entries(prev, cur):
     p11, p12, p21, _ = prev
     c11, c12, c21, _ = cur
     same = (p11 == c11) & (p12 == c12) & (p21 == c21)
-    det = p11 * p21 - p12 * p21
-    x11, x12, y12, y11 = p21 * c11, p21 * c12, p12 * c21, p11 * c21
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        det = p11 * p21 - p12 * p21
+        x11, x12, y12, y11 = p21 * c11, p21 * c12, p12 * c21, p11 * c21
         w = ((x11 - y12) / det - 1.0, (x12 - y12) / det, (y11 - x11) / det, (y11 - x12) / det - 1.0)
     if same.any():
         w = tuple(np.where(same, 0j, x) for x in w)
@@ -282,7 +288,10 @@ def connection_matrices(model, n_blocks, zetas):
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)
     w, singular = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
-    error = _first_fault_error(zetas, _lowest_fault(faults), _lowest_fault(np.where(singular, SINGULAR_U, 0)))
+    code, index = _lowest_fault(faults)
+    u_code, u_index = _lowest_fault(np.where(singular, SINGULAR_U, 0))
+    chain = code != 0
+    error = _first_fault_error(zetas, np.where(chain, code, u_code), np.where(chain, index, u_index))
     if error is not None:
         raise error
     return w

@@ -132,7 +132,9 @@ def reference_forms(model, N, points):
             ln_abs = np.log(np.abs(lam)) + np.log(np.abs(one_alpha))
             logpref = logpref + (ln_abs + 1j * (np.angle(lam) + np.angle(one_alpha)))
             lam, u = lam_prev, u_prev
-    error = transfer._first_fault_error(points, chain, walk)
+    # a point's chain fault comes before its walk fault
+    code, index = (np.where(chain[0] != 0, c, w) for c, w in zip(chain, walk))
+    error = transfer._first_fault_error(points, code, index)
     if error is not None:
         raise error
     return {
@@ -669,6 +671,9 @@ def test_harmonic_ladder_raises_n_before_2n(monkeypatch, beta, points, zeros, er
         # faults on both sides of a chunk boundary: the bottom step of the
         # upper chunk comes before the top step of the lower one
         ([0.4], {(C + 3, 0): "singular", (C + 2, 0): "alpha"}, f"U_{C + 2} is singular", C + 2),
+        # a walk fault in the top chunk, a parabolic block in a lower chunk:
+        # the block fault replaces the record the walk fault filled first
+        ([3.0], {(C + 4, 0): "alpha"}, "block 4 is parabolic at E = 3.0", 4),
     ],
 )
 def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message, n):

@@ -200,6 +200,13 @@ COUNT_ARGUMENTS = {
     "connection_matrices": ("n_blocks", lambda m, iv, n: connection_matrices(m, n, [0.4 + 0.05j]), 1),
     "check_diagonal_products": ("n_blocks", lambda m, iv, n: js.check_diagonal_products(m, iv, n).measured, 6),
     "check_w_summability": ("n_grid", lambda m, iv, n: js.check_w_summability(m, 0.4 + 0.05j, (n, 2 * n)).measured, 1),
+    "oracle_green_11": ("N", lambda m, iv, N: js.oracle_green_11(m, N, [0.4 + 0.05j, iv.lo + 0.01]), 1),
+    "jost_solution": ("N", lambda m, iv, N: js.recursion_residuals(m, js.jost_solution(m, N, 0.4 + 0.05j)), 1),
+    "check_harmonic_hypotheses": (
+        "N",
+        lambda m, iv, N: (lambda report: (report.measured, report.grid_spec))(js.check_harmonic_hypotheses(m, N, iv)),
+        1,
+    ),
 }
 
 

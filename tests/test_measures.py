@@ -7,10 +7,11 @@ from numpy.polynomial.legendre import leggauss
 
 import jostspec as js
 from conftest import random_block
-from jostspec import _kernels, bands, jost, measures
+from jostspec import _kernels, bands, jost, measures, transfer
 from jostspec.errors import (
     BandEdgeError,
     DegenerateBranchError,
+    DiagonalizationError,
     OracleConvergenceError,
     ValidationError,
     ZeroJostError,
@@ -687,3 +688,42 @@ def test_nan_energy_raises_the_oracles_band_edge_error():
     for key_formula in (jost.density_terms, jost.ac_density):
         with pytest.raises(BandEdgeError, match=f"^{re.escape(str(oracle.value))}$"):
             key_formula(BASELINE, 40, [0.5, math.nan])
+
+
+# Points with no finite Floquet root: NaN and infinite energies, and a finite
+# energy whose discriminant squared overflows.  The oracle raises on each;
+# the key formula's entry points raise too, after the good point 0.5 and with
+# no RuntimeWarning on the way (an error under the suite's filters).
+NO_FINITE_ROOT = [math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(1.0, math.inf), 1e100 + 0.001j]
+FLOQUET_SIDE = {
+    "green_11": lambda p: js.green_11(BASELINE, 40, [0.5, p]),
+    "jost_solution": lambda p: js.jost_solution(BASELINE, 40, p),
+    "wronskian_defect": lambda p: js.wronskian_defect(BASELINE, 40, [0.5, p]),
+}
+CHAIN_SIDE = {
+    "product_forms": lambda p: js.product_forms(BASELINE, 40, [0.5, p]),
+    "connection_matrices": lambda p: transfer.connection_matrices(BASELINE, 8, [0.5, p]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, point",
+    [
+        (entry, point)
+        for entry in (*FLOQUET_SIDE, *CHAIN_SIDE)
+        for point in NO_FINITE_ROOT
+        if entry != "wronskian_defect" or complex(point).imag == 0
+    ],
+)
+def test_point_without_a_finite_floquet_root_raises(entry, point):
+    with pytest.raises((BandEdgeError, OracleConvergenceError)):
+        js.oracle_green_11(BASELINE, 40, [point])
+    zeta = complex(point)
+    if entry in FLOQUET_SIDE:
+        with pytest.raises(DegenerateBranchError, match=f"^no finite Floquet multiplier at zeta = {re.escape(str(zeta))}$"):
+            FLOQUET_SIDE[entry](point)
+    else:
+        with pytest.raises(DiagonalizationError) as exc:
+            CHAIN_SIDE[entry](point)
+        # every block of the point fails, and the lowest is reported
+        assert (str(exc.value), exc.value.n) == (f"block 0 has no finite eigenvalue at zeta = {zeta}", 0)
