@@ -3,7 +3,9 @@ truncations, and variation norms.
 
 All objects are frozen value types; evaluations are pure and cached.  Every
 count argument of the library goes through count: it must be an integer
-(10.0 and np.int64(10) are 10) and is never floored (10.5 raises).
+(10.0 and np.int64(10) are 10) and is never floored (10.5 raises).  Every
+argument that is a 1-D sequence of points goes through point_array: a
+scalar is one point, and an array of more dimensions raises.
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ def count(name, value, low):
     if value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def point_array(values, dtype=np.complex128):
+    """A 1-D array of dtype from a 1-D sequence of points or a scalar (one
+    point), or ValidationError for an array of more dimensions."""
+    points = np.asarray(values, dtype=dtype)
+    if points.ndim > 1:
+        raise ValidationError(f"points must be a scalar or a 1-D sequence, got shape {points.shape}")
+    return np.atleast_1d(points)
 
 
 @dataclass(frozen=True)

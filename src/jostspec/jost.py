@@ -5,22 +5,24 @@ block product representation of the boundary pair (u_1, u_0), evaluated for a
 whole grid of energies in one walk over the blocks (product_forms).
 
 Every function of energies takes a 1-D sequence of points (a scalar counts
-as one) and returns arrays over them, from one transfer.floquet call and one
-backward recursion over all points.  jost_solution is the one single-energy
-function: it keeps every row of the solution, from the per-site recursion.
+as one, and more dimensions raise ValidationError) and returns arrays over
+them, from one transfer.floquet call and one backward recursion over all
+points.  jost_solution is the one single-energy function: it keeps every
+row of the solution, from the per-site recursion.
 
 Truncations N < N' have the same coefficients below site (N-1)q, so a
 ladder of truncations is one walk on one schedule, _ladder: each shallower N
 runs only its own top steps, then joins the deepest N's walk as a row.  It
-drives the backward recursion (joined at the highest block boundary of
-its kernel at or below site (N-1)q) behind density_terms and
-measures.entropy_integrals, and the product walk (joined at block N-3, in
-chunks of CHUNK blocks counted from the top and from each join point) behind
-product_forms and certify.check_harmonic_hypotheses.  The one-N functions
-are the one-rung case; every N gets its own walk's bits.  The
-product walk's steps take no division: it is folded into coefficients
-formed once per chunk.  The certificate's walk forms no log prefactor and
-no kappa, as it reads neither.
+drives the backward recursion (joined at the highest block boundary of its
+kernel at or below site (N-1)q; its rows are boundary pairs over the same
+energies, so each block's product is formed once per energy) behind
+density_terms and measures.entropy_integrals, and the product walk (joined
+at block N-3, in chunks of CHUNK blocks counted from the top and from each
+join point) behind product_forms and certify.check_harmonic_hypotheses.
+The one-N functions are the one-rung case; every N gets its own walk's
+bits.  The product walk's steps take no division: it is folded into
+coefficients formed once per chunk.  The certificate's walk forms no log
+prefactor and no kappa, as it reads neither.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, transfer
-from .coefficients import truncate
+from .coefficients import point_array, truncate
 from .errors import (
     BandEdgeError,
     EigenvectorDegeneracyError,
@@ -165,28 +167,29 @@ def _ladder(Ns, walk, join_at, floor):
 class _Recursion:
     """The backward recursion on a truncated model's sites 0 .. Nq from the
     boundary pair (tops, seconds) = (u_{Nq+1}, u_{Nq}).  It stands at site
-    `hi` with the pair (u_hi, u_{hi-1}) of every column, one block of columns
-    per rung, and adds up each column's scale_log2 over its segments; a
-    jost_backward run split at a block boundary continues bit for bit."""
+    `hi` with the pair (u_hi, u_{hi-1}) at every energy, one row per rung,
+    and adds up each entry's scale_log2 over its segments; a jost_backward
+    run split at a block boundary continues bit for bit.  The energies are
+    not a row: the rungs share them, so one kernel call forms each block's
+    product once per energy for all rungs."""
 
-    ROWS = ("zetas", "upper", "lower", "scale")
+    ROWS = ("upper", "lower", "scale")
 
     def __init__(self, work, zetas, tops, seconds):
         self.a, self.b = work.coefficient_arrays(work.trunc * work.block.q)
-        self.hi, self.n = len(self.a), len(zetas)
-        self.zetas, self.upper, self.lower = zetas, tops, seconds
-        self.scale = np.zeros(self.n, dtype=np.int64)
+        self.hi, self.zetas = len(self.a), zetas
+        self.upper, self.lower = tops[None], seconds[None]
+        self.scale = np.zeros(self.upper.shape, dtype=np.int64)
 
     def descend(self, lo):
-        """Steps hi-1 .. lo over every column; then it stands at site lo."""
+        """Steps hi-1 .. lo over every row; then it stands at site lo."""
         sites = slice(lo - 1, self.hi)
         u_lo, u_hi, scale = _kernels.jost_backward(self.a[sites], self.b[sites], self.zetas, self.upper, self.lower)
         self.upper, self.lower, self.scale, self.hi = u_hi, u_lo, self.scale + scale, lo
 
     def result(self, row):
-        """(u_0, u_1, scale_log2) of a row's columns, standing at site 1."""
-        cols = slice(row * self.n, (row + 1) * self.n)
-        return self.lower[cols], self.upper[cols], self.scale[cols]
+        """(u_0, u_1, scale_log2) of a row, standing at site 1."""
+        return self.lower[row], self.upper[row], self.scale[row]
 
 
 def _recursion_ladder(model, Ns, zetas, tops, seconds):
@@ -213,7 +216,7 @@ def _boundary_values(model, Ns, zetas, interior=False):
     first.
     """
     Ns = [truncate(model, N).trunc for N in Ns]
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    zetas = point_array(zetas)
     z, x, c, stop, error = _boundary_pairs(model.block, zetas, interior)
     rungs = []
     if stop or error is None:  # the recursion runs unless the first point fails
@@ -241,7 +244,7 @@ def _density_ladder(model, Ns, energies):
     """density_terms for each N of a sequence Ns, in its order, from one
     recursion ladder; raises as _boundary_values, an energy outside a band
     interior first."""
-    energies = np.asarray(energies, dtype=np.float64)
+    energies = point_array(energies, np.float64)
     z, c, rungs = _boundary_values(model, Ns, energies, interior=True)
     num = np.abs(c.real * z.imag)
     return [(num, np.hypot(u0.real, u0.imag), scales) for u0, _, scales in rungs]
@@ -286,7 +289,7 @@ def _wronskian_terms(model, N, energies):
     """Defect |Im(u_0 conj(u_1)) + C Im z| of the boundary identity and its
     scale |u_0||u_1| + |C| at every real energy of a 1-D sequence, from one
     _boundary_values call."""
-    z, c, [(u0, u1, scale_log2)] = _boundary_values(model, [N], np.asarray(energies, dtype=np.float64))
+    z, c, [(u0, u1, scale_log2)] = _boundary_values(model, [N], point_array(energies, np.float64))
     # Im(u_0 conj(u_1)) term by term, as Python's complex product forms it
     cross = np.ldexp(u0.imag * u1.real - u0.real * u1.imag, 2 * scale_log2)
     scale = np.ldexp(np.abs(u0) * np.abs(u1), 2 * scale_log2) + np.abs(c)
@@ -434,7 +437,7 @@ def _product_ladder(model, Ns, points, prefactor=True):
     N <= 3 has no shared step and keeps its own block 0.
     """
     Ns = [truncate(model, N).trunc for N in Ns]
-    points = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    points = point_array(points)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return _ladder(Ns, lambda N: _Walk(truncate(model, N), points, prefactor), lambda N: N - 3, 0)
 

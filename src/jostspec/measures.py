@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .bands import _bounds
-from .coefficients import count, truncate
+from .coefficients import count, point_array, truncate
 from .errors import BandEdgeError, OracleConvergenceError, ValidationError
 from .jost import _density_ladder, ac_density, log_density
 
@@ -71,7 +71,7 @@ def tail_m_function(block, zetas):
     band interior (the quadratic's discriminant not below 0), a root that is
     not finite or has Im m not above 0 (a NaN fails).
     """
-    z = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    z = point_array(zetas)
     lower = z.imag < 0
     real = z.imag == 0
     with np.errstate(all="ignore"):
@@ -109,7 +109,7 @@ def oracle_green_11(model, N, zetas):
     real band-interior energies: one tail_m_function call at depth (N-1)q,
     then one stripping pass over all points down to the boundary."""
     work = truncate(model, N)
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    zetas = point_array(zetas)
     tails = tail_m_function(work.block, zetas)
     depth = (work.trunc - 1) * work.block.q
     if depth == 0:

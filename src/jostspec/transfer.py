@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .coefficients import count
+from .coefficients import count, point_array
 from .errors import BandEdgeError, DegenerateBranchError, DiagonalizationError
 
 __all__ = [
@@ -158,7 +158,7 @@ def floquet(block, zetas):
     a_k where the complex one multiplies by 1 / a_k.  A NaN or infinite
     point reaches the NONFINITE fault without a warning.
     """
-    zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    zeta = point_array(zetas)
     real = zeta.imag == 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * CS_STEP, zeta))
@@ -237,7 +237,7 @@ def chain_blocks(a, b, zetas, q, first, count):
     parabolic block), FLAT_DELTA, COINCIDE or NONFINITE where the block has
     no usable eigenbasis.
     """
-    zeta = np.atleast_1d(np.asarray(zetas, dtype=np.complex128))
+    zeta = point_array(zetas)
     real = zeta.imag == 0.0
     lo, hi = first * q, (first + count) * q + 1
     with np.errstate(invalid="ignore", over="ignore"):
@@ -284,6 +284,7 @@ def connection_matrices(model, n_blocks, zetas):
     U_{n-1} (lowest n).
     """
     n_blocks = count("n_blocks", n_blocks, 1)
+    zetas = point_array(zetas)
     q = model.block.q
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)

@@ -721,6 +721,8 @@ def test_dead_alpha_message_reads_a_real_point_as_real(point):
         ([3.0, 0.4], [(2, 0), (1, 1)], "block 4 is parabolic at E = 3.0", 4),
         # point 0 has singular U_4 and U_2: the lowest n wins
         ([0.4, 3.0], [(5, 0), (3, 0)], "U_2 is singular", 2),
+        # a scalar is one point
+        (3.0, [], "block 4 is parabolic at E = 3.0", 4),
     ],
 )
 def test_connection_matrices_follow_pointwise_order(monkeypatch, points, forced, message, n):
@@ -737,7 +739,7 @@ def test_connection_matrices_follow_pointwise_order(monkeypatch, points, forced,
     monkeypatch.setattr(transfer, "connection_entries", forcing)
     with pytest.raises(DiagonalizationError) as exc:
         transfer.connection_matrices(model, 8, points)
-    assert (str(exc.value), exc.value.n, exc.value.zeta) == (message, n, complex(points[0]))
+    assert (str(exc.value), exc.value.n, exc.value.zeta) == (message, n, complex(np.ravel(points)[0]))
 
 
 def test_coinciding_moduli_have_no_branch():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import jostspec as js
 from conftest import random_block
 from jostspec import jost, measures, transfer
-from jostspec.errors import BandEdgeError, EigenvectorDegeneracyError
+from jostspec.errors import BandEdgeError, EigenvectorDegeneracyError, ValidationError
 
 
 def test_free_solution_is_geometric(free_model):
@@ -251,6 +252,14 @@ def test_a_scalar_point_is_one_point(name, point):
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("name", list(SCALAR_CALLS))
+def test_points_of_more_than_one_dimension_are_rejected(name, shape):
+    # a 2-D array of points is neither a sequence of points nor a rung axis
+    with pytest.raises(ValidationError, match=re.escape(f"1-D sequence, got shape {shape}")):
+        SCALAR_CALLS[name](np.full(shape, 1.2))
 
 
 def _form_fields(form):

@@ -434,6 +434,80 @@ def test_each_column_equals_its_own_call_bit_for_bit(baseline_model, points):
                 assert np.array_equal(stripped[one], _kernels.strip_downward(a, b, zetas[one], tails[one], 600))
 
 
+@pytest.mark.parametrize("sites", [40, 2600])
+@pytest.mark.parametrize("axis", ["strip", "real", "mixed"])
+def test_each_rung_equals_its_own_call_bit_for_bit(baseline_model, axis, sites):
+    # Boundary pairs of shape (rungs, energies) beside one row of energies:
+    # each rung's row equals the call with that rung's pair alone.  2600
+    # sites at 400 energies fill two groups of block products (20 blocks a
+    # group) and a per-site top of 40 sites; 40 sites take the per-site step
+    # alone.  A low threshold makes the guard fire, on some rungs more often
+    # than on others, as their pairs' magnitudes differ.
+    a, b = js.truncate(baseline_model, sites // 2).coefficient_arrays(sites)
+    rng = np.random.default_rng(sites)
+    zetas = rng.uniform(-2.5, 2.5, 400) + 1j * rng.uniform(1e-4, 0.3, 400)
+    if axis != "strip":
+        zetas.imag[:: 1 if axis == "real" else 2] = 0.0
+    size = 10.0 ** np.arange(-3, 6, 4)[:, None]
+    tops, seconds = (size * (rng.normal(size=(3, 400)) + 1j * rng.normal(size=(3, 400))) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "RESCALE_THRESHOLD", 1e6)
+        mp.setattr(_kernels, "RESCALE_SHIFT", 10)
+        batch = _kernels.jost_backward(a, b, zetas, tops, seconds)
+        assert [x.shape for x in batch] == [(3, 400)] * 3
+        assert len(set(batch[2].max(axis=1).tolist())) > 1
+        for rung in range(3):
+            own = _kernels.jost_backward(a, b, zetas, tops[rung], seconds[rung])
+            assert all(np.array_equal(x[rung], y) for x, y in zip(batch, own))
+
+
+def test_ladder_forms_each_block_product_once_per_energy(baseline_model):
+    # N = 500 joins N = 1000 at site 961: it walks its own 40 top sites one
+    # at a time, and below site 961 its pairs ride on the deep rung's block
+    # products.  The ladder forms the same block products, over the same
+    # 24 energies, as the deep rung alone.
+    block_products, formed = _kernels._block_products, []
+
+    def spy(columns, zeta, *args):
+        formed.append((len(zeta), columns[2].size))
+        return block_products(columns, zeta, *args)
+
+    iv = js.widest_trimmed_band(baseline_model.block, margin=0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_block_products", spy)
+        ladder = js.entropy_integrals(baseline_model, [500, 1000], iv, (8, 16))
+        ladder_formed, formed[:] = formed[:], []
+        deep = js.entropy_integrals(baseline_model, 1000, iv, (8, 16))
+    assert ladder[1] == deep
+    assert {n for n, _ in ladder_formed} == {24}
+    assert sum(s for _, s in ladder_formed) == sum(s for _, s in formed) == 31 * _kernels.BLOCK
+
+
+def test_strip_at_an_energy_on_a_diagonal_coefficient(baseline_model):
+    # At E = b_n the stripping's x_n = b_n - E is +0.0, where (E - b_n) (-1)
+    # was -0.0: the block products, and so m, are the same by value
+    a, b = js.truncate(baseline_model, 300).coefficient_arrays(600)
+    inside = [(lo < b[1:]) & (b[1:] < hi) for lo, hi in js.trimmed_bands(baseline_model.block, margin=0.05)]
+    energies = b[1:][np.logical_or(*inside)]
+    assert energies.size == 13
+    growth = float(np.max(a * a) + np.max(np.abs(b)) + np.max(np.abs(energies)))
+    # the stripping's nine blocks below site 577, and one-site blocks, the
+    # site matrices themselves, where x_n is +0.0 against -0.0
+    columns = (-(a[1:577] * a[1:577]), b[1:577])
+    for size in (_kernels.BLOCK, 1):
+        new, _ = _kernels._block_products((None, *columns), energies, growth, size)
+        old, _ = _kernels._block_products((np.full(576, -1.0), *columns), energies, growth, size)
+        assert np.array_equal(new, old)
+    assert not np.array_equal(np.signbit(new), np.signbit(old))
+    tails = js.tail_m_function(baseline_model.block, energies)
+    got = _kernels.strip_downward(a, b, energies, tails, 600)
+    want = indexed_strip(a, b, energies, tails, 600)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    for i in range(energies.size):
+        one = slice(i, i + 1)
+        assert np.array_equal(got[one], _kernels.strip_downward(a, b, energies[one], tails[one], 600))
+
+
 def test_strip_block_walk_past_the_double_range_of_a_block():
     # at a = 1e5 the product of a_n over a block, 1e320, overflows a double,
     # and the stripping guard fires within every block
@@ -472,7 +546,7 @@ def test_site_loops_hold_one_complex_copy_per_coefficient(deep_arrays):
     # 1/a, -a/a and b as block columns, and the complex products (1.69 MB in
     # all); 16 B per site for b and a^2 in the stripping map (1.28 MB).  At
     # real energies the stripping walks blocks: 8 B per site for each of
-    # -1, -a^2 and b as block columns, and a^2 and -a^2 over the sites (1.65 MB)
+    # -a^2 and b as block columns, and a^2 and -a^2 over the sites (1.32 MB)
     a, b, zetas, ones = deep_arrays
     assert (a.dtype, b.dtype) == (np.float64, np.float64)
     assert _traced_peak(_kernels.jost_backward, a, b, zetas, ones, ones) <= 2.5e6
