@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
-from .transfer import COINCIDE, decaying_branch, discriminant, discriminant_derivative, floquet_error
+from .transfer import discriminant, discriminant_derivative, floquet, floquet_error
 
 __all__ = [
     "BandSet",
@@ -48,13 +48,22 @@ class AdmissibleInterval:
     On I the discriminant stays strictly inside (-2, 2), its derivative and
     the monodromy corner entry C are bounded away from zero; on the strip
     I x (0, eps_I] the decaying Floquet branch satisfies
-    |z(E + iy)| <= 1 - C_I y on the construction grid.
+    |z(E + iy)| <= 1 - C_I y on the construction grid.  Construction raises
+    ValidationError unless -inf < lo < hi < inf and eps_I and C_I are
+    positive and finite.
     """
 
     lo: float
     hi: float
     eps_I: float
     C_I: float
+
+    def __post_init__(self):
+        _bounds(self)
+        if not (0.0 < self.eps_I < np.inf and 0.0 < self.C_I < np.inf):
+            raise ValidationError(
+                f"eps_I and C_I must be positive and finite, got eps_I = {self.eps_I}, C_I = {self.C_I}"
+            )
 
     @property
     def width(self):
@@ -156,7 +165,10 @@ def interval_constants(block, interval):
 
     C_I is half the grid minimum of g(E) = |discriminant'| / sqrt(4 - delta^2);
     eps_I is the largest member of a geometric probe sequence below EPS_PROBE
-    for which |z(E + iy)| <= 1 - C_I y holds at every probe point.
+    for which |z(E + iy)| <= 1 - C_I y holds at every probe point, z from
+    floquet.  At the first probe, in (height, energy) order, with a Floquet
+    fault or a broken bound, a fault raises its floquet_error; a bound halves
+    the height.
     """
     lo, hi = band_interior(block, interval)
     grid = np.linspace(lo, hi, GRID_POINTS)
@@ -176,16 +188,16 @@ def interval_constants(block, interval):
 
     eps = EPS_PROBE
     while eps >= 1e-8:
-        # rows are the 6 heights, so row-major order is the probe order
+        # rows are the 6 heights, so the raveled grid is in probe order
         ys = eps * 0.5 ** np.arange(6)
-        zeta = grid[None, :] + 1j * ys[:, None]
-        z, _, coincide = decaying_branch(discriminant(block, zeta))
-        stop = coincide | (np.abs(z) > 1.0 - c_i * ys[:, None])
+        zeta = (grid[None, :] + 1j * ys[:, None]).ravel()
+        _, z, _, _, fault = floquet(block, zeta)
+        stop = (fault != 0) | (np.abs(z) > 1.0 - c_i * ys.repeat(grid.size))
         if not stop.any():
             return AdmissibleInterval(lo, hi, eps, c_i)
         first = int(np.argmax(stop))
-        if coincide.flat[first]:
-            raise floquet_error(COINCIDE, zeta.flat[first])
+        if fault[first]:
+            raise floquet_error(fault[first], zeta[first])
         eps *= 0.5
     raise DegenerateBranchError(
         "no strip height certifies the eigenvalue bound on this interval"

@@ -5,7 +5,7 @@ hypotheses for the boundary factor.
 Certificates fit their constants from probe data and test stability under
 refinement; they are deterministic given (model, grid spec).  Each
 certificate evaluates its whole probe grid in one energy-batched call: the
-Floquet grid through decaying_branch, the chain certificates through
+Floquet grid through transfer.floquet, the chain certificates through
 connection_matrices and the product walk, which the harmonic certificate
 takes for N and 2N as one ladder over their shared blocks.  A grid point
 that the pointwise evaluation would reject raises the same error, for the
@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import count
 from .errors import ValidationError, ZeroJostError
 from .jost import _product_ladder
-from .transfer import COINCIDE, connection_matrices, decaying_branch, discriminant, floquet_error
+from .transfer import connection_matrices, floquet, floquet_error
 
 __all__ = [
     "CertReport",
@@ -49,21 +49,28 @@ W_TAIL_TOL = 0.05
 
 
 def check_floquet_bound(block, interval) -> CertReport:
-    """Verify |z(E+iy)| <= 1 - 0.9 C_I y and |z^{-1}(E+iy)| >= 1 + 0.9 C_I y
-    on a FLOQUET_GRID x FLOQUET_GRID grid over I x (0, eps_I].  The 0.9
-    slack absorbs the quadratic remainder of the linear strip bound."""
+    """Verify |z(E+iy)| <= 1 - 0.9 C_I y on a FLOQUET_GRID x FLOQUET_GRID
+    grid over I x (0, eps_I], z from floquet.  The 0.9 slack absorbs the
+    quadratic remainder of the linear strip bound.  The first probe in
+    (height, energy) order with a Floquet fault raises its floquet_error.
+
+    The inverse bound |z^{-1}| >= 1 + 0.9 C_I y follows and is not checked:
+    with t = 0.9 C_I y, its margin |z|^{-1} - 1 - t exceeds this one,
+    1 - t - |z|, by |z| + |z|^{-1} - 2 >= 0."""
     c_i = interval.C_I
     eps = interval.eps_I
     energies = np.linspace(interval.lo, interval.hi, FLOQUET_GRID)
     heights = np.linspace(eps / FLOQUET_GRID, eps, FLOQUET_GRID)
-    # rows are heights, so row-major order is the (height, energy) probe order
-    zeta = energies[None, :] + 1j * heights[:, None]
-    z, z_inv, coincide = decaying_branch(discriminant(block, zeta))
-    if coincide.any():
-        raise floquet_error(COINCIDE, zeta.flat[np.argmax(coincide)])
+    # rows are heights, so the raveled grid is in (height, energy) probe order
+    zeta = (energies[None, :] + 1j * heights[:, None]).ravel()
+    _, z, _, _, fault = floquet(block, zeta)
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        raise floquet_error(fault[bad[0]], zeta[bad[0]])
+    modulus = np.abs(z).reshape(heights.size, energies.size)
     y = heights[:, None]
-    margins = np.minimum((1.0 - 0.9 * c_i * y) - np.abs(z), np.abs(z_inv) - (1.0 + 0.9 * c_i * y))
-    slope_floor = float(np.min((1.0 - np.abs(z)) / y))
+    margins = (1.0 - 0.9 * c_i * y) - modulus
+    slope_floor = float(np.min((1.0 - modulus) / y))
     k, j = np.unravel_index(np.argmin(margins), margins.shape)
     worst = {"margin": float(margins[k, j]), "E": float(energies[j]), "y": float(heights[k])}
     passed = worst["margin"] >= 0.0

@@ -9,10 +9,11 @@ and the guard off; chain_blocks and connection_entries hold its one
 implementation, for connection_matrices (every W_n at once) and
 jost.product_forms (a downward walk, a chunk of blocks at a time, which a
 ladder of truncations shares).  floquet is the one entry point for the
-background's Floquet data, on the real axis and off it; it and the chain
-pick their roots and report their faults by one rule, _branches.  Each
-batched entry point raises the error of the first failing point in order,
-and its docstring states which fault of a point comes first."""
+background's Floquet data, on the real axis and off it, the strip grids of
+bands.interval_constants and certify.check_floquet_bound included; it and
+the chain pick their roots and report their faults by one rule, _branches.
+Each batched entry point raises the error of the first failing point in
+order, and its docstring states which fault of a point comes first."""
 
 from __future__ import annotations
 
@@ -69,18 +70,17 @@ def discriminant_derivative(block, energy):
 
 
 def decaying_branch(delta):
-    """Floquet eigenvalues off the real axis from the discriminant delta,
-    elementwise over a scalar or array.
+    """The off-axis half of _branches, elementwise over an array of traces
+    delta: the root lam of r^2 - delta r + 1 = 0 of larger modulus, and the
+    mask of points with no branch because the two moduli coincide.
 
-    Returns (z, z_inv, coincide): the root of smaller modulus, its reciprocal,
-    and the mask of points with no branch because the two moduli coincide.
-    The root of larger modulus is computed directly, without subtractive
-    cancellation, and the smaller one as its exact reciprocal.
+    Returns (lam, coincide).  lam is computed directly, without subtractive
+    cancellation; the decaying root is its reciprocal, which floquet forms.
     """
     s = np.sqrt(delta * delta - 4.0)
     plus, minus = delta + s, delta - s
-    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
-    return 1.0 / big, big, np.abs(big) - 1.0 < COINCIDE_TOL
+    lam = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+    return lam, np.abs(lam) - 1.0 < COINCIDE_TOL
 
 
 def _real_branch(trace, slope):
@@ -111,8 +111,8 @@ def _branches(trace, real, edge_tol):
     above the axis, so its imaginary part carries the derivative that picks
     the branch (_real_branch); it is a BAND_EDGE within edge_tol of +-2, then
     FLAT_DELTA where the derivative is below DERIV_TOL inside (-2, 2).  The
-    other points take decaying_branch, with COINCIDE.  A root that is not
-    finite is NONFINITE.  Each point computes its own branch only."""
+    other points take decaying_branch's lam, with COINCIDE.  A root that is
+    not finite is NONFINITE.  Each point computes its own branch only."""
     off = ~real
     lam = np.empty_like(trace)
     fault = np.zeros(trace.shape, dtype=np.int64)
@@ -125,7 +125,7 @@ def _branches(trace, real, edge_tol):
             if edge.any() or flat.any():
                 fault[..., real] = np.select([edge, flat], [BAND_EDGE, FLAT_DELTA], 0)
         if off.any():
-            _, lam[..., off], coincide = decaying_branch(trace[..., off])
+            lam[..., off], coincide = decaying_branch(trace[..., off])
             if coincide.any():
                 fault[..., off] = np.where(coincide, COINCIDE, 0)
     nonfinite = ~np.isfinite(lam)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import jostspec as js
 from conftest import random_block
 from jostspec import bands
-from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError
+from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
 from jostspec.transfer import _background_period_matrix
 
 
@@ -242,3 +242,24 @@ def test_strip_bound_holds_on_finer_grid(free_block):
         assert not fault.any()
         assert (np.abs(z) < 1.0).all()
         assert (np.abs(z) <= 1.0 - 0.9 * iv.C_I * y).all()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the strip grid would lie in the lower half-plane
+        ((-1.0, 1.0, -0.05, 0.25), "eps_I and C_I must be positive and finite"),
+        # the strip grid would lie on the real axis, where the moduli coincide
+        ((-1.0, 1.0, 0.0, 0.25), "eps_I and C_I must be positive and finite"),
+        # every margin of the strip check would be NaN
+        ((-1.0, 1.0, 0.05, np.nan), "eps_I and C_I must be positive and finite"),
+        ((-1.0, 1.0, np.inf, 0.25), "eps_I and C_I must be positive and finite"),
+        ((-1.0, 1.0, 0.05, 0.0), "eps_I and C_I must be positive and finite"),
+        ((1.0, -1.0, 0.05, 0.25), "interval must be two finite numbers lo < hi"),
+        ((-np.inf, 1.0, 0.05, 0.25), "interval must be two finite numbers lo < hi"),
+    ],
+    ids=["negative-eps", "zero-eps", "nan-C", "inf-eps", "zero-C", "reversed", "infinite-lo"],
+)
+def test_admissible_interval_validates_its_fields(fields, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        js.AdmissibleInterval(*fields)

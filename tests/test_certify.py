@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import jostspec as js
-from jostspec import certify, transfer
-from jostspec.errors import ValidationError
+from conftest import random_block
+from jostspec import bands, certify, transfer
+from jostspec.errors import DegenerateBranchError, ValidationError
 
 
 def _free_interval(free_block, lo=-1.0, hi=1.0):
@@ -42,6 +43,48 @@ def test_floquet_bound_margin_grows_with_height(free_block):
         margins = (1.0 - 0.9 * iv.C_I * y) - np.abs(z)
         (low if y < iv.eps_I else high).append(margins.min())
     assert high[0] > low[0]
+
+
+# A band (0, 2e-150) whose strip probes overflow: at Im zeta = 0.1 the trace
+# is about (0.1 / 1e-150)^2, and its square is not finite.
+TINY_BLOCK = js.periodic_block(2, [1e-150, 1e-150], [0.0, 0.0])
+TINY_BAND = (1e-152, 1.99e-150)
+
+
+def test_non_finite_strip_probe_raises():
+    # interval_constants stops at its first probe, the top height
+    with pytest.raises(DegenerateBranchError) as exc:
+        js.interval_constants(TINY_BLOCK, TINY_BAND)
+    assert str(exc.value) == "no finite Floquet multiplier at zeta = (1e-152+0.1j)"
+    # the strip constants the non-finite probes would have certified: eps_I at
+    # the first probe height, C_I from the real axis, where every value is finite
+    forced = js.AdmissibleInterval(*TINY_BAND, eps_I=bands.EPS_PROBE, C_I=5.000062501171795e149)
+    with pytest.raises(DegenerateBranchError) as exc:
+        js.check_floquet_bound(TINY_BLOCK, forced)
+    assert str(exc.value) == "no finite Floquet multiplier at zeta = (1e-152+0.003125j)"
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_inverse_strip_bound_is_implied(q):
+    # |z^{-1}| >= 1 + 0.9 C_I y is not checked: on the certificate's grid its
+    # margin never falls below the one of |z| <= 1 - 0.9 C_I y, bit for bit,
+    # also for inflated constants, where the bound fails
+    rng = np.random.default_rng(7200 + q)
+    for _ in range(4):
+        block = random_block(rng, q)
+        for pair in js.trimmed_bands(block, margin=0.05):
+            built = js.interval_constants(block, pair)
+            energies = np.linspace(built.lo, built.hi, certify.FLOQUET_GRID)
+            heights = np.linspace(built.eps_I / certify.FLOQUET_GRID, built.eps_I, certify.FLOQUET_GRID)
+            zeta = energies[None, :] + 1j * heights[:, None]
+            lam, coincide = transfer.decaying_branch(js.discriminant(block, zeta))
+            assert not coincide.any()
+            y = heights[:, None]
+            for c_i in (built.C_I, 2.0, 10.0):
+                m1 = (1.0 - 0.9 * c_i * y) - np.abs(1.0 / lam)
+                assert np.array_equal(np.minimum(m1, np.abs(lam) - (1.0 + 0.9 * c_i * y)), m1)
+                iv = js.AdmissibleInterval(built.lo, built.hi, built.eps_I, c_i)
+                assert js.check_floquet_bound(block, iv).measured["worst_margin"] == m1.min()
 
 
 def test_w_summability_zero_perturbation(free_block):

@@ -744,9 +744,10 @@ def test_connection_matrices_follow_pointwise_order(monkeypatch, points, forced,
 
 def test_coinciding_moduli_have_no_branch():
     # a real discriminant inside (-2, 2) has two roots on the unit circle
-    z, z_inv, coincide = transfer.decaying_branch(np.array([1.0 + 0j, 3.0 + 0j, 2.5j]))
+    delta = np.array([1.0 + 0j, 3.0 + 0j, 2.5j])
+    lam, coincide = transfer.decaying_branch(delta)
     assert coincide.tolist() == [True, False, False]
-    assert (np.abs(z[1:]) < 1.0).all() and np.allclose(z * z_inv, 1.0)
+    assert (np.abs(lam[1:]) > 1.0).all() and np.allclose(lam * lam - delta * lam + 1.0, 0.0)
 
 
 # Constants of the baseline model recorded from the per-energy implementation.

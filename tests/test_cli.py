@@ -512,6 +512,21 @@ def test_main_calls_in_one_process_share_nothing(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_non_finite_strip_probe_exits_2_without_output(tmp_path, capsys):
+    # every strip probe of the band (1e-152, 1.99e-150) overflows; the error
+    # names the first probe, not a block of the chain at half an eps_I that
+    # no probe certified
+    block = "[block]\nq = 2\na = 1e-150, 1e-150\nb = 0, 0\n"
+    cfg = _write(tmp_path, block + "\n[experiment]\nmargin = 1e-152\nn_grid = 4, 8\n")
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        '{"error": "DegenerateBranchError", "message": "no finite Floquet multiplier at zeta = (1e-152+0.1j)"}'
+    ]
+
+
 @pytest.mark.parametrize("experiment", ["density", "entropy", "certify", "compare"])
 def test_nan_margin_exits_2_without_output(tmp_path, capsys, experiment):
     # NaN passed a `margin <= 0` test and left no interval to choose from
