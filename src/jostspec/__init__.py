@@ -62,6 +62,5 @@ from .measures import (
 )
 from .transfer import (
     discriminant,
-    discriminant_derivative,
     floquet,
 )

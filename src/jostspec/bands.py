@@ -1,9 +1,11 @@
 """Spectral bands of the periodic background, admissible subintervals, and
 the strip constants (eps_I, C_I) attached to them.
 
-The band edges come from the periodic and antiperiodic q x q eigenproblems
-(Teschl, Jacobi Operators and Completely Integrable Nonlinear Lattices,
-ch. 7), so all 2q of them are found, narrow and closed gaps included."""
+One map gives the band geometry: band k is E_k(theta), the k-th eigenvalue
+of the q x q Bloch matrix, where the discriminant is 2 cos theta (Teschl,
+Jacobi Operators and Completely Integrable Nonlinear Lattices, ch. 7).  At
+theta = 0 and pi it gives all 2q edges, narrow and closed gaps included;
+inside a band its eigenvectors give the slope E_k'(theta), and so C_I."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
-from .transfer import discriminant, discriminant_derivative, floquet, floquet_error
+from .transfer import discriminant, floquet, floquet_error
 
 __all__ = [
     "BandSet",
@@ -43,11 +45,8 @@ class BandSet:
 
 @dataclass(frozen=True)
 class AdmissibleInterval:
-    """Closed band-interior interval with certified strip constants.
-
-    On I the discriminant stays strictly inside (-2, 2), its derivative and
-    the monodromy corner entry C are bounded away from zero; on the strip
-    I x (0, eps_I] the decaying Floquet branch satisfies
+    """Closed band-interior interval with certified strip constants: on the
+    strip I x (0, eps_I] the decaying Floquet branch satisfies
     |z(E + iy)| <= 1 - C_I y on the construction grid.  Construction raises
     ValidationError unless -inf < lo < hi < inf and eps_I and C_I are
     positive and finite.
@@ -73,25 +72,37 @@ class AdmissibleInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-def _edge_pairs(block):
-    """The 2q band edges as consecutive pairs (E0, E1), (E2, E3), ...
-
-    The edges are the sorted eigenvalues of the periodic and antiperiodic
-    q x q Jacobi matrices (corner +a_q and -a_q), where the discriminant is
-    +2 and -2; for q = 1 the corner lands on the diagonal twice, b +- 2a.
-    Both are one (2, q, q) stack and one eigvalsh call.  An entry sums its
-    terms as separate diagonal matrices would (b + 0.0, so -0.0 reads 0.0),
-    then the corner +-a_q; for q = 1, b + a then + a.
-    """
+def _bloch(block, phase):
+    """The Bloch matrices, one per entry of a 1-D array phase = e^{i theta}:
+    the background's q x q Jacobi matrix with corners a_q phase (row q) and
+    a_q conj(phase) (row 1), real for a real phase.  An entry sums its terms
+    as separate matrices would (b + 0.0, so -0.0 reads 0.0), then the
+    corners; for q = 1 both land on the diagonal."""
     q, a = block.q, np.asarray(block.a_bg)
-    m = np.zeros((2, q, q))
-    flat = m.reshape(2, q * q)
+    m = np.zeros((phase.size, q, q), dtype=phase.dtype)
+    flat = m.reshape(phase.size, q * q)
     flat[:, :: q + 1] += block.b_bg
     flat[:, 1 :: q + 1] = a[:-1]
     flat[:, q :: q + 1] = a[:-1]
-    m[:, -1, 0] += (a[-1], -a[-1])
-    m[:, 0, -1] += (a[-1], -a[-1])
-    edges = sorted(np.linalg.eigvalsh(m).ravel().tolist())
+    m[:, -1, 0] += a[-1] * phase
+    m[:, 0, -1] += a[-1] * np.conj(phase)
+    return m
+
+
+def _bloch_slope(block, delta, energy):
+    """E_k'(theta) where 2 cos theta = delta, on the band k of the eigenvalue
+    nearest each energy: -2 a_q Im(e^{i theta} v_1 conj(v_q)) for its unit
+    eigenvector v, by Hellmann-Feynman."""
+    phase = np.exp(1j * np.arccos(0.5 * delta))
+    values, vectors = np.linalg.eigh(_bloch(block, phase))
+    v = vectors[np.arange(energy.size), :, np.argmin(np.abs(values - energy[:, None]), axis=1)]
+    return -2.0 * block.a_bg[-1] * (phase * v[:, 0] * np.conj(v[:, -1])).imag
+
+
+def _edge_pairs(block):
+    """The 2q band edges as consecutive pairs (E0, E1), (E2, E3), ...: the
+    sorted eigenvalues of the Bloch matrices at theta = 0 and pi."""
+    edges = sorted(np.linalg.eigvalsh(_bloch(block, np.array([1.0, -1.0]))).ravel().tolist())
     return list(zip(edges[0::2], edges[1::2]))
 
 
@@ -163,12 +174,12 @@ def interval_constants(block, interval):
     """The AdmissibleInterval of a band-interior interval (lo, hi), with its
     strip constants.
 
-    C_I is half the grid minimum of g(E) = |discriminant'| / sqrt(4 - delta^2);
-    eps_I is the largest member of a geometric probe sequence below EPS_PROBE
-    for which |z(E + iy)| <= 1 - C_I y holds at every probe point, z from
-    floquet.  At the first probe, in (height, energy) order, with a Floquet
-    fault or a broken bound, a fault raises its floquet_error; a bound halves
-    the height.
+    C_I is half the grid minimum of |discriminant'| / sqrt(4 - delta^2)
+    = 1 / |E_k'(theta)|, the slope from _bloch_slope; eps_I is the largest
+    member of a geometric probe sequence below EPS_PROBE for which
+    |z(E + iy)| <= 1 - C_I y holds at every probe point, z from floquet.  At
+    the first probe, in (height, energy) order, with a Floquet fault or a
+    broken bound, a fault raises its floquet_error; a bound halves the height.
     """
     lo, hi = band_interior(block, interval)
     grid = np.linspace(lo, hi, GRID_POINTS)
@@ -178,13 +189,7 @@ def interval_constants(block, interval):
         raise DegenerateBranchError(
             f"interval touches a band edge at E = {grid[np.argmax(edge)]}"
         )
-    g = np.abs(discriminant_derivative(block, grid)) / np.sqrt(4.0 - delta * delta)
-    g_min = float(np.min(g))
-    if g_min < 1e-10:
-        raise DegenerateBranchError(
-            "interval contains a discriminant critical point"
-        )
-    c_i = 0.5 * g_min
+    c_i = 0.5 / float(np.max(np.abs(_bloch_slope(block, delta, grid))))
 
     eps = EPS_PROBE
     while eps >= 1e-8:

@@ -11,7 +11,8 @@ jost.product_forms (a downward walk, a chunk of blocks at a time, which a
 ladder of truncations shares).  floquet is the one entry point for the
 background's Floquet data, on the real axis and off it, the strip grids of
 bands.interval_constants and certify.check_floquet_bound included; it and
-the chain pick their roots and report their faults by one rule, _branches.
+the chain pick their roots and report their faults by one rule, _branches,
+the one reader of a complex step above real energy, to pick a branch.
 Each batched entry point raises the error of the first failing point in
 order, and its docstring states which fault of a point comes first."""
 
@@ -25,12 +26,11 @@ from .errors import BandEdgeError, DegenerateBranchError, DiagonalizationError
 
 __all__ = [
     "discriminant",
-    "discriminant_derivative",
     "floquet",
 ]
 
-# Complex-step offset for derivatives at real energy: of the discriminant,
-# and the signs of trace derivatives in the branch rule.
+# Complex step at real energy in units of a°_0, so small against the bands at
+# any scale: the trace there carries its derivative, which picks the branch.
 CS_STEP = 1e-100
 # |block trace| within this of 2 counts as parabolic (no eigenbasis).
 PARABOLIC_TOL = 1e-9
@@ -61,12 +61,6 @@ def discriminant(block, zeta):
     sequence or array zeta; real for real zeta."""
     p11, _, _, p22 = _background_period_matrix(block, zeta)
     return p11 + p22
-
-
-def discriminant_derivative(block, energy):
-    """Derivative of the discriminant at real energy by a complex step of
-    CS_STEP, elementwise over a scalar, sequence or array energy."""
-    return discriminant(block, np.asarray(energy) + 1j * CS_STEP).imag / CS_STEP
 
 
 def decaying_branch(delta):
@@ -104,10 +98,10 @@ def _real_branch(trace, slope):
 BAND_EDGE, FLAT_DELTA, COINCIDE, SINGULAR_U, DEAD_ALPHA, NONFINITE = 1, 2, 3, 4, 5, 6
 
 
-def _branches(trace, real, edge_tol):
+def _branches(trace, real, edge_tol, step):
     """The larger-modulus root lam of r^2 - trace r + 1 = 0 and its fault
     code, per entry of a complex array whose last axis runs over points;
-    `real` masks the real points.  A real point's trace is taken CS_STEP
+    `real` masks the real points.  A real point's trace is taken `step`
     above the axis, so its imaginary part carries the derivative that picks
     the branch (_real_branch); it is a BAND_EDGE within edge_tol of +-2, then
     FLAT_DELTA where the derivative is below DERIV_TOL inside (-2, 2).  The
@@ -118,7 +112,7 @@ def _branches(trace, real, edge_tol):
     fault = np.zeros(trace.shape, dtype=np.int64)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if real.any():
-            re, slope = trace.real[..., real], trace.imag[..., real] / CS_STEP
+            re, slope = trace.real[..., real], trace.imag[..., real] / step
             lam[..., real] = _real_branch(re, slope)
             edge = np.abs(np.abs(re) - 2.0) < edge_tol
             flat = (np.abs(re) < 2.0) & (np.abs(slope) < DERIV_TOL)
@@ -160,15 +154,16 @@ def floquet(block, zetas):
     """
     zeta = point_array(zetas)
     real = zeta.imag == 0.0
+    step = CS_STEP * block.a(0)
     with np.errstate(invalid="ignore", over="ignore"):
-        p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * CS_STEP, zeta))
+        p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * step, zeta))
         # q = 1 gives scalar C and D
         c, d = (np.full(zeta.shape, x, dtype=np.complex128) for x in (c, d))
         trace = p11 + d
         if real.any():
             p11, _, c[real], d[real] = _background_period_matrix(block, zeta.real[real])
             trace.real[real] = p11 + d.real[real]
-    lam, fault = _branches(trace, real, EDGE_TOL)
+    lam, fault = _branches(trace, real, EDGE_TOL, step)
     with np.errstate(invalid="ignore"):
         z = np.where(real & (np.abs(trace.real) < 2.0), np.conj(lam), 1.0 / lam)
     return np.where(real, trace.real, trace), z, c, d, fault
@@ -230,7 +225,7 @@ def chain_blocks(a, b, zetas, q, first, count):
     determinant-one block, and the entries (u11, u12, u21, u22) of U_n^{-1},
     whose columns are (rho_n lambda_n^{-1} - D_n, a_nq C_n) and
     (rho_n lambda_n - D_n, a_nq C_n) with rho_n = a_nq / a_(n+1)q.  At real
-    energies the blocks are evaluated a complex step CS_STEP above the axis,
+    energies every chunk's blocks are evaluated CS_STEP a[0] above the axis,
     so the trace carries its derivative, and lambda_n and the fault are
     floquet's rule (_branches), with PARABOLIC_TOL.  Returns (lam, u,
     faults), each entry a (count, points) array; faults holds BAND_EDGE (a
@@ -240,12 +235,13 @@ def chain_blocks(a, b, zetas, q, first, count):
     zeta = point_array(zetas)
     real = zeta.imag == 0.0
     lo, hi = first * q, (first + count) * q + 1
+    step = CS_STEP * a[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], np.where(real, zeta + 1j * CS_STEP, zeta), q)
+        p11, p21, p22 = _period_products(a[lo:hi], b[lo:hi], np.where(real, zeta + 1j * step, zeta), q)
     a_nq = a[lo:hi:q, None]
     a_lo = a_nq[:-1]
     rho = a_lo / a_nq[1:]
-    lam, faults = _branches(p11 + p22 / rho, real, PARABOLIC_TOL)
+    lam, faults = _branches(p11 + p22 / rho, real, PARABOLIC_TOL, step)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         u12 = rho * lam - p22
         u11 = rho / lam - p22

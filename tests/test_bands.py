@@ -131,7 +131,7 @@ def test_band_structure_properties(block):
     for pair in js.trimmed_bands(block, margin=0.05):
         iv = js.interval_constants(block, pair)
         grid = np.linspace(iv.lo, iv.hi, 401)
-        for values in (js.discriminant_derivative(block, grid), _background_period_matrix(block, grid)[2]):
+        for values in (np.diff(js.discriminant(block, grid)), _background_period_matrix(block, grid)[2]):
             assert np.all(values > 0) or np.all(values < 0)
 
 
@@ -206,6 +206,43 @@ def test_interval_constants_free_symmetric(free_block):
     assert iv.eps_I > 0
     # minimum of |delta'| / sqrt(4 - delta^2) still sits at E = 0
     assert js.interval_constants(free_block, (-1.9, 1.9)).C_I == pytest.approx(0.25, abs=1e-6)
+
+
+def test_interval_constants_two_periodic():
+    # the discriminant (E^2 - 5) / 2 has derivative E
+    block = js.periodic_block(2, [1.0, 2.0], [0.0, 0.0])
+    for lo, hi in js.trimmed_bands(block, 0.1):
+        grid = np.linspace(lo, hi, bands.GRID_POINTS)
+        delta = (grid**2 - 5.0) / 2.0
+        expected = 0.5 * np.min(np.abs(grid) / np.sqrt(4.0 - delta**2))
+        assert js.interval_constants(block, (lo, hi)).C_I == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_bloch_slope_matches_central_difference(q):
+    block = random_block(np.random.default_rng(90 + q), q)
+    theta, h = np.linspace(0.1, np.pi - 0.1, 41), 1e-5
+    below, at, above = (np.linalg.eigvalsh(bands._bloch(block, np.exp(1j * t))) for t in (theta - h, theta, theta + h))
+    for k in range(q):
+        slope = bands._bloch_slope(block, 2.0 * np.cos(theta), at[:, k])
+        np.testing.assert_allclose(slope, (above[:, k] - below[:, k]) / (2.0 * h), rtol=0, atol=1e-8)
+
+
+def test_scaled_block_has_no_critical_point():
+    # The slope scales with the coefficients, so no band interior is a
+    # critical point at any scale.  The strip probe still stops on the
+    # absolute COINCIDE_TOL at this scale (ROADMAP, smaller items).
+    scale = 1e11
+    base = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
+    block = js.periodic_block(2, [scale, 1.4 * scale], [0.1 * scale, -0.2 * scale])
+    for pair in js.trimmed_bands(block, 0.1 * scale):
+        with pytest.raises(DegenerateBranchError, match="^eigenvalue moduli coincide"):
+            js.interval_constants(block, pair)
+    for lo, hi in js.trimmed_bands(base, 0.1):
+        grid = np.linspace(lo, hi, bands.GRID_POINTS)
+        slope = bands._bloch_slope(base, js.discriminant(base, grid), grid)
+        scaled = bands._bloch_slope(block, js.discriminant(block, scale * grid), scale * grid)
+        np.testing.assert_allclose(scaled, scale * slope, rtol=1e-10)
 
 
 def test_interval_constants_monotone_under_shrinking(free_block):

@@ -22,8 +22,8 @@ def reference_chain(model, n_blocks, zeta):
     q = model.block.q
     z = complex(zeta)
     real = z.imag == 0.0
-    zeval = z + 1j * transfer.CS_STEP if real else z
     a, b = model.coefficient_arrays(n_blocks * q)
+    zeval = z + 1j * transfer.CS_STEP * a[0] if real else z
     lams, uinvs = [], []
     for n in range(n_blocks):
         p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j

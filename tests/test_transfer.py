@@ -108,15 +108,6 @@ def test_discriminant_two_periodic():
         )
 
 
-def test_discriminant_derivative_two_periodic():
-    # the discriminant (E^2 - 5) / 2 has derivative E
-    block = js.periodic_block(2, [1.0, 2.0], [0.0, 0.0])
-    energies = np.linspace(-3.5, 3.5, 14)
-    np.testing.assert_allclose(js.discriminant_derivative(block, energies), energies, rtol=1e-14, atol=0)
-    for energy in energies:
-        assert js.discriminant_derivative(block, float(energy)) == pytest.approx(energy, rel=1e-14, abs=0)
-
-
 def test_discriminant_translation_covariance():
     rng = np.random.default_rng(5)
     block = random_block(rng, 3)
@@ -271,6 +262,23 @@ def test_chain_and_floquet_take_one_branch(q):
     _, z, _, _, fault = js.floquet(block, points)
     assert not faults.any() and not fault.any()
     np.testing.assert_allclose(lam * z, 1.0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150])
+def test_real_axis_branch_is_the_strip_limit_at_any_scale(scale):
+    # bands of width ~1e-150 lie far below an absolute step of 1e-100, which
+    # gave the conjugate z on bands 0 and 2 without a fault; the step is
+    # relative to a°_0
+    block = js.periodic_block(3, scale * np.array([1.0, 1.3, 0.8]), scale * np.array([0.1, -0.2, 0.05]))
+    pairs = bands._edge_pairs(block)
+    points = np.array([lo + f * (hi - lo) for lo, hi in pairs for f in (0.25, 0.5, 0.75)])
+    above = points + 1e-9j * np.repeat([hi - lo for lo, hi in pairs], 3)
+    both = np.concatenate([points, above])
+    _, z, _, _, fault = js.floquet(block, both)
+    lam, _, faults = transfer.chain_blocks(*js.make_model(block).coefficient_arrays(2 * block.q), both, block.q, 0, 2)
+    assert not fault.any() and not faults.any()
+    np.testing.assert_allclose(z[: points.size], z[points.size :], rtol=0, atol=1e-7)
+    np.testing.assert_allclose(lam[:, : points.size], lam[:, points.size :], rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize(
