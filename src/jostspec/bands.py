@@ -26,7 +26,8 @@ __all__ = [
     "interval_constants",
 ]
 
-# A gap this narrow or narrower is closed: its two bands merge into one.
+# A gap this narrow or narrower, relative to the spectrum's extent (lowest
+# to highest edge), is closed: its two bands merge into one.
 CLOSED_GAP = 1e-11
 # Widths this close count as equal when picking the widest: the two bands of a
 # q = 2 background are equally wide, up to rounding.
@@ -108,10 +109,13 @@ def _edge_pairs(block):
 
 def band_edges(block) -> BandSet:
     """The bands [E0, E1], [E2, E3], ... of the periodic background, with the
-    two bands at a closed gap (width CLOSED_GAP or less) merged into one."""
+    two bands at a closed gap (width CLOSED_GAP times the spectrum's extent or
+    less) merged into one."""
+    pairs = _edge_pairs(block)
+    closed = CLOSED_GAP * (pairs[-1][1] - pairs[0][0])
     merged = []
-    for lo, hi in _edge_pairs(block):
-        if merged and lo - merged[-1][1] <= CLOSED_GAP:
+    for lo, hi in pairs:
+        if merged and lo - merged[-1][1] <= closed:
             merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))

@@ -224,8 +224,10 @@ def _harmonic_constants(model, Ns, interval):
     egrid = np.linspace(lo, hi, n_real)
     es = np.linspace(lo, hi, n_e)
     ys = eps * 0.5 ** np.arange(8)
-    tops = np.linspace(0.75 * eps, eps, 4)
-    # one walk over the real section, the strip rows and the top rows
+    # the top rows below eps: the top row at eps is the strip's row 0, and
+    # the walk is elementwise per point, so that row is walked once, there
+    tops = np.linspace(0.75 * eps, eps, 4)[:-1]
+    # one walk over the real section, the strip rows and those top rows
     points = np.concatenate(
         [
             egrid + 0j,
@@ -240,8 +242,9 @@ def _harmonic_constants(model, Ns, interval):
         c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
         # (ii) lower bound -C / Im zeta on the strip
         worst_lower = max(0.0, float(np.max(-f_strip.reshape(ys.size, n_e) * ys[:, None])))
-        # (iii) upper bound on the top quarter of the strip
-        constants.append((c_plus, worst_lower, float(np.max(f_top))))
+        # (iii) upper bound on the top quarter of the strip: row eps, then the others
+        top_upper = float(np.max(np.concatenate([f_strip[:n_e], f_top])))
+        constants.append((c_plus, worst_lower, top_upper))
     return constants
 
 

@@ -21,8 +21,10 @@ at block N-3, in chunks of CHUNK blocks counted from the top and from each
 join point) behind product_forms and certify.check_harmonic_hypotheses.
 The one-N functions are the one-rung case; every N gets its own walk's
 bits.  The product walk's steps take no division: it is folded into
-coefficients formed once per chunk.  The certificate's walk forms no log
-prefactor and no kappa, as it reads neither.
+coefficients formed once per chunk from the numerators e = det (I + W_n) of
+transfer.connection_entries, two divisions per block and point, with no W.
+The certificate's walk forms no log prefactor and no kappa, as it reads
+neither.
 """
 
 from __future__ import annotations
@@ -389,22 +391,25 @@ class _Walk:
             self.kappa = np.minimum(self.kappa, np.abs(lam_c).min(axis=0))
         lam = np.concatenate([lam_c[1:], self.lam])
         c11, c12, c21 = (np.concatenate([x[1:], y]) for x, y in zip(u_c[:3], self.u))
-        (w11, w12, w21, w22), singular = transfer.connection_entries(u_c, (c11, c12, c21, c21))
-        one_alpha = 1.0 + w11
-        dead = one_alpha == 0
+        (e11, e12, e21, e22), det, same = transfer.connection_entries(u_c, (c11, c12, c21, c21))
+        # e11 = 1 where same, so only a singular U_{n-1} needs the mask
+        singular, dead = ~same & (det == 0), e11 == 0
         if singular.any() or dead.any():
             code, top = transfer._lowest_fault(np.select([singular, dead], [SINGULAR_U, DEAD_ALPHA], 0)[::-1])
             # only into an empty record: the first step met is the highest n
             fresh = (code != 0) & (self.code == 0)
             index = hi - top - (code == SINGULAR_U)
             self.code, self.index = np.where(fresh, code, self.code), np.where(fresh, index, self.index)
-        # the step matrix [[1, A_n], [B_n, C_n]] of product_forms, for every block at once
-        r = 1.0 / (lam * lam * one_alpha)
+        # the step matrix [[1, A_n], [B_n, C_n]] of product_forms, for every
+        # block at once: det cancels from e, so two divisions per block and point
+        r = 1.0 / (lam * (lam * e11))
         v0, v1 = self.v0, self.v1
-        for a_n, b_n, c_n in reversed(list(zip(w12 * r, w21 / one_alpha, (1.0 + w22) * r))):
+        for a_n, b_n, c_n in reversed(list(zip(e12 * r, e21 / e11, e22 * r))):
             v0, v1 = v0 + a_n * v1, b_n * v0 + c_n * v1
         self.v0, self.v1 = v0, v1
         if self.logpref is not None:
+            # 1 + alpha_n = e11 / det, and 1 exactly where same
+            one_alpha = np.where(same, 1.0 + 0j, e11 / det)
             inc = np.log(np.abs(lam)) + np.log(np.abs(one_alpha)) + 1j * (np.angle(lam) + np.angle(one_alpha))
             for inc_n in inc[::-1]:
                 self.logpref = self.logpref + inc_n
@@ -451,19 +456,21 @@ def product_forms(model, N, points) -> ProductForm:
     prefactor come out separately.  The walk takes CHUNK blocks at a time,
     counted from the top: per chunk one chain_blocks and one
     connection_entries call and, as arrays, the logarithms and the step
-    coefficients A_n = w12 r, B_n = w21 / (1 + alpha_n) and C_n = (1 + w22) r
-    with r = 1 / (lambda_n^2 (1 + alpha_n)); then per block, in descending
-    n, phi <- phi + A_n nu, nu <- B_n phi + C_n nu (both from the old phi)
-    over all points: three products and two sums, no division.  At W_n = 0
-    (identical eigenbases) A_n = B_n = 0, so phi is kept exactly.  Each step adds
+    coefficients.  These come from e = det U_{n-1} (I + W_n), where det
+    cancels: A_n = e12 r, B_n = e21 / e11 and C_n = e22 r with
+    r = 1 / (lambda_n^2 e11), two divisions per block and point.  Then per
+    block, in descending n, phi <- phi + A_n nu, nu <- B_n phi + C_n nu (both
+    from the old phi) over all points: three products and two sums, no
+    division.  At W_n = 0 (identical eigenbases) e = (1, 0, 0, 1), so
+    A_n = B_n = 0 and phi is kept exactly.  Each step adds
     ln|lambda_n| + ln|1 + alpha_n| + i (arg lambda_n + arg(1 + alpha_n)) to
-    log_prefactor, with no complex logarithm.  This is the one-rung case of
-    the ladder walk.
+    log_prefactor, with 1 + alpha_n = e11 / det and no complex logarithm.
+    This is the one-rung case of the ladder walk.
 
     Raises the error of the first failing point in order: a block without a
     usable eigenbasis (lowest block) before a singular U_{n-1} or
-    1 + alpha_n = 0 (highest n, and U_{n-1} before alpha_n, which is formed
-    from its inverse).
+    1 + alpha_n = 0, that is e11 = 0 (highest n, and U_{n-1} before alpha_n,
+    which is formed from its inverse).
     """
     form, error = _product_ladder(model, [N], points)[0]
     if error is not None:

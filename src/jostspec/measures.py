@@ -66,7 +66,10 @@ def tail_m_function(block, zetas):
     m-function, with Im < 0, so the tail is the root with Im m > 0; at
     Im zeta = 0 inside a band the roots are a conjugate pair and the same
     rule picks the boundary value.  Each point's value is a closed form in
-    its own zeta, so it does not depend on the batch.  Raises the error of
+    its own zeta, so it does not depend on the batch.  The map is formed for
+    a, b and zeta divided by sigma, the power of two of frexp(a°_0), and m
+    is that map's root over sigma: an exact conjugation, so the quadratic
+    stays in range at any scale of the coefficients.  Raises the error of
     the first failing point, in order: Im zeta < 0, Im zeta = 0 outside a
     band interior (the quadratic's discriminant not below 0), a root that is
     not finite or has Im m not above 0 (a NaN fails).
@@ -74,12 +77,16 @@ def tail_m_function(block, zetas):
     z = point_array(zetas)
     lower = z.imag < 0
     real = z.imag == 0
+    sigma = math.ldexp(1.0, math.frexp(block.a(0))[1])
     with np.errstate(all="ignore"):
         # Mobius matrix of the q stripping steps [[0, 1], [-a_k^2, b_k - zeta]]
+        # for a, b and zeta over sigma
+        zs = z / sigma
         g11, g12, g21, g22 = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z)
         for k in range(1, block.q + 1):
-            f21 = -block.a(k) * block.a(k)
-            f22 = block.b(k) - z
+            ak = block.a(k) / sigma
+            f21 = -ak * ak
+            f22 = block.b(k) / sigma - zs
             g11, g12, g21, g22 = g12 * f21, g11 + g12 * f22, g22 * f21, g21 + g22 * f22
         # g21 m^2 + (g22 - g11) m - g12 = 0, solved cancellation-free
         bb = g22 - g11
@@ -89,7 +96,7 @@ def tail_m_function(block, zetas):
         tiny = np.abs(g21) < 1e-300
         r1 = np.where(tiny, g12 / bb, top / (2.0 * g21))
         r2 = -2.0 * g12 / top
-        m = np.where(tiny | (r1.imag > 0), r1, r2)
+        m = np.where(tiny | (r1.imag > 0), r1, r2) / sigma
     outside = real & ~(disc.real < 0)
     bad = lower | outside | ~np.isfinite(m) | ~(m.imag > 0)
     if bad.any():

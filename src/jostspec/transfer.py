@@ -6,13 +6,16 @@ certificates.
 Everything here works elementwise over arrays of energies.  The chain takes
 its period products from the kernels' block-product loop, with q-site blocks
 and the guard off; chain_blocks and connection_entries hold its one
-implementation, for connection_matrices (every W_n at once) and
-jost.product_forms (a downward walk, a chunk of blocks at a time, which a
-ladder of truncations shares).  floquet is the one entry point for the
-background's Floquet data, on the real axis and off it, the strip grids of
-bands.interval_constants and certify.check_floquet_bound included; it and
-the chain pick their roots and report their faults by one rule, _branches,
-the one reader of a complex step above real energy, to pick a branch.
+implementation.  connection_entries forms the undivided numerators
+e = det U_{n-1} (I + W_n) and det U_{n-1}: connection_matrices divides them
+into every W_n at once, and jost.product_forms (a downward walk, a chunk of
+blocks at a time, which a ladder of truncations shares) takes its step
+coefficients from e, where det cancels, and never forms W.  floquet is the
+one entry point for the background's Floquet data, on the real axis and off
+it, the strip grids of bands.interval_constants and
+certify.check_floquet_bound included; it and the chain pick their roots and
+report their faults by one rule, _branches, the one reader of a complex
+step above real energy, to pick a branch.
 Each batched entry point raises the error of the first failing point in
 order, and its docstring states which fault of a point comes first."""
 
@@ -250,30 +253,33 @@ def chain_blocks(a, b, zetas, q, first, count):
 
 
 def connection_entries(prev, cur):
-    """Entries of W_n = U_{n-1} U_n^{-1} - I, elementwise.
+    """Undivided entries of I + W_n = U_{n-1} U_n^{-1}, elementwise.
 
     prev and cur are the U^{-1} entry tuples of blocks n-1 and n with equal
     lower-row entries (u21 = u22), as chain_blocks returns them, so u21
-    stands for u22 below: four distinct products for W and three
-    comparisons for W = 0.  Identical eigenbases give W = 0 exactly.  Returns
-    (w, singular): the entries (w11, w12, w21, w22) and the mask where
-    U_{n-1} is singular.
+    stands for u22 below: four distinct products, three comparisons for
+    identical eigenbases, and no division.  Returns (e, det, same): the
+    entries (e11, e12, e21, e22) of e = det (I + W_n), det = det U_{n-1},
+    and the mask of identical eigenbases, where e is (1, 0, 0, 1), so that
+    W_n = 0 there whatever det is.  U_{n-1} is singular where ~same and
+    det = 0.
     """
     p11, p12, p21, _ = prev
     c11, c12, c21, _ = cur
     same = (p11 == c11) & (p12 == c12) & (p21 == c21)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         det = p11 * p21 - p12 * p21
         x11, x12, y12, y11 = p21 * c11, p21 * c12, p12 * c21, p11 * c21
-        w = ((x11 - y12) / det - 1.0, (x12 - y12) / det, (y11 - x11) / det, (y11 - x12) / det - 1.0)
+        e = (x11 - y12, x12 - y12, y11 - x11, y11 - x12)
     if same.any():
-        w = tuple(np.where(same, 0j, x) for x in w)
-    return w, ~same & (det == 0)
+        e = tuple(np.where(same, one, x) for one, x in zip((1.0 + 0j, 0j, 0j, 1.0 + 0j), e))
+    return e, det, same
 
 
 def connection_matrices(model, n_blocks, zetas):
     """Entries (w11, w12, w21, w22) of W_1 .. W_(n_blocks-1) at every point of
-    a 1-D sequence, each an (n_blocks - 1, points) array.
+    a 1-D sequence, each an (n_blocks - 1, points) array: e / det - I from
+    connection_entries, and 0 exactly at identical eigenbases.
 
     Raises the error of the first failing point in order; within it, a block
     without a usable eigenbasis (lowest block) comes before a singular
@@ -284,9 +290,13 @@ def connection_matrices(model, n_blocks, zetas):
     q = model.block.q
     a, b = model.coefficient_arrays(n_blocks * q)
     _, u, faults = chain_blocks(a, b, zetas, q, 0, n_blocks)
-    w, singular = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
+    (e11, e12, e21, e22), det, same = connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        w = (e11 / det - 1.0, e12 / det, e21 / det, e22 / det - 1.0)
+    if same.any():
+        w = tuple(np.where(same, 0j, x) for x in w)
     code, index = _lowest_fault(faults)
-    u_code, u_index = _lowest_fault(np.where(singular, SINGULAR_U, 0))
+    u_code, u_index = _lowest_fault(np.where(~same & (det == 0), SINGULAR_U, 0))
     chain = code != 0
     error = _first_fault_error(zetas, np.where(chain, code, u_code), np.where(chain, index, u_index))
     if error is not None:

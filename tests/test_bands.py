@@ -47,6 +47,17 @@ def test_closed_gap_merges_bands():
     assert hi == pytest.approx(2.0, abs=1e-10)
 
 
+
+@pytest.mark.parametrize("scale", [1e-50, 1e50])
+def test_scaled_block_keeps_its_gaps(scale):
+    # a closed gap is closed relative to the spectrum's extent, so a scaled
+    # block keeps its three bands, at the scaled edges
+    a, b = np.array([1.0, 1.3, 0.8]), np.array([0.1, -0.2, 0.05])
+    want = js.band_edges(js.periodic_block(3, a, b)).bands
+    got = js.band_edges(js.periodic_block(3, scale * a, scale * b)).bands
+    assert len(got) == 3
+    np.testing.assert_allclose(np.ravel(got), scale * np.ravel(want), rtol=1e-14, atol=0)
+
 def test_band_edges_satisfy_tolerance():
     rng = np.random.default_rng(23)
     for q in (1, 2, 3):

@@ -7,8 +7,11 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import jostspec as js
 from jostspec import certify, jost, transfer
@@ -91,7 +94,8 @@ def reference_product(model, N, zeta):
 def reference_forms(model, N, points):
     """product_forms as a two-block walk: one chain_blocks and one
     connection_entries call per block, each step a NumPy operation over all
-    points.  The chunked walk must match it bit for bit."""
+    points, with the step coefficients taken from e = det (I + W_n).  The
+    chunked walk must match it bit for bit."""
     work = js.truncate(model, N)
     q = work.block.q
     a, b = work.coefficient_arrays(N * q)
@@ -120,15 +124,14 @@ def reference_forms(model, N, points):
         for n in range(N - 1, 0, -1):
             lam_prev, u_prev = block(n - 1)
             kappa = np.minimum(kappa, np.abs(lam_prev))
-            (w11, w12, w21, w22), singular = transfer.connection_entries(u_prev, u)
-            diagonal = (w11 == 0) & (w12 == 0) & (w21 == 0) & (w22 == 0)
-            record(singular, transfer.SINGULAR_U, n - 1)
-            record(~diagonal & (1.0 + w11 == 0), transfer.DEAD_ALPHA, n)
-            one_alpha = 1.0 + w11
-            r = 1.0 / (lam * lam * one_alpha)
-            v0, v1 = v0 + (w12 * r) * v1, (w21 / one_alpha) * v0 + ((1.0 + w22) * r) * v1
+            (e11, e12, e21, e22), det, same = transfer.connection_entries(u_prev, u)
+            record(~same & (det == 0), transfer.SINGULAR_U, n - 1)
+            record(~same & (e11 == 0), transfer.DEAD_ALPHA, n)
+            r = 1.0 / (lam * (lam * e11))
+            v0, v1 = v0 + (e12 * r) * v1, (e21 / e11) * v0 + (e22 * r) * v1
             # ln|lambda| + ln|1 + alpha| + i (arg lambda + arg(1 + alpha)),
-            # with 1 + alpha = 1 exactly on a diagonal step
+            # with 1 + alpha = e11 / det, and 1 exactly on a diagonal step
+            one_alpha = np.where(same, 1.0 + 0j, e11 / det)
             ln_abs = np.log(np.abs(lam)) + np.log(np.abs(one_alpha))
             logpref = logpref + (ln_abs + 1j * (np.angle(lam) + np.angle(one_alpha)))
             lam, u = lam_prev, u_prev
@@ -209,22 +212,19 @@ def test_product_forms_match_reference(baseline_model):
 
 
 def eight_product_entries(prev, cur):
-    """connection_entries with every entry of U_{n-1} and U_n^{-1} read on
-    its own: eight products for W and four comparisons for W = 0."""
+    """connection_entries and W with every entry of U_{n-1} and U_n^{-1} read
+    on its own: eight products for e = det (I + W), four divisions for W, and
+    four comparisons for W = 0.  Returns (e, det, same, w)."""
     p11, p12, p21, p22 = prev
     c11, c12, c21, c22 = cur
     same = (p11 == c11) & (p12 == c12) & (p21 == c21) & (p22 == c22)
     det = p11 * p22 - p12 * p21
+    e = (p22 * c11 - p12 * c21, p22 * c12 - p12 * c22, -p21 * c11 + p11 * c21, -p21 * c12 + p11 * c22)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        w = (
-            (p22 * c11 - p12 * c21) / det - 1.0,
-            (p22 * c12 - p12 * c22) / det,
-            (-p21 * c11 + p11 * c21) / det,
-            (-p21 * c12 + p11 * c22) / det - 1.0,
-        )
-    if same.any():
-        w = tuple(np.where(same, 0j, x) for x in w)
-    return w, ~same & (det == 0)
+        w = (e[0] / det - 1.0, e[1] / det, e[2] / det, e[3] / det - 1.0)
+    e = tuple(np.where(same, one, x) for one, x in zip((1.0 + 0j, 0j, 0j, 1.0 + 0j), e))
+    w = tuple(np.where(same, 0j, x) for x in w)
+    return e, det, same, w
 
 
 def bits(x):
@@ -244,39 +244,41 @@ def test_connection_entries_match_eight_products_bit_for_bit(baseline_model, kin
     # the precondition: the lower row of each U_n^{-1} has equal entries
     assert np.array_equal(u[2], u[3])
     prev, cur = tuple(x[:-1] for x in u), tuple(x[1:] for x in u)
-    (w, singular), (want, want_singular) = transfer.connection_entries(prev, cur), eight_product_entries(prev, cur)
-    for got, ref in zip(w, want):
+    e, det, same = transfer.connection_entries(prev, cur)
+    want_e, want_det, want_same, want_w = eight_product_entries(prev, cur)
+    w = transfer.connection_matrices(model, n_blocks, points)
+    for got, ref in zip((*e, det, *w), (*want_e, want_det, *want_w)):
         assert np.array_equal(bits(got), bits(ref))
-    assert np.array_equal(singular, want_singular)
+    assert np.array_equal(same, want_same)
     # W = 0 exactly past the finite support only
     zero = (np.array(w) == 0).all(axis=0)
     assert zero.any() == (kind == "finite_list") and not zero.all()
 
 
-def _division_step_walk(lam, w, N):
-    """(phi_N, nu_N) of the walk with the division step: t0 = lambda v0,
-    t1 = v1 / lambda, then each entry of (I + W_n)(t0, t1) divided by
-    lambda (1 + alpha_n)."""
+def _division_step_walk(lam, e, N):
+    """(phi_N, nu_N) of the walk with the division step on the entries
+    e = det (I + W_n): t0 = lambda v0, t1 = v1 / lambda, then each entry of
+    e (t0, t1) divided by lambda e11."""
     v0 = np.ones(lam.shape[1], dtype=np.complex128)
     v1 = np.zeros(lam.shape[1], dtype=np.complex128)
     for n in range(N - 1, 0, -1):
-        w11, w12, w21, w22 = (x[n - 1] for x in w)
-        t0, t1, denom = lam[n] * v0, v1 / lam[n], lam[n] * (1.0 + w11)
-        v0, v1 = ((1.0 + w11) * t0 + w12 * t1) / denom, (w21 * t0 + (1.0 + w22) * t1) / denom
+        e11, e12, e21, e22 = (x[n - 1] for x in e)
+        t0, t1, denom = lam[n] * v0, v1 / lam[n], lam[n] * e11
+        v0, v1 = (e11 * t0 + e12 * t1) / denom, (e21 * t0 + e22 * t1) / denom
     return v0, v1
 
 
-def _exact_walk(mpmath, lam, w, N, i):
+def _exact_walk(lam, e, N, i):
     """(phi_N, nu_N) at point i in 40-digit arithmetic from the double chain
-    data: phi <- phi + w12 nu / (lambda^2 (1 + alpha)),
-    nu <- (w21 phi + (1 + w22) nu / lambda^2) / (1 + alpha)."""
+    data lambda_n and e = det (I + W_n):
+    phi <- phi + e12 nu / (lambda^2 e11), nu <- (e21 phi + e22 nu / lambda^2) / e11."""
     with mpmath.workdps(40):
         phi, nu = mpmath.mpc(1), mpmath.mpc(0)
         for n in range(N - 1, 0, -1):
             lam_n = mpmath.mpc(complex(lam[n, i]))
-            w11, w12, w21, w22 = (mpmath.mpc(complex(x[n - 1, i])) for x in w)
-            one_alpha, lam2 = 1 + w11, lam_n * lam_n
-            phi, nu = phi + w12 * nu / (lam2 * one_alpha), (w21 * phi + (1 + w22) * nu / lam2) / one_alpha
+            e11, e12, e21, e22 = (mpmath.mpc(complex(x[n - 1, i])) for x in e)
+            lam2 = lam_n * lam_n
+            phi, nu = phi + e12 * nu / (lam2 * e11), (e21 * phi + e22 * nu / lam2) / e11
         return phi, nu
 
 
@@ -291,7 +293,6 @@ ACCURACY_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(ACCURACY_MODELS))
 def test_folded_step_against_exact_walk(baseline_model, baseline_interval, name):
-    mpmath = pytest.importorskip("mpmath")
     N, iv = 320, baseline_interval
     es = np.linspace(iv.lo, iv.hi, 6)
     points = np.concatenate([es + 0j, es + 1j * iv.eps_I * 0.5 ** np.arange(0, 12, 2)])
@@ -299,12 +300,12 @@ def test_folded_step_against_exact_walk(baseline_model, baseline_interval, name)
     a, b = work.coefficient_arrays(N * 2)
     lam, u, faults = transfer.chain_blocks(a, b, points, 2, 0, N)
     assert not faults.any()
-    w, _ = transfer.connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
+    e, _, _ = transfer.connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
     form = js.product_forms(work, N, points)
-    old = _division_step_walk(lam, w, N)
+    old = _division_step_walk(lam, e, N)
     errors = {"folded": [], "division": []}
     for i in range(len(points)):
-        phi, nu = _exact_walk(mpmath, lam, w, N, i)
+        phi, nu = _exact_walk(lam, e, N, i)
         scale = max(abs(phi), abs(nu))
         for key, (got_phi, got_nu) in (("folded", (form.phi_N, form.nu_N)), ("division", old)):
             err = max(abs(mpmath.mpc(complex(got_phi[i])) - phi), abs(mpmath.mpc(complex(got_nu[i])) - nu))
@@ -314,6 +315,59 @@ def test_folded_step_against_exact_walk(baseline_model, baseline_interval, name)
     assert max(errors["folded"]) <= N * 2.0**-53
     assert max(errors["folded"]) <= max(errors["division"])
     assert np.median(errors["folded"]) <= np.median(errors["division"])
+
+
+
+@st.composite
+def walk_cases(draw):
+    """(model, N, points): a random q-periodic background, q = 1..4, with a
+    small finite or power-law perturbation, truncated at N, and band-interior,
+    gap, outer and strip points.  A large perturbation can leave (phi_N, nu_N)
+    far below the states the walk passes through, a cancellation no step
+    rule bounds relative to (phi_N, nu_N); these stay well clear of it."""
+    q = draw(st.integers(1, 4))
+    a = draw(st.lists(st.floats(0.7, 1.6), min_size=q, max_size=q))
+    b = draw(st.lists(st.floats(-0.6, 0.6), min_size=q, max_size=q))
+    block = js.periodic_block(q, a, b)
+    N = draw(st.integers(2, 48))
+    if draw(st.booleans()):
+        support = draw(st.integers(1, N * q))
+        alpha = draw(st.lists(st.floats(-0.05, 0.05), min_size=support, max_size=support))
+        beta = draw(st.lists(st.floats(-0.08, 0.08), min_size=support, max_size=support))
+        pert = js.PerturbationSpec.finite(alpha=alpha, beta=beta)
+    else:
+        pert = js.PerturbationSpec.power(
+            c=draw(st.floats(0.01, 0.1)), s=draw(st.floats(0.5, 1.5)), gamma=draw(st.floats(0.2, 0.6))
+        )
+    bands = js.band_edges(block).bands
+    interior = [lo + draw(st.floats(0.1, 0.9)) * (hi - lo) for lo, hi in bands]
+    gaps = [(x[1] + y[0]) / 2 for x, y in zip(bands, bands[1:]) if y[0] - x[1] > 0.3]
+    outer = [bands[0][0] - 0.4, bands[-1][1] + 0.7]
+    strip = [complex(e, 10.0 ** draw(st.floats(-3, 0))) for e in interior]
+    return js.truncate(js.make_model(block, pert), N), N, np.array(interior + gaps + outer + strip, dtype=complex)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(walk_cases())
+def test_walk_on_random_blocks_against_exact_walk(case):
+    # the bound of test_folded_step_against_exact_walk, on random blocks and
+    # at every kind of point
+    model, N, points = case
+    q = model.block.q
+    a, b = model.coefficient_arrays(N * q)
+    lam, u, faults = transfer.chain_blocks(a, b, points, q, 0, N)
+    # no walk where a block is parabolic, as at a closed gap
+    assume(not faults.any())
+    e, det, _ = transfer.connection_entries(tuple(x[:-1] for x in u), tuple(x[1:] for x in u))
+    # nor where 1 + alpha_n = e11 / det is near 0: there e11 is a cancelled
+    # value, possibly an exact 0 that rounding moved, a DEAD_ALPHA that
+    # e11 == 0 misses (a symmetric block at its gap centre)
+    assume((np.abs(e[0]) >= 1e-6 * np.abs(det)).all())
+    form = js.product_forms(model, N, points)
+    for i in range(len(points)):
+        phi, nu = _exact_walk(lam, e, N, i)
+        err = max(abs(mpmath.mpc(complex(form.phi_N[i])) - phi), abs(mpmath.mpc(complex(form.nu_N[i])) - nu))
+        assert float(err / max(abs(phi), abs(nu))) <= N * 2.0**-53
 
 
 C = jost.CHUNK
@@ -678,7 +732,9 @@ def test_harmonic_ladder_raises_n_before_2n(monkeypatch, beta, points, zeros, er
 )
 def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message, n):
     # Exact zeros of 1 + alpha_n or det U_{n-1} do not occur on real models,
-    # so the connection step is made to report them at the chosen (n, point).
+    # so the connection step is made to report them at the chosen (n, point):
+    # e11 = 0 is 1 + alpha_n = 0, and det = 0 with distinct eigenbases a
+    # singular U_{n-1}.
     # With N = 2C + 3 the walk makes three chunks, of steps 1..2, 3..C+2 and
     # C+3..2C+2; a chunk's call carries step n on row n - lo - 1.
     model = _parabolic_model([0, 0, 0, 0, 1.0])
@@ -689,15 +745,15 @@ def test_walk_faults_follow_pointwise_order(monkeypatch, points, forced, message
     def forcing(prev, cur):
         hi = next(tops)
         lo = max(hi - C, 0)
-        (w11, w12, w21, w22), singular = real_entries(prev, cur)
-        assert w11.shape == (hi - lo, len(points))
-        w11, singular = w11.copy(), singular.copy()
+        (e11, e12, e21, e22), det, same = real_entries(prev, cur)
+        assert e11.shape == (hi - lo, len(points))
+        e11, det, same = e11.copy(), det.copy(), same.copy()
         for (at, i), kind in forced.items():
             if lo < at <= hi and kind in ("alpha", "both"):
-                w11[at - lo - 1, i] = -1.0
+                e11[at - lo - 1, i] = 0.0
             if lo < at <= hi and kind in ("singular", "both"):
-                singular[at - lo - 1, i] = True
-        return (w11, w12, w21, w22), singular
+                det[at - lo - 1, i], same[at - lo - 1, i] = 0.0, False
+        return (e11, e12, e21, e22), det, same
 
     monkeypatch.setattr(transfer, "connection_entries", forcing)
     with pytest.raises(DiagonalizationError) as exc:
@@ -730,11 +786,11 @@ def test_connection_matrices_follow_pointwise_order(monkeypatch, points, forced,
     real_entries = transfer.connection_entries
 
     def forcing(prev, cur):
-        w, singular = real_entries(prev, cur)
-        singular = singular.copy()
+        e, det, same = real_entries(prev, cur)
+        det, same = det.copy(), same.copy()
         for at, i in forced:
-            singular[at - 1, i] = True
-        return w, singular
+            det[at - 1, i], same[at - 1, i] = 0.0, False
+        return e, det, same
 
     monkeypatch.setattr(transfer, "connection_entries", forcing)
     with pytest.raises(DiagonalizationError) as exc:
@@ -782,6 +838,34 @@ def test_pinned_harmonic_constants(baseline_model, baseline_interval):
         assert rep.measured[name] == pytest.approx(value, rel=1e-10)
 
 
+
+def test_harmonic_grid_walks_each_point_once(monkeypatch, baseline_model, baseline_interval):
+    # the top row at eps_I is the strip's row 0: the walk takes the 272
+    # distinct points, and the constants are those of the 288-point grid
+    # walked in full, bit for bit
+    iv, Ns = baseline_interval, (40, 80)
+    walked = []
+    real_ladder = certify._product_ladder
+
+    def spy(model, ladder_Ns, points, prefactor=True):
+        walked.append(points)
+        return real_ladder(model, ladder_Ns, points, prefactor)
+
+    monkeypatch.setattr(certify, "_product_ladder", spy)
+    got = certify._harmonic_constants(baseline_model, Ns, iv)
+    (points,) = walked
+    assert len(points) == len(set(points.tolist())) == 272
+    egrid, es = np.linspace(iv.lo, iv.hi, 96), np.linspace(iv.lo, iv.hi, 16)
+    ys, tops = iv.eps_I * 0.5 ** np.arange(8), np.linspace(0.75 * iv.eps_I, iv.eps_I, 4)
+    rows = (es[None, :] + 1j * np.concatenate([ys, tops])[:, None]).ravel()
+    want = []
+    for f in certify._boundary_factor_values(baseline_model, Ns, np.concatenate([egrid + 0j, rows])):
+        f_real, f_strip, f_top = np.split(f, [96, 96 + 8 * 16])
+        c_plus = float(np.trapezoid(np.maximum(f_real, 0.0), egrid))
+        worst_lower = max(0.0, float(np.max(-f_strip.reshape(8, 16) * ys[:, None])))
+        want.append((c_plus, worst_lower, float(np.max(f_top))))
+    assert np.array_equal(bits(np.array(got)), bits(np.array(want)))
+
 def test_pinned_diagonal_constants(baseline_model, baseline_interval):
     rep = js.check_diagonal_products(baseline_model, baseline_interval, n_blocks=64)
     assert rep.passed
@@ -808,10 +892,10 @@ def test_vanishing_diagonal_factor_fails_the_fit(monkeypatch, baseline_model, ba
     real_entries = transfer.connection_entries
 
     def forcing(prev, cur):
-        (w11, w12, w21, w22), singular = real_entries(prev, cur)
-        w11 = w11.copy()
-        w11[10, 0] = -1.0
-        return (w11, w12, w21, w22), singular
+        (e11, e12, e21, e22), det, same = real_entries(prev, cur)
+        e11 = e11.copy()
+        e11[10, 0] = 0.0
+        return (e11, e12, e21, e22), det, same
 
     monkeypatch.setattr(transfer, "connection_entries", forcing)
     rep = js.check_diagonal_products(baseline_model, baseline_interval, n_blocks=32)

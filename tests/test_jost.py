@@ -2,6 +2,7 @@ import dataclasses
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -162,7 +163,6 @@ def test_nu_scales_with_perturbation(free_block):
 def test_density_against_50_digit_recursion():
     # The same backward recursion in 50-digit arithmetic from the same float64
     # boundary pair, so the working precision is the only difference.
-    mpmath = pytest.importorskip("mpmath")
     block = js.periodic_block(2, [1.0, 1.4], [0.1, -0.2])
     model = js.make_model(block, js.PerturbationSpec.power(c=0.8, s=0.5, gamma=0.2))
     lo, hi = js.widest_trimmed_band(block, margin=0.1)

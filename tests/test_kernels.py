@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +205,6 @@ def test_jost_backward_against_50_digit_recursion(baseline_model, name):
     # boundary pair, at 8 real band energies (float64 block products) and
     # 8 strip points (complex ones), each set in one call, on 1000 sites:
     # 15 blocks and the per-site step on the top 40 sites.
-    mpmath = pytest.importorskip("mpmath")
     block, N = baseline_model.block, 500
     lo, hi = js.widest_trimmed_band(block, margin=0.1)
     energies = np.linspace(lo, hi, 8)
@@ -290,7 +290,7 @@ def indexed_strip(a, b, zeta, m_start, n_from):
     return m
 
 
-def reference_strip_50(mpmath, a, b, energy, m_start, n_from):
+def reference_strip_50(a, b, energy, m_start, n_from):
     """The stripping map at a real energy in 50-digit arithmetic."""
     with mpmath.workdps(50):
         e, m = mpmath.mpf(float(energy)), mpmath.mpc(m_start.real, m_start.imag)
@@ -323,9 +323,8 @@ def test_strip_downward_matches_indexed_loop_bit_for_bit(q, points):
     # real energies on a block or more walk blocks.  Against a 50-digit
     # stripping the worst case measured 4.8e-13 in m and 1.03e-12 in Im m
     # (the per-site map 5.2e-13 and 3.9e-13)
-    mpmath = pytest.importorskip("mpmath")
     for zeta, tail, m in zip(zetas[~per_site], tails[~per_site], got[~per_site]):
-        ref = reference_strip_50(mpmath, a, b, zeta.real, tail, depth)
+        ref = reference_strip_50(a, b, zeta.real, tail, depth)
         assert _rel(m, ref) <= 3e-12
         assert _rel(m.imag, ref.imag) <= 3e-12
 

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -566,9 +567,28 @@ def test_tail_at_a_large_band_scale_matches_closed_form():
     assert abs(m - exact) <= 1e-12 * abs(exact)
 
 
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_tail_and_oracle_of_a_scaled_block(scale):
+    # the tail's quadratic is formed for a, b and zeta over a power of two
+    # near a°_0, so it neither underflows nor overflows: the scaled block's
+    # tail and oracle are the scale-1 values over the scale, on the bands
+    # and off them
+    a, b = np.array([1.0, 1.3, 0.8]), np.array([0.1, -0.2, 0.05])
+    block = js.periodic_block(3, a, b)
+    scaled = js.periodic_block(3, scale * a, scale * b)
+    energies = np.concatenate([np.linspace(lo, hi, 9)[1:-1] for lo, hi in js.band_edges(block).bands])
+    points = np.concatenate([energies + 0j, energies + 0.1j])
+    want = js.tail_m_function(block, points)
+    got = js.tail_m_function(scaled, scale * points)
+    np.testing.assert_allclose(scale * got, want, rtol=1e-14, atol=0)
+    zero = js.PerturbationSpec.zero()
+    want = js.oracle_green_11(js.make_model(block, zero), 10, points)
+    got = js.oracle_green_11(js.make_model(scaled, zero), 10, scale * points)
+    np.testing.assert_allclose(scale * got, want, rtol=1e-13, atol=0)
+
 def test_tail_near_a_band_edge_against_50_digit_root():
     # 3.3e-3 inside the edge 1.5531209 of this block, at Im zeta = 1e-5
-    mpmath = pytest.importorskip("mpmath")
     block = random_block(np.random.default_rng(43), 3)
     zeta = 1.5564118 + 1e-5j
     m = complex(js.tail_m_function(block, zeta)[0])
@@ -587,7 +607,7 @@ def test_tail_near_a_band_edge_against_50_digit_root():
         assert float(abs(m - ref) / abs(ref)) <= 1e-13
 
 
-def reference_real_axis_green(mpmath, model, N, energy):
+def reference_real_axis_green(model, N, energy):
     """G(1,1) at a real band-interior energy in 50-digit arithmetic: the
     Im m > 0 root of the periodic tail's fixed-point quadratic, then
     coefficient stripping down to the boundary."""
@@ -614,7 +634,6 @@ def reference_real_axis_green(mpmath, model, N, energy):
 
 
 def test_real_axis_oracle_and_key_formula_against_50_digit_stripping():
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     worst_key = worst_oracle = 0.0
     for q in (1, 2, 3):
@@ -625,7 +644,7 @@ def test_real_axis_oracle_and_key_formula_against_50_digit_stripping():
         for N in (20, 1000):
             oracle = js.oracle_green_11(model, N, energies).imag / np.pi
             for energy, orc, key in zip(energies, oracle, js.ac_density(model, N, energies)):
-                ref = reference_real_axis_green(mpmath, model, N, energy).imag / mpmath.pi
+                ref = reference_real_axis_green(model, N, energy).imag / mpmath.pi
                 worst_key = max(worst_key, float(abs(key - ref) / ref))
                 worst_oracle = max(worst_oracle, float(abs(orc - ref) / ref))
     assert worst_key <= 1e-11
