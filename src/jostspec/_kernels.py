@@ -26,8 +26,8 @@ a site (and x_n in one or two calls for several sites: (zeta - b_n) * inv_n
 for the recursion, b_n - zeta for the stripping), in float64 at real
 energies, and a few calls a block apply them: two to the recursion's pairs,
 every rung's at once, a Mobius step to the stripping's m with Im m from the
-block's determinant.  transfer takes the chain's q-site period
-products from the same loop, with the guard off.
+block's determinant.  transfer takes every q-site period product, the
+background's and the chain's, from the same loop, with the guard off.
 """
 
 import numpy as np

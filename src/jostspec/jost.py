@@ -269,15 +269,11 @@ def log_density(a0, num, abs_u0, scale_log2):
 
 
 def density_values(a0, num, abs_u0, scale_log2):
-    """The density from density_terms: the direct quotient where the
-    recursion did not rescale and |u_0|^2 is finite, exp(log_density)
-    elsewhere.  np.hypot and np.float_power call the C library's hypot and
-    pow, the functions behind Python's abs(complex) and float **, so the
-    quotient is the same number when formed from Python scalars."""
-    with np.errstate(over="ignore"):
-        denom = math.pi * abs(a0) * np.float_power(abs_u0, 2.0)
-        direct = (scale_log2 == 0) & np.isfinite(denom)
-        return np.where(direct, num / denom, np.exp(log_density(a0, num, abs_u0, scale_log2)))
+    """The density |C Im z| / (pi |a°_0| |u_0|^2) from density_terms, with
+    (m, e) = frexp(|u_0|): num / (pi |a°_0| m m) times 2**(-2 (e +
+    scale_log2)), one exact expression at every scale."""
+    m, e = np.frexp(abs_u0)
+    return np.ldexp(num / (math.pi * abs(a0) * (m * m)), -2 * (e + scale_log2))
 
 
 def ac_density(model, N, energies):

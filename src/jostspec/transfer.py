@@ -3,21 +3,22 @@ renormalized block chain (determinant-one blocks, their eigenbases, and the
 W_n connection matrices) used by the product representation and the
 certificates.
 
-Everything here works elementwise over arrays of energies.  The chain takes
-its period products from the kernels' block-product loop, with q-site blocks
-and the guard off; chain_blocks and connection_entries hold its one
-implementation.  connection_entries forms the undivided numerators
-e = det U_{n-1} (I + W_n) and det U_{n-1}: connection_matrices divides them
-into every W_n at once, and jost.product_forms (a downward walk, a chunk of
-blocks at a time, which a ladder of truncations shares) takes its step
-coefficients from e, where det cancels, and never forms W.  floquet is the
-one entry point for the background's Floquet data, on the real axis and off
-it, the strip grids of bands.interval_constants and
-certify.check_floquet_bound included; it and the chain pick their roots and
-report their faults by one rule, _branches, the one reader of a complex
-step above real energy, to pick a branch.
-Each batched entry point raises the error of the first failing point in
-order, and its docstring states which fault of a point comes first."""
+Everything here works elementwise over arrays of energies.  Every period
+product comes from the kernels' block-product loop, with q-site blocks and
+the guard off (_period_products): the background's one block, behind
+discriminant and floquet, and the chain's, where chain_blocks and
+connection_entries hold its one implementation.  connection_entries forms
+the undivided numerators e = det U_{n-1} (I + W_n) and det U_{n-1}:
+connection_matrices divides them into every W_n at once, and
+jost.product_forms (a downward walk, a chunk of blocks at a time, which a
+ladder of truncations shares) takes its step coefficients from e, where det
+cancels, and never forms W.  floquet is the one entry point for the
+background's Floquet data, on the real axis and off it, the strip grids of
+bands.interval_constants and certify.check_floquet_bound included; it and
+the chain pick their roots and report their faults by one rule, _branches,
+the one reader of a complex step above real energy, to pick a branch.  Each
+batched entry point raises the error of the first failing point in order,
+and its docstring states which fault of a point comes first."""
 
 from __future__ import annotations
 
@@ -45,25 +46,21 @@ DERIV_TOL = 1e-9
 COINCIDE_TOL = 1e-13
 
 
-def _background_period_matrix(block, zeta):
-    """Period matrix of the pure background as four entries, elementwise over
-    a scalar, sequence or array zeta; real zeta gives real (float64) entries."""
-    zeta = np.asarray(zeta)
-    one, zero = (1.0 + 0j, 0j) if np.iscomplexobj(zeta) else (1.0, 0.0)
-    p11, p12, p21, p22 = one, zero, zero, one
-    for k in range(1, block.q + 1):
-        ak = block.a(k)
-        t11 = (zeta - block.b(k)) / ak
-        t12 = -block.a(k - 1) / ak
-        p11, p12, p21, p22 = t11 * p11 + t12 * p21, t11 * p12 + t12 * p22, p11, p12
-    return p11, p12, p21, p22
+def _background_period(block, zeta):
+    """Entries (p11, p21, p22) of one background period at every point of a
+    1-D float64 or complex128 array zeta: the chain's _period_products over
+    the one q-site block (a°_0, ..., a°_q), (0, b°_1, ..., b°_q)."""
+    a, b = np.array([block.a(0), *block.a_bg]), np.array([0.0, *block.b_bg])
+    return tuple(x[0] for x in _period_products(a, b, zeta, block.q))
 
 
 def discriminant(block, zeta):
-    """Trace of the background period matrix, elementwise over a scalar,
-    sequence or array zeta; real for real zeta."""
-    p11, _, _, p22 = _background_period_matrix(block, zeta)
-    return p11 + p22
+    """Trace of the background period, elementwise over a scalar, sequence
+    or array zeta, in zeta's shape; real for real zeta."""
+    zeta = np.asarray(zeta)
+    flat = zeta.ravel().astype(np.complex128 if np.iscomplexobj(zeta) else np.float64)
+    p11, _, p22 = _background_period(block, flat)
+    return (p11 + p22).reshape(zeta.shape)[()]
 
 
 def decaying_branch(delta):
@@ -150,26 +147,23 @@ def floquet(block, zetas):
     Returns (delta, z, C, D, fault): the discriminant; the |z| <= 1 branch,
     1 / lam for the root lam of _branches (on a band conj(lam), the same
     number without rounding); the lower row (C, D) of the period matrix, so
-    (z - D, C) is the eigenvector; the fault code, with EDGE_TOL.  Real
-    points take delta, C and D from the float64 product, which divides by
-    a_k where the complex one multiplies by 1 / a_k.  A NaN or infinite
-    point reaches the NONFINITE fault without a warning.
+    (z - D, C) is the eigenvector; the fault code, with EDGE_TOL.  One
+    period product, a complex step above the real points: there delta, C
+    and D are its real parts, which are the real-axis product's.  A NaN or
+    infinite point reaches the NONFINITE fault without a warning.
     """
     zeta = point_array(zetas)
     real = zeta.imag == 0.0
     step = CS_STEP * block.a(0)
     with np.errstate(invalid="ignore", over="ignore"):
-        p11, _, c, d = _background_period_matrix(block, np.where(real, zeta + 1j * step, zeta))
-        # q = 1 gives scalar C and D
-        c, d = (np.full(zeta.shape, x, dtype=np.complex128) for x in (c, d))
+        p11, c, d = _background_period(block, np.where(real, zeta + 1j * step, zeta))
         trace = p11 + d
-        if real.any():
-            p11, _, c[real], d[real] = _background_period_matrix(block, zeta.real[real])
-            trace.real[real] = p11 + d.real[real]
     lam, fault = _branches(trace, real, EDGE_TOL, step)
     with np.errstate(invalid="ignore"):
         z = np.where(real & (np.abs(trace.real) < 2.0), np.conj(lam), 1.0 / lam)
-    return np.where(real, trace.real, trace), z, c, d, fault
+    for x in (trace, c, d):
+        x.imag[real] = 0.0
+    return trace, z, c, d, fault
 
 
 def _fault_error(code, n, zeta):

@@ -7,7 +7,7 @@ import jostspec as js
 from conftest import random_block
 from jostspec import bands
 from jostspec.errors import DegenerateBranchError, NoAdmissibleIntervalError, ValidationError
-from jostspec.transfer import _background_period_matrix
+from jostspec.transfer import _background_period
 
 
 def test_free_band(free_block):
@@ -142,7 +142,7 @@ def test_band_structure_properties(block):
     for pair in js.trimmed_bands(block, margin=0.05):
         iv = js.interval_constants(block, pair)
         grid = np.linspace(iv.lo, iv.hi, 401)
-        for values in (np.diff(js.discriminant(block, grid)), _background_period_matrix(block, grid)[2]):
+        for values in (np.diff(js.discriminant(block, grid)), _background_period(block, grid)[1]):
             assert np.all(values > 0) or np.all(values < 0)
 
 

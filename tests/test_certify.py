@@ -269,3 +269,69 @@ def test_diagonal_products_half_blocks_never_exceed_full(acceptance_suite):
         assert rep.passed, rep.measured
         for name in ("B_alpha", "B_delta"):
             assert rep.measured[f"{name}_half_blocks"] <= rep.measured[name]
+
+
+# The certificate panel: the margin-0.1 trimmed bands of the baseline q = 2
+# block and a q = 3 block, each with six models, certified with the CLI's
+# settings (N = 40, n_grid 16 .. 128, 128 blocks, the W probe at the band's
+# midpoint eps_I / 2 above the axis).  in, in-slow and wvn satisfy the
+# paper's hypothesis; out's q-variation is not square-summable.
+PANEL_BLOCKS = (
+    js.periodic_block(2, (1.0, 1.4), (0.1, -0.2)),
+    js.periodic_block(3, (1.0, 1.3, 0.8), (0.2, -0.3, 0.0)),
+)
+PANEL_MODELS = {
+    "zero": js.PerturbationSpec.zero(),
+    "finite": js.PerturbationSpec.finite(alpha=[0.05, -0.03, 0.02], beta=[0.1, -0.05, 0.04, 0.02]),
+    "in": js.PerturbationSpec.power(0.8, 0.5, 0.2),
+    "in-slow": js.PerturbationSpec.power(0.8, 1.5, 0.6),
+    "out": js.PerturbationSpec.power(0.8, 1.5, 0.2),
+    "wvn": js.PerturbationSpec.power(2.0, 1.0, 1.0),
+}
+PANEL_ROWS = ("floquet_strip_bound", "w_square_summability", "diagonal_product_bound", "harmonic_hypotheses")
+# Per band, in order, each model's verdicts on PANEL_ROWS (P passes, F fails).
+PANEL_VERDICTS = (
+    {"zero": "PPPP", "finite": "PPPP", "in": "PFPF", "in-slow": "PFPF", "out": "PFFF", "wvn": "PPPP"},
+    {"zero": "PPPP", "finite": "PPPP", "in": "PPPP", "in-slow": "PFPP", "out": "PFPP", "wvn": "PPPP"},
+    {"zero": "PPPP", "finite": "PPPP", "in": "PFPP", "in-slow": "PFPP", "out": "PFFF", "wvn": "PPPP"},
+    {"zero": "PPPP", "finite": "PPPP", "in": "PPPP", "in-slow": "PFPP", "out": "PFPP", "wvn": "PPPP"},
+    {"zero": "PPPP", "finite": "PPPP", "in": "PFPP", "in-slow": "PFPP", "out": "PFFP", "wvn": "PPPP"},
+)
+
+
+@pytest.fixture(scope="module")
+def panel():
+    verdicts = []
+    for block in PANEL_BLOCKS:
+        for band in js.trimmed_bands(block, 0.1):
+            iv = js.interval_constants(block, band)
+            zeta = complex(iv.midpoint(), 0.5 * iv.eps_I)
+            row = {}
+            for name, pert in PANEL_MODELS.items():
+                model = js.make_model(block, pert)
+                reports = (
+                    js.check_floquet_bound(block, iv),
+                    js.check_w_summability(model, zeta, (16, 32, 64, 128)),
+                    js.check_diagonal_products(model, iv, n_blocks=128),
+                    js.check_harmonic_hypotheses(model, 40, iv),
+                )
+                assert tuple(r.name for r in reports) == PANEL_ROWS
+                row[name] = "".join("P" if r.passed else "F" for r in reports)
+            verdicts.append(row)
+    return tuple(verdicts)
+
+
+def test_panel_verdicts(panel):
+    assert panel == PANEL_VERDICTS
+
+
+def _panel_label(verdicts, row):
+    # a grid row separates when it passes every model but out on every band
+    # and fails out on every band
+    separates = all((band[name][row] == "P") == (name != "out") for band in verdicts for name in band)
+    return "grid" if separates else "grid, does not separate"
+
+
+def test_no_panel_row_separates_in_from_out(panel):
+    labels = [_panel_label(panel, i) for i in range(len(PANEL_ROWS))]
+    assert labels == ["grid, does not separate"] * len(PANEL_ROWS)

@@ -262,6 +262,24 @@ def test_points_of_more_than_one_dimension_are_rejected(name, shape):
         SCALAR_CALLS[name](np.full(shape, 1.2))
 
 
+REAL_CALLS = ("ac_density", "density_terms", "wronskian_defect")
+
+
+@pytest.mark.parametrize("points", [np.array([1.2 + 1e-3j]), [1.2 + 1e-3j], [1.2, 0.3j]], ids=["array", "list", "second"])
+@pytest.mark.parametrize("name", REAL_CALLS)
+def test_complex_points_of_a_real_energy_call_are_rejected(name, points):
+    # a complex array lost its imaginary part, a list raised TypeError
+    with pytest.raises(ValidationError, match=r"^energies must be real, got "):
+        SCALAR_CALLS[name](points)
+
+
+@pytest.mark.parametrize("points", ["abc", [1.2, "x"], [[1.2], 0.3]], ids=["string", "mixed", "ragged"])
+@pytest.mark.parametrize("name", [*REAL_CALLS, "floquet", "green_11"])
+def test_points_that_are_not_numbers_are_rejected(name, points):
+    with pytest.raises(ValidationError, match=r"^points must be numbers, got "):
+        SCALAR_CALLS[name](points)
+
+
 def _form_fields(form):
     return [form.phi_N, form.nu_N, form.kappa, form.log_prefactor, form.lambda0, form.u_inv0]
 

@@ -264,6 +264,37 @@ def test_chain_and_floquet_take_one_branch(q):
     np.testing.assert_allclose(lam * z, 1.0, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("q", range(1, 7))
+def test_floquet_real_axis_data_are_the_real_product(q):
+    # floquet forms one period a complex step above a real point; the real
+    # parts of its trace and lower row are the float64 product's, bit for
+    # bit, in bands, in gaps and beyond the spectrum
+    rng = np.random.default_rng(90 + q)
+    for _ in range(10):
+        block = random_block(rng, q)
+        pairs = bands._edge_pairs(block)
+        lo, hi = pairs[0][0], pairs[-1][1]
+        gaps = [rng.uniform(e1, e2, 20) for (_, e1), (e2, _) in zip(pairs[:-1], pairs[1:])]
+        inside = [rng.uniform(e1, e2, 20) for e1, e2 in pairs]
+        energies = np.concatenate([*inside, *gaps, rng.uniform(lo - 3.0, hi + 3.0, 100)])
+        delta, _, c, d, _ = js.floquet(block, energies)
+        p11, p21, p22 = transfer._background_period(block, energies)
+        for got, want in ((delta, p11 + p22), (delta, js.discriminant(block, energies)), (c, p21), (d, p22)):
+            assert not got.imag.any()
+            assert np.array_equal(got.real, want)
+
+
+def test_discriminant_keeps_the_shape_of_its_points(free_block):
+    # discriminant is elementwise over a scalar or an array of any shape
+    block = js.periodic_block(2, (1.0, 1.4), (0.1, -0.2))
+    grid = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    assert js.discriminant(block, grid).shape == (3, 4)
+    assert np.array_equal(js.discriminant(block, grid).ravel(), js.discriminant(block, grid.ravel()))
+    assert np.ndim(js.discriminant(block, 0.3)) == 0
+    assert js.discriminant(free_block, [1 + 2j]).dtype == np.complex128
+    assert js.discriminant(free_block, 1).dtype == np.float64
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-150])
 def test_real_axis_branch_is_the_strip_limit_at_any_scale(scale):
     # bands of width ~1e-150 lie far below an absolute step of 1e-100, which
