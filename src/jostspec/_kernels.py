@@ -5,8 +5,9 @@ truncation depths reach 1e3-1e5 sites.  They take 1-D arrays of energies,
 and each NumPy call works on all of them elementwise: a column of a batch
 equals the same energy's call on its own, bit for bit.  The backward
 recursion also takes its boundary pairs as (rungs, energies), the rungs of
-jost's recursion ladder: a rung equals its own call, and each block's
-product is formed once per energy for all rungs.  Working memory is
+jost's recursion ladder, and rungs that join its block walk at a block
+boundary: a rung equals its own call, and one call forms each block's
+product once per energy for all rungs.  Working memory is
 O(sites + energies), or O(blocks x energies) for the chain's products.
 
 A per-site step is bound by per-call overhead, not arithmetic, so it keeps
@@ -24,10 +25,14 @@ stripping off the axis and the recursion that keeps its rows).  Below it
 the one block-product loop forms a group of blocks' products in three calls
 a site (and x_n in one or two calls for several sites: (zeta - b_n) * inv_n
 for the recursion, b_n - zeta for the stripping), in float64 at real
-energies, and a few calls a block apply them: two to the recursion's pairs,
-every rung's at once, a Mobius step to the stripping's m with Im m from the
-block's determinant.  transfer takes every q-site period product, the
-background's and the chain's, from the same loop, with the guard off.
+energies.  A site column that is the same for every block (1/a and y_n
+wherever a is periodic, the stripping's -a_n^2, every column of one block)
+enters as one value a site, not a (block, 1) column, whose broadcast costs
+NumPy a buffered iterator per call.  A few calls a block apply the
+products: two to the recursion's pairs, every rung's at once, a Mobius
+step to the stripping's m with Im m from the block's determinant.
+transfer takes every q-site period product, the background's and the
+chain's, from the same loop, with the guard off.
 """
 
 import numpy as np
@@ -38,7 +43,7 @@ import numpy as np
 RESCALE_THRESHOLD = 2.0**500
 RESCALE_SHIFT = 600
 # Sites per block of both walks, counted from a call's site 1; block x energy
-# entries of a group of block products (and of x_n per call).
+# entries of a group of block products (and of x_n at once, or two sites').
 BLOCK = 64
 GROUP = 1 << 13
 
@@ -52,7 +57,7 @@ def _peak(*arrays):
     return float(max(np.abs(x).max(initial=0.0) for x in arrays))
 
 
-def jost_backward(a, b, zeta, u_top, u_second, rows=None):
+def jost_backward(a, b, zeta, u_top, u_second, rows=None, joins=()):
     """Backward three-term recursion from the top boundary pair, per energy.
 
     a, b are site arrays indexed 0..m (b[0] is a placeholder); the recursion
@@ -79,6 +84,15 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     recursion ladder needs: the run on a[k-1:], b[k-1:] returns (u[k-1],
     u[k]), the run on a[:k], b[:k] from u_top = u[k], u_second = u[k-1] the
     unsplit u[0] and u[1], and the two scale_log2 add up to the unsplit one.
+    So the ladder need not split: joins, a sequence of (k, upper, lower)
+    in descending order of k, with upper and lower of shape (rungs,
+    energies), add rungs to the block walk.  At the block boundary
+    k = 1 (mod BLOCK), BLOCK < k <= the highest one (else ValueError), the
+    pairs (u[k], u[k-1]) = (upper, lower) join the walk, and each joined
+    rung equals the run on a[:k], b[:k] from its pair bit for bit.  The
+    results then have a row per rung, the call's own rungs first and the
+    joined ones in the order of joins, and a joined rung's scale_log2
+    counts the rescales below k.
 
     rows, if given with 1-D pairs, is an (m + 2, len(zeta)) complex array
     that receives the whole solution u[0..m+1] on the final scale of each
@@ -92,6 +106,8 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     m = a.shape[0] - 1
     top = m - m % BLOCK if rows is None else 0
+    if any(k % BLOCK != 1 or not BLOCK < k <= top + 1 for k, *_ in joins):
+        raise ValueError(f"joins must be at block boundaries k = 1 (mod {BLOCK}) in {BLOCK + 1} .. {top + 1}")
     scale_log2 = np.zeros(hi.shape, dtype=np.int64)
     growth = float((_peak(a) + _peak(b[1:]) + _peak(zeta)) / np.abs(a).min()) * (1 + 1e-9)
     # the per-site steps on 1-D columns, as a one-rung call has them, so that
@@ -101,10 +117,13 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
         return lo.reshape(shape), hi.reshape(shape), scale_log2.reshape(shape)
     z = zeta if zeta.imag.any() else np.ascontiguousarray(zeta.real)
     # a rung axis between the pair's two values and the energies
-    lanes = (rungs, zeta.shape[0]) if rungs > 1 else zeta.shape
+    lanes = (rungs, zeta.shape[0]) if rungs > 1 or joins else zeta.shape
     pair, scales = np.array([hi, lo]).reshape(2, *lanes), scale_log2.reshape(lanes)
     terms = np.empty((2, *pair.shape), dtype=np.complex128)
     factor, bound, per = 2.0 ** (-RESCALE_SHIFT), _peak(pair), max(1, GROUP // max(zeta.shape[0], 1))
+    entering = {}
+    for k, upper, lower in joins:
+        entering.setdefault((k - 1) // BLOCK, []).append(np.array([upper, lower], dtype=np.complex128))
     # the products of GROUP block x energy entries at once, from the top down
     for k1 in range(top // BLOCK, 0, -per):
         k0 = max(k1 - per, 0)
@@ -112,9 +131,15 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
         prod, shifts = _block_products((1.0 / a[below], -a[sites] / a[below], b[sites]), z, growth)
         # |P u| <= 2 max|P| max|u|
         peaks = (np.abs(prod).max(axis=(0, 1, 3), initial=0.0) * (2 * (1 + 1e-9))).tolist()
-        if rungs > 1:
+        if len(lanes) > 1:
             prod = prod[:, :, :, None]
         for k in range(k1 - k0 - 1, -1, -1):
+            # rungs that join at the block boundary above block k0 + k
+            new = entering.get(k0 + k + 1)
+            if new:
+                pair = np.concatenate([pair, *new], axis=1)
+                scales = np.pad(scales, ((0, pair.shape[1] - len(scales)), (0, 0)))
+                terms, bound = np.empty((2, *pair.shape), dtype=np.complex128), max(bound, _peak(*new))
             np.multiply(prod[:, :, k], pair, terms)
             np.add(terms[:, 0], terms[:, 1], pair)
             if shifts is not None:
@@ -128,7 +153,8 @@ def jost_backward(a, b, zeta, u_top, u_second, rows=None):
                 bound = _peak(pair)
         # free this group's products before the next group's exist
         del prod, shifts
-    return pair[1].reshape(shape), pair[0].reshape(shape), scale_log2.reshape(shape)
+    shape = pair.shape[1:] if joins else shape
+    return pair[1].reshape(shape), pair[0].reshape(shape), scales.reshape(shape)
 
 
 def _site_steps(a, b, zeta, hi, lo, scale_log2, growth, rows):
@@ -175,27 +201,55 @@ def _block_products(columns, zeta, growth, size=BLOCK):
     guard's shifts per (block, energy), or None; growth 0 turns the guard
     off.  From the last site's matrix, a step M_n P moves P's second row up
     and forms y_n r1 + x_n r2, as r1 * y_n and x_n * r2.  One site is its
-    matrix."""
-    # site columns (size, block, 1), so that a step takes views
-    inv, y, b_n = (None if v is None else np.ascontiguousarray(v.reshape(-1, size).T)[:, :, None] for v in columns)
-    g, e = y.shape[1], zeta.shape[0]
+    matrix.  A column the same for every block enters as one value a site,
+    bit for bit the per-block step; a is positive, so no column holds a
+    signed zero for == to merge."""
+    g, e = columns[1].size // size, zeta.shape[0]
 
-    def sites_x(cols, out):
-        if inv is None:
-            return np.subtract(b_n[cols], zeta, out)
-        return np.multiply(np.subtract(zeta, b_n[cols], out), inv[cols], out)
+    def site_column(v, test):
+        # (size, block, 1) of zeta's dtype, so that a step takes views and
+        # casts nothing, or (size, 1, 1) where the column is the same for
+        # every block (as one block's columns are)
+        v = v.reshape(-1, size)
+        if test and (v[1:] == v[0]).all():
+            v = v[:1]
+        return v.T.astype(zeta.dtype, order="C")[:, :, None]
 
+    # a guarded walk tests inv_n and y_n, the same for every block wherever a
+    # is periodic; on a q-site period the test would cost more than it saves
+    inv, y, b_n = columns
+    inv = None if inv is None else site_column(inv, growth)
+    y, b_n = site_column(y, growth), site_column(b_n, False)
+    # a uniform y_n enters a step as a 0-d view, with no broadcast
+    ys = y if y.shape[1] > 1 else [y[n, 0, 0, ...] for n in range(size - 1)]
     prod, t = np.empty((2, 2, g, e), dtype=zeta.dtype), np.empty((2, g, e), dtype=zeta.dtype)
-    xs = np.empty((max(min(GROUP // max(g * e, 1), size - 1), 1), g, e), dtype=zeta.dtype)
+
+    def sites_x(lo, hi, out):
+        if inv is None:
+            return np.subtract(b_n[lo:hi], zeta, out)
+        return np.multiply(np.subtract(zeta, b_n[lo:hi], out), inv[lo:hi], out)
+
+    # x_n of a chunk of sites at once.  Where the whole block fits GROUP
+    # block x energy entries, one chunk holds it, the top site's included;
+    # else the top site's goes straight into the product (a copy would cost
+    # more than the call it saves), and a chunk holds GROUP entries or two
+    # sites
+    per = GROUP // max(g * e, 1)
+    top = size if 1 < size <= per else size - 1
+    xs = np.empty((max(min(max(per, 2), top), 1), g, e), dtype=zeta.dtype)
     # each of the size - 1 steps swaps the row names
     r1, r2 = prod[(size - 1) % 2], prod[size % 2]
     r1[0], r1[1], r2[0] = 0.0, 1.0, y[-1]
-    sites_x(-1, r2[1])
+    if top < size:
+        sites_x(top, size, r2[1:])
     factor, bound, shifts = 2.0 ** (-RESCALE_SHIFT), growth, None
-    for top in range(size - 1, 0, -len(xs)):
-        cols = slice(max(top - len(xs), 0), top)
-        x = sites_x(cols, xs[: top - cols.start])
-        for x_n, y_n in zip(x[::-1], y[cols][::-1]):
+    for hi in range(top, 0, -len(xs)):
+        lo = max(hi - len(xs), 0)
+        x = sites_x(lo, hi, xs[: hi - lo])
+        if hi == size:
+            r2[1] = x[-1]
+            x, hi = x[:-1], hi - 1
+        for x_n, y_n in zip(x[::-1], ys[lo:hi][::-1]):
             np.multiply(r1, y_n, r1)
             np.multiply(x_n, r2, t)
             np.add(r1, t, r1)

@@ -5,8 +5,8 @@ All objects are frozen value types; evaluations are pure and cached.  Every
 count argument of the library goes through count: it must be an integer
 (10.0 and np.int64(10) are 10) and is never floored (10.5 raises).  Every
 argument that is a 1-D sequence of points goes through point_array: a
-scalar is one point, and a value that is not a number, an array of more
-dimensions or a complex point where energies are real raises.
+scalar is one point, and a value that is not a number (None included), an
+array of more dimensions or a complex point where energies are real raises.
 """
 
 from __future__ import annotations
@@ -47,14 +47,20 @@ def count(name, value, low):
 
 def point_array(values, dtype=np.complex128):
     """A 1-D array of dtype from a 1-D sequence of points or a scalar (one
-    point).  ValidationError for a value that is not a number, an array of
-    more dimensions, or, for a real dtype, a point off the real axis."""
+    point).  ValidationError for a value that is not a number (None, which
+    names its point, included), an array of more dimensions, or, for a real
+    dtype, a point off the real axis."""
     try:
         points = np.asarray(values, dtype=np.complex128)
     except (TypeError, ValueError):
         raise ValidationError(f"points must be numbers, got {values!r}") from None
     if points.ndim > 1:
         raise ValidationError(f"points must be a scalar or a 1-D sequence, got shape {points.shape}")
+    # NumPy reads None as nan+nanj; only an object array or a sequence holds it
+    if getattr(values, "dtype", object) == object and np.isnan(points).any():
+        missing = np.flatnonzero(np.equal(np.asarray(values, dtype=object).ravel(), None))
+        if missing.size:
+            raise ValidationError(f"points must be numbers, got None at point {missing[0]}")
     if not np.issubdtype(dtype, np.complexfloating):
         off = np.flatnonzero(points.imag != 0.0)
         if off.size:

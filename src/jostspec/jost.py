@@ -14,11 +14,12 @@ Truncations N < N' have the same coefficients below site (N-1)q, so a
 ladder of truncations is one walk on one schedule, _ladder: each shallower N
 runs only its own top steps, then joins the deepest N's walk as a row.  It
 drives the backward recursion (joined at the highest block boundary of its
-kernel at or below site (N-1)q; its rows are boundary pairs over the same
-energies, so each block's product is formed once per energy) behind
-density_terms and measures.entropy_integrals, and the product walk (joined
-at block N-3, in chunks of CHUNK blocks counted from the top and from each
-join point) behind product_forms and certify.check_harmonic_hypotheses.
+kernel at or below site (N-1)q, inside the deepest N's one kernel call; its
+rows are boundary pairs over the same energies, so the call forms each
+block's product once per energy) behind density_terms and
+measures.entropy_integrals, and the product walk (joined at block N-3, in
+chunks of CHUNK blocks counted from the top and from each join point)
+behind product_forms and certify.check_harmonic_hypotheses.
 The one-N functions are the one-rung case; every N gets its own walk's
 bits.  The product walk's steps take no division: it is folded into
 coefficients formed once per chunk from the numerators e = det (I + W_n) of
@@ -139,12 +140,12 @@ def _ladder(Ns, walk, join_at, floor):
     duplicates kept, from one walk down to `floor`.
 
     A walker stands at `hi`: walk(N) at the top of truncation N, with one
-    row; descend(lo) takes it down to lo.  Its class names in ROWS the arrays
-    that hold its rows along axis 0 (None where a walker does not form one).
-    Truncations N < N' agree below join_at(N): every shallower N descends on
-    its own arrays to join_at(N), and the deepest N walks from its top and,
-    standing there, concatenates that walker's ROWS to its own.  A rung that
-    reaches the floor on its own ends there.
+    row; descend(lo) takes it down to lo, and join(own) takes the rows of a
+    walker `own` that stands at or below it, where own stands, after its own
+    rows.  Truncations N < N' agree below join_at(N): every shallower N
+    descends on its own arrays to join_at(N), and the deepest N, from its
+    top, joins each of them in turn.  A rung that reaches the floor on its
+    own ends there.
     """
     if not Ns:
         return []
@@ -155,10 +156,7 @@ def _ladder(Ns, walk, join_at, floor):
     main, rows = walk(deep), [deep]
     for N, own in rungs.items():
         if own.hi > floor:
-            main.descend(own.hi)
-            for name in main.ROWS:
-                if getattr(main, name) is not None:
-                    setattr(main, name, np.concatenate([getattr(main, name), getattr(own, name)]))
+            main.join(own)
             rows.append(N)
     main.descend(floor)
     results = {N: own.result(0) for N, own in rungs.items() if own.hi == floor}
@@ -172,22 +170,30 @@ class _Recursion:
     `hi` with the pair (u_hi, u_{hi-1}) at every energy, one row per rung,
     and adds up each entry's scale_log2 over its segments; a jost_backward
     run split at a block boundary continues bit for bit.  The energies are
-    not a row: the rungs share them, so one kernel call forms each block's
-    product once per energy for all rungs."""
-
-    ROWS = ("upper", "lower", "scale")
+    not a row: the rungs share them.  A joined rung waits for the next
+    descent, whose one kernel call takes it in at its site, so that call
+    forms each block's product once per energy for all rungs."""
 
     def __init__(self, work, zetas, tops, seconds):
         self.a, self.b = work.coefficient_arrays(work.trunc * work.block.q)
         self.hi, self.zetas = len(self.a), zetas
         self.upper, self.lower = tops[None], seconds[None]
         self.scale = np.zeros(self.upper.shape, dtype=np.int64)
+        self.joins = []
+
+    def join(self, own):
+        """Takes own's rows, at own's site, in the next descent."""
+        self.joins.append(own)
 
     def descend(self, lo):
         """Steps hi-1 .. lo over every row; then it stands at site lo."""
         sites = slice(lo - 1, self.hi)
-        u_lo, u_hi, scale = _kernels.jost_backward(self.a[sites], self.b[sites], self.zetas, self.upper, self.lower)
-        self.upper, self.lower, self.scale, self.hi = u_hi, u_lo, self.scale + scale, lo
+        joins = [(own.hi - lo + 1, own.upper, own.lower) for own in self.joins]
+        u_lo, u_hi, scale = _kernels.jost_backward(
+            self.a[sites], self.b[sites], self.zetas, self.upper, self.lower, joins=joins
+        )
+        self.scale = np.concatenate([self.scale, *(own.scale for own in self.joins)]) + scale
+        self.upper, self.lower, self.hi, self.joins = u_hi, u_lo, lo, []
 
     def result(self, row):
         """(u_0, u_1, scale_log2) of a row, standing at site 1."""
@@ -376,6 +382,13 @@ class _Walk:
         the walk stands at block lo."""
         while self.hi > lo:
             self._chunk(max(self.hi - CHUNK, lo))
+
+    def join(self, own):
+        """Descends to own's block and concatenates own's ROWS to its own."""
+        self.descend(own.hi)
+        for name in self.ROWS:
+            if getattr(self, name) is not None:
+                setattr(self, name, np.concatenate([getattr(self, name), getattr(own, name)]))
 
     def _chunk(self, lo):
         """Steps n = hi .. lo+1 (row n - lo - 1) from blocks lo .. hi-1 and

@@ -277,19 +277,21 @@ def test_entropy_runs_one_recursion_ladder_over_n_list(tmp_path, monkeypatch):
     jost_backward = _kernels.jost_backward
 
     def counting(*args, **kwargs):
-        calls.append((len(args[0]) - 1, args[3].shape, len(args[2])))
+        joins = [k for k, *_ in kwargs.get("joins", ())]
+        calls.append((len(args[0]) - 1, args[3].shape, len(args[2]), joins))
         return jost_backward(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "jost_backward", counting)
     cfg = _write(tmp_path, FREE_CONFIG + "N_list = 200, 100, 400\nquad_order = 8\n")
     assert run(str(cfg), experiment="entropy", out_dir=str(tmp_path / "out")) == 0
-    # (sites, (rungs, energies) of the boundary pairs, energies) per call,
-    # the energies the nodes of both orders, 8 + 16.  On q = 1, N = 200 and
-    # N = 100 join at the block boundaries 193 and 65 below sites 199 and
-    # 99 and run their own 8 and 36 top steps; N = 400 walks from its top
-    # and carries their pairs as rungs from sites 193 and 65 down, so 444
-    # sites are walked, not 700, and each call passes the 24 energies once.
-    assert calls == [(8, (1, 24), 24), (36, (1, 24), 24), (208, (1, 24), 24), (128, (2, 24), 24), (64, (3, 24), 24)]
+    # (sites, (rungs, energies) of the boundary pairs, energies, join sites)
+    # per call, the energies the nodes of both orders, 8 + 16.  On q = 1,
+    # N = 200 and N = 100 join at the block boundaries 193 and 65 below sites
+    # 199 and 99 and run their own 8 and 36 top steps; N = 400 walks from its
+    # top in one call, which takes their pairs in as rungs at sites 193 and
+    # 65, so 444 sites are walked, not 700, and each call passes the 24
+    # energies once.
+    assert calls == [(8, (1, 24), 24, []), (36, (1, 24), 24, []), (400, (1, 24), 24, [193, 65])]
 
 
 THREE_BAND_CONFIG = """\

@@ -280,6 +280,25 @@ def test_points_that_are_not_numbers_are_rejected(name, points):
         SCALAR_CALLS[name](points)
 
 
+@pytest.mark.parametrize(
+    "points, index",
+    [(None, 0), ([1.2, None], 1), ((None, 0.3), 0), ([np.nan, None], 1), (np.array([1.2, None]), 1)],
+    ids=["none", "second", "tuple", "after-nan", "object-array"],
+)
+@pytest.mark.parametrize("name", ["floquet", "green_11", "ac_density", "tail_m_function"])
+def test_a_missing_point_is_rejected(name, points, index):
+    # NumPy reads None as nan+nanj: floquet returned fault 6, green_11 raised
+    # "no finite Floquet multiplier", ac_density "energies must be real"
+    with pytest.raises(ValidationError, match=rf"^points must be numbers, got None at point {index}$"):
+        SCALAR_CALLS[name](points)
+
+
+def test_a_nan_point_is_still_a_point():
+    # the check for None leaves a NaN point to the NONFINITE fault
+    *_, fault = transfer.floquet(SCALAR_MODEL.block, [1.2, np.nan])
+    assert fault.tolist() == [0, transfer.NONFINITE]
+
+
 def _form_fields(form):
     return [form.phi_N, form.nu_N, form.kappa, form.log_prefactor, form.lambda0, form.u_inv0]
 
