@@ -205,6 +205,8 @@ def _block_products(columns, zeta, growth, size=BLOCK):
     bit for bit the per-block step; a is positive, so no column holds a
     signed zero for == to merge."""
     g, e = columns[1].size // size, zeta.shape[0]
+    if size == 1:
+        return _site_matrices(columns, zeta, g, e), None
 
     def site_column(v, test):
         # (size, block, 1) of zeta's dtype, so that a step takes views and
@@ -264,6 +266,21 @@ def _block_products(columns, zeta, growth, size=BLOCK):
                     peak[big] *= factor
                 bound = float(peak.max(initial=0.0))
     return prod, shifts
+
+
+def _site_matrices(columns, zeta, g, e):
+    """_block_products of one-site blocks: each block is its matrix, so no
+    step needs cast columns or a chunk of x_n.  x_n's two calls cast the real
+    b_n and inv_n to zeta's dtype themselves, to the values a cast copy
+    holds, so the bits are the general path's."""
+    inv, y, b_n = (None if v is None else v.reshape(g, 1) for v in columns)
+    prod = np.empty((2, 2, g, e), dtype=zeta.dtype)
+    prod[0, 0], prod[0, 1], prod[1, 0] = 0.0, 1.0, y
+    if inv is None:
+        np.subtract(b_n, zeta, prod[1, 1])
+    else:
+        np.multiply(np.subtract(zeta, b_n, prod[1, 1]), inv, prod[1, 1])
+    return prod
 
 
 def strip_downward(a, b, zeta, m_start, n_from):

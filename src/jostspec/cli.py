@@ -10,8 +10,8 @@ significant digits and metadata headers carry no timestamps.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,18 +49,20 @@ def _fmt(x):
 
 
 def _fmt_rows(*columns):
-    """CSV lines of _fmt values, one column per 1-D array.  At about 0.5 us
-    a value, %.17g is the floor for byte-stable CSVs."""
-    line = ",".join(["%.17g"] * len(columns))
-    return [line % row for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    """CSV lines of _fmt values, one column per 1-D array of equal length,
+    all formatted by one % call.  At about 0.5 us a value, %.17g is the
+    floor for byte-stable CSVs."""
+    values = np.array(columns, dtype=float).T
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (line * len(values) % tuple(values.ravel().tolist())).split("\n")[:-1]
 
 
 def _float_list(text):
-    return [float(p) for p in text.replace(",", " ").split()]
+    return tuple(map(float, text.replace(",", " ").split()))
 
 
 def _int_list(text):
-    return tuple(int(p) for p in text.replace(",", " ").split())
+    return tuple(map(int, text.replace(",", " ").split()))
 
 
 def _at_least(name, low, parse=int):
@@ -69,9 +71,10 @@ def _at_least(name, low, parse=int):
 
     def check(text):
         value = parse(text)
-        if np.size(value) == 0:
+        values = value if isinstance(value, tuple) else (value,)
+        if not values:
             raise ValidationError(f"no {name} given")
-        if not (np.asarray(value) >= low).all():
+        if not all(v >= low for v in values):
             raise ValidationError(f"{name} must be >= {low}")
         return value
 
@@ -79,12 +82,12 @@ def _at_least(name, low, parse=int):
 
 
 def _finite(name, parse=float):
-    """Parser of a float, or with parse=_float_list of a list of floats, whose
+    """Parser of a float, or with parse=_float_list of a tuple of floats, whose
     every value is finite."""
 
     def check(text):
         value = parse(text)
-        if not np.isfinite(value).all():
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise ValidationError(f"{name} must be finite")
         return value
 
@@ -104,7 +107,7 @@ def _positive_finite(name):
         x = float(text)
         if not x > 0.0:
             raise ValidationError(f"{name} must be positive")
-        if x == np.inf:
+        if x == math.inf:
             raise ValidationError(f"{name} must be finite")
         return x
 
@@ -125,8 +128,8 @@ def _parse_interval(text):
     text = text.strip()
     if text == "auto":
         return text
-    bounds = tuple(_float_list(text))
-    if len(bounds) != 2 or not -np.inf < bounds[0] < bounds[1] < np.inf:
+    bounds = _float_list(text)
+    if len(bounds) != 2 or not -math.inf < bounds[0] < bounds[1] < math.inf:
         raise ValidationError("interval must be 'auto' or two finite numbers lo < hi")
     return bounds
 
@@ -160,39 +163,78 @@ _SECTIONS = {
 
 
 def _read_config(path, overrides):
-    # No section header can name "\n", so a [DEFAULT] in the file is a section
-    # like any other, rejected below, and not defaults for every section.
-    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
-    parser.optionxform = str
+    """{section: {key: text}} of the config file, the overrides applied.
+    ValidationError for a file that cannot be read, is not UTF-8 or breaks
+    the grammar of _parse_config, and for a section not in _SECTIONS,
+    [DEFAULT] included."""
     try:
-        read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ValidationError(f"malformed config file {path}: {exc}") from exc
-    if not read:
-        raise ValidationError(f"config file {path} is unreadable")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
+    except OSError:
+        raise ValidationError(f"config file {path} is unreadable") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from None
+    config = _parse_config(text, path)
     for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, equals, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (equals and dot):
             raise ValidationError(f"override must look like section.key=value: {item!r}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        try:
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, key, value)
-        except (configparser.Error, ValueError) as exc:
-            raise ValidationError(f"bad override {item!r}: {exc}") from exc
-    for section in parser.sections():
+        config.setdefault(section, {})[key] = value
+    for section in config:
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
-    return parser
+    return config
 
 
-def _section(parser, name):
-    """Values of config section `name`, read once as a plain dict, by its
-    table in _SECTIONS, an absent section giving every default.  Raises
-    ValidationError on an unknown key or on a value its parser rejects."""
+def _parse_config(text, path):
+    """{section: {key: value}} of a config text, by the line grammar of the
+    README's "Config grammar": configparser's with its defaults, strict, with
+    keys as written and no interpolation or defaults section.  The
+    ValidationError names the first line off the grammar."""
+
+    def malformed(number, problem):
+        return ValidationError(f"malformed config file {path}: line {number}: {problem}")
+
+    config, values, key, indent = {}, None, None, 0
+    for number, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")):
+            continue
+        if not stripped:
+            if key is not None:
+                values[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            values[key].append(stripped)
+            continue
+        indent, close = depth, stripped.rfind("]")
+        if stripped.startswith("[") and close > 1:
+            section, key = stripped[1:close], None
+            if section in config:
+                raise malformed(number, f"duplicate section [{section}]")
+            values = config[section] = {}
+            continue
+        if values is None:
+            raise malformed(number, f"no section header above {line!r}")
+        equals, colon = stripped.find("="), stripped.find(":")
+        cut = equals if colon < 0 or 0 <= equals < colon else colon
+        if cut < 0:
+            raise malformed(number, f"not a header, key = value or comment: {line!r}")
+        key = stripped[:cut].rstrip()
+        if not key or key in values:
+            raise malformed(number, f"duplicate key {key!r} in [{section}]" if key else f"empty key: {line!r}")
+        values[key] = [stripped[cut + 1 :].lstrip()]
+    return {name: {k: "\n".join(lines).rstrip() for k, lines in keys.items()} for name, keys in config.items()}
+
+
+def _section(config, name):
+    """Values of config section `name` by its table in _SECTIONS, an absent
+    section giving every default.  Raises ValidationError on an unknown key
+    or on a value its parser rejects."""
     table = _SECTIONS[name]
-    given = dict(parser.items(name, raw=True)) if parser.has_section(name) else {}
+    given = config.get(name, {})
     for key in given:
         if key not in table:
             raise ValidationError(f"unknown key {key!r} in [{name}]")
@@ -202,15 +244,15 @@ def _section(parser, name):
         raise ValidationError(f"bad [{name}] value: {exc}") from exc
 
 
-def _parse_block(parser):
-    if not parser.has_section("block"):
+def _parse_block(config):
+    if "block" not in config:
         raise ValidationError("config must contain a [block] section")
-    sec = _section(parser, "block")
+    sec = _section(config, "block")
     return periodic_block(sec["q"], sec["a"], sec["b"])
 
 
-def _parse_pert(parser):
-    sec = _section(parser, "perturbation")
+def _parse_pert(config):
+    sec = _section(config, "perturbation")
     if sec["kind"] == "zero":
         return PerturbationSpec.zero()
     if sec["kind"] == "finite_list":
@@ -221,10 +263,10 @@ def _parse_pert(parser):
 
 
 def load_config(config_path, overrides, experiment) -> RunConfig:
-    parser = _read_config(config_path, overrides)
-    block = _parse_block(parser)
-    pert = _parse_pert(parser)
-    params = _section(parser, "experiment")
+    config = _read_config(config_path, overrides)
+    block = _parse_block(config)
+    pert = _parse_pert(config)
+    params = _section(config, "experiment")
     return RunConfig(
         experiment=experiment,
         block=block,
@@ -343,9 +385,13 @@ def run(config_path, overrides=None, experiment=None, out_dir="."):
         )
         return 2
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{experiment}.csv").write_text("\n".join([*meta, *rows, ""]), encoding="utf-8", newline="")
+    path = Path(out_dir, f"{experiment}.csv")
+    data = "\n".join([*meta, *rows, ""]).encode("utf-8")
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     return code
 
 

@@ -12,6 +12,7 @@ array of more dimensions or a complex point where energies are real raises.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,9 +100,9 @@ def periodic_block(q, a_bg, b_bg) -> PeriodicBlock:
             f"need exactly q={q} background coefficients, got {len(a_bg)} / {len(b_bg)}"
         )
     for k, x in enumerate(a_bg, start=1):
-        if not np.isfinite(x) or x <= 0.0:
+        if not math.isfinite(x) or x <= 0.0:
             raise ValidationError(f"a°_{k} must be positive, got {x}")
-    if not all(np.isfinite(x) for x in b_bg):
+    if not all(map(math.isfinite, b_bg)):
         raise ValidationError("background diagonal must be finite")
     return PeriodicBlock(q, a_bg, b_bg)
 
@@ -133,7 +134,7 @@ class PerturbationSpec:
     @staticmethod
     def finite(alpha=(), beta=()) -> "PerturbationSpec":
         alpha, beta = tuple(float(x) for x in alpha), tuple(float(x) for x in beta)
-        if not np.isfinite(alpha + beta).all():
+        if not all(map(math.isfinite, alpha + beta)):
             raise ValidationError("perturbation values alpha and beta must be finite")
         return PerturbationSpec(kind="finite_list", alpha=alpha, beta=beta)
 

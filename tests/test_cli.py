@@ -97,7 +97,7 @@ def test_unknown_section_rejected(tmp_path):
     assert run(str(cfg), overrides=["DEFAULT.x=1"], experiment="bands", out_dir=str(tmp_path / "o")) == 2
 
 
-# configparser would read this q as a default for every section, [block] included
+# an INI reader with a defaults section would read this q into [block] too
 DEFAULT_SECTION_CONFIG = """\
 [DEFAULT]
 q = 2

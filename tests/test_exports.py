@@ -39,8 +39,8 @@ def test_readme_quick_start_runs():
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
 def test_readme_config_example_runs(tmp_path, experiment):
-    # configparser reads an inline "# ..." as part of the value, so each
-    # comment of the example must stand on its own line
+    # the config reader reads an inline "# ..." as part of the value, so
+    # each comment of the example must stand on its own line
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     assert len(blocks) == 1
     config = tmp_path / "config.ini"

@@ -602,6 +602,25 @@ def test_strip_at_an_energy_on_a_diagonal_coefficient(baseline_model):
         assert np.array_equal(got[one], _kernels.strip_downward(a, b, energies[one], tails[one], 600))
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 6), off_axis=st.booleans(), strip=st.booleans())
+def test_one_site_blocks_equal_their_site_matrices_from_cast_columns(seed, blocks, off_axis, strip):
+    # one-site blocks take no step: their x_n comes from the real columns,
+    # bit for bit as from columns cast to the energies' dtype
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, blocks + 1), rng.uniform(-1.0, 1.0, blocks + 1)
+    energies = rng.uniform(-3.0, 3.0, 17) + (1j * rng.uniform(-1.0, 1.0, 17) if off_axis else 0.0)
+    columns = tuple(v[:, None] for v in (1.0 / a[1:], -a[:-1] / a[1:], b[1:]))
+    if strip:
+        columns = (None, *columns[1:])
+    prod, shifts = _kernels._block_products(columns, energies, 0.0, 1)
+    inv, y, b_n = (None if v is None else v.astype(energies.dtype) for v in columns)
+    x = b_n - energies if strip else (energies - b_n) * inv
+    want = np.array([[np.zeros_like(x), np.ones_like(x)], [np.broadcast_to(y, x.shape), x]])
+    assert shifts is None and prod.dtype == energies.dtype
+    assert prod.tobytes() == want.tobytes()
+
+
 def test_strip_block_walk_past_the_double_range_of_a_block():
     # at a = 1e5 the product of a_n over a block, 1e320, overflows a double,
     # and the stripping guard fires within every block

@@ -8,9 +8,10 @@ Both are imported into this process, as the packages jostspec_base and
 jostspec_head, so they share the interpreter, the allocator and the CPU's
 state.  The workload's ops come from perfbench/workloads.py next to this
 script (seed 1); both trees run the same config files.  Each round runs one
-pass of BASE and then one pass of HEAD (ABAB), a pass being every op once
-through the tree's jostspec.cli.main from a cleared coefficient cache, as
-perfbench/run.py times it.
+pass of each tree, BASE first in the first round and the tree that ran
+second first in the next (ABBA), so that neither tree always runs second; a
+pass is every op once through the tree's jostspec.cli.main from a cleared
+coefficient cache, as perfbench/run.py times it.
 
 Prints the minimum milliseconds of each op and of a pass on each tree, the
 HEAD / BASE ratio of each round's passes as a median with a 95 % bootstrap
@@ -104,9 +105,9 @@ def main(argv=None):
         for package, outdir in zip(trees, outdirs):
             run_pass(package, ops, outdir)  # warm-up, not timed
         times = [[], []]
-        for _ in range(args.rounds):
-            for i, (package, outdir) in enumerate(zip(trees, outdirs)):
-                times[i].append(run_pass(package, ops, outdir))
+        for r in range(args.rounds):
+            for i in (0, 1) if r % 2 == 0 else (1, 0):
+                times[i].append(run_pass(trees[i], ops, outdirs[i]))
     per_op = np.array(times) * 1e3  # (tree, round, op) in ms
     passes = per_op.sum(axis=2)
     ratios = passes[1] / passes[0]
